@@ -52,6 +52,7 @@ from .layouts import (
     parse_queue_layout,
     parse_track_layout,
     queue_from_tracks,
+    track_bound,
     track_layout_from_compute,
     verify_queue_layout,
     verify_track_layout,
@@ -59,6 +60,7 @@ from .layouts import (
 from .nonrep import (
     default_max_path,
     format_colouring,
+    nonrep_bound,
     nonrep_from_compute,
     parse_colouring,
     verify_nonrepetitive,
@@ -365,13 +367,12 @@ def cmd_report(args) -> int:
         )
         tl = track_layout_from_compute(g, res.ld.layering, labels)
         colouring = nonrep_from_compute(g, res.ld.layering, labels)
-        logn = 1 + math.log(max(g.n, 2)) / math.log(1.5)
-        gcap = res.genus
-        track_bound = math.ceil(3 * (2 * gcap + 3) + 3 * (2 * gcap + 3) * logn)
-        pal_bound = math.ceil(4 * (2 * gcap + 3) * (1 + logn))
+        cap = 2 * res.genus + 3
+        tracks_cap = math.ceil(track_bound(g.n, cap, cap))
+        palette_cap = math.ceil(nonrep_bound(g.n, cap, cap))
         print(
             f"| {family}/{size} | {g.n} | {res.ld.layered_width} | {lw_bound} "
-            f"| {len(tl.tracks)} | {track_bound} | {colouring.palette_size} | {pal_bound} |"
+            f"| {len(tl.tracks)} | {tracks_cap} | {colouring.palette_size} | {palette_cap} |"
         )
     return EXIT_OK
 

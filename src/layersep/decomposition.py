@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,14 +60,6 @@ class TreeDecomposition:
         return adj
 
     @cached_property
-    def vertex_bags(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                out.setdefault(v, []).append(i)
-        return {v: tuple(ids) for v, ids in out.items()}
-
-    @cached_property
     def rooted(self) -> tuple[list[int], list[int], list[int]]:
         """(parent, preorder, tin) with the tree rooted at bag 0."""
         b = len(self.bags)
@@ -88,6 +81,38 @@ class TreeDecomposition:
         if len(order) != b:
             raise DecompositionError("decomposition tree is disconnected")
         return parent, order, tin
+
+    @cached_property
+    def subtree_end(self) -> list[int]:
+        """Preorder rank just past each bag's subtree: bag y lies in the
+        subtree of x iff tin[x] <= tin[y] < subtree_end[x]."""
+        parent, order, tin = self.rooted
+        size = [1] * len(order)
+        for x in reversed(order):
+            if parent[x] >= 0:
+                size[parent[x]] += size[x]
+        return [t + k for t, k in zip(tin, size)]
+
+    @cached_property
+    def ancestor_jumps(self) -> list[list[int]]:
+        """Binary lifting table: jumps[j][x] is the 2**j-th ancestor of
+        bag x, or -1 above the root."""
+        jumps = [self.rooted[0]]
+        while any(a >= 0 for a in jumps[-1]):
+            prev = jumps[-1]
+            jumps.append([prev[a] if a >= 0 else -1 for a in prev])
+        return jumps
+
+    @cached_property
+    def top_bag(self) -> dict[int, int]:
+        """Each vertex's bag nearest the root.  A vertex's bags form a
+        subtree, so this is its bag of least preorder rank."""
+        _, order, _ = self.rooted
+        top: dict[int, int] = {}
+        for x in order:
+            for v in self.bags[x]:
+                top.setdefault(v, x)
+        return top
 
 
 @dataclass(frozen=True)
@@ -455,6 +480,8 @@ def clique_sum_compose(
 
 
 def _components_within(g: Graph, allowed: frozenset[int]) -> list[frozenset[int]]:
+    """Components of G[allowed], in increasing order of their least
+    vertex."""
     seen: set[int] = set()
     comps = []
     for s in sorted(allowed):
@@ -476,60 +503,89 @@ def _components_within(g: Graph, allowed: frozenset[int]) -> list[frozenset[int]
 
 def _halving_bag(td: TreeDecomposition, sample: frozenset[int]) -> int:
     """Bag whose removal leaves at most half the sample in every
-    component, found by walking the decomposition tree toward the heavy
-    side.
+    component of G - B.
 
-    For each tree edge the sample weight of either side is derived from
-    subtree sums of top-bag counts, so the walk costs O(bags + |S|)
-    instead of one component computation per bag.
+    Count each sample vertex at its top bag.  The answer is the deepest
+    bag whose subtree holds more than half of the counts: a component of
+    G - B lies in one component of the bag tree minus B, a child subtree
+    holds at most half of the counts, and the side above holds fewer
+    than half.  A subtree is an interval of preorder ranks, so every
+    heavy bag contains the median of the sorted top ranks in its
+    subtree; binary lifting from the bag at that median finds the
+    deepest one.  A call costs O(|S| log |S|) on top of the
+    decomposition's cached tables, independent of the number of bags.
     """
     parent, order, tin = td.rooted
-    vbags = td.vertex_bags
-    b = len(td.bags)
-    cnt_top = [0] * b
-    for v in sample:
-        ids = vbags.get(v)
-        if not ids:
-            raise DecompositionError(f"sample vertex {v} appears in no bag")
-        cnt_top[min(ids, key=lambda i: tin[i])] += 1
-    sub_sum = cnt_top[:]
-    for x in reversed(order):
-        if parent[x] >= 0:
-            sub_sum[parent[x]] += sub_sum[x]
-    total = len(sample)
+    end = td.subtree_end
+    top = td.top_bag
+    try:
+        tins = sorted(tin[top[v]] for v in sample)
+    except KeyError as exc:
+        raise DecompositionError(
+            f"sample vertex {exc.args[0]} appears in no bag"
+        ) from None
+    total = len(tins)
 
-    def side_weight(y: int, towards: int) -> int:
-        # sample weight of the side of bag y containing its neighbour
-        if parent[towards] == y:
-            return sub_sum[towards]
-        # towards is y's parent: everything above minus the part of the
-        # sample glued into B_y from above
-        in_bag = sum(1 for v in td.bags[y] if v in sample)
-        return total - sub_sum[y] - (in_bag - cnt_top[y])
+    def heavy(x: int) -> bool:
+        inside = bisect_left(tins, end[x]) - bisect_left(tins, tin[x])
+        return 2 * inside > total
 
-    y = 0
-    for _ in range(b + 1):
-        heavy = None
-        for x in td.tree_adjacency[y]:
-            if 2 * side_weight(y, x) > total:
-                heavy = x
-                break
-        if heavy is None:
-            return y
-        y = heavy
-    raise DecompositionError("halving-bag walk failed to terminate")
+    x = order[tins[total // 2]]
+    if heavy(x):
+        return x
+    # the root is heavy, so x stays strictly below the deepest heavy bag
+    for jump in reversed(td.ancestor_jumps):
+        y = jump[x]
+        if y >= 0 and not heavy(y):
+            x = y
+    return parent[x]
+
+
+def _balanced_sides(
+    comps: Sequence[frozenset[int]], weights: Sequence[int], total: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Group components into two sides of at most 2/3 of a sample of
+    size ``total`` each.
+
+    ``weights[i]`` is the sample count of ``comps[i]``, at most total/2;
+    ``comps`` come in order of least vertex, which breaks weight ties.
+    Components go greedily (descending weight) to the lighter side, then
+    an exchange step moves light components off the heavy side until
+    both sides are within 2/3.
+    """
+    sides: tuple[list[int], list[int]] = ([], [])
+    count = [0, 0]
+    for i in sorted(range(len(comps)), key=lambda i: (-weights[i], i)):
+        s = 0 if count[0] <= count[1] else 1
+        sides[s].append(i)
+        count[s] += weights[i]
+    for _ in range(len(comps) + 1):
+        h = 0 if count[0] >= count[1] else 1
+        if 3 * count[h] <= 2 * total:
+            break
+        movable = [i for i in sides[h] if 0 < weights[i] and 2 * weights[i] <= count[h]]
+        if not movable:
+            raise DecompositionError("exchange step stuck: balance unreachable")
+        i = min(movable, key=lambda i: (weights[i], i))
+        sides[h].remove(i)
+        sides[1 - h].append(i)
+        count[h] -= weights[i]
+        count[1 - h] += weights[i]
+    return (
+        frozenset().union(*(comps[i] for i in sides[0])),
+        frozenset().union(*(comps[i] for i in sides[1])),
+    )
 
 
 def separator_from_decomposition(
     g: Graph, td: TreeDecomposition, sample: Iterable[int]
 ) -> tuple[int, Separation]:
     """Bag whose removal halves the sample, regrouped to a 2/3-balanced
-    separation.
+    separation of G.
 
-    Scans the bags for one where every component of G - B holds at most
-    half the sample; groups the components greedily (descending sample
-    count, lighter side first) and runs the exchange step if the greedy
-    grouping exceeds 2/3.
+    Every component of G - B holds at most half the sample; the
+    components are grouped by their sample counts with
+    ``_balanced_sides``.
     """
     sample = frozenset(sample)
     if not sample:
@@ -537,50 +593,11 @@ def separator_from_decomposition(
     idx = _halving_bag(td, sample)
     bag = td.bags[idx]
     comps = _components_within(g, frozenset(g.vertices()) - bag)
-    if any(2 * len(c & sample) > len(sample) for c in comps):
+    weights = [len(c & sample) for c in comps]
+    if any(2 * w > len(sample) for w in weights):
         raise DecompositionError("no halving bag found: invalid decomposition")
-
-    weighted = sorted(
-        comps, key=lambda c: (-len(c & sample), min(c) if c else -1)
-    )
-    p_side: list[frozenset[int]] = []
-    q_side: list[frozenset[int]] = []
-    p_cnt = q_cnt = 0
-    for c in weighted:
-        w = len(c & sample)
-        if p_cnt <= q_cnt:
-            p_side.append(c)
-            p_cnt += w
-        else:
-            q_side.append(c)
-            q_cnt += w
-    # exchange step: move a light component off the heavy side until
-    # both sides are within 2/3 of the sample
-    for _ in range(len(comps) + 1):
-        heavy, light = (
-            (p_side, q_side) if p_cnt >= q_cnt else (q_side, p_side)
-        )
-        hv = max(p_cnt, q_cnt)
-        if 3 * hv <= 2 * len(sample):
-            break
-        movable = [
-            c for c in heavy if 0 < len(c & sample) and 2 * len(c & sample) <= hv
-        ]
-        if not movable:
-            raise DecompositionError("exchange step stuck: balance unreachable")
-        c = min(movable, key=lambda c: (len(c & sample), min(c)))
-        heavy.remove(c)
-        light.append(c)
-        w = len(c & sample)
-        if heavy is p_side:
-            p_cnt -= w
-            q_cnt += w
-        else:
-            q_cnt -= w
-            p_cnt += w
-    part1 = frozenset(bag | {v for c in p_side for v in c})
-    part2 = frozenset(bag | {v for c in q_side for v in c})
-    return idx, Separation(part1, part2)
+    side1, side2 = _balanced_sides(comps, weights, len(sample))
+    return idx, Separation(bag | side1, bag | side2)
 
 
 def layered_separation(

@@ -4,23 +4,23 @@ The recursion assigns every vertex a (depth, label) pair: removed set Q
 gets depth 0; each recursive call separates the current sample, labels
 the separator vertices per layer, and recurses on the two strict sides.
 Tracks are keyed by (layer mod 3, depth, label); within a track vertices
-are ordered by layer, breaking ties by the side taken at the lowest
-common ancestor of the recursion tree.  Queue layouts read the tracks
-left to right and assign each edge the difference of its track indices.
+are ordered by layer, breaking ties by the preorder rank of the recursion
+node that labelled them.  Queue layouts read the tracks left to right and
+assign each edge the difference of its track indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .decomposition import (
     LayeredDecomposition,
+    _balanced_sides,
     _components_within,
-    layered_separation,
-    separator_from_decomposition,
+    _halving_bag,
 )
 from .graphs import Graph, GraphInputError, Layering, Report
 
@@ -70,10 +70,18 @@ def compute_recursion(
     """Run the labelling recursion on G with removed set Q.
 
     ``ld_minus_q`` must be a layered decomposition of G - Q whose layer
-    indices agree with ``layering``.  Mode "separation" splits each
-    sample with a 2/3-balanced layered separation (depth grows like
-    log base 3/2); mode "separator" removes a single halving bag and
-    recurses on every component (depth grows like log base 2).
+    indices agree with ``layering``.  Each call on a sample S removes a
+    halving bag B and splits S - B into the components of G[S - B].
+    Mode "separation" groups them into two children of at most 2/3 of S
+    each (depth grows like log base 3/2); mode "separator" recurses on
+    every component, each at most half of S (depth grows like log base
+    2).  A call costs O(|S| log |S|): it never looks outside its sample.
+
+    Children are unions of components of G[S - B], so vertices sent to
+    different children are non-adjacent.  Every edge therefore joins two
+    vertices labelled at the same call or at an ancestor call and a
+    descendant one, which is all the (layer, preorder rank) order within
+    a track relies on; ``verify_track_layout`` checks the result.
     """
     if mode not in ("separation", "separator"):
         raise GraphInputError(f"unknown recursion mode {mode!r}")
@@ -88,6 +96,7 @@ def compute_recursion(
         g.n, [(u, v) for u, v in g.edges if u in rest and v in rest]
     )
     ell2 = max(ld_minus_q.layered_width, 1)
+    td = ld_minus_q.decomposition
 
     depth: dict[int, int] = {}
     label: dict[int, int] = {}
@@ -126,21 +135,12 @@ def compute_recursion(
             return
         if d > max_allowed_depth + 1e-9:
             raise LayoutError(f"recursion depth {d} exceeds the sample-shrink bound")
+        bag = td.bags[_halving_bag(td, sample)]
+        mid = bag & sample
+        children = _components_within(gq, sample - bag)
         if mode == "separation":
-            sep = layered_separation(gq, ld_minus_q, sample)
-            mid = sep.intersection & sample
-            children = [
-                (sep.part1 - sep.part2) & sample,
-                (sep.part2 - sep.part1) & sample,
-            ]
-        else:
-            idx, _ = separator_from_decomposition(
-                gq, ld_minus_q.decomposition, sample
-            )
-            bag = ld_minus_q.decomposition.bags[idx]
-            mid = bag & sample
-            children = sorted(
-                _components_within(gq, sample - bag), key=min
+            children = list(
+                _balanced_sides(children, [len(c) for c in children], len(sample))
             )
         # balance: separation children hold <= 2/3 of the sample,
         # separator children <= 1/2
@@ -150,8 +150,8 @@ def compute_recursion(
             if mode == "separator" and 2 * len(child) > len(sample):
                 raise LayoutError("separator child exceeds 1/2 of the sample")
         me = len(nodes)
-        nodes.append(RecursionNode(me, parent, rank, d, sample, frozenset(mid)))
-        assign_labels(frozenset(mid), d, ell2)
+        nodes.append(RecursionNode(me, parent, rank, d, sample, mid))
+        assign_labels(mid, d, ell2)
         for v in mid:
             node_of[v] = me
         for i, child in enumerate(children):
@@ -192,55 +192,26 @@ class TrackLayout:
 def track_layout_from_compute(
     g: Graph, layering: Layering, labels: ComputeLabels
 ) -> TrackLayout:
-    """Assemble the track layout keyed by (layer mod 3, depth, label)."""
+    """Assemble the track layout keyed by (layer mod 3, depth, label).
+
+    Each track is sorted by (layer, recursion node).  Node ids are
+    preorder ranks, since a node is recorded before its children are
+    visited in rank order, and the vertices of one track share their
+    depth in the recursion tree; so ties within a layer are broken by
+    the child rank at the first divergence of the two root paths.  Q
+    (depth 0) has no node; its vertices on one track lie in distinct
+    layers.
+    """
     layer_of = layering.layer_of
-    key: dict[int, tuple[int, int, int]] = {}
-    for v in g.vertices():
-        key[v] = (layer_of[v] % 3, labels.depth[v], labels.label[v])
-
-    ancestors: dict[int, list[tuple[int, int]]] = {}
-
-    def path(nid: int) -> list[tuple[int, int]]:
-        # (node id, rank) pairs from the root down to nid
-        if nid in ancestors:
-            return ancestors[nid]
-        node = labels.nodes[nid]
-        base = [] if node.parent is None else path(node.parent)
-        out = base + [(nid, node.rank)]
-        ancestors[nid] = out
-        return out
-
-    def cmp(v: int, w: int) -> int:
-        iv, iw = layer_of[v], layer_of[w]
-        if iv != iw:
-            return -1 if iv < iw else 1
-        if v == w:
-            return 0
-        pv, pw = path(labels.node_of[v]), path(labels.node_of[w])
-        for (nv, rv), (nw, rw) in zip(pv, pw):
-            if nv == nw:
-                continue
-            # first divergence: the previous entries matched, so both
-            # nodes hang off the same parent; order by child rank there
-            if rv != rw:
-                return -1 if rv < rw else 1
-            raise LayoutError("distinct recursion children share a rank")
-        raise LayoutError(
-            f"vertices {v} and {w} share a layer, key and recursion node"
-        )
-
+    node_of = labels.node_of
     grouped: dict[tuple[int, int, int], list[int]] = {}
     for v in g.vertices():
-        grouped.setdefault(key[v], []).append(v)
-    tracks = []
-    for k in sorted(grouped):
-        vs = grouped[k]
-        if k[1] == 0:
-            vs.sort(key=lambda v: layer_of[v])
-        else:
-            vs.sort(key=cmp_to_key(cmp))
-        tracks.append(tuple(vs))
-    return TrackLayout(tuple(tracks))
+        key = (layer_of[v] % 3, labels.depth[v], labels.label[v])
+        grouped.setdefault(key, []).append(v)
+    return TrackLayout(tuple(
+        tuple(sorted(grouped[k], key=lambda v: (layer_of[v], node_of.get(v, -1))))
+        for k in sorted(grouped)
+    ))
 
 
 def track_bound(n: int, ell1: int, ell2: int, mode: str = "separation") -> float:
@@ -250,7 +221,8 @@ def track_bound(n: int, ell1: int, ell2: int, mode: str = "separation") -> float
 
 
 def verify_track_layout(g: Graph, tl: TrackLayout) -> Report:
-    """Independent check: partition, no intra-track edge, no X-crossing.
+    """Independent check: partition of V(G), no intra-track edge, no
+    X-crossing.
 
     Every pair of edges sharing a pair of tracks is tested exhaustively.
     """
@@ -262,6 +234,9 @@ def verify_track_layout(g: Graph, tl: TrackLayout) -> Report:
     for v in g.vertices():
         if v not in track_of:
             violations.append(f"vertex {v} on no track")
+    for v, t in track_of.items():
+        if not 0 <= v < g.n:
+            violations.append(f"vertex {v} on track {t} is not in G")
     if violations:
         return Report.of(violations)
     pos = tl.position_of

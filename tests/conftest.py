@@ -2,6 +2,8 @@
 
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from layersep.decomposition import genus_layered_decomposition
 from layersep.generators import random_planar_triangulation, toroidal_grid
 from layersep.layouts import compute_recursion, track_layout_from_compute
@@ -31,3 +33,10 @@ def torus_pipeline(p: int, q: int):
     )
     tl = track_layout_from_compute(g, res.ld.layering, labels)
     return g, res, labels, tl
+
+
+# random planar triangulations and toroidal grids
+embedded_graphs = st.one_of(
+    st.builds(random_planar_triangulation, st.integers(3, 150), st.integers(0, 10**6)),
+    st.builds(toroidal_grid, st.integers(3, 9), st.integers(3, 9)),
+)

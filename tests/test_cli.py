@@ -97,13 +97,22 @@ def test_separate_manifest(tmp_path, capsys):
     assert data["verdicts"].get("separation") == "pass"
 
 
+REPORT_TABLE = """\
+| fixture | n | layered width | bound | tracks | track bound | palette | palette bound |
+|---|---|---|---|---|---|---|---|
+| planar_triangulation/40 | 40 | 3 | 3 | 22 | 100 | 22 | 134 |
+| planar_triangulation/120 | 120 | 3 | 3 | 36 | 125 | 36 | 166 |
+| toroidal_grid/5 | 25 | 7 | 7 | 19 | 209 | 19 | 279 |
+| toroidal_grid/7 | 49 | 7 | 7 | 33 | 244 | 33 | 325 |
+"""
+
+
 def test_bench_and_report_run(capsys):
     assert run(["bench", "--seed", 1]) == 0
     out = capsys.readouterr().out
     assert "fixture" in out and "vol" in out
     assert run(["report"]) == 0
-    out = capsys.readouterr().out
-    assert "|" in out
+    assert capsys.readouterr().out == REPORT_TABLE
 
 
 def test_shadow_verify(tmp_path):

@@ -44,7 +44,7 @@ from layersep.graphs import (
     validate_separation,
     separator_layer_widths,
 )
-from tests.conftest import planar_pipeline, torus_pipeline
+from tests.conftest import embedded_graphs, planar_pipeline, torus_pipeline
 
 
 def test_validate_tree_decomposition_path():
@@ -109,6 +109,17 @@ def test_separator_from_decomposition_subsample():
     assert 0 <= idx < len(res.ld.decomposition.bags)
     assert validate_separation(g, sep, sample).ok
     assert sep.intersection <= res.ld.decomposition.bags[idx]
+
+
+@settings(max_examples=30, deadline=None)
+@given(embedded_graphs, st.data())
+def test_separator_from_decomposition_random_samples(eg, data):
+    g = eg.to_graph()
+    td = genus_layered_decomposition(eg, (0,)).ld.decomposition
+    sample = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    idx, sep = separator_from_decomposition(g, td, sample)
+    assert validate_separation(g, sep, sample, balance=Fraction(2, 3)).ok
+    assert sep.intersection <= td.bags[idx]
 
 
 def test_reed_converse_width():

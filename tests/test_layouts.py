@@ -1,10 +1,23 @@
+import itertools
 import math
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layersep.generators import cycle_graph, path_graph, random_tree
+from layersep.decomposition import genus_layered_decomposition
+from layersep.generators import (
+    cycle_graph,
+    path_graph,
+    random_planar_triangulation,
+    random_tree,
+    toroidal_grid,
+)
 from layersep.graphs import Graph, bfs_layering
 from layersep.layouts import (
+    ComputeLabels,
     LayoutError,
     QueueLayout,
     TrackLayout,
@@ -19,7 +32,7 @@ from layersep.layouts import (
     verify_queue_layout,
     verify_track_layout,
 )
-from tests.conftest import planar_pipeline, torus_pipeline
+from tests.conftest import embedded_graphs, planar_pipeline, torus_pipeline
 
 
 def test_compute_recursion_separation_mode():
@@ -82,6 +95,15 @@ def test_verify_track_layout_catches_missing_vertex():
     g = path_graph(3)
     rep = verify_track_layout(g, TrackLayout(((0, 2),)))
     assert not rep.ok
+
+
+def test_verify_track_layout_catches_vertex_outside_graph():
+    g = path_graph(4)
+    good = TrackLayout(((0, 2), (1, 3)))
+    assert verify_track_layout(g, good).ok
+    rep = verify_track_layout(g, TrackLayout(((0, 2), (1, 3, 99))))
+    assert not rep.ok
+    assert any("99" in v and "not in G" in v for v in rep.violations)
 
 
 def test_verify_track_layout_intra_track_edge():
@@ -151,3 +173,90 @@ def test_parse_track_layout_rejects_garbage():
 
     with pytest.raises(GraphInputError):
         parse_track_layout("junk\n")
+
+
+def _pipeline(eg, mode):
+    g = eg.to_graph()
+    res = genus_layered_decomposition(eg, (0,))
+    labels = compute_recursion(
+        g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode=mode
+    )
+    return g, res, labels
+
+
+def _oracle_track_layout(g, layering, labels: ComputeLabels) -> TrackLayout:
+    """Tracks ordered by comparing root paths of the recursion tree: within
+    a layer, the child rank at the first divergence decides."""
+    layer_of = layering.layer_of
+    ancestors: dict[int, list[tuple[int, int]]] = {}
+
+    def path(nid: int) -> list[tuple[int, int]]:
+        # (node id, rank) pairs from the root down to nid
+        if nid not in ancestors:
+            node = labels.nodes[nid]
+            base = [] if node.parent is None else path(node.parent)
+            ancestors[nid] = base + [(nid, node.rank)]
+        return ancestors[nid]
+
+    def cmp(v: int, w: int) -> int:
+        iv, iw = layer_of[v], layer_of[w]
+        if iv != iw:
+            return -1 if iv < iw else 1
+        if v == w:
+            return 0
+        pv, pw = path(labels.node_of[v]), path(labels.node_of[w])
+        for (nv, rv), (nw, rw) in zip(pv, pw):
+            if nv != nw:
+                assert rv != rw, "distinct recursion children share a rank"
+                return -1 if rv < rw else 1
+        raise AssertionError(f"vertices {v} and {w} share a layer and node")
+
+    grouped: dict[tuple[int, int, int], list[int]] = {}
+    for v in g.vertices():
+        key = (layer_of[v] % 3, labels.depth[v], labels.label[v])
+        grouped.setdefault(key, []).append(v)
+    tracks = []
+    for k in sorted(grouped):
+        vs = grouped[k]
+        if k[1] == 0:
+            vs.sort(key=lambda v: layer_of[v])
+        else:
+            vs.sort(key=cmp_to_key(cmp))
+        tracks.append(tuple(vs))
+    return TrackLayout(tuple(tracks))
+
+
+@pytest.mark.parametrize("mode", ["separation", "separator"])
+def test_track_order_matches_root_path_oracle(mode):
+    inputs = [random_planar_triangulation(n, seed=n) for n in (50, 200, 600)]
+    inputs += [toroidal_grid(p, p) for p in (8, 12)]
+    for eg in inputs:
+        g, res, labels = _pipeline(eg, mode)
+        tl = track_layout_from_compute(g, res.ld.layering, labels)
+        assert tl == _oracle_track_layout(g, res.ld.layering, labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(embedded_graphs, st.sampled_from(["separation", "separator"]))
+def test_recursion_split_properties(eg, mode):
+    g, res, labels = _pipeline(eg, mode)
+    bags = res.ld.decomposition.bags
+    cap = Fraction(2, 3) if mode == "separation" else Fraction(1, 2)
+    children: dict[int, list[frozenset[int]]] = {}
+    for node in labels.nodes:
+        if node.parent is not None:
+            children.setdefault(node.parent, []).append(node.sample)
+    for node in labels.nodes:
+        kids = children.get(node.id, [])
+        assert any(node.separator <= bag for bag in bags)
+        assert frozenset().union(*kids) == node.sample - node.separator
+        for kid in kids:
+            assert len(kid) <= cap * len(node.sample)
+        for a, b in itertools.combinations(kids, 2):
+            assert not any(w in b for v in a for w in g.adjacency[v])
+
+
+def test_recursion_n3200_smoke():
+    g, _, labels, tl = planar_pipeline(3200)
+    assert verify_track_layout(g, tl).ok
+    assert len(tl.tracks) <= track_bound(g.n, labels.ell1, labels.ell2)
