@@ -60,6 +60,7 @@ from .layouts import (
 from .nonrep import (
     default_max_path,
     format_colouring,
+    layer_pattern_colouring,
     nonrep_bound,
     nonrep_from_compute,
     parse_colouring,
@@ -205,7 +206,10 @@ def cmd_queues(args) -> int:
 def cmd_nonrep(args) -> int:
     manifest = RunManifest("nonrep", parameters={"root": args.root})
     g, res, labels = _pipeline(args, manifest)
-    colouring = nonrep_from_compute(g, res.ld.layering, labels)
+    lp = layer_pattern_colouring(len(res.ld.layering))
+    manifest.parameters["layer_pattern_search_nodes"] = lp.search_nodes
+    manifest.parameters["layer_pattern_fell_back"] = lp.fell_back
+    colouring = nonrep_from_compute(g, res.ld.layering, labels, lp)
     max_path = args.verify_max_path or default_max_path(g.n)
     manifest.parameters["max_path"] = max_path
     proper = verify_proper(g, colouring)

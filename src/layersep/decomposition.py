@@ -148,7 +148,8 @@ class LayeredDecomposition:
 
 
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
-    """Check bag-tree shape, edge coverage and subtree connectivity."""
+    """Check bag-tree shape, that every bag vertex is in G, edge
+    coverage and subtree connectivity."""
     violations: list[str] = []
     b = len(td.bags)
     # tree shape: connected and acyclic on bag indices
@@ -174,6 +175,9 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     for i, bag in enumerate(td.bags):
         for v in bag:
             where.setdefault(v, []).append(i)
+    for v in sorted(where):
+        if not 0 <= v < g.n:
+            violations.append(f"vertex {v} in bag {where[v][0]} is not in G")
     for u, v in sorted(g.edges):
         if not any(u in td.bags[i] for i in where.get(v, ())):
             violations.append(f"edge ({u},{v}) covered by no bag")

@@ -203,13 +203,19 @@ def segment_through_point(p1: Point, p2: Point, v: Point) -> bool:
 
 
 def verify_drawing(g: Graph, d: GridDrawing3D) -> Report:
-    """Exhaustive exact check: distinct positions, no open-segment pair
-    intersection, no segment through a non-endpoint vertex."""
+    """Exhaustive exact check: exactly the vertices of G placed, distinct
+    positions, no open-segment pair intersection, no segment through a
+    non-endpoint vertex."""
     violations: list[str] = []
     pos = d.position
     for v in g.vertices():
         if v not in pos:
             return Report.of([f"vertex {v} unplaced"])
+    outside = [
+        f"vertex {v} at {pos[v]} is not in G" for v in sorted(pos) if not 0 <= v < g.n
+    ]
+    if outside:
+        return Report.of(outside)
     seen: dict[Point, int] = {}
     for v in sorted(pos):
         if pos[v] in seen:

@@ -21,7 +21,7 @@ from .decomposition import (
     _components_within,
     validate_tree_decomposition,
 )
-from .graphs import Graph, GraphInputError, Layering, Report, bfs_layering
+from .graphs import Graph, GraphInputError, Layering, Report, bfs_layering, validate_layering
 from .layouts import TrackLayout, verify_track_layout
 from .nonrep import Colouring, LayerPatternColouring, layer_pattern_colouring, shadow_nonrep_compose
 
@@ -222,8 +222,13 @@ def validate_shadow_layering(g: Graph, rd: RichDecomposition, sl: ShadowLayering
 
 
 def verify_shadow_complete(g: Graph, layering: Layering, k: int) -> Report:
-    """For every suffix component, its neighbourhood in the previous
-    layer must be a clique of size at most k."""
+    """The input must be a layering of G (a partition of V(G) whose edges
+    join the same or consecutive layers); then for every suffix
+    component, its neighbourhood in the previous layer must be a clique
+    of size at most k."""
+    rep = validate_layering(g, layering)
+    if not rep.ok:
+        return rep
     violations: list[str] = []
     layers = layering.layers
     t = len(layers)
@@ -568,9 +573,9 @@ def parse_rich(text: str) -> RichDecomposition:
     from .decomposition import parse_decomposition
 
     lines = text.splitlines()
-    idx = next(i for i, ln in enumerate(lines) if ln.strip())
-    head = lines[idx].split()
-    if len(head) != 2 or head[0] != "rich":
+    idx = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    head = [] if idx is None else lines[idx].split()
+    if len(head) != 2 or head[0] != "rich" or not head[1].isdecimal():
         raise GraphInputError("rich decomposition must start with 'rich k'")
     declared = int(head[1])
     rd = RichDecomposition(parse_decomposition("\n".join(lines[idx + 1 :])))

@@ -55,7 +55,12 @@ def test_queues_and_nonrep(tmp_path):
     assert run(["verify", "queues", q, graph]) == 0
 
     col = tmp_path / "c.txt"
-    assert run(["nonrep", graph, "--out", col, "--verify-max-path", 10]) == 0
+    man = tmp_path / "c.json"
+    assert run(["nonrep", graph, "--out", col, "--verify-max-path", 10,
+                "--manifest", man]) == 0
+    params = json.loads(man.read_text())["parameters"]
+    assert params["layer_pattern_fell_back"] is False
+    assert params["layer_pattern_search_nodes"] > 0
     assert run(["verify", "nonrep", col, graph, "--verify-max-path", 10]) == 0
     parse_colouring(col.read_text())
 

@@ -64,6 +64,16 @@ def test_validate_tree_decomposition_path():
     assert not validate_tree_decomposition(g, bad2).ok
 
 
+def test_validate_tree_decomposition_catches_vertex_outside_graph():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    td = TreeDecomposition(
+        (frozenset({0, 1, 99}), frozenset({1, 2})), ((0, 1),)
+    )
+    rep = validate_tree_decomposition(g, td)
+    assert not rep.ok
+    assert any("99" in v and "not in G" in v for v in rep.violations)
+
+
 def test_planar_pipeline_width_bounds():
     for n in (10, 30, 80):
         g, res, _, _ = planar_pipeline(n)

@@ -126,6 +126,15 @@ def test_verify_drawing_negative():
     assert not verify_drawing(g, through).ok
 
 
+def test_verify_drawing_catches_vertex_outside_graph():
+    g = path_graph(3)
+    good = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 1, 0)}
+    assert verify_drawing(g, GridDrawing3D(good)).ok
+    rep = verify_drawing(g, GridDrawing3D({**good, 99: (5, 5, 5)}))
+    assert not rep.ok
+    assert any("99" in v and "not in G" in v for v in rep.violations)
+
+
 def test_volume_report():
     g, _, _, tl = planar_pipeline(40)
     d = draw_from_tracks(g, tl)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layersep.generators import (
     cycle_graph,
@@ -10,8 +12,12 @@ from layersep.generators import (
 )
 from layersep.graphs import GraphInputError, bfs_layering
 from layersep.nonrep import (
+    _SEARCH_WALK_CAP,
     Colouring,
     LayerPatternColouring,
+    _last_position_walks_ok,
+    _suffix_squarefree,
+    _ternary_squarefree,
     default_max_path,
     format_colouring,
     layer_pattern_colouring,
@@ -24,6 +30,103 @@ from layersep.nonrep import (
     verify_proper,
 )
 from tests.conftest import planar_pipeline, torus_pipeline
+
+
+def _enumerated_walks_ok(seq):
+    """Brute-force oracle for ``_last_position_walks_ok``: enumerate every
+    lazy walk of even length <= the cap inside the last cap positions
+    that visits the last position."""
+    p = len(seq) - 1
+    lo = max(0, p - _SEARCH_WALK_CAP + 1)
+    t = len(seq)
+    for length in range(2, _SEARCH_WALK_CAP + 1, 2):
+        k = length // 2
+        stack = [(s, (s,), s == p) for s in range(lo, t)]
+        while stack:
+            cur, walk, saw = stack.pop()
+            if len(walk) == length:
+                if not saw:
+                    continue
+                c = [seq[i] for i in walk]
+                if c[:k] == c[k:] and walk[:k] != walk[k:]:
+                    return False
+                continue
+            if not saw and abs(cur - p) > length - len(walk):
+                continue
+            for d in (-1, 0, 1):
+                nxt = cur + d
+                if lo <= nxt < t:
+                    stack.append((nxt, walk + (nxt,), saw or nxt == p))
+    return True
+
+
+def _oracle_search(t_max):
+    """{t: (word, nodes)} for every length t the oracle-driven search
+    reaches within the budget of t_max.
+
+    One depth-first pass with the enumerating predicate serves every t:
+    until the first valid word of length t is popped, the search for t
+    and the search for t_max pop the same nodes, because an invalid node
+    is never extended and the search for t stops at that word.  So the
+    search for t returns that word when its node count is within 400 t.
+    """
+    first = {}
+    stack = [[0]]
+    nodes = 0
+    while stack and nodes < 400 * t_max and len(first) < t_max:
+        seq = stack.pop()
+        nodes += 1
+        if not _suffix_squarefree(seq) or not _enumerated_walks_ok(seq):
+            continue
+        first.setdefault(len(seq), (tuple(seq), nodes))
+        for s in range(3, -1, -1):
+            stack.append(seq + [s])
+    return first
+
+
+words = st.integers(2, 4).flatmap(
+    lambda s: st.lists(st.integers(0, s - 1), min_size=1, max_size=14)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words)
+def test_lockstep_walk_check_matches_enumeration(seq):
+    assert _last_position_walks_ok(seq) == _enumerated_walks_ok(seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 13), st.integers(0, 3), st.integers(0, 3))
+def test_lockstep_walk_check_matches_enumeration_near_valid(n, last, other):
+    # prefixes of a searched word pass; changing a symbol may break them
+    valid = list(layer_pattern_colouring(14).seq[: n + 1])
+    assert _last_position_walks_ok(valid)
+    for seq in (valid[:-1] + [last], valid[:other] + [last] + valid[other + 1 :]):
+        assert _last_position_walks_ok(seq) == _enumerated_walks_ok(seq)
+
+
+def test_layer_pattern_words_match_oracle_search():
+    oracle = _oracle_search(120)
+    for t in range(1, 121):
+        lp = layer_pattern_colouring(t)
+        word, nodes = oracle.get(t, (None, math.inf))
+        if nodes <= 400 * t:
+            assert (lp.seq, lp.search_nodes, lp.fell_back) == (word, nodes, False)
+        else:
+            assert lp.fell_back
+            assert lp.seq == tuple(
+                3 * (i % 2) + _ternary_squarefree(i // 2) for i in range(t)
+            )
+
+
+def test_layer_pattern_reports_search():
+    lp = layer_pattern_colouring(40)
+    assert not lp.fell_back
+    assert lp.search_nodes == 91
+    assert lp.symbol_count == 4
+    # the search statistics do not take part in equality or hashing
+    plain = LayerPatternColouring(lp.seq)
+    assert plain == lp and hash(plain) == hash(lp)
 
 
 def test_layer_pattern_small_verified():
@@ -128,6 +231,14 @@ def test_cycle_needs_more_than_two_colours():
 def test_verify_proper_negative():
     g = path_graph(2)
     assert not verify_proper(g, Colouring({0: 0, 1: 0})).ok
+
+
+def test_verify_proper_catches_vertex_outside_graph():
+    g = path_graph(2)
+    assert verify_proper(g, Colouring({0: 0, 1: 1})).ok
+    rep = verify_proper(g, Colouring({0: 0, 1: 1, 99: 2}))
+    assert not rep.ok
+    assert any("99" in v and "not in G" in v for v in rep.violations)
 
 
 def test_default_max_path():

@@ -8,7 +8,7 @@ from layersep.generators import (
     random_chordal_with_decomposition,
     random_tree,
 )
-from layersep.graphs import Graph, GraphInputError, Layering
+from layersep.graphs import Graph, GraphInputError, Layering, parse_layering
 from layersep.layouts import TrackLayout, verify_track_layout
 from layersep.nonrep import Colouring, verify_nonrepetitive, verify_proper
 from layersep.shadow import (
@@ -105,6 +105,18 @@ def test_verify_shadow_complete_c4_violation():
     assert not verify_shadow_complete(g, layering, k=2).ok
 
 
+def test_verify_shadow_complete_requires_a_layering():
+    g = path_graph(4)
+    assert verify_shadow_complete(g, parse_layering("0\n1\n2\n3\n"), k=1).ok
+    # layer 2 left empty: vertex 2 is uncovered
+    gap = verify_shadow_complete(g, parse_layering("0\n1\n\n3\n"), k=1)
+    assert not gap.ok
+    assert any("uncovered vertex 2" in v for v in gap.violations)
+    outside = verify_shadow_complete(g, parse_layering("0 99\n1\n2\n3\n"), k=1)
+    assert not outside.ok
+    assert any("99" in v for v in outside.violations)
+
+
 def test_rich_shadow_layering_rejects_bad_input():
     g = cycle_graph(4)
     # a single bag is 0-rich; requesting a layering is fine, but an
@@ -196,4 +208,10 @@ def test_parse_rich_rejects_understated_richness():
     rd = edge_bag_rd(g)
     text = format_rich(rd).replace("rich 1", "rich 0")
     with pytest.raises((GraphInputError, ShadowError)):
+        parse_rich(text)
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n", "rich x\n"])
+def test_parse_rich_rejects_missing_header(text):
+    with pytest.raises(GraphInputError):
         parse_rich(text)
