@@ -274,9 +274,9 @@ def cmd_verify(args) -> int:
         colouring = parse_colouring(text)
         rep = verify_proper(g, colouring)
         if rep.ok:
-            hit = verify_nonrepetitive(
-                g, colouring, args.verify_max_path or default_max_path(g.n)
-            )
+            max_path = args.verify_max_path or default_max_path(g.n)
+            manifest.parameters["max_path"] = max_path
+            hit = verify_nonrepetitive(g, colouring, max_path)
             if hit is not None:
                 print(f"repetitive path: {hit}", file=sys.stderr)
                 manifest.verdicts[kind] = "fail"

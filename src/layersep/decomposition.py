@@ -149,7 +149,17 @@ class LayeredDecomposition:
 
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     """Check bag-tree shape, that every bag vertex is in G, edge
-    coverage and subtree connectivity."""
+    coverage and subtree connectivity.
+
+    With the bag tree rooted (``rooted``), a vertex's bags form a
+    subtree iff it is new -- in a bag but not in the parent's bag -- in
+    exactly one bag, its top bag.  For two such vertices the bags of u
+    and v meet iff v is in u's top bag or u is in v's top bag, since a
+    common bag lies below both tops.  So one set difference per bag and
+    one lookup per edge decide a valid decomposition in O(sum |B|); only
+    vertices new in several bags are scanned bag by bag, against the
+    tree edges as given.
+    """
     violations: list[str] = []
     b = len(td.bags)
     # tree shape: connected and acyclic on bag indices
@@ -159,44 +169,58 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
         violations.append(
             f"tree has {len(td.tree_edges)} edges for {b} bags"
         )
-    seen = {0}
-    stack = [0]
-    adj = td.tree_adjacency
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != b:
+    try:
+        parent, order, _ = td.rooted
+    except DecompositionError:
         violations.append("decomposition tree is disconnected")
         return Report.of(violations)
-    where: dict[int, list[int]] = {}
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            where.setdefault(v, []).append(i)
-    for v in sorted(where):
+    bags = td.bags
+    top: dict[int, int] = {}
+    spread: set[int] = set()  # vertices new in more than one bag
+    for x in order:
+        new = bags[x] - bags[parent[x]] if parent[x] >= 0 else bags[x]
+        for v in new:
+            if v in top:
+                spread.add(v)
+            else:
+                top[v] = x
+    where: dict[int, list[int]] = {v: [] for v in spread}
+    if spread:
+        for i, bag in enumerate(bags):
+            for v in bag & spread:
+                where[v].append(i)
+    for v in sorted(top):
         if not 0 <= v < g.n:
-            violations.append(f"vertex {v} in bag {where[v][0]} is not in G")
+            first = next(i for i, bag in enumerate(bags) if v in bag)
+            violations.append(f"vertex {v} in bag {first} is not in G")
     for u, v in sorted(g.edges):
-        if not any(u in td.bags[i] for i in where.get(v, ())):
+        if v in where:
+            covered = any(u in bags[i] for i in where[v])
+        elif u in where:
+            covered = any(v in bags[i] for i in where[u])
+        else:
+            covered = u in top and v in top and (
+                v in bags[top[u]] or u in bags[top[v]]
+            )
+        if not covered:
             violations.append(f"edge ({u},{v}) covered by no bag")
+    adj = td.tree_adjacency
     for v in g.vertices():
-        nodes = where.get(v)
-        if not nodes:
+        if v not in top:
             violations.append(f"vertex {v} in no bag")
-            continue
-        nodeset = set(nodes)
-        comp = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in nodeset and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if comp != nodeset:
-            violations.append(f"bags of vertex {v} are not a subtree")
+        elif v in where:
+            nodes = where[v]
+            nodeset = set(nodes)
+            comp = {nodes[0]}
+            stack = [nodes[0]]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if y in nodeset and y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            if comp != nodeset:
+                violations.append(f"bags of vertex {v} are not a subtree")
     return Report.of(violations)
 
 
@@ -863,27 +887,50 @@ def format_decomposition(td: TreeDecomposition) -> str:
 
 
 def parse_decomposition(text: str) -> TreeDecomposition:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("bags "):
-        raise GraphInputError("decomposition must start with 'bags B'")
-    b = int(lines[0].split()[1])
+    return _decomposition_from_lines(text.splitlines())
+
+
+def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
+    lines = [ln for ln in (s.strip() for s in raw) if ln]
+    b = _bag_count(lines[0] if lines else "")
     if len(lines) < 1 + b + 1:
         raise GraphInputError("truncated decomposition")
     bags: list[frozenset[int]] = []
     for ln in lines[1 : 1 + b]:
         head, _, rest = ln.partition(":")
-        if int(head) != len(bags):
+        try:
+            bag_id = int(head)
+            bag = frozenset(int(v) for v in rest.split())
+        except ValueError as exc:
+            raise GraphInputError(f"bad bag line {ln!r}") from exc
+        if bag_id != len(bags):
             raise GraphInputError(f"bag ids must be consecutive, got {head!r}")
-        bags.append(frozenset(int(v) for v in rest.split()))
+        bags.append(bag)
     if lines[1 + b] != "tree":
         raise GraphInputError("expected 'tree' after the bag list")
     edges = set()
     for ln in lines[2 + b :]:
-        x, y = map(int, ln.split())
+        try:
+            x, y = map(int, ln.split())
+        except ValueError as exc:
+            raise GraphInputError(f"bad tree edge {ln!r}") from exc
         if not (0 <= x < b and 0 <= y < b) or x == y:
             raise GraphInputError(f"bad tree edge {ln!r}")
         edges.add((min(x, y), max(x, y)))
     return TreeDecomposition(tuple(bags), frozenset(edges))
+
+
+def _bag_count(header: str) -> int:
+    """B from the header line "bags B"."""
+    words = header.split()
+    if len(words) == 2 and words[0] == "bags":
+        try:
+            b = int(words[1])
+        except ValueError:
+            b = -1
+        if b >= 0:
+            return b
+    raise GraphInputError("decomposition must start with 'bags B'")
 
 
 def format_layered_decomposition(ld: LayeredDecomposition) -> str:
@@ -895,12 +942,14 @@ def format_layered_decomposition(ld: LayeredDecomposition) -> str:
 def parse_layered_decomposition(text: str) -> LayeredDecomposition:
     from .graphs import parse_layering
 
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("bags "):
-        raise GraphInputError("decomposition must start with 'bags B'")
-    b = int(lines[0].split()[1])
-    # tree edges are exactly the B-1 pair lines after "tree"
-    split = 2 + b + (b - 1)
-    td = parse_decomposition("\n".join(lines[: split]))
-    layering = parse_layering("\n".join(lines[split:]))
+    lines = text.splitlines()
+    # the decomposition is the header, B bag lines, "tree" and the B - 1
+    # tree edge lines; every line after it, blank or not, is a layer
+    filled = (i for i, ln in enumerate(lines) if ln.strip())
+    first = next(filled, None)
+    b = _bag_count("" if first is None else lines[first])
+    last = next(itertools.islice(filled, b + max(b - 1, 0), None), None)
+    cut = len(lines) if last is None else last + 1
+    td = _decomposition_from_lines(itertools.islice(lines, cut))
+    layering = parse_layering("\n".join(lines[cut:]))
     return LayeredDecomposition(td, layering)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
 from .graphs import Graph, GraphInputError, Report
 from .layouts import TrackLayout, verify_track_layout
@@ -79,7 +79,6 @@ def draw_from_tracks(
     t = max(len(tl.tracks), 1)
     p = _smallest_prime_at_least(t)
     rng = random.Random(seed)
-    edges = sorted(g.edges)
     for trial in range(max_trials):
         tau = list(range(t))
         sigma = list(range(t))
@@ -94,26 +93,11 @@ def draw_from_tracks(
         position: dict[int, Point] = {}
         for z, (_, _, v, x) in enumerate(items):
             position[v] = (x, (x * x) % p, z)
-        if _has_crossing(edges, position):
-            continue
-        d = GridDrawing3D(position)
-        if verify_drawing(g, d).ok:
-            return d
+        if next(_drawing_violations(g, position), None) is None:
+            return GridDrawing3D(position)
     raise DrawingError(
         f"no crossing-free placement found in {max_trials} seeded trials"
     )
-
-
-def _has_crossing(
-    edges: Sequence[tuple[int, int]], pos: dict[int, Point]
-) -> bool:
-    """Early-exit segment-pair scan used inside the retry loop."""
-    for i, (u1, v1) in enumerate(edges):
-        a, b = pos[u1], pos[v1]
-        for u2, v2 in edges[i + 1 :]:
-            if segments_intersect_int(a, b, pos[u2], pos[v2]):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +190,36 @@ def verify_drawing(g: Graph, d: GridDrawing3D) -> Report:
     """Exhaustive exact check: exactly the vertices of G placed, distinct
     positions, no open-segment pair intersection, no segment through a
     non-endpoint vertex."""
-    violations: list[str] = []
-    pos = d.position
+    return Report.of(_drawing_violations(g, d.position))
+
+
+def _drawing_violations(g: Graph, pos: dict[int, Point]) -> Iterator[str]:
+    """The violations ``verify_drawing`` reports, lazily and in order, so
+    that the construction can stop at the first one."""
     for v in g.vertices():
         if v not in pos:
-            return Report.of([f"vertex {v} unplaced"])
+            yield f"vertex {v} unplaced"
+            return
     outside = [
         f"vertex {v} at {pos[v]} is not in G" for v in sorted(pos) if not 0 <= v < g.n
     ]
     if outside:
-        return Report.of(outside)
+        yield from outside
+        return
     seen: dict[Point, int] = {}
     for v in sorted(pos):
         if pos[v] in seen:
-            violations.append(f"vertices {seen[pos[v]]} and {v} share {pos[v]}")
+            yield f"vertices {seen[pos[v]]} and {v} share {pos[v]}"
         seen[pos[v]] = v
     edges = sorted(g.edges)
     for i, (u1, v1) in enumerate(edges):
         a, b = pos[u1], pos[v1]
         for u2, v2 in edges[i + 1 :]:
             if segments_intersect_int(a, b, pos[u2], pos[v2]):
-                violations.append(
-                    f"edges ({u1},{v1}) and ({u2},{v2}) intersect"
-                )
+                yield f"edges ({u1},{v1}) and ({u2},{v2}) intersect"
         for w in g.vertices():
             if w not in (u1, v1) and segment_through_point(a, b, pos[w]):
-                violations.append(f"edge ({u1},{v1}) passes through vertex {w}")
-    return Report.of(violations)
+                yield f"edge ({u1},{v1}) passes through vertex {w}"
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,10 @@ def format_graph(g: Graph) -> str:
 def parse_layering(text: str) -> Layering:
     layers = []
     for ln in text.splitlines():
-        ln = ln.strip()
-        layers.append(frozenset(map(int, ln.split())) if ln else frozenset())
+        try:
+            layers.append(frozenset(map(int, ln.split())))
+        except ValueError as exc:
+            raise GraphInputError(f"bad layer line {ln.strip()!r}") from exc
     while layers and not layers[-1]:
         layers.pop()
     return Layering(tuple(layers))

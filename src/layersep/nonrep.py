@@ -6,11 +6,17 @@ symbol, depth, label): the depth/label pair comes from the separation
 recursion, and the layer-pattern symbol is a 4-symbol colouring of the
 layer indices under which any repetitively coloured lazy walk must visit
 identical index sequences.  That word comes from a budgeted depth-first
-search whose per-prefix check grows the two halves of a lazy walk in
-lockstep as colour-equal index pairs; it is checked for walks of length
-<= 10 only, and ``verify_layer_pattern`` enumerates walks exhaustively as
-the independent check.  The brute-force path verifier is the authority
-for every produced colouring.
+search; its per-prefix check, ``_matching_walk``, grows the two halves of
+a lazy walk in lockstep as colour-equal index pairs, over walks of length
+<= 10 through the newest position.  ``verify_layer_pattern`` runs the
+same pair search over the whole word, up to any even length.
+
+``verify_nonrepetitive`` is the authority for every produced colouring,
+and it too grows the two halves of a candidate square in lockstep as
+colour-equal pairs, so that each half prunes the other.  It anchors the
+search at the first vertex of the second half, inside a BFS ball around
+that vertex that bounds how far the first half may stray.  Exhaustive
+enumerations in the tests are the oracles of both verifiers.
 """
 
 from __future__ import annotations
@@ -81,51 +87,71 @@ def _suffix_squarefree(seq: Sequence[int]) -> bool:
 _SEARCH_WALK_CAP = 10
 
 
-def _last_position_walks_ok(seq: Sequence[int]) -> bool:
-    """True when no lazy walk of even length <= the cap, inside the last
-    cap positions, visits the last position and reads the same colours
-    on two different index halves.
+def _matching_walk(
+    seq: Sequence[int], half: int, lo: int = 0, through_last: bool = False
+) -> Optional[tuple[int, ...]]:
+    """Shortest lazy walk of even length <= 2 half over positions lo..end
+    (through the last position when asked) whose colour halves match on
+    different index halves, or None.
 
     The two halves of a walk are grown in lockstep as index pairs
     (a_i, b_i) with seq[a_i] == seq[b_i], each index moving by -1, 0 or
     +1 per step.  A state is (a_i, b_i, b_0, halves differ, last
-    position visited).  After k steps a state closes a counterexample of
-    length 2k when a_i is within one of b_0 (the junction of the two
+    position visited).  A state closes a counterexample of length
+    2i + 2 when a_i is within one of b_0 (the junction of the two
     halves), the halves differ and the last position was visited.  One
-    pass of cap/2 steps thus covers every even length up to the cap over
-    at most 4 W^3 states for a window of W positions, where enumerating
-    the walks themselves costs up to W 3^(cap-1) tuples.  A state is
+    pass of half - 1 steps thus covers every even length up to 2 half
+    over at most 4 W^3 states for W positions, where enumerating the
+    walks themselves costs up to W 3^(2 half - 1) tuples.  A state is
     dropped once a_i can no longer get back within one of b_0, or the
     walk can no longer reach the last position, in the steps left.
+    Each layer maps a state to one predecessor, so the counterexample
+    is read back from the layers.
     """
     p = len(seq) - 1
-    lo = max(0, p - _SEARCH_WALK_CAP + 1)
-    half = _SEARCH_WALK_CAP // 2
     step = {
         x: [y for y in (x - 1, x, x + 1) if lo <= y <= p] for x in range(lo, p + 1)
     }
-    states = {
-        (a, b, b, a != b, p in (a, b))
+    layer: dict[tuple, Optional[tuple]] = {
+        (a, b, b, a != b, not through_last or p in (a, b)): None
         for a in step
         for b in step
         if seq[a] == seq[b]
     }
-    for k in range(1, half + 1):
-        if any(
-            differ and seen and abs(a - b0) <= 1
-            for a, _, b0, differ, seen in states
-        ):
-            return False
-        left = half - k  # steps still allowed to each half
-        states = {
-            (a2, b2, b0, differ or a2 != b2, seen or p in (a2, b2))
-            for a, b, b0, differ, seen in states
+    layers = [layer]
+    for i in range(half):
+        for state in layer:
+            a, _, b0, differ, seen = state
+            if differ and seen and abs(a - b0) <= 1:
+                first: list[int] = []
+                second: list[int] = []
+                for back in reversed(layers):
+                    first.append(state[0])
+                    second.append(state[1])
+                    state = back[state]
+                return (*reversed(first), *reversed(second))
+        left = half - 1 - i  # steps still allowed to each half
+        if not left:
+            break
+        layer = {
+            (a2, b2, b0, differ or a2 != b2, seen or p in (a2, b2)): state
+            for state in layer
+            for a, b, b0, differ, seen in (state,)
             for a2 in step[a]
             if abs(a2 - b0) <= left
             for b2 in step[b]
             if seq[a2] == seq[b2] and (seen or p - max(a2, b2) < left)
         }
-    return True
+        layers.append(layer)
+    return None
+
+
+def _last_position_walks_ok(seq: Sequence[int]) -> bool:
+    """True when no lazy walk of even length <= the cap, inside the last
+    cap positions, visits the last position and reads the same colours
+    on two different index halves (see ``_matching_walk``)."""
+    lo = max(0, len(seq) - _SEARCH_WALK_CAP)
+    return _matching_walk(seq, _SEARCH_WALK_CAP // 2, lo, through_last=True) is None
 
 
 def _search_four_symbol(t: int, node_budget: int) -> tuple[Optional[list[int]], int]:
@@ -181,29 +207,13 @@ def layer_pattern_colouring(t: int) -> LayerPatternColouring:
 def verify_layer_pattern(
     lp: LayerPatternColouring, max_walk: int
 ) -> Optional[tuple[int, ...]]:
-    """Exhaustive lazy-walk check; returns a counterexample walk whose
-    colour halves match but index halves differ, or None."""
+    """Lazy-walk check over the whole word: returns a shortest walk of
+    even length <= max_walk whose colour halves match but index halves
+    differ, or None.  The two halves grow in lockstep as colour-equal
+    index pairs (``_matching_walk``) instead of being enumerated."""
     if max_walk % 2:
         raise GraphInputError("max_walk must be even")
-    seq = lp.seq
-    t = len(seq)
-    for length in range(2, max_walk + 1, 2):
-        k = length // 2
-        stack: list[tuple[int, tuple[int, ...]]] = [
-            (s, (s,)) for s in range(t - 1, -1, -1)
-        ]
-        while stack:
-            cur, walk = stack.pop()
-            if len(walk) == length:
-                c = [seq[i] for i in walk]
-                if c[:k] == c[k:] and walk[:k] != walk[k:]:
-                    return walk
-                continue
-            for d in (-1, 0, 1):
-                nxt = cur + d
-                if 0 <= nxt < t:
-                    stack.append((nxt, walk + (nxt,)))
-    return None
+    return _matching_walk(lp.seq, max_walk // 2)
 
 
 def nonrep_from_compute(
@@ -285,13 +295,33 @@ def verify_nonrepetitive(
     g: Graph, c: Colouring, max_path: int
 ) -> Optional[tuple[int, ...]]:
     """Search for a simple path of up to max_path vertices whose colour
-    sequence is a square; returns the first one found, or None.
+    sequence is a square; returns the least one, or None.
 
-    For each half-length k the first k vertices are enumerated by DFS;
-    the remaining k vertices have their colours forced by the first
-    half, which prunes the branching to the few neighbours of the right
-    colour.  Half-lengths, start vertices and neighbours are scanned in
-    ascending order, so the counterexample (if any) is deterministic.
+    A square of half-length k is a path x_1..x_k y_1..y_k with
+    c(x_i) = c(y_i); its middle edge is x_k y_1.  The search is anchored
+    at y_1 and grows the pairs (x_i, y_i) in lockstep: x_{i+1} is a
+    neighbour of x_i, and y_{i+1} is a neighbour of y_i of colour
+    c(x_{i+1}), found by scanning N(y_i).  So both halves are pruned by
+    colour.  x_k lies in an end set of neighbours of y_1 and the subpath
+    x_i..x_k avoids y_1, so a BFS from the end set in G - y_1 bounds
+    where x_i may lie, with a radius that shrinks by one per step; x_1
+    ranges over the vertices of colour c(y_1) in the ball.  Every pair
+    path whose last x is an end is a square.
+
+    The reverse of a square is a square with the same middle edge,
+    traversed the other way, so each square is searched in one
+    orientation only: the end set holds the neighbours of y_1 below it
+    in (degree, id) order, and the reverse of every hit is added.
+    Anchoring at the higher end keeps the search out of the large balls
+    around hubs, which each neighbour of a hub would otherwise search
+    again.
+
+    One search to half-length cap finds the squares of every half-length
+    <= cap.  A first pass to half-length 2 finds short squares (an
+    improper edge, a planted P4) cheaply; the second covers max_path.
+    The result is the lexicographically least square of the least
+    half-length, which is what a depth-first search over start vertices
+    and sorted neighbours returns first.
     """
     colour = c.colour
     for v in g.vertices():
@@ -299,30 +329,72 @@ def verify_nonrepetitive(
             raise GraphInputError(f"vertex {v} uncoloured")
     adj = g.adjacency
 
-    def dfs(path: list[int], on_path: set[int], k: int) -> Optional[tuple[int, ...]]:
-        j = len(path)
-        if j == 2 * k:
-            return tuple(path)
-        # past the midpoint the colour is dictated by the first half
-        want = colour[path[j - k]] if j >= k else None
-        for w in adj[path[-1]]:
-            if w in on_path or (want is not None and colour[w] != want):
+    def grow(x: int, y: int, i: int) -> None:
+        """Record and extend the pair path xs/ys, whose i-th pair is (x, y)."""
+        if x in ends:
+            hits.append((i, (*xs, *ys)))
+        if i == cap:
+            return
+        if i == cap - 1:
+            # the last x must be an end: no need to recurse
+            for x2 in ends.intersection(adj[x]):
+                if x2 not in used:
+                    c2 = colour[x2]
+                    for y2 in adj[y]:
+                        if colour[y2] == c2 and y2 not in used and y2 != x2:
+                            hits.append((cap, (*xs, x2, *ys, y2)))
+            return
+        for x2 in adj[x]:
+            if x2 in used or dist.get(x2, cap) > cap - i:
                 continue
-            path.append(w)
-            on_path.add(w)
-            hit = dfs(path, on_path, k)
-            if hit:
-                return hit
-            on_path.discard(w)
-            path.pop()
-        return None
+            c2 = colour[x2]
+            partners = [w for w in adj[y] if colour[w] == c2]
+            if not partners:
+                continue
+            used.add(x2)
+            xs.append(x2)
+            for y2 in partners:
+                if y2 not in used:
+                    used.add(y2)
+                    ys.append(y2)
+                    grow(x2, y2, i + 1)
+                    ys.pop()
+                    used.discard(y2)
+            xs.pop()
+            used.discard(x2)
 
-    for k in range(1, max_path // 2 + 1):
-        for s in g.vertices():
-            hit = dfs([s], {s}, k)
-            if hit:
-                return hit
-    return None
+    longest = max_path // 2
+    least_square = None
+    for cap in sorted({min(2, longest), longest} - {0}):
+        hits: list[tuple[int, tuple[int, ...]]] = []
+        for y1 in g.vertices():
+            rank = (len(adj[y1]), y1)
+            ends = frozenset(w for w in adj[y1] if (len(adj[w]), w) < rank)
+            if not ends:
+                continue
+            # dist[v] - 1: length of a shortest path from v to the ends in
+            # G - y_1 (y_1 is entered as 0 so the BFS never passes it),
+            # recorded below cap; x_i needs dist <= cap - i + 1
+            dist = dict.fromkeys(ends, 1)
+            dist[y1] = 0
+            frontier: Iterable[int] = ends
+            for d in range(2, cap):
+                frontier = set().union(*(adj[u] for u in frontier)).difference(dist)
+                dist.update(dict.fromkeys(frontier, d))
+            want = colour[y1]
+            cands = {v for v in dist if colour[v] == want}
+            if cap > 1:
+                cands.update(w for u in frontier for w in adj[u] if colour[w] == want)
+            cands.discard(y1)
+            for x1 in cands:
+                xs, ys, used = [x1], [y1], {x1, y1}
+                grow(x1, y1, 1)
+        if hits:
+            least = min(h for h, _ in hits)
+            least_square = min(min(p, p[::-1]) for h, p in hits if h == least)
+            break
+    del grow  # break the closure's reference cycle
+    return least_square
 
 
 def verify_nonrepetitive_tuples(

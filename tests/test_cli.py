@@ -61,7 +61,14 @@ def test_queues_and_nonrep(tmp_path):
     params = json.loads(man.read_text())["parameters"]
     assert params["layer_pattern_fell_back"] is False
     assert params["layer_pattern_search_nodes"] > 0
-    assert run(["verify", "nonrep", col, graph, "--verify-max-path", 10]) == 0
+    assert params["max_path"] == 10
+    vman = tmp_path / "v.json"
+    assert run(["verify", "nonrep", col, graph, "--verify-max-path", 10,
+                "--manifest", vman]) == 0
+    assert json.loads(vman.read_text())["parameters"]["max_path"] == 10
+    # without the flag the default for n <= 40 is exhaustive
+    assert run(["verify", "nonrep", col, graph, "--manifest", vman]) == 0
+    assert json.loads(vman.read_text())["parameters"]["max_path"] == 20
     parse_colouring(col.read_text())
 
 

@@ -39,12 +39,94 @@ from layersep.generators import (
 )
 from layersep.graphs import (
     Graph,
+    GraphInputError,
+    Layering,
+    Report,
     bfs_layering,
     validate_layering,
     validate_separation,
     separator_layer_widths,
 )
 from tests.conftest import embedded_graphs, planar_pipeline, torus_pipeline
+
+
+def _scan_validate_tree_decomposition(g, td):
+    """Oracle for ``validate_tree_decomposition``: list each vertex's bags,
+    test edge coverage by scanning them and subtree connectivity by a
+    search over the tree edges."""
+    violations = []
+    b = len(td.bags)
+    if b == 0:
+        return Report.of(["decomposition has no bags"])
+    if len(td.tree_edges) != b - 1:
+        violations.append(f"tree has {len(td.tree_edges)} edges for {b} bags")
+    seen = {0}
+    stack = [0]
+    adj = td.tree_adjacency
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != b:
+        violations.append("decomposition tree is disconnected")
+        return Report.of(violations)
+    where = {}
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            where.setdefault(v, []).append(i)
+    for v in sorted(where):
+        if not 0 <= v < g.n:
+            violations.append(f"vertex {v} in bag {where[v][0]} is not in G")
+    for u, v in sorted(g.edges):
+        if not any(u in td.bags[i] for i in where.get(v, ())):
+            violations.append(f"edge ({u},{v}) covered by no bag")
+    for v in g.vertices():
+        nodes = where.get(v)
+        if not nodes:
+            violations.append(f"vertex {v} in no bag")
+            continue
+        nodeset = set(nodes)
+        comp = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in nodeset and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        if comp != nodeset:
+            violations.append(f"bags of vertex {v} are not a subtree")
+    return Report.of(violations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    embedded_graphs,
+    st.sampled_from(("none", "drop_vertex", "add_vertex", "drop_edge", "add_edge", "move_edge")),
+    st.integers(0, 10**6),
+)
+def test_validate_tree_decomposition_matches_scan(eg, mutation, pick):
+    g = eg.to_graph()
+    td = genus_layered_decomposition(eg, (0,)).ld.decomposition
+    bags = list(td.bags)
+    edges = set(td.tree_edges)
+    b = len(bags)
+    i, j = pick % b, (pick // b) % b
+    if mutation == "drop_vertex":
+        bags[i] = bags[i] - {sorted(bags[i])[pick % len(bags[i])]}
+    elif mutation == "add_vertex":
+        bags[i] = bags[i] | {pick % (g.n + 2)}
+    elif mutation in ("drop_edge", "move_edge") and edges:
+        edges.discard(sorted(edges)[pick % len(edges)])
+    if mutation in ("add_edge", "move_edge") and i != j:
+        edges.add((min(i, j), max(i, j)))
+    mutated = TreeDecomposition(tuple(bags), frozenset(edges))
+    expected = _scan_validate_tree_decomposition(g, mutated)
+    assert validate_tree_decomposition(g, mutated) == expected
+    if mutation == "none":
+        assert expected.ok
 
 
 def test_validate_tree_decomposition_path():
@@ -226,10 +308,32 @@ def test_decomposition_format_roundtrip():
 
 
 def test_parse_decomposition_rejects_garbage():
-    from layersep.graphs import GraphInputError
+    for text in (
+        "bogus\n",
+        "bags x\ntree\n",
+        "bags 1\n0: 0 y\ntree\n",
+        "bags 2\n0: 0\n1: 1\ntree\n0 z\n",
+        # a disconnected 3-bag tree (one edge) followed by layers 0 / 1 2:
+        # the layer line "0" sits where the second tree edge is expected
+        "bags 3\n0: 0\n1: 1\n2: 2\ntree\n0 1\n0\n1 2\n",
+    ):
+        with pytest.raises(GraphInputError):
+            parse_decomposition(text)
+        with pytest.raises(GraphInputError):
+            parse_layered_decomposition(text)
 
-    with pytest.raises(GraphInputError):
-        parse_decomposition("bogus\n")
+
+def test_layered_decomposition_roundtrip_keeps_empty_layers():
+    # restricted_to leaves interior layers empty; their indices must survive
+    td = TreeDecomposition((frozenset({0}), frozenset({0, 2})), frozenset({(0, 1)}))
+    for layers in ([[0], [], [2]], [[], [0], [], [], [2]]):
+        ld = LayeredDecomposition(td, Layering(tuple(map(frozenset, layers))))
+        assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
+    g, res, _, _ = planar_pipeline(15)
+    keep = [v for v in g.vertices() if res.ld.layering.layer_of[v] != 1]
+    ld = res.ld.restricted_to(keep)
+    assert not ld.layering.layers[1]
+    assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
 
 
 def test_separator_rejects_empty_sample():

@@ -118,6 +118,14 @@ def test_layering_format_roundtrip():
     g = grid_graph(3, 3)
     layering, _ = bfs_layering(g, [0])
     assert parse_layering(format_layering(layering)) == layering
+    gappy = Layering((frozenset({0}), frozenset(), frozenset({2})))
+    assert parse_layering(format_layering(gappy)) == gappy
+
+
+def test_parse_layering_rejects_garbage():
+    for text in ("0 x\n", "0\n1 2.5\n"):
+        with pytest.raises(GraphInputError):
+            parse_layering(text)
 
 
 def test_parse_graph_rejects_garbage():

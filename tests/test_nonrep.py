@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from layersep.generators import (
     random_planar_triangulation,
     random_tree,
 )
-from layersep.graphs import GraphInputError, bfs_layering
+from layersep.graphs import Graph, GraphInputError, bfs_layering
 from layersep.nonrep import (
     _SEARCH_WALK_CAP,
     Colouring,
@@ -60,6 +61,61 @@ def _enumerated_walks_ok(seq):
     return True
 
 
+def _enumerated_matching_walk(seq, max_walk):
+    """Brute-force oracle for ``verify_layer_pattern``: enumerate every
+    lazy walk of each even length <= max_walk over the whole word."""
+    t = len(seq)
+    for length in range(2, max_walk + 1, 2):
+        k = length // 2
+        stack = [(s, (s,)) for s in range(t - 1, -1, -1)]
+        while stack:
+            cur, walk = stack.pop()
+            if len(walk) == length:
+                c = [seq[i] for i in walk]
+                if c[:k] == c[k:] and walk[:k] != walk[k:]:
+                    return walk
+                continue
+            for d in (-1, 0, 1):
+                nxt = cur + d
+                if 0 <= nxt < t:
+                    stack.append((nxt, walk + (nxt,)))
+    return None
+
+
+def _dfs_squares(g, c, max_path):
+    """Brute-force oracle for ``verify_nonrepetitive``: for each
+    half-length k, enumerate the first k vertices of every simple path by
+    DFS from each start vertex over sorted neighbours; the second half
+    must repeat the first half's colours.  The first hit is the
+    lexicographically least square of the least half-length."""
+    colour = c.colour
+    adj = g.adjacency
+
+    def dfs(path, on_path, k):
+        j = len(path)
+        if j == 2 * k:
+            return tuple(path)
+        want = colour[path[j - k]] if j >= k else None
+        for w in adj[path[-1]]:
+            if w in on_path or (want is not None and colour[w] != want):
+                continue
+            path.append(w)
+            on_path.add(w)
+            hit = dfs(path, on_path, k)
+            if hit:
+                return hit
+            on_path.discard(w)
+            path.pop()
+        return None
+
+    for k in range(1, max_path // 2 + 1):
+        for s in g.vertices():
+            hit = dfs([s], {s}, k)
+            if hit:
+                return hit
+    return None
+
+
 def _oracle_search(t_max):
     """{t: (word, nodes)} for every length t the oracle-driven search
     reaches within the budget of t_max.
@@ -103,6 +159,35 @@ def test_lockstep_walk_check_matches_enumeration_near_valid(n, last, other):
     assert _last_position_walks_ok(valid)
     for seq in (valid[:-1] + [last], valid[:other] + [last] + valid[other + 1 :]):
         assert _last_position_walks_ok(seq) == _enumerated_walks_ok(seq)
+
+
+def _assert_matching_walk(seq, max_walk):
+    walk = verify_layer_pattern(LayerPatternColouring(tuple(seq)), max_walk)
+    oracle = _enumerated_matching_walk(seq, max_walk)
+    assert (walk is None) == (oracle is None)
+    if walk is not None:
+        # a genuine counterexample, and a shortest one like the oracle's
+        k = len(walk) // 2
+        assert len(walk) == len(oracle) <= max_walk
+        assert all(0 <= i < len(seq) for i in walk)
+        assert all(abs(walk[i + 1] - walk[i]) <= 1 for i in range(len(walk) - 1))
+        assert [seq[i] for i in walk[:k]] == [seq[i] for i in walk[k:]]
+        assert walk[:k] != walk[k:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, st.integers(0, 6))
+def test_layer_pattern_verifier_matches_enumeration(seq, half):
+    _assert_matching_walk(seq, 2 * half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 13), st.integers(0, 3), st.integers(1, 5))
+def test_layer_pattern_verifier_matches_enumeration_near_valid(t, pos, sym, half):
+    # a searched word passes; changing one symbol may break it
+    seq = list(layer_pattern_colouring(t).seq)
+    seq[pos % t] = sym
+    _assert_matching_walk(seq, 2 * half)
 
 
 def test_layer_pattern_words_match_oracle_search():
@@ -203,15 +288,61 @@ def test_nonrep_torus():
 def test_tuple_oracle_agrees_with_dfs():
     for n, seed in ((6, 0), (8, 1), (9, 2)):
         g = random_planar_triangulation(n, seed=seed).to_graph()
-        # a deliberately coarse colouring so squares exist
+        # a deliberately coarse colouring so squares exist; permutations
+        # come in lexicographic order, so all three return the same path
         bad = Colouring({v: v % 2 for v in g.vertices()})
-        dfs_hit = verify_nonrepetitive(g, bad, max_path=g.n)
         tup_hit = verify_nonrepetitive_tuples(g, bad, max_path=g.n)
-        assert (dfs_hit is None) == (tup_hit is None)
+        assert tup_hit is not None
+        assert _dfs_squares(g, bad, g.n) == tup_hit
+        assert verify_nonrepetitive(g, bad, max_path=g.n) == tup_hit
         # rainbow colouring has no squares under either oracle
         rainbow = Colouring({v: v for v in g.vertices()})
         assert verify_nonrepetitive(g, rainbow, max_path=g.n) is None
         assert verify_nonrepetitive_tuples(g, rainbow, max_path=g.n) is None
+
+
+@st.composite
+def coarse_coloured_graphs(draw):
+    """G(n, p) or a planar triangulation, n <= 14, with at most four
+    colours, so that squares are common."""
+    n = draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        p = draw(st.sampled_from((0.15, 0.3, 0.5, 0.8)))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+    else:
+        g = random_planar_triangulation(max(n, 3), seed=seed).to_graph()
+    k = draw(st.integers(1, 4))
+    colours = draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n))
+    return g, Colouring(dict(enumerate(colours)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(coarse_coloured_graphs(), st.integers(1, 12))
+def test_verify_nonrepetitive_matches_dfs_oracle(gc, max_path):
+    g, c = gc
+    assert verify_nonrepetitive(g, c, max_path) == _dfs_squares(g, c, max_path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((40, 50, 60, 70, 80)),
+    st.lists(st.tuples(st.integers(0, 79), st.integers(0, 10**6)), min_size=1, max_size=3),
+    st.integers(1, 9),
+)
+def test_verify_nonrepetitive_matches_dfs_oracle_near_valid(n, changes, max_path):
+    # a pipeline colouring passes; recolouring up to three vertices with
+    # colours already in use may create squares
+    g, res, labels, _ = planar_pipeline(n)
+    colour = dict(nonrep_from_compute(g, res.ld.layering, labels).colour)
+    palette = sorted(set(colour.values()))
+    for v, pick in changes:
+        colour[v % n] = palette[pick % len(palette)]
+    c = Colouring(colour)
+    assert verify_nonrepetitive(g, c, max_path) == _dfs_squares(g, c, max_path)
 
 
 def test_square_detection_on_path():
