@@ -4,8 +4,9 @@ The pipeline: embed or accept a graph, build a layered tree
 decomposition (planar / bounded-genus / clique-sum inputs), extract
 balanced layered separators, and convert them into track layouts, queue
 layouts, nonrepetitive colourings, and 3D grid drawings.  Every artifact
-has an independent brute-force verifier; verifiers, not constructions,
-are the source of truth.
+has an independent verifier that shares no code with its construction
+(the brute-force searches they replaced serve as test oracles);
+verifiers, not constructions, are the source of truth.
 """
 
 from .graphs import (
@@ -29,7 +30,6 @@ from .embedding import (
     embed_planar,
     format_rotation_system,
     parse_rotation_system,
-    trace_faces,
     triangulate,
 )
 from .decomposition import (
@@ -65,6 +65,7 @@ from .layouts import (
     format_track_layout,
     parse_queue_layout,
     parse_track_layout,
+    pipeline,
     queue_from_tracks,
     track_bound,
     track_layout_from_compute,

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional
 
 from .decomposition import (
-    LayeredDecomposition,
     format_layered_decomposition,
     genus_layered_decomposition,
     layered_separation,
@@ -37,20 +36,19 @@ from .drawing3d import (
 from .embedding import EmbeddedGraph, embed_planar, parse_rotation_system, format_rotation_system
 from .generators import gen as gen_fixture
 from .graphs import (
-    Graph,
     GraphInputError,
     format_graph,
-    format_layering,
     parse_graph,
     parse_layering,
     validate_layering,
+    validate_separation,
 )
 from .layouts import (
-    compute_recursion,
     format_queue_layout,
     format_track_layout,
     parse_queue_layout,
     parse_track_layout,
+    pipeline,
     queue_from_tracks,
     track_bound,
     track_layout_from_compute,
@@ -67,7 +65,7 @@ from .nonrep import (
     verify_nonrepetitive,
     verify_proper,
 )
-from .shadow import parse_rich, rich_shadow_layering, verify_shadow_complete
+from .shadow import verify_shadow_complete
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -114,25 +112,23 @@ def _root_clique(args) -> tuple[int, ...]:
     return tuple(int(x) for x in str(args.root).split(",")) if args.root else (0,)
 
 
+def _decompose(args, manifest: RunManifest):
+    """Embedded input -> (G, layered decomposition result)."""
+    eg = _load_embedded(args, manifest)
+    return eg.to_graph(), genus_layered_decomposition(eg, _root_clique(args))
+
+
 def _pipeline(args, manifest: RunManifest):
     """Embedded input -> layered decomposition -> recursion labels."""
-    eg = _load_embedded(args, manifest)
-    g = eg.to_graph()
-    res = genus_layered_decomposition(eg, _root_clique(args))
-    ld = res.ld
-    labels = compute_recursion(
-        g, ld.layering, ld, q=tuple(res.apex_paths), mode="separation"
-    )
-    manifest.bounds["layered_width"] = ld.layered_width
+    g, res, labels, _ = pipeline(_load_embedded(args, manifest), _root_clique(args))
+    manifest.bounds["layered_width"] = res.ld.layered_width
     manifest.bounds["genus"] = res.genus
     return g, res, labels
 
 
 def cmd_decompose(args) -> int:
     manifest = RunManifest("decompose", parameters={"root": args.root})
-    eg = _load_embedded(args, manifest)
-    g = eg.to_graph()
-    res = genus_layered_decomposition(eg, _root_clique(args))
+    g, res = _decompose(args, manifest)
     ld = res.ld
     rep_d = validate_tree_decomposition(g, ld.decomposition)
     rep_l = validate_layering(g, ld.layering)
@@ -151,9 +147,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_separate(args) -> int:
     manifest = RunManifest("separate", parameters={"root": args.root})
-    g, res, _ = _pipeline(args, manifest)
-    from .graphs import validate_separation
-
+    g, res = _decompose(args, manifest)
+    manifest.bounds["layered_width"] = res.ld.layered_width
+    manifest.bounds["genus"] = res.genus
     sample = frozenset(g.vertices())
     sep = layered_separation(g, res.ld, sample)
     report = validate_separation(g, sep, sample, layering=res.ld.layering)
@@ -328,20 +324,14 @@ def cmd_bench(args) -> int:
     for family, size in _BENCH_FAMILIES:
         fixture = gen_fixture(family, size, args.seed)
         eg = fixture.embedded or embed_planar(fixture.graph)
-        g = eg.to_graph()
+        g, res, labels, (decomp_s, recursion_s) = pipeline(eg)
         t0 = time.perf_counter()
-        res = genus_layered_decomposition(eg, (0,))
-        t1 = time.perf_counter()
-        labels = compute_recursion(
-            g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode="separation"
-        )
         tl = track_layout_from_compute(g, res.ld.layering, labels)
-        t2 = time.perf_counter()
+        t1 = time.perf_counter()
         d = draw_from_tracks(g, tl, seed=args.seed)
-        t3 = time.perf_counter()
-        rows.append(
-            (f"{family}/{size}", g.n, t1 - t0, t2 - t1, t3 - t2, len(tl.tracks), d.volume)
-        )
+        t2 = time.perf_counter()
+        rows.append((f"{family}/{size}", g.n, decomp_s, recursion_s + t1 - t0,
+                     t2 - t1, len(tl.tracks), d.volume))
     print(f"{'fixture':<26}{'n':>5}{'decomp':>9}{'tracks':>9}{'draw':>9}{'t':>4}{'vol':>9}")
     for name, n, a, b, c, t, vol in rows:
         print(f"{name:<26}{n:>5}{a:>9.3f}{b:>9.3f}{c:>9.3f}{t:>4}{vol:>9}")
@@ -362,13 +352,7 @@ def cmd_report(args) -> int:
     print("| fixture | n | layered width | bound | tracks | track bound | palette | palette bound |")
     print("|---|---|---|---|---|---|---|---|")
     for family, size, lw_bound in _REPORT_FAMILIES:
-        fixture = gen_fixture(family, size, args.seed)
-        eg = fixture.embedded
-        g = eg.to_graph()
-        res = genus_layered_decomposition(eg, (0,))
-        labels = compute_recursion(
-            g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode="separation"
-        )
+        g, res, labels, _ = pipeline(gen_fixture(family, size, args.seed).embedded)
         tl = track_layout_from_compute(g, res.ld.layering, labels)
         colouring = nonrep_from_compute(g, res.ld.layering, labels)
         cap = 2 * res.genus + 3

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .embedding import EmbeddedGraph, contract_clique, embed_planar, multigraph_bfs, tree_cotree, triangulate
 from .graphs import (
@@ -391,7 +391,7 @@ def small_good_provider(g: Graph, ell: int) -> GoodProvider:
             raise GraphInputError("requested root set is not a clique")
         if len(root) > ell:
             raise GraphInputError(f"clique larger than ell={ell}")
-        layering, _ = bfs_layering_from_set(g, root)
+        layering = bfs_layering(g, root)[0]
         for order in itertools.permutations(g.vertices()):
             td = _treedec_from_elimination(g, order)
             ld = LayeredDecomposition(td, layering)
@@ -402,12 +402,6 @@ def small_good_provider(g: Graph, ell: int) -> GoodProvider:
         )
 
     return provider
-
-
-def bfs_layering_from_set(g: Graph, roots: Iterable[int]) -> tuple[Layering, dict[int, int]]:
-    """Multi-root BFS layering: all roots form layer 0."""
-    layering, tree = bfs_layering(g, roots)
-    return layering, tree.depth
 
 
 def clique_sum_compose(

@@ -149,33 +149,6 @@ def segments_intersect_int(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return 0 < s_num < den and 0 < t_num < den
 
 
-def segments_intersect_fraction(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> bool:
-    """Independent rational-arithmetic oracle for the same predicate."""
-    d1, d2 = _sub(p2, p1), _sub(q2, q1)
-    r = _sub(q1, p1)
-    n = _cross(d1, d2)
-    if n == (0, 0, 0):
-        if _cross(d1, r) != (0, 0, 0) or d1 == (0, 0, 0):
-            return False
-        len2 = Fraction(_dot(d1, d1))
-        a = Fraction(_dot(r, d1))
-        b = Fraction(_dot(_sub(q2, p1), d1))
-        lo, hi = min(a, b), max(a, b)
-        return max(Fraction(0), lo) < min(len2, hi)
-    if _dot(r, n) != 0:
-        return False
-    den = Fraction(_dot(n, n))
-    s = Fraction(_dot(_cross(r, d2), n)) / den
-    t = Fraction(_dot(_cross(r, d1), n)) / den
-    if not (0 < s < 1 and 0 < t < 1):
-        return False
-    hit1 = tuple(Fraction(p1[i]) + s * d1[i] for i in range(3))
-    hit2 = tuple(Fraction(q1[i]) + t * d2[i] for i in range(3))
-    return hit1 == hit2
-
-
 def segment_through_point(p1: Point, p2: Point, v: Point) -> bool:
     """Whether v lies strictly inside the segment p1p2."""
     d = _sub(p2, p1)
@@ -235,16 +208,12 @@ class VolumeReport:
     upper_bound: Optional[int]  # 4 t^2 n
     bound_ok: Optional[bool]
     lower_floor: Optional[Fraction]  # (n+m)/8, information-theoretic floor
-    chromatic_bound: Optional[int]  # c^7 t n, reported only
-    genus_bound: Optional[float]  # g^{7/2}(g+log n)n, reported only
 
 
 def volume_report(
     d: GridDrawing3D,
     g: Optional[Graph] = None,
     track_count: Optional[int] = None,
-    chromatic_number: Optional[int] = None,
-    genus: Optional[int] = None,
 ) -> VolumeReport:
     n = len(d.position)
     upper = bound_ok = None
@@ -254,15 +223,7 @@ def volume_report(
     floor = None
     if g is not None:
         floor = Fraction(g.n + len(g.edges), 8)
-    chrom = None
-    if chromatic_number is not None and track_count is not None:
-        chrom = chromatic_number**7 * track_count * n
-    gen = None
-    if genus is not None and n > 0:
-        gen = genus ** 3.5 * (genus + math.log(max(n, 2))) * n
-    return VolumeReport(
-        d.bounding_box, d.volume, track_count, upper, bound_ok, floor, chrom, gen
-    )
+    return VolumeReport(d.bounding_box, d.volume, track_count, upper, bound_ok, floor)
 
 
 # ---------------------------------------------------------------------------

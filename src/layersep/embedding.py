@@ -107,14 +107,6 @@ class EmbeddedGraph:
         """Underlying simple graph (parallel edges collapsed)."""
         return Graph.from_edges(self.n, self.edge_list)
 
-    def face_vertices(self, face: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.dart_tail(d) for d in face)
-
-
-def trace_faces(eg: EmbeddedGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Face walks and the Euler genus of the embedding."""
-    return eg.faces, eg.euler_genus
-
 
 def _rotation_from_faces(
     n: int,

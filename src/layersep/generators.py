@@ -9,7 +9,7 @@ from its seed on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .embedding import EmbeddedGraph, _rotation_from_faces
 from .graphs import Graph, GraphInputError, Layering

@@ -12,16 +12,20 @@ assign each edge the difference of its track indices.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .decomposition import (
+    GenusDecompositionResult,
     LayeredDecomposition,
     _balanced_sides,
     _components_within,
     _halving_bag,
+    genus_layered_decomposition,
 )
+from .embedding import EmbeddedGraph
 from .graphs import Graph, GraphInputError, Layering, Report
 
 
@@ -162,6 +166,24 @@ def compute_recursion(
     if missing:
         raise LayoutError(f"recursion left {len(missing)} vertices unlabelled")
     return ComputeLabels(depth, label, node_of, tuple(nodes), ell1, ell2, mode)
+
+
+def pipeline(
+    eg: EmbeddedGraph, root: Iterable[int] = (0,)
+) -> tuple[Graph, GenusDecompositionResult, ComputeLabels, tuple[float, float]]:
+    """The chain every layout and colouring starts from: the layered
+    decomposition of the embedded graph from the root clique, then the
+    separation-mode recursion with Q the decomposition's apex paths.
+    Returns (G, decomposition result, labels) and the wall seconds of the
+    two stages."""
+    g = eg.to_graph()
+    t0 = time.perf_counter()
+    res = genus_layered_decomposition(eg, root)
+    t1 = time.perf_counter()
+    labels = compute_recursion(
+        g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode="separation"
+    )
+    return g, res, labels, (t1 - t0, time.perf_counter() - t1)
 
 
 @dataclass(frozen=True)

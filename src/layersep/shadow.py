@@ -5,7 +5,8 @@ at most k vertices.  Rich decompositions yield shadow-complete layerings
 (every layer-component's neighbourhood in the previous layer is a
 clique) whose layers carry (k-1)-rich decompositions, so track layouts
 and nonrepetitive colourings compose level by level: each level costs a
-factor 3c^(s+1) in tracks or 4 in colours.
+factor 3c^(s+1) in tracks, and in colours the layer-pattern symbol
+count (4 when the four-symbol word is found).
 """
 
 from __future__ import annotations
@@ -13,17 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .decomposition import (
-    LayeredDecomposition,
     TreeDecomposition,
     _components_within,
     validate_tree_decomposition,
 )
 from .graphs import Graph, GraphInputError, Layering, Report, bfs_layering, validate_layering
-from .layouts import TrackLayout, verify_track_layout
-from .nonrep import Colouring, LayerPatternColouring, layer_pattern_colouring, shadow_nonrep_compose
+from .layouts import TrackLayout
+from .nonrep import Colouring, layer_pattern_colouring, shadow_nonrep_compose
 
 
 class ShadowError(ValueError):
@@ -433,12 +433,12 @@ ColourSolver = Callable[[Graph], Colouring]
 
 
 def _restrict_rd(
-    rd: RichDecomposition, comp: frozenset[int], to_new: dict[int, int]
+    rd: RichDecomposition, part: frozenset[int], to_new: dict[int, int]
 ) -> RichDecomposition:
     td = rd.decomposition
     return RichDecomposition(
         TreeDecomposition(
-            tuple(frozenset(to_new[v] for v in bag & comp) for bag in td.bags),
+            tuple(frozenset(to_new[v] for v in bag & part) for bag in td.bags),
             td.tree_edges,
         )
     )
@@ -459,51 +459,11 @@ def _merge_component_tracks(parts: Sequence[TrackLayout]) -> TrackLayout:
     return TrackLayout(tuple(tracks))
 
 
-def recursive_track_driver(
-    g: Graph, rd: RichDecomposition, bag_solver: TrackSolver
+def _compose_tracks(
+    g: Graph, layering: Layering, layer_tracks: Sequence[TrackLayout], k: int
 ) -> TrackLayout:
-    """Track layout by recursing on richness: split off one shadow level
-    per call until the pieces are 0-rich, then delegate to the solver."""
-    k = rd.richness
-    if k == 0 or g.n <= 1:
-        return bag_solver(g)
-    comps = sorted(g.components(), key=min)
-    if len(comps) > 1:
-        parts = []
-        for comp in comps:
-            sub_g, to_new = g.induced(sorted(comp))
-            to_old = {j: v for v, j in to_new.items()}
-            sub_tl = recursive_track_driver(
-                sub_g, _restrict_rd(rd, comp, to_new), bag_solver
-            )
-            parts.append(
-                TrackLayout(
-                    tuple(tuple(to_old[j] for j in tr) for tr in sub_tl.tracks)
-                )
-            )
-        return _merge_component_tracks(parts)
-    sl = rich_shadow_layering(g, rd)
-    layer_tracks: list[TrackLayout] = []
-    for i, layer in enumerate(sl.layering.layers):
-        sub_g, to_new = g.induced(sorted(layer))
-        to_old = {j: v for v, j in to_new.items()}
-        sub_td = TreeDecomposition(
-            tuple(
-                frozenset(to_new[v] for v in bag)
-                for bag in sl.per_layer[i].decomposition.bags
-            ),
-            sl.per_layer[i].decomposition.tree_edges,
-        )
-        sub_tl = recursive_track_driver(
-            sub_g, RichDecomposition(sub_td), bag_solver
-        )
-        layer_tracks.append(
-            TrackLayout(
-                tuple(tuple(to_old[j] for j in tr) for tr in sub_tl.tracks)
-            )
-        )
     c = max((len(tl.tracks) for tl in layer_tracks), default=1)
-    out = shadow_track_compose(g, sl.layering, layer_tracks, k)
+    out = shadow_track_compose(g, layering, layer_tracks, k)
     if len(out.tracks) > shadow_track_bound(c, k):
         raise ShadowError(
             f"{len(out.tracks)} tracks exceed the level bound "
@@ -512,50 +472,73 @@ def recursive_track_driver(
     return out
 
 
-def recursive_nonrep_driver(
-    g: Graph,
-    rd: RichDecomposition,
-    bag_solver: ColourSolver,
-    lp_factory: Callable[[int], LayerPatternColouring] = layer_pattern_colouring,
-) -> Colouring:
-    """Nonrepetitive colouring by the same recursion; each level
-    multiplies the palette by the layer-pattern symbol count."""
+@dataclass(frozen=True)
+class _Artifact:
+    """How the shadow recursion handles one kind of artifact: ``relabel``
+    maps a piece's result back to the parent's vertex ids, ``merge`` joins
+    the results of disjoint components, and ``compose(g, layering, parts,
+    k)`` joins per-layer results across one shadow level of a k-rich
+    decomposition."""
+
+    relabel: Callable[[Any, dict[int, int]], Any]
+    merge: Callable[[Sequence[Any]], Any]
+    compose: Callable[[Graph, Layering, Sequence[Any], int], Any]
+
+
+_TRACKS = _Artifact(
+    relabel=lambda tl, to_old: TrackLayout(
+        tuple(tuple(to_old[j] for j in tr) for tr in tl.tracks)
+    ),
+    merge=_merge_component_tracks,
+    compose=_compose_tracks,
+)
+
+_COLOURS = _Artifact(
+    relabel=lambda c, to_old: Colouring({to_old[j]: col for j, col in c.colour.items()}),
+    merge=lambda parts: Colouring({v: col for p in parts for v, col in p.colour.items()}),
+    compose=lambda g, layering, parts, k: shadow_nonrep_compose(
+        g, layering, parts, layer_pattern_colouring(len(layering))
+    ),
+)
+
+
+def _shadow_recursion(
+    g: Graph, rd: RichDecomposition, solve: Callable[[Graph], Any], art: _Artifact
+) -> Any:
+    """Recurse on richness: split G into components, give each connected
+    piece a shadow-complete layering whose layers are one richness lower,
+    recurse on every layer and compose.  0-rich pieces go to the solver."""
     k = rd.richness
     if k == 0 or g.n <= 1:
-        return bag_solver(g)
+        return solve(g)
+
+    def on(part: frozenset[int], part_rd: RichDecomposition) -> Any:
+        sub_g, to_new = g.induced(sorted(part))
+        sub = _shadow_recursion(sub_g, _restrict_rd(part_rd, part, to_new), solve, art)
+        return art.relabel(sub, {j: v for v, j in to_new.items()})
+
     comps = sorted(g.components(), key=min)
     if len(comps) > 1:
-        merged: dict[int, int] = {}
-        for comp in comps:
-            sub_g, to_new = g.induced(sorted(comp))
-            to_old = {j: v for v, j in to_new.items()}
-            sub_c = recursive_nonrep_driver(
-                sub_g, _restrict_rd(rd, comp, to_new), bag_solver, lp_factory
-            )
-            merged.update(
-                {to_old[j]: col for j, col in sub_c.colour.items()}
-            )
-        return Colouring(merged)
+        return art.merge([on(comp, rd) for comp in comps])
     sl = rich_shadow_layering(g, rd)
-    layer_colourings: list[Colouring] = []
-    for i, layer in enumerate(sl.layering.layers):
-        sub_g, to_new = g.induced(sorted(layer))
-        to_old = {j: v for v, j in to_new.items()}
-        sub_td = TreeDecomposition(
-            tuple(
-                frozenset(to_new[v] for v in bag)
-                for bag in sl.per_layer[i].decomposition.bags
-            ),
-            sl.per_layer[i].decomposition.tree_edges,
-        )
-        sub_c = recursive_nonrep_driver(
-            sub_g, RichDecomposition(sub_td), bag_solver, lp_factory
-        )
-        layer_colourings.append(
-            Colouring({to_old[j]: col for j, col in sub_c.colour.items()})
-        )
-    lp = lp_factory(len(sl.layering))
-    return shadow_nonrep_compose(g, sl.layering, layer_colourings, lp)
+    parts = [on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)]
+    return art.compose(g, sl.layering, parts, k)
+
+
+def recursive_track_driver(
+    g: Graph, rd: RichDecomposition, bag_solver: TrackSolver
+) -> TrackLayout:
+    """Track layout by the shadow recursion: each level multiplies the
+    track count by at most ``shadow_track_bound``'s factor."""
+    return _shadow_recursion(g, rd, bag_solver, _TRACKS)
+
+
+def recursive_nonrep_driver(
+    g: Graph, rd: RichDecomposition, bag_solver: ColourSolver
+) -> Colouring:
+    """Nonrepetitive colouring by the shadow recursion: each level
+    multiplies the palette by the layer-pattern symbol count."""
+    return _shadow_recursion(g, rd, bag_solver, _COLOURS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Acceptance suite: one criterion per test, one printed verdict line each."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 from layersep.decomposition import (
     TreeDecomposition,
@@ -17,7 +17,6 @@ from layersep.decomposition import (
     validate_tree_decomposition,
 )
 from layersep.drawing3d import draw_from_tracks, verify_drawing
-from layersep.embedding import embed_planar
 from layersep.generators import (
     k5_graph,
     random_planar_triangulation,
@@ -27,36 +26,40 @@ from layersep.generators import (
     v8_graph,
 )
 from layersep.graphs import (
-    Graph,
     separator_layer_widths,
     validate_layering,
     validate_separation,
 )
 from layersep.layouts import (
-    TrackLayout,
     compute_recursion,
     queue_from_tracks,
-    track_layout_from_compute,
     verify_queue_layout,
     verify_track_layout,
 )
 from layersep.nonrep import (
-    Colouring,
     layer_pattern_colouring,
     nonrep_from_compute,
-    shadow_nonrep_compose,
     verify_nonrepetitive,
     verify_proper,
 )
 from layersep.shadow import (
-    RichDecomposition,
-    _merge_component_tracks,
+    _COLOURS,
+    _TRACKS,
+    _shadow_recursion,
     rich_shadow_layering,
-    shadow_track_compose,
     validate_shadow_layering,
     verify_shadow_complete,
 )
-from tests.conftest import planar_pipeline, torus_pipeline
+from tests.conftest import (
+    chordal_fixture,
+    clique_colour_solver,
+    clique_track_solver,
+    planar_colour_solver,
+    planar_pipeline,
+    planar_torso,
+    planar_track_solver,
+    torus_pipeline,
+)
 
 PLANAR_NS = (10, 30, 60, 120, 200)
 TORUS_PQS = ((3, 3), (4, 6), (5, 8), (8, 8))
@@ -65,84 +68,6 @@ TORUS_PQS = ((3, 3), (4, 6), (5, 8), (8, 8))
 def _verdict(num: int, desc: str, ok: bool) -> None:
     print(f"criterion {num} ({desc}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed"
-
-
-@lru_cache(maxsize=None)
-def chordal_fixture(n: int, k: int, seed: int):
-    from layersep.generators import random_chordal_with_decomposition
-
-    g, td = random_chordal_with_decomposition(n, seed=seed, max_clique=k)
-    return g, RichDecomposition(td)
-
-
-@lru_cache(maxsize=None)
-def planar_torso(blocks: int = 4, n: int = 12, seed0: int = 0):
-    """Chain of planar triangulations glued on shared edges; bags are the
-    block vertex sets, so the decomposition is 2-rich."""
-    edges: list[tuple[int, int]] = []
-    bags = []
-    glue = None
-    total = 0
-    for b in range(blocks):
-        block = random_planar_triangulation(n, seed=seed0 + b).to_graph()
-        if glue is None:
-            vmap = {v: v for v in range(n)}
-            total = n
-        else:
-            vmap = {0: glue[0], 1: glue[1]}
-            for w in range(2, n):
-                vmap[w] = total
-                total += 1
-        for a, c in block.edges:
-            edges.append((min(vmap[a], vmap[c]), max(vmap[a], vmap[c])))
-        bags.append(frozenset(vmap.values()))
-        cand = max(block.edges)
-        glue = (vmap[cand[0]], vmap[cand[1]])
-    g = Graph.from_edges(total, set(edges))
-    td = TreeDecomposition(tuple(bags), tuple((i, i + 1) for i in range(blocks - 1)))
-    return g, RichDecomposition(td)
-
-
-def planar_track_solver(g: Graph) -> TrackLayout:
-    if g.n <= 1:
-        return TrackLayout(tuple((v,) for v in g.vertices()))
-    comps = sorted(g.components(), key=min)
-    if len(comps) > 1:
-        parts = []
-        for comp in comps:
-            sub, to_new = g.induced(sorted(comp))
-            to_old = {j: v for v, j in to_new.items()}
-            tl = planar_track_solver(sub)
-            parts.append(
-                TrackLayout(tuple(tuple(to_old[j] for j in t) for t in tl.tracks))
-            )
-        return _merge_component_tracks(parts)
-    eg = embed_planar(g)
-    res = genus_layered_decomposition(eg, (0,))
-    labels = compute_recursion(
-        g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode="separation"
-    )
-    return track_layout_from_compute(g, res.ld.layering, labels)
-
-
-def planar_colour_solver(g: Graph) -> Colouring:
-    if g.n <= 1:
-        return Colouring({v: 0 for v in g.vertices()})
-    comps = sorted(g.components(), key=min)
-    if len(comps) > 1:
-        merged: dict[int, int] = {}
-        for comp in comps:
-            sub, to_new = g.induced(sorted(comp))
-            to_old = {j: v for v, j in to_new.items()}
-            c = planar_colour_solver(sub)
-            merged.update({to_old[j]: col for j, col in c.colour.items()})
-        return Colouring(merged)
-    eg = embed_planar(g)
-    res = genus_layered_decomposition(eg, (0,))
-    labels = compute_recursion(
-        g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode="separation"
-    )
-    return nonrep_from_compute(g, res.ld.layering, labels)
 
 
 def test_criterion_1_planar_layered_width():
@@ -327,111 +252,31 @@ def test_criterion_8_shadow():
     _verdict(8, "shadow-complete layerings from rich decompositions", ok)
 
 
-def _instrumented_tracks(g, rd, bag_solver, failures):
-    """Mirror of the recursive track driver that asserts 3*c^(s+1) at
-    every composition level."""
-    k = rd.richness
-    if k == 0 or g.n <= 1:
-        return bag_solver(g)
-    comps = sorted(g.components(), key=min)
-    if len(comps) > 1:
-        parts = []
-        for comp in comps:
-            sub, to_new = g.induced(sorted(comp))
-            to_old = {j: v for v, j in to_new.items()}
-            from layersep.shadow import _restrict_rd
+def _checked(art, bound, failures):
+    """The artifact's compose, recording every level whose result exceeds
+    ``bound(layering, parts, k)``."""
 
-            tl = _instrumented_tracks(
-                sub, _restrict_rd(rd, comp, to_new), bag_solver, failures
-            )
-            parts.append(
-                TrackLayout(tuple(tuple(to_old[j] for j in t) for t in tl.tracks))
-            )
-        return _merge_component_tracks(parts)
-    sl = rich_shadow_layering(g, rd)
-    layer_tracks = []
-    for i, layer in enumerate(sl.layering.layers):
-        sub, to_new = g.induced(sorted(layer))
-        to_old = {j: v for v, j in to_new.items()}
-        sub_td = TreeDecomposition(
-            tuple(
-                frozenset(to_new[v] for v in bag)
-                for bag in sl.per_layer[i].decomposition.bags
-            ),
-            sl.per_layer[i].decomposition.tree_edges,
-        )
-        tl = _instrumented_tracks(sub, RichDecomposition(sub_td), bag_solver, failures)
-        layer_tracks.append(
-            TrackLayout(tuple(tuple(to_old[j] for j in t) for t in tl.tracks))
-        )
-    c = max((len(tl.tracks) for tl in layer_tracks), default=1)
-    out = shadow_track_compose(g, sl.layering, layer_tracks, k)
-    if len(out.tracks) > 3 * c ** (k + 1):
-        failures.append((len(out.tracks), c, k))
-    return out
+    def compose(g, layering, parts, k):
+        out = art.compose(g, layering, parts, k)
+        got, cap = bound(layering, parts, k, out)
+        if got > cap:
+            failures.append((got, cap, k))
+        return out
+
+    return dataclasses.replace(art, compose=compose)
 
 
-def _instrumented_colours(g, rd, bag_solver, failures):
-    k = rd.richness
-    if k == 0 or g.n <= 1:
-        return bag_solver(g)
-    comps = sorted(g.components(), key=min)
-    if len(comps) > 1:
-        merged = {}
-        for comp in comps:
-            sub, to_new = g.induced(sorted(comp))
-            to_old = {j: v for v, j in to_new.items()}
-            from layersep.shadow import _restrict_rd
+def _track_bound(layering, parts, k, out):
+    c = max((len(tl.tracks) for tl in parts), default=1)
+    return len(out.tracks), 3 * c ** (k + 1)
 
-            c = _instrumented_colours(
-                sub, _restrict_rd(rd, comp, to_new), bag_solver, failures
-            )
-            merged.update({to_old[j]: col for j, col in c.colour.items()})
-        return Colouring(merged)
-    sl = rich_shadow_layering(g, rd)
-    layer_colourings = []
-    for i, layer in enumerate(sl.layering.layers):
-        sub, to_new = g.induced(sorted(layer))
-        to_old = {j: v for v, j in to_new.items()}
-        sub_td = TreeDecomposition(
-            tuple(
-                frozenset(to_new[v] for v in bag)
-                for bag in sl.per_layer[i].decomposition.bags
-            ),
-            sl.per_layer[i].decomposition.tree_edges,
-        )
-        c = _instrumented_colours(sub, RichDecomposition(sub_td), bag_solver, failures)
-        layer_colourings.append(
-            Colouring({to_old[j]: col for j, col in c.colour.items()})
-        )
-    cmax = max((lc.palette_size for lc in layer_colourings), default=1)
-    lp = layer_pattern_colouring(len(sl.layering))
-    out = shadow_nonrep_compose(g, sl.layering, layer_colourings, lp)
+
+def _colour_bound(layering, parts, k, out):
     # per-level factor is the symbol count; 4c when the 4-symbol search
     # succeeds, scaled accordingly otherwise
-    if out.palette_size > max(lp.symbol_count, 4) * cmax:
-        failures.append((out.palette_size, cmax, lp.symbol_count))
-    return out
-
-
-def clique_track_solver(g: Graph) -> TrackLayout:
-    """0-rich pieces are disjoint cliques: i-th vertex of each clique on
-    track i; components stay contiguous so no crossings arise."""
-    comps = sorted(g.components(), key=min)
-    width = max((len(c) for c in comps), default=1)
-    tracks: list[list[int]] = [[] for _ in range(width)]
-    for comp in comps:
-        for i, v in enumerate(sorted(comp)):
-            tracks[i].append(v)
-    return TrackLayout(tuple(tuple(t) for t in tracks))
-
-
-def clique_colour_solver(g: Graph) -> Colouring:
-    colour = {}
-    for comp in sorted(g.components(), key=min):
-        for i, v in enumerate(sorted(comp)):
-            colour[v] = i
-    return Colouring(colour)
+    cmax = max((c.palette_size for c in parts), default=1)
+    symbols = layer_pattern_colouring(len(layering)).symbol_count
+    return out.palette_size, max(symbols, 4) * cmax
 
 
 def test_criterion_9_recursive_drivers():
@@ -443,14 +288,12 @@ def test_criterion_9_recursive_drivers():
     ]
     for (g, rd), tsolver, csolver in cases:
         failures: list = []
-        tl = _instrumented_tracks(g, rd, tsolver, failures)
+        tl = _shadow_recursion(g, rd, tsolver, _checked(_TRACKS, _track_bound, failures))
         ok &= verify_track_layout(g, tl).ok
-        ok &= not failures
-        cfailures: list = []
-        c = _instrumented_colours(g, rd, csolver, cfailures)
+        c = _shadow_recursion(g, rd, csolver, _checked(_COLOURS, _colour_bound, failures))
         ok &= verify_proper(g, c).ok
         ok &= verify_nonrepetitive(g, c, max_path=10) is None
-        ok &= not cfailures
+        ok &= not failures
     _verdict(9, "recursive drivers meet per-level bounds", ok)
 
 

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
 from layersep.drawing3d import parse_drawing

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersep.decomposition import (
-    DecompositionError,
     LayeredDecomposition,
     TreeDecomposition,
     bound_report,
@@ -34,7 +33,6 @@ from layersep.generators import (
     k5_graph,
     random_planar_triangulation,
     random_tree,
-    toroidal_grid,
     v8_graph,
 )
 from layersep.graphs import (

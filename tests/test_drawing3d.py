@@ -1,25 +1,53 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from layersep.drawing3d import (
-    DrawingError,
     GridDrawing3D,
+    _cross,
+    _dot,
+    _sub,
     draw_from_tracks,
     export_obj,
     export_svg,
     format_drawing,
     parse_drawing,
     segment_through_point,
-    segments_intersect_fraction,
     segments_intersect_int,
     verify_drawing,
     volume_report,
 )
 from layersep.generators import Lcg, complete_graph, cycle_graph, path_graph
-from layersep.graphs import Graph, GraphInputError
+from layersep.graphs import GraphInputError
 from layersep.layouts import TrackLayout
 from tests.conftest import planar_pipeline, torus_pipeline
+
+
+def segments_intersect_fraction(p1, p2, q1, q2) -> bool:
+    """Rational-arithmetic oracle for ``segments_intersect_int``: solve
+    for the meeting parameters exactly and compare the two hit points."""
+    d1, d2 = _sub(p2, p1), _sub(q2, q1)
+    r = _sub(q1, p1)
+    n = _cross(d1, d2)
+    if n == (0, 0, 0):
+        if _cross(d1, r) != (0, 0, 0) or d1 == (0, 0, 0):
+            return False
+        len2 = Fraction(_dot(d1, d1))
+        a = Fraction(_dot(r, d1))
+        b = Fraction(_dot(_sub(q2, p1), d1))
+        lo, hi = min(a, b), max(a, b)
+        return max(Fraction(0), lo) < min(len2, hi)
+    if _dot(r, n) != 0:
+        return False
+    den = Fraction(_dot(n, n))
+    s = Fraction(_dot(_cross(r, d2), n)) / den
+    t = Fraction(_dot(_cross(r, d1), n)) / den
+    if not (0 < s < 1 and 0 < t < 1):
+        return False
+    hit1 = tuple(Fraction(p1[i]) + s * d1[i] for i in range(3))
+    hit2 = tuple(Fraction(q1[i]) + t * d2[i] for i in range(3))
+    return hit1 == hit2
 
 
 def test_segments_cross_at_midpoint():

@@ -1,7 +1,6 @@
 import pytest
 
 from layersep.embedding import (
-    EmbeddedGraph,
     contract_clique,
     embed_planar,
     format_rotation_system,

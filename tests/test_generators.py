@@ -10,7 +10,6 @@ from layersep.generators import (
     random_planar_triangulation,
     random_tree,
     section2_family,
-    toroidal_grid,
     v8_graph,
 )
 from layersep.graphs import GraphInputError, validate_layering

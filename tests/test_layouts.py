@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layersep.decomposition import genus_layered_decomposition
 from layersep.generators import (
     cycle_graph,
     path_graph,
@@ -26,6 +25,7 @@ from layersep.layouts import (
     format_track_layout,
     parse_queue_layout,
     parse_track_layout,
+    pipeline,
     queue_from_tracks,
     track_bound,
     track_layout_from_compute,
@@ -176,11 +176,11 @@ def test_parse_track_layout_rejects_garbage():
 
 
 def _pipeline(eg, mode):
-    g = eg.to_graph()
-    res = genus_layered_decomposition(eg, (0,))
-    labels = compute_recursion(
-        g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode=mode
-    )
+    g, res, labels, _ = pipeline(eg)
+    if mode != "separation":
+        labels = compute_recursion(
+            g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode=mode
+        )
     return g, res, labels
 
 

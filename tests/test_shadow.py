@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from layersep.decomposition import TreeDecomposition
@@ -9,8 +11,8 @@ from layersep.generators import (
     random_tree,
 )
 from layersep.graphs import Graph, GraphInputError, Layering, parse_layering
-from layersep.layouts import TrackLayout, verify_track_layout
-from layersep.nonrep import Colouring, verify_nonrepetitive, verify_proper
+from layersep.layouts import TrackLayout, format_track_layout, verify_track_layout
+from layersep.nonrep import Colouring, format_colouring, verify_nonrepetitive, verify_proper
 from layersep.shadow import (
     RichDecomposition,
     ShadowError,
@@ -24,6 +26,14 @@ from layersep.shadow import (
     validate_rich,
     validate_shadow_layering,
     verify_shadow_complete,
+)
+from tests.conftest import (
+    chordal_fixture,
+    clique_colour_solver,
+    clique_track_solver,
+    planar_colour_solver,
+    planar_torso,
+    planar_track_solver,
 )
 
 
@@ -174,16 +184,44 @@ def test_recursive_nonrep_driver_chordal():
     assert verify_nonrepetitive(g, c, max_path=g.n) is None
 
 
-def test_recursive_drivers_disconnected():
+def _twin_trees():
     base = random_tree(8, seed=5)
     edges = list(base.edges) + [(u + 8, v + 8) for u, v in base.edges]
     g = Graph.from_edges(16, edges)
-    rd = edge_bag_rd(g)
+    return g, edge_bag_rd(g)
+
+
+def test_recursive_drivers_disconnected():
+    g, rd = _twin_trees()
     tl = recursive_track_driver(g, rd, rainbow_tracks)
     assert verify_track_layout(g, tl).ok
     c = recursive_nonrep_driver(g, rd, rainbow_colours)
     assert verify_proper(g, c).ok
     assert verify_nonrepetitive(g, c, max_path=g.n) is None
+
+
+def test_recursive_drivers_output_pinned():
+    # both drivers are deterministic, so their formatted outputs are fixed;
+    # a change that alters them on purpose re-pins these digests
+    clique = (clique_track_solver, clique_colour_solver)
+    cases = [
+        (chordal_fixture(30, 3, 60), clique, "437c3297c1facf7a", "c8dc9d290a7ad80c"),
+        (chordal_fixture(40, 3, 3), clique, "c74e0a280c9b3fa8", "b64d73959cb2a7a1"),
+        (chordal_fixture(40, 3, 11), clique, "7b9a96504e3065f4", "c75b5383b0431daa"),
+        (chordal_fixture(60, 4, 60), clique, "97b732f09cf6de2b", "0d36bd7c0c97d6bc"),
+        (chordal_fixture(70, 4, 4), clique, "445994f42c105339", "5fa5001a1ab2b5bf"),
+        (chordal_fixture(80, 4, 160), clique, "b255270704cbd95f", "83941406505903a9"),
+        (chordal_fixture(80, 4, 2), clique, "d8cf3434dce0c7c5", "c8944293cd54bf46"),
+        (planar_torso(), (planar_track_solver, planar_colour_solver),
+         "10a15661691873d2", "cf169706328659a9"),
+        (_twin_trees(), (rainbow_tracks, rainbow_colours),
+         "0657627d8bfaf8ed", "f0562153b4b2ed09"),
+    ]
+    for (g, rd), (tsolver, csolver), tdigest, cdigest in cases:
+        tracks = format_track_layout(recursive_track_driver(g, rd, tsolver))
+        colours = format_colouring(recursive_nonrep_driver(g, rd, csolver))
+        assert hashlib.sha256(tracks.encode()).hexdigest()[:16] == tdigest
+        assert hashlib.sha256(colours.encode()).hexdigest()[:16] == cdigest
 
 
 def test_validate_rich_rejects_overdeclared():
