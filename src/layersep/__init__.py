@@ -26,7 +26,6 @@ from .graphs import (
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
-    contract_clique,
     embed_planar,
     format_rotation_system,
     parse_rotation_system,

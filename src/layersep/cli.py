@@ -367,8 +367,9 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="layersep")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    # only the subcommands that draw or generate take a seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def pipeline_args(p):
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("nonrep", cmd_nonrep),
         ("draw3d", cmd_draw3d),
     ):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[seeded] if name == "draw3d" else [])
         pipeline_args(p)
         p.set_defaults(fn=fn)
         if name == "nonrep":
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--svg", help="also export an SVG projection")
             p.add_argument("--obj", help="also export an OBJ line set")
 
-    p = sub.add_parser("verify", parents=[common])
+    p = sub.add_parser("verify")
     p.add_argument("kind", choices=["tracks", "queues", "layering", "decomposition", "nonrep", "drawing", "shadow"])
     p.add_argument("artifact")
     p.add_argument("graph")
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("gen", parents=[common])
+    p = sub.add_parser("gen", parents=[seeded])
     p.add_argument("family")
     p.add_argument("size", type=int)
     p.add_argument("--rotation", action="store_true", help="emit the rotation-system format")
@@ -413,10 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common])
+    p = sub.add_parser("bench", parents=[seeded])
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("report", parents=[common])
+    p = sub.add_parser("report", parents=[seeded])
     p.set_defaults(fn=cmd_report)
     return parser
 

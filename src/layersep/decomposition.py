@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .embedding import EmbeddedGraph, contract_clique, embed_planar, multigraph_bfs, tree_cotree, triangulate
+from .embedding import EmbeddedGraph, embed_planar, tree_cotree, triangulate
 from .graphs import (
     Graph,
     GraphInputError,
@@ -257,79 +257,60 @@ def genus_layered_decomposition(
     eg: EmbeddedGraph, root_clique: Iterable[int]
 ) -> GenusDecompositionResult:
     """Layered tree decomposition of width <= 2g+3 whose first layer is
-    the given clique.
+    the given clique K.
 
-    Contract the clique to a root, triangulate, split the edges by
-    tree-cotree, take one bag per face (root paths of its corners plus
-    the root paths of the leftover dual edges' endpoints), then expand
-    the root back to the clique.
+    Triangulate, split the edges by tree-cotree with the primal tree grown
+    from K (layers are its depths), and take one bag per face: the root
+    paths of its corners plus the root paths Q of the leftover dual edges'
+    endpoints.  A root path has one vertex in each layer >= 1 and ends at
+    the least root, so a bag has at most 2g+3 vertices per layer >= 1 and
+    at most |K| in layer 0; Q - K has at most 2g vertices per layer, and
+    without it a bag has at most 3 per layer when |K| <= 3.
     """
     clique = tuple(sorted(set(root_clique)))
     if not clique:
         raise GraphInputError("root clique must be non-empty")
+    if not 0 <= clique[0] <= clique[-1] < eg.n:
+        raise GraphInputError(f"root clique {clique} has a vertex outside G")
     base = eg.to_graph()
     if not base.is_clique(clique):
         raise GraphInputError("root set is not a clique")
     g = eg.euler_genus
 
-    if len(clique) > 1:
-        ceg, vmap = contract_clique(eg, clique)
-        r = vmap[clique[0]]
-        back: dict[int, list[int]] = {}
-        for old, new in vmap.items():
-            back.setdefault(new, []).append(old)
-    else:
-        ceg, r = eg, clique[0]
-        back = {v: [v] for v in range(eg.n)}
-
-    def expand(vs: Iterable[int]) -> frozenset[int]:
-        out: list[int] = []
-        for v in vs:
-            out.extend(back[v])
-        return frozenset(out)
-
-    if ceg.n < 3:
-        layering, _ = bfs_layering(ceg.to_graph(), [r])
-        td = TreeDecomposition.single_bag(range(ceg.n))
-        bags = tuple(expand(b) for b in td.bags)
-        layers = tuple(expand(layer) for layer in layering.layers)
-        ld = LayeredDecomposition(
-            TreeDecomposition(bags, frozenset()), Layering(layers)
-        )
+    if eg.n < 3:
+        layering, _ = bfs_layering(base, clique)
+        ld = LayeredDecomposition(TreeDecomposition.single_bag(range(eg.n)), layering)
         return GenusDecompositionResult(ld, frozenset(), g, clique)
 
-    tri = triangulate(ceg)
-    tree, _ = multigraph_bfs(tri, [r])
-    t = max(tree.depth.values())
-    layer_sets: list[set[int]] = [set() for _ in range(t + 1)]
+    tri = triangulate(eg)
+    tc = tree_cotree(tri, clique)
+    tree = tc.primal_tree
+    layer_sets: list[set[int]] = [set() for _ in range(max(tree.depth.values()) + 1)]
     for v, d in tree.depth.items():
         layer_sets[d].add(v)
 
     paths = {v: tree.path_to_root(v) for v in range(tri.n)}
-    tc = tree_cotree(tri, r)
-    q_core: set[int] = set()
+    q: set[int] = set()
     for e in tc.extra_edges:
         a, b = tri.edge_list[e]
-        q_core |= paths[a] | paths[b]
+        q |= paths[a] | paths[b]
 
     bags = []
     for walk in tri.faces:
         x, y, z = (tri.dart_tail(d) for d in walk)
-        bags.append(expand(q_core | paths[x] | paths[y] | paths[z]))
+        bags.append(frozenset(q | paths[x] | paths[y] | paths[z]))
     tree_edges = frozenset(
         (min(f1, f2), max(f1, f2))
         for e, f1, f2 in tc.dual_edges
         if e in tc.dual_tree_edges
     )
-    layering = Layering(tuple(expand(layer) for layer in layer_sets))
+    layering = Layering(tuple(frozenset(layer) for layer in layer_sets))
     ld = LayeredDecomposition(TreeDecomposition(tuple(bags), tree_edges), layering)
-    q = expand(q_core) - set(clique)
-    result = GenusDecompositionResult(ld, q, g, clique)
     if ld.layered_width > 2 * g + 3:
         raise DecompositionError(
             f"layered width {ld.layered_width} exceeds 2g+3 = {2 * g + 3}"
         )
-    return result
+    return GenusDecompositionResult(ld, frozenset(q) - set(clique), g, clique)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +550,14 @@ def _balanced_sides(
     """Group components into two sides of at most 2/3 of a sample of
     size ``total`` each.
 
-    ``weights[i]`` is the sample count of ``comps[i]``, at most total/2;
-    ``comps`` come in order of least vertex, which breaks weight ties.
-    Components go greedily (descending weight) to the lighter side, then
-    an exchange step moves light components off the heavy side until
-    both sides are within 2/3.
+    ``weights[i]`` is the sample count of ``comps[i]``, at most total/2,
+    and the weights sum to W <= total; ``comps`` come in order of least
+    vertex, which breaks weight ties.  Components go greedily (descending
+    weight) to the lighter side.  Let w be the last weight placed on the
+    final heavy side H: that side was the lighter one then, so
+    H - w <= W - H, i.e. H <= (W + w)/2 <= 2/3 total when w <= total/3.
+    If w > total/3, only the first two weights can exceed total/3, so w
+    is the first or second weight and alone on its side: H = w <= total/2.
     """
     sides: tuple[list[int], list[int]] = ([], [])
     count = [0, 0]
@@ -581,18 +565,11 @@ def _balanced_sides(
         s = 0 if count[0] <= count[1] else 1
         sides[s].append(i)
         count[s] += weights[i]
-    for _ in range(len(comps) + 1):
-        h = 0 if count[0] >= count[1] else 1
-        if 3 * count[h] <= 2 * total:
-            break
-        movable = [i for i in sides[h] if 0 < weights[i] and 2 * weights[i] <= count[h]]
-        if not movable:
-            raise DecompositionError("exchange step stuck: balance unreachable")
-        i = min(movable, key=lambda i: (weights[i], i))
-        sides[h].remove(i)
-        sides[1 - h].append(i)
-        count[h] -= weights[i]
-        count[1 - h] += weights[i]
+    if 3 * max(count) > 2 * total:
+        raise DecompositionError(
+            f"side of weight {max(count)} exceeds 2/3 of {total}: "
+            "a component outweighs half the sample"
+        )
     return (
         frozenset().union(*(comps[i] for i in sides[0])),
         frozenset().union(*(comps[i] for i in sides[1])),
@@ -779,9 +756,6 @@ class BoundReport:
 
     def local_treewidth(self, r: int) -> int:
         return self.ell * (2 * r + 1) - 1
-
-    def local_treewidth_sep(self, r: int) -> int:
-        return 4 * self.ell * (2 * r + 1) - 1
 
 
 def _eccentricities(g: Graph) -> list[int]:

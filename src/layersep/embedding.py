@@ -54,9 +54,6 @@ class EmbeddedGraph:
     def dart_tail(self, d: int) -> int:
         return self.edge_list[d // 2][d & 1]
 
-    def dart_head(self, d: int) -> int:
-        return self.edge_list[d // 2][1 - (d & 1)]
-
     @cached_property
     def sigma(self) -> dict[int, int]:
         """Rotation successor of each dart around its tail vertex."""
@@ -160,8 +157,8 @@ def _delete_edge(eg: EmbeddedGraph, edge_id: int) -> EmbeddedGraph:
 def _drop_bigons(eg: EmbeddedGraph) -> EmbeddedGraph:
     """Delete parallel edges bounding faces of length 2.
 
-    Such faces arise from clique contraction; the two boundary edges are
-    parallel, so the underlying simple graph is unchanged.
+    The two boundary edges of such a face are parallel, so the
+    underlying simple graph is unchanged.
     """
     while True:
         bigon = next((walk for walk in eg.faces if len(walk) == 2), None)
@@ -253,7 +250,8 @@ def multigraph_bfs(eg: EmbeddedGraph, roots: Iterable[int]) -> tuple[BfsTree, se
 
 @dataclass(frozen=True)
 class TreeCotree:
-    """Primal BFS tree, dual spanning tree and the g leftover dual edges."""
+    """Primal spanning tree (BFS from the root clique plus a star on it),
+    dual spanning tree and the g leftover dual edges."""
 
     primal_tree: BfsTree
     primal_tree_edges: frozenset[int]
@@ -266,15 +264,34 @@ class TreeCotree:
         return len(self.extra_edges)
 
 
-def tree_cotree(eg: EmbeddedGraph, root: int) -> TreeCotree:
-    """Split the edges of a triangulation into a primal BFS tree, a dual
-    spanning tree and exactly ``genus`` leftover edges."""
+def tree_cotree(eg: EmbeddedGraph, roots: Iterable[int]) -> TreeCotree:
+    """Split the edges of a triangulation into a primal spanning tree, a
+    dual spanning tree and exactly ``genus`` leftover edges.
+
+    ``roots`` is a clique K.  The primal tree is the BFS forest grown from
+    K plus a star joining the least root to every other root (by the least
+    edge id), so depth is the distance from K and every root path ends at
+    the least root.  The split works for any spanning tree, since the
+    edges off it always hold a dual spanning tree and ``genus`` more.
+    """
     for walk in eg.faces:
         if len(walk) != 3:
             raise EmbeddingError(
                 f"tree_cotree requires a triangulation; face of length {len(walk)}"
             )
-    primal_tree, tree_edge_ids = multigraph_bfs(eg, [root])
+    forest, tree_edge_ids = multigraph_bfs(eg, roots)
+    root = min(forest.roots)
+    star: dict[int, int] = {}
+    for e, (u, v) in enumerate(eg.edge_list):
+        other = v if u == root else u if v == root else None
+        if other in forest.roots:
+            star.setdefault(other, e)
+    if len(star) != len(forest.roots) - 1:
+        raise GraphInputError("root set is not a clique")
+    tree_edge_ids |= set(star.values())
+    primal_tree = BfsTree(
+        forest.roots, {**forest.parent, **dict.fromkeys(star, root)}, forest.depth
+    )
     face_of = eg.face_of_dart()
     dual_edges = tuple(
         (e, face_of[2 * e], face_of[2 * e + 1])
@@ -282,10 +299,8 @@ def tree_cotree(eg: EmbeddedGraph, root: int) -> TreeCotree:
         if e not in tree_edge_ids
     )
     # BFS spanning tree of the dual, rooted at the least face incident to
-    # the primal root.
-    root_face = min(
-        face_of[d] for d in range(2 * eg.m) if eg.dart_tail(d) == root
-    )
+    # the least root.
+    root_face = min(face_of[d] for d in eg.rotation[root])
     dual_adj: dict[int, list[tuple[int, int]]] = {
         f: [] for f in range(len(eg.faces))
     }
@@ -348,91 +363,6 @@ def embed_planar(g: Graph) -> EmbeddedGraph:
     if eg.euler_genus != 0:
         raise EmbeddingError("planar embedding produced nonzero genus")
     return eg
-
-
-def contract_edge(eg: EmbeddedGraph, edge_id: int) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """Contract a non-loop edge, keeping its first endpoint.
-
-    The second endpoint's rotation is spliced into the first's at the
-    position of the contracted edge, so the embedding (and genus) is
-    preserved.  Loops created by the contraction are deleted; deleting a
-    loop never raises the genus.  Returns the new graph and the
-    old-vertex -> new-vertex map.
-    """
-    u, v = eg.edge_list[edge_id]
-    rot_u = list(eg.rotation[u])
-    rot_v = list(eg.rotation[v])
-    du, dv = 2 * edge_id, 2 * edge_id + 1
-    iu, iv = rot_u.index(du), rot_v.index(dv)
-    # Splice: around the merged vertex, v's darts follow u's at the gap
-    # left by the contracted edge.
-    merged = (
-        rot_u[iu + 1:] + rot_u[:iu] + rot_v[iv + 1:] + rot_v[:iv]
-    )
-    merged = [d for d in merged if d // 2 != edge_id]
-
-    vmap = {w: (w if w < v else w - 1) for w in range(eg.n) if w != v}
-    vmap[v] = vmap[u]
-
-    def new_endpoint(w: int) -> int:
-        return vmap[w]
-
-    # Drop the contracted edge and any resulting loops; renumber edges.
-    kept: list[int] = []
-    for e, (a, b) in enumerate(eg.edge_list):
-        if e == edge_id:
-            continue
-        if new_endpoint(a) == new_endpoint(b):
-            continue
-        kept.append(e)
-    emap = {e: i for i, e in enumerate(kept)}
-    new_edges = tuple(
-        (new_endpoint(eg.edge_list[e][0]), new_endpoint(eg.edge_list[e][1]))
-        for e in kept
-    )
-
-    def remap_darts(darts: Iterable[int]) -> tuple[int, ...]:
-        out = []
-        for d in darts:
-            e = d // 2
-            if e in emap:
-                out.append(2 * emap[e] + (d & 1))
-        return tuple(out)
-
-    rotation: list[tuple[int, ...]] = []
-    for w in range(eg.n):
-        if w == v:
-            continue
-        if w == u:
-            rotation.append(remap_darts(merged))
-        else:
-            rotation.append(remap_darts(eg.rotation[w]))
-    return EmbeddedGraph(eg.n - 1, new_edges, tuple(rotation)), vmap
-
-
-def contract_clique(
-    eg: EmbeddedGraph, clique: Iterable[int]
-) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """Contract a clique to a single vertex, composing edge contractions.
-
-    Returns the contracted graph and the old -> new vertex map; all
-    clique vertices map to the surviving vertex.
-    """
-    clique = sorted(set(clique))
-    total = {w: w for w in range(eg.n)}
-    cur = eg
-    while len({total[c] for c in clique}) > 1:
-        live = sorted({total[c] for c in clique})
-        target = None
-        for e, (a, b) in enumerate(cur.edge_list):
-            if a in live and b in live and a != b:
-                target = e
-                break
-        if target is None:
-            raise GraphInputError("clique vertices are not pairwise adjacent")
-        cur, vmap = contract_edge(cur, target)
-        total = {w: vmap[total[w]] for w in total}
-    return cur, total
 
 
 # ---------------------------------------------------------------------------

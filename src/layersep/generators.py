@@ -9,7 +9,7 @@ from its seed on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .embedding import EmbeddedGraph, _rotation_from_faces
 from .graphs import Graph, GraphInputError, Layering
@@ -34,9 +34,6 @@ class Lcg:
         if k <= 0:
             raise ValueError("randrange needs a positive bound")
         return (self.next() >> 32) % k
-
-    def choice(self, seq: Sequence):
-        return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

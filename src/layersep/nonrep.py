@@ -397,27 +397,6 @@ def verify_nonrepetitive(
     return least_square
 
 
-def verify_nonrepetitive_tuples(
-    g: Graph, c: Colouring, max_path: int
-) -> Optional[tuple[int, ...]]:
-    """Independent cross-check for tiny graphs: enumerate all ordered
-    vertex tuples of even length, filter the ones that are paths, and
-    test for colour squares.  Exponential; intended for n <= 10."""
-    import itertools
-
-    if g.n > 10:
-        raise GraphInputError("tuple oracle limited to n <= 10")
-    colour = c.colour
-    for length in range(2, max_path + 1, 2):
-        k = length // 2
-        for tup in itertools.permutations(g.vertices(), length):
-            if not all(g.has_edge(tup[i], tup[i + 1]) for i in range(length - 1)):
-                continue
-            if all(colour[tup[i]] == colour[tup[k + i]] for i in range(k)):
-                return tup
-    return None
-
-
 def default_max_path(n: int) -> int:
     """Exhaustive for small graphs, short repetitions only for large."""
     return n if n <= 40 else 10

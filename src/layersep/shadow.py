@@ -69,22 +69,6 @@ class ShadowLayering:
     layering: Layering
     per_layer: tuple[RichDecomposition, ...]
 
-    def shadows(self, g: Graph) -> list[tuple[int, frozenset[int], frozenset[int]]]:
-        """(layer, suffix component, shadow) triples, layers >= 1."""
-        out = []
-        layers = self.layering.layers
-        for i in range(1, len(layers)):
-            suffix = frozenset().union(*layers[i:])
-            for comp in _components_within(g, suffix):
-                shadow = frozenset(
-                    w
-                    for v in comp
-                    for w in g.adjacency[v]
-                    if w in layers[i - 1]
-                )
-                out.append((i, comp, shadow))
-        return out
-
 
 def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
     """Contract tree edges whose bags nest, keeping the larger bag."""
@@ -259,7 +243,7 @@ def verify_shadow_complete(g: Graph, layering: Layering, k: int) -> Report:
 
 def shadow_track_compose(
     g: Graph,
-    sl: "ShadowLayering | Layering",
+    layering: Layering,
     layer_tracks: Sequence[TrackLayout],
     s: int,
 ) -> TrackLayout:
@@ -272,7 +256,6 @@ def shadow_track_compose(
     layer tracks and shadows of size at most s, this uses at most
     3c^(s+1) tracks; the X-crossing verifier remains the authority.
     """
-    layering = sl.layering if isinstance(sl, ShadowLayering) else sl
     layers = layering.layers
     t = len(layers)
     if len(layer_tracks) != t:
@@ -435,11 +418,19 @@ ColourSolver = Callable[[Graph], Colouring]
 def _restrict_rd(
     rd: RichDecomposition, part: frozenset[int], to_new: dict[int, int]
 ) -> RichDecomposition:
+    """Restriction to a piece, relabelled by ``to_new``: the bags that
+    meet the piece, in their order, and the tree edges between them.  The
+    bags meeting a connected piece form a subtree, so the result is a
+    tree decomposition of that piece."""
     td = rd.decomposition
+    kept = [x for x, bag in enumerate(td.bags) if not bag.isdisjoint(part)]
+    idx = {x: i for i, x in enumerate(kept)}
     return RichDecomposition(
         TreeDecomposition(
-            tuple(frozenset(to_new[v] for v in bag & part) for bag in td.bags),
-            td.tree_edges,
+            tuple(frozenset(to_new[v] for v in td.bags[x] & part) for x in kept),
+            frozenset(
+                (idx[x], idx[y]) for x, y in td.tree_edges if x in idx and y in idx
+            ),
         )
     )
 

@@ -247,7 +247,6 @@ def test_criterion_8_shadow():
         sl = rich_shadow_layering(g, rd)
         ok &= validate_shadow_layering(g, rd, sl).ok
         ok &= verify_shadow_complete(g, sl.layering, k).ok
-        ok &= all(len(s) <= k for _, _, s in sl.shadows(g))
         ok &= all(pl.richness <= k - 1 for pl in sl.per_layer)
     _verdict(8, "shadow-complete layerings from rich decompositions", ok)
 

@@ -1,10 +1,12 @@
 import json
 
+import pytest
+
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
 from layersep.drawing3d import parse_drawing
 from layersep.layouts import parse_track_layout
-from layersep.nonrep import parse_colouring
+from layersep.nonrep import Colouring, format_colouring, parse_colouring
 
 
 def run(argv):
@@ -31,6 +33,18 @@ def test_gen_decompose_tracks_verify_chain(tmp_path):
     assert run(["verify", "tracks", tracks, graph]) == 0
     tl = parse_track_layout(tracks.read_text())
     assert len(tl.tracks) >= 3
+
+
+def test_decompose_clique_root(tmp_path):
+    # vertices 0, 1, 2 form the starting triangle of a stacked triangulation
+    graph = tmp_path / "g.txt"
+    assert run(["gen", "planar_triangulation", 40, "--out", graph]) == 0
+    dec = tmp_path / "dec.txt"
+    assert run(["decompose", graph, "--root", "0,1,2", "--out", dec]) == 0
+    ld = parse_layered_decomposition(dec.read_text())
+    assert ld.layering.layers[0] == {0, 1, 2}
+    assert ld.layered_width <= 3
+    assert run(["verify", "decomposition", dec, graph]) == 0
 
 
 def test_embedded_pipeline(tmp_path):
@@ -91,10 +105,49 @@ def test_verify_failure_exit_code(tmp_path):
     assert run(["verify", "tracks", bad, graph]) == 1
 
 
+def test_verify_nonrep_planted_square(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    run(["gen", "path", 4, "--out", graph])
+    # proper, but the colour sequence 0 1 0 1 along the path is a square
+    col = tmp_path / "c.txt"
+    col.write_text(format_colouring(Colouring({0: 0, 1: 1, 2: 0, 3: 1})))
+    man = tmp_path / "v.json"
+    capsys.readouterr()
+    assert run(["verify", "nonrep", col, graph, "--manifest", man]) == 1
+    assert "repetitive path: (0, 1, 2, 3)" in capsys.readouterr().err
+    assert json.loads(man.read_text())["verdicts"] == {"nonrep": "fail"}
+
+
+def test_verify_layering(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    run(["gen", "path", 5, "--out", graph])
+    lay = tmp_path / "lay.txt"
+    lay.write_text("0\n1\n2\n3\n4\n")
+    assert run(["verify", "layering", lay, graph]) == 0
+    # edge (0, 1) spans layers 0 and 2
+    lay.write_text("0\n2\n1\n3\n4\n")
+    capsys.readouterr()
+    assert run(["verify", "layering", lay, graph]) == 1
+    assert "edge (0,1) spans layers 0 and 2" in capsys.readouterr().err
+
+
+def test_seed_only_where_used(tmp_path):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--seed", 2, "--out", graph])
+    assert run(["draw3d", graph, "--seed", 2, "--out", tmp_path / "d.txt"]) == 0
+    for argv in (["decompose", graph], ["tracks", graph],
+                 ["verify", "layering", graph, graph]):
+        with pytest.raises(SystemExit):
+            run(argv + ["--seed", 1])
+
+
 def test_invalid_input_exit_code(tmp_path):
     garbage = tmp_path / "junk.txt"
     garbage.write_text("not a graph at all\n")
     assert run(["decompose", garbage]) == 2
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--out", graph])
+    assert run(["decompose", graph, "--root", 99]) == 2
     assert run(["gen", "mystery_family", 5]) == 2
 
 

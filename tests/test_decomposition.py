@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersep.decomposition import (
+    DecompositionError,
     LayeredDecomposition,
+    _balanced_sides,
     TreeDecomposition,
     bound_report,
     clique_sum_compose,
@@ -33,6 +36,7 @@ from layersep.generators import (
     k5_graph,
     random_planar_triangulation,
     random_tree,
+    toroidal_grid,
     v8_graph,
 )
 from layersep.graphs import (
@@ -178,6 +182,70 @@ def test_genus_pipeline_k4():
     g = complete_graph(4)
     assert validate_tree_decomposition(g, res.ld.decomposition).ok
     assert res.ld.layered_width <= 3
+
+
+# SHA-256 prefixes of the formatted layered decomposition plus the sorted
+# apex set Q, rooted at vertex 0 (planar: (n, seed); torus: (p, q)).
+_GENUS_DIGESTS = (
+    (("planar", 5, 0), "38a79c08354c07e0"),
+    (("planar", 5, 1), "dcc0c518a90129a1"),
+    (("planar", 5, 2), "0aef2b20117ed041"),
+    (("planar", 5, 3), "9bbecbcefdf3c727"),
+    (("planar", 30, 0), "23ecc684d05eae8c"),
+    (("planar", 30, 1), "c08c9ab65bd43969"),
+    (("planar", 30, 2), "3ac2e512b8aa50d4"),
+    (("planar", 30, 3), "2d74e7a1a01eba0d"),
+    (("planar", 80, 0), "09c24a5b8028f9d0"),
+    (("planar", 80, 1), "5a6370523df83fe2"),
+    (("planar", 80, 2), "c481a2d346f958db"),
+    (("planar", 80, 3), "b2a7a1263594236f"),
+    (("planar", 150, 0), "876c5354d3a7ece2"),
+    (("planar", 150, 1), "7f43d51957651dd0"),
+    (("planar", 150, 2), "dd5a7561ae18cf83"),
+    (("planar", 150, 3), "9ca374a6808ebd32"),
+    (("planar", 300, 0), "1d955b6a30bc5e15"),
+    (("planar", 300, 1), "c690572a82082bbb"),
+    (("planar", 300, 2), "10600019fa81ca5c"),
+    (("planar", 300, 3), "20273694527e35ef"),
+    (("torus", 3, 3), "e33ed33a10341c19"),
+    (("torus", 4, 4), "32bf5f260dfcc421"),
+    (("torus", 6, 6), "cb3ed83d62e57f01"),
+    (("torus", 9, 9), "59f47ccc3952dd58"),
+    (("torus", 12, 12), "55aded19ea8ed39f"),
+    (("torus", 3, 5), "a5002ac592a0591e"),
+)
+
+
+def test_genus_decomposition_output_pinned():
+    for (kind, a, b), digest in _GENUS_DIGESTS:
+        if kind == "planar":
+            eg = random_planar_triangulation(a, seed=b)
+        else:
+            eg = toroidal_grid(a, b)
+        res = genus_layered_decomposition(eg, (0,))
+        apex = " ".join(map(str, sorted(res.apex_paths)))
+        text = format_layered_decomposition(res.ld) + apex + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (kind, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedded_graphs, st.data())
+def test_genus_decomposition_clique_roots(eg, data):
+    """An edge or triangle root seeds the BFS directly: layer 0 is the
+    clique and every bound of the single-vertex root still holds."""
+    g = eg.to_graph()
+    u, v = data.draw(st.sampled_from(sorted(g.edges)))
+    root = [u, v]
+    common = sorted(set(g.adjacency[u]) & set(g.adjacency[v]))
+    if common and data.draw(st.booleans()):
+        root.append(data.draw(st.sampled_from(common)))
+    res = genus_layered_decomposition(eg, root)
+    assert validate_tree_decomposition(g, res.ld.decomposition).ok
+    assert validate_layering(g, res.ld.layering).ok
+    assert res.ld.layering.layers[0] == frozenset(root)
+    assert res.ld.layered_width <= 2 * res.genus + 3
+    assert res.restricted_width <= 3
+    assert all(c <= 2 * res.genus for c in res.q_per_layer().values())
 
 
 def test_separator_balance_and_layer_widths():
@@ -332,6 +400,26 @@ def test_layered_decomposition_roundtrip_keeps_empty_layers():
     ld = res.ld.restricted_to(keep)
     assert not ld.layering.layers[1]
     assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=12), st.data())
+def test_balanced_sides_greedy_within_two_thirds(weights, data):
+    """Greedy placement alone keeps both sides within 2/3 whenever every
+    weight is at most half the total."""
+    low = max(sum(weights), 2 * max(weights, default=0), 1)
+    total = data.draw(st.integers(low, low + 40))
+    comps = [frozenset({i}) for i in range(len(weights))]
+    side1, side2 = _balanced_sides(comps, weights, total)
+    assert side1.isdisjoint(side2)
+    assert side1 | side2 == frozenset(range(len(weights)))
+    for side in (side1, side2):
+        assert 3 * sum(weights[i] for i in side) <= 2 * total
+
+
+def test_balanced_sides_rejects_component_over_half():
+    with pytest.raises(DecompositionError):
+        _balanced_sides([frozenset({0}), frozenset({1})], [3, 1], 4)
 
 
 def test_separator_rejects_empty_sample():

@@ -1,7 +1,7 @@
 import pytest
 
 from layersep.embedding import (
-    contract_clique,
+    EmbeddedGraph,
     embed_planar,
     format_rotation_system,
     parse_rotation_system,
@@ -62,28 +62,44 @@ def test_triangulate_torus():
     assert all(len(f) == 3 for f in tri.faces)
 
 
-def test_contract_clique_creates_bigons_then_triangulates():
-    # contracting an edge of K4 yields parallel edges (bigon faces);
-    # triangulate must absorb them without changing the genus
-    eg = embed_planar(complete_graph(4))
-    contracted, _ = contract_clique(eg, (0, 1))
-    tri = triangulate(contracted)
+def test_triangulate_absorbs_bigon():
+    # a triangle with edge 01 doubled: the two copies bound a face of
+    # length 2, which triangulate must absorb without changing the genus
+    eg = EmbeddedGraph(
+        3, ((0, 1), (1, 2), (2, 0), (0, 1)), ((0, 5, 6), (1, 7, 2), (3, 4))
+    )
+    assert sorted(len(f) for f in eg.faces) == [2, 3, 3]
+    tri = triangulate(eg)
     assert tri.euler_genus == 0
     assert all(len(f) == 3 for f in tri.faces)
 
 
 def test_tree_cotree_sizes():
     tri = triangulate(toroidal_grid(3, 4))
-    tc = tree_cotree(tri, 0)
+    face = sorted({tri.dart_tail(d) for d in tri.faces[0]})
     n, m = tri.n, len(tri.edge_list)
-    assert len(tc.primal_tree_edges) == n - 1
-    assert tc.x_size == tri.euler_genus
-    assert len(tc.primal_tree_edges) + len(tc.dual_tree_edges) + tc.x_size == m
+    for roots in ([0], face[:2], face):
+        tc = tree_cotree(tri, roots)
+        assert len(tc.primal_tree_edges) == n - 1
+        assert tc.x_size == tri.euler_genus
+        assert len(tc.primal_tree_edges) + len(tc.dual_tree_edges) + tc.x_size == m
+        # the star joins every root to the least one, at depth 0
+        tree = tc.primal_tree
+        assert {v for v, d in tree.depth.items() if d == 0} == set(roots)
+        assert all(tree.parent[r] == roots[0] for r in roots[1:])
+        assert all(roots[0] in tree.path_to_root(v) for v in range(n))
+
+
+def test_tree_cotree_rejects_non_clique_roots():
+    tri = random_planar_triangulation(20, seed=1)
+    far = min(set(range(1, tri.n)) - set(tri.to_graph().adjacency[0]))
+    with pytest.raises(GraphInputError):
+        tree_cotree(tri, [0, far])
 
 
 def test_tree_cotree_planar_no_leftover():
     tri = triangulate(embed_planar(grid_graph(3, 3)))
-    assert tree_cotree(tri, 0).x_size == 0
+    assert tree_cotree(tri, [0]).x_size == 0
 
 
 def test_rotation_roundtrip():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -27,7 +28,6 @@ from layersep.nonrep import (
     parse_colouring,
     verify_layer_pattern,
     verify_nonrepetitive,
-    verify_nonrepetitive_tuples,
     verify_proper,
 )
 from tests.conftest import planar_pipeline, torus_pipeline
@@ -79,6 +79,23 @@ def _enumerated_matching_walk(seq, max_walk):
                 nxt = cur + d
                 if 0 <= nxt < t:
                     stack.append((nxt, walk + (nxt,)))
+    return None
+
+
+def verify_nonrepetitive_tuples(g, c, max_path):
+    """Independent cross-check for tiny graphs: enumerate all ordered
+    vertex tuples of even length, filter the ones that are paths, and
+    test for colour squares.  Exponential; intended for n <= 10."""
+    if g.n > 10:
+        raise GraphInputError("tuple oracle limited to n <= 10")
+    colour = c.colour
+    for length in range(2, max_path + 1, 2):
+        k = length // 2
+        for tup in itertools.permutations(g.vertices(), length):
+            if not all(g.has_edge(tup[i], tup[i + 1]) for i in range(length - 1)):
+                continue
+            if all(colour[tup[i]] == colour[tup[k + i]] for i in range(k)):
+                return tup
     return None
 
 

@@ -75,9 +75,8 @@ def test_shadow_layering_of_tree():
     rd = edge_bag_rd(g)
     sl = rich_shadow_layering(g, rd)
     assert validate_shadow_layering(g, rd, sl).ok
-    assert verify_shadow_complete(g, sl.layering, k=1).ok
     # shadows of a 1-rich decomposition are single vertices
-    assert all(len(shadow) <= 1 for _, _, shadow in sl.shadows(g))
+    assert verify_shadow_complete(g, sl.layering, k=1).ok
     # each layer of a tree under edge bags induces an edgeless graph
     for layer in sl.layering.layers:
         assert not any(
@@ -100,7 +99,6 @@ def test_shadow_layering_chordal():
         assert all(
             pl.richness <= rd.richness - 1 for pl in sl.per_layer[1:]
         )
-        assert all(len(s) <= rd.richness for _, _, s in sl.shadows(g))
 
 
 def test_verify_shadow_complete_c4_violation():
