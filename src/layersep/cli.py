@@ -3,7 +3,9 @@
 Every subcommand reads the plain-text formats defined by the library,
 writes its artifact plus a JSON run manifest, and exits 0 only after the
 matching verifier passed.  Exit codes: 0 verified success, 1
-verification failure (counterexample printed), 2 invalid input.
+verification failure (counterexample printed), 2 invalid input, 3 a
+construction that gave up (``DrawingError``: no crossing-free placement
+within the drawing's retry budget).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .decomposition import (
     validate_tree_decomposition,
 )
 from .drawing3d import (
+    DrawingError,
     draw_from_tracks,
     export_obj,
     export_svg,
@@ -70,6 +73,7 @@ from .shadow import verify_shadow_complete
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+EXIT_CONSTRUCTION = 3
 
 
 @dataclass
@@ -427,6 +431,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except DrawingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
     except (GraphInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

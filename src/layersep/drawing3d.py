@@ -6,14 +6,27 @@ so segments between four distinct columns are never coplanar, segments
 sharing a column meet only at the shared vertex, and crossings between a
 track pair reduce to X-crossings, which the track layout excludes.  The
 exact integer verifier, not this argument, is the authority.
+
+The verifier groups segments by chord, the unordered pair of their
+endpoints' xy points.  Open segments meet only where their open chords
+do, so it compares segments of one chord by their z order, joins the
+segments of properly crossing chords on their heights over the crossing
+point, hands collinear and vertical-chord pairs to the exact predicates
+and skips every other chord pair.  That costs about K*N plus the size of
+the crossing chord pairs for K chords over N columns, against the
+O(m^2 + m*n) pairwise scan that ``tests/test_drawing3d.py`` keeps as its
+oracle; the two give the same report, order included.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .graphs import Graph, GraphInputError, Report
@@ -160,15 +173,24 @@ def segment_through_point(p1: Point, p2: Point, v: Point) -> bool:
 
 
 def verify_drawing(g: Graph, d: GridDrawing3D) -> Report:
-    """Exhaustive exact check: exactly the vertices of G placed, distinct
-    positions, no open-segment pair intersection, no segment through a
-    non-endpoint vertex."""
+    """Exact check: exactly the vertices of G placed, distinct positions,
+    no open-segment pair intersection, no segment through a non-endpoint
+    vertex.
+
+    Segments are grouped by chord, the unordered pair of their endpoints'
+    xy points, and only chord pairs whose open projections can meet are
+    compared (see ``_segment_hits``).  The report lists the same
+    violations, in the same order, as the pairwise scan over every edge
+    pair and every edge-vertex pair that the tests keep as its oracle.
+    """
     return Report.of(_drawing_violations(g, d.position))
 
 
 def _drawing_violations(g: Graph, pos: dict[int, Point]) -> Iterator[str]:
-    """The violations ``verify_drawing`` reports, lazily and in order, so
-    that the construction can stop at the first one."""
+    """The violations ``verify_drawing`` reports, in order: an unplaced
+    vertex, vertices outside G, shared points, then per sorted edge its
+    intersections with later edges followed by the vertices strictly
+    inside it."""
     for v in g.vertices():
         if v not in pos:
             yield f"vertex {v} unplaced"
@@ -185,14 +207,180 @@ def _drawing_violations(g: Graph, pos: dict[int, Point]) -> Iterator[str]:
             yield f"vertices {seen[pos[v]]} and {v} share {pos[v]}"
         seen[pos[v]] = v
     edges = sorted(g.edges)
-    for i, (u1, v1) in enumerate(edges):
-        a, b = pos[u1], pos[v1]
-        for u2, v2 in edges[i + 1 :]:
-            if segments_intersect_int(a, b, pos[u2], pos[v2]):
-                yield f"edges ({u1},{v1}) and ({u2},{v2}) intersect"
-        for w in g.vertices():
-            if w not in (u1, v1) and segment_through_point(a, b, pos[w]):
-                yield f"edge ({u1},{v1}) passes through vertex {w}"
+    for i, through, j in sorted(_segment_hits(g.n, pos, edges)):
+        u, v = edges[i]
+        if through:
+            yield f"edge ({u},{v}) passes through vertex {j}"
+        else:
+            yield f"edges ({u},{v}) and ({edges[j][0]},{edges[j][1]}) intersect"
+
+
+# Turn orientation signs (0 right, 1 on the line, 2 left) into bit strings.
+_RIGHT, _ON, _LEFT = (bytes.maketrans(b"\0\1\2", t) for t in (b"100", b"010", b"001"))
+
+
+def _ones(x: int) -> Iterator[int]:
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        x ^= low
+        yield low.bit_length() - 1
+
+
+def _segment_hits(
+    n: int, pos: dict[int, Point], edges: list[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """``(i, 0, j)`` for each pair i < j of edges whose open segments meet
+    and ``(i, 1, w)`` for each vertex w strictly inside edge i.
+
+    A non-vertical open segment projects one-to-one onto its open chord
+    in the xy plane, so two segments can meet only where their open
+    chords do, and a vertex can lie inside a segment only if its xy
+    point is interior to the chord.  Per pair of chords that leaves:
+
+    * the same chord: one vertical plane, where two segments meet iff
+      their z order strictly inverts or they are identical;
+    * chords that cross properly (each strictly separates the other's
+      endpoints): one crossing point, where the segments meet iff their
+      heights agree, decided by a hash join on the integer key d*z;
+    * collinear chords, and vertical (zero xy-length) chords at a point
+      interior to the other chord or at the same point: the exact
+      predicates on every segment pair;
+    * anything else (disjoint chords, chords touching only at an end of
+      one of them, vertical chords at different points): no meeting.
+
+    Orientations of every (non-vertical chord, xy point) pair give per
+    point the bitsets of chords strictly left of, strictly right of and
+    on whose line it lies.  Cost O(K*N + sum over crossing chord pairs of
+    their segments + s log s per chord) for K chords and N xy points,
+    plus the exact predicates on the degenerate pairs; O(m^2 + m*n) in
+    the worst case, when every vertex has its own xy point.
+    """
+    point_of: dict[tuple[int, int], int] = {}
+    pt: list[int] = []  # vertex -> xy point index
+    at: list[list[int]] = []  # xy point index -> vertices there, ascending
+    for v in range(n):
+        x, y, _ = pos[v]
+        k = point_of.setdefault((x, y), len(at))
+        if k == len(at):
+            at.append([])
+        at[k].append(v)
+        pt.append(k)
+    points = list(point_of)
+
+    chord_of: dict[tuple[int, int], int] = {}
+    ends: list[tuple[int, int]] = []  # chord -> (p, q) with p < q
+    segs: list[list[tuple[int, int, int]]] = []  # chord -> (z at p, z at q, edge)
+    vertical: dict[int, list[int]] = {}  # xy point -> edges with both ends there
+    for i, (u, v) in enumerate(edges):
+        p, q = pt[u], pt[v]
+        if p == q:
+            vertical.setdefault(p, []).append(i)
+            continue
+        if p > q:
+            p, q, u, v = q, p, v, u
+        c = chord_of.setdefault((p, q), len(ends))
+        if c == len(ends):
+            ends.append((p, q))
+            segs.append([])
+        segs[c].append((pos[u][2], pos[v][2], i))
+
+    hits: list[tuple[int, int, int]] = []
+
+    def exact(ids1, ids2) -> None:
+        for i in ids1:
+            a, b = pos[edges[i][0]], pos[edges[i][1]]
+            for j in ids2:
+                if segments_intersect_int(a, b, pos[edges[j][0]], pos[edges[j][1]]):
+                    hits.append((min(i, j), 0, max(i, j)))
+
+    def inside(ids, ws) -> None:
+        for i in ids:
+            u, v = edges[i]
+            for w in ws:
+                if w != u and w != v and segment_through_point(pos[u], pos[v], pos[w]):
+                    hits.append((i, 1, w))
+
+    for r, ids in vertical.items():
+        for k, i in enumerate(ids):
+            exact([i], ids[k + 1 :])
+        inside(ids, at[r])
+
+    # orient(c, r) = a*ry - b*rx + e: twice the signed area of (p, q, r)
+    coef = []
+    for p, q in ends:
+        (px, py), (qx, qy) = points[p], points[q]
+        coef.append((qx - px, qy - py, (qy - py) * px - (qx - px) * py))
+    left, right, on = [], [], []
+    for rx, ry in points:
+        row = [a * ry - b * rx + e for a, b, e in coef]
+        # bit c of each bitset is chord c; b"0" stands for an empty set
+        signs = bytes([(o > 0) - (o < 0) + 1 for o in reversed(row)]) or b"0"
+        left.append(int(signs.translate(_LEFT), 2))
+        right.append(int(signs.translate(_RIGHT), 2))
+        on.append(int(signs.translate(_ON), 2))
+
+    # the line of every chord in split[c] strictly separates the ends of c
+    split = [(left[p] & right[q]) | (right[p] & left[q]) for p, q in ends]
+    for c1, (p1, q1) in enumerate(ends):
+        _chord_inversions(segs[c1], hits)
+        a1, b1, e1 = coef[c1]
+        (x1, y1), (x2, y2) = points[p1], points[q1]
+        for k in _ones(split[c1] >> (c1 + 1)):
+            c2 = c1 + 1 + k
+            if not split[c2] >> c1 & 1:
+                continue
+            p2, q2 = ends[c2]
+            a2, b2, e2 = coef[c2]
+            # heights over the crossing point are key / (d1*d2)
+            o1 = a1 * points[p2][1] - b1 * points[p2][0] + e1
+            o2 = a1 * points[q2][1] - b1 * points[q2][0] + e1
+            o3 = a2 * y1 - b2 * x1 + e2
+            o4 = a2 * y2 - b2 * x2 + e2
+            d1, d2 = o3 - o4, o1 - o2
+            keys = {(o3 * zb - o4 * za) * d2 for za, zb, _ in segs[c1]}
+            for za, zb, j in segs[c2]:
+                key = (o1 * zb - o2 * za) * d1
+                if key in keys:
+                    hits.extend(
+                        (min(i, j), 0, max(i, j))
+                        for za1, zb1, i in segs[c1]
+                        if (o3 * zb1 - o4 * za1) * d2 == key
+                    )
+        for k in _ones((on[p1] & on[q1]) >> (c1 + 1)):  # collinear chords
+            exact([i for *_, i in segs[c1]], [j for *_, j in segs[c1 + 1 + k]])
+
+    for r, (rx, ry) in enumerate(points):
+        for c in _ones(on[r]):
+            p, q = ends[c]
+            (px, py), (qx, qy) = points[p], points[q]
+            if r in (p, q) or not (
+                0 < (rx - px) * (qx - px) + (ry - py) * (qy - py)
+                < (qx - px) ** 2 + (qy - py) ** 2
+            ):
+                continue
+            ids = [i for *_, i in segs[c]]
+            inside(ids, at[r])
+            exact(ids, vertical.get(r, ()))
+    return hits
+
+
+def _chord_inversions(segs: list[tuple[int, int, int]], hits: list) -> None:
+    """Pairs of segments on one non-vertical chord that meet: segments
+    between the same two vertical lines meet inside iff their heights
+    strictly swap order, or everywhere iff they are identical."""
+    segs.sort()
+    for _, same in groupby(segs, key=itemgetter(0, 1)):
+        ids = [i for *_, i in same]  # ascending
+        hits.extend((i, 0, j) for k, i in enumerate(ids) for j in ids[k + 1 :])
+    below: list[tuple[int, int]] = []  # (z at q, edge), sorted, of segments lower at p
+    for _, group in groupby(segs, key=itemgetter(0)):
+        group = list(group)
+        for _, zb, i in group:
+            for _, j in below[bisect_left(below, (zb + 1,)) :]:
+                hits.append((min(i, j), 0, max(i, j)))
+        for _, zb, i in group:
+            insort(below, (zb, i))
 
 
 # ---------------------------------------------------------------------------

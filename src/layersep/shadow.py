@@ -11,6 +11,7 @@ count (4 when the four-symbol word is found).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,29 +72,35 @@ class ShadowLayering:
 
 
 def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
-    """Contract tree edges whose bags nest, keeping the larger bag."""
+    """Contract tree edges whose bags nest, keeping the larger bag.
+
+    Each step merges the least bag x that has a neighbour y with
+    bags[x] <= bags[y] into the least such y.  Bags never change, so
+    whether a bag can merge changes only with its adjacency: a min-heap
+    holds every bag not checked since its adjacency last changed.
+    """
     bags = list(td.bags)
     adj = {i: set(ns) for i, ns in td.tree_adjacency.items()}
     alive = set(range(len(bags)))
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(alive):
-            for y in sorted(adj[x]):
-                if bags[x] <= bags[y]:
-                    # merge x into y
-                    for z in adj[x]:
-                        if z != y:
-                            adj[z].discard(x)
-                            adj[z].add(y)
-                            adj[y].add(z)
-                    adj[y].discard(x)
-                    alive.discard(x)
-                    adj[x] = set()
-                    changed = True
-                    break
-            if changed:
-                break
+    todo = list(range(len(bags)))  # sorted, hence a heap
+    while todo:
+        x = heapq.heappop(todo)
+        if x not in alive:
+            continue
+        y = next((y for y in sorted(adj[x]) if bags[x] <= bags[y]), None)
+        if y is None:
+            continue
+        # merge x into y
+        for z in adj[x]:
+            if z != y:
+                adj[z].discard(x)
+                adj[z].add(y)
+                adj[y].add(z)
+                heapq.heappush(todo, z)
+        adj[y].discard(x)
+        alive.discard(x)
+        adj[x] = set()
+        heapq.heappush(todo, y)
     order = sorted(alive)
     remap = {old: i for i, old in enumerate(order)}
     edges = set()

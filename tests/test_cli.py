@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from layersep import cli
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
-from layersep.drawing3d import parse_drawing
+from layersep.drawing3d import DrawingError, parse_drawing
 from layersep.layouts import parse_track_layout
 from layersep.nonrep import Colouring, format_colouring, parse_colouring
 
@@ -149,6 +150,19 @@ def test_invalid_input_exit_code(tmp_path):
     run(["gen", "planar_triangulation", 10, "--out", graph])
     assert run(["decompose", graph, "--root", 99]) == 2
     assert run(["gen", "mystery_family", 5]) == 2
+
+
+def test_drawing_construction_failure_exit_code(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--out", graph])
+
+    def give_up(*args, **kwargs):
+        raise DrawingError("no crossing-free placement found in 200 seeded trials")
+
+    monkeypatch.setattr(cli, "draw_from_tracks", give_up)
+    capsys.readouterr()
+    assert run(["draw3d", graph, "--out", tmp_path / "d.txt"]) == cli.EXIT_CONSTRUCTION == 3
+    assert "no crossing-free placement" in capsys.readouterr().err
 
 
 def test_separate_manifest(tmp_path, capsys):

@@ -1,8 +1,13 @@
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from layersep import drawing3d
 from layersep.drawing3d import (
     GridDrawing3D,
     _cross,
@@ -19,7 +24,7 @@ from layersep.drawing3d import (
     volume_report,
 )
 from layersep.generators import Lcg, complete_graph, cycle_graph, path_graph
-from layersep.graphs import GraphInputError
+from layersep.graphs import Graph, GraphInputError
 from layersep.layouts import TrackLayout
 from tests.conftest import planar_pipeline, torus_pipeline
 
@@ -48,6 +53,41 @@ def segments_intersect_fraction(p1, p2, q1, q2) -> bool:
     hit1 = tuple(Fraction(p1[i]) + s * d1[i] for i in range(3))
     hit2 = tuple(Fraction(q1[i]) + t * d2[i] for i in range(3))
     return hit1 == hit2
+
+
+def _scan_drawing_violations(g, pos):
+    """Oracle for ``verify_drawing``: every edge pair and every edge-vertex
+    pair through the exact predicates, in report order."""
+    for v in g.vertices():
+        if v not in pos:
+            yield f"vertex {v} unplaced"
+            return
+    outside = [
+        f"vertex {v} at {pos[v]} is not in G" for v in sorted(pos) if not 0 <= v < g.n
+    ]
+    if outside:
+        yield from outside
+        return
+    seen = {}
+    for v in sorted(pos):
+        if pos[v] in seen:
+            yield f"vertices {seen[pos[v]]} and {v} share {pos[v]}"
+        seen[pos[v]] = v
+    edges = sorted(g.edges)
+    for i, (u1, v1) in enumerate(edges):
+        a, b = pos[u1], pos[v1]
+        for u2, v2 in edges[i + 1 :]:
+            if segments_intersect_int(a, b, pos[u2], pos[v2]):
+                yield f"edges ({u1},{v1}) and ({u2},{v2}) intersect"
+        for w in g.vertices():
+            if w not in (u1, v1) and segment_through_point(a, b, pos[w]):
+                yield f"edge ({u1},{v1}) passes through vertex {w}"
+
+
+def assert_matches_oracle(g, pos):
+    got = verify_drawing(g, GridDrawing3D(pos)).violations
+    assert got == tuple(_scan_drawing_violations(g, pos))
+    return got
 
 
 def test_segments_cross_at_midpoint():
@@ -210,3 +250,98 @@ def test_drawing_format_roundtrip():
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     obj = export_obj(g, d)
     assert obj.count("\nl ") + obj.startswith("l ") == len(g.edges)
+
+
+@st.composite
+def column_drawings(draw):
+    """Graphs on at most 16 vertices placed on 1-6 xy columns of a 4x4 box
+    with z in [0, 4]: vertical segments, collinear columns and overlaps,
+    shared points and vertices inside segments are all common."""
+    n = draw(st.integers(1, 16))
+    cols = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=6))
+    pos = {v: (*draw(st.sampled_from(cols)), draw(st.integers(0, 4))) for v in range(n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=40)) if pairs else set()
+    return Graph.from_edges(n, edges), pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_drawings())
+def test_verify_drawing_matches_scan_on_column_drawings(case):
+    assert_matches_oracle(*case)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.one_of(st.just(None), st.tuples(st.integers(30, 60), st.integers(0, 3))),
+    st.integers(0, 2**16),
+)
+def test_verify_drawing_matches_scan_on_every_draw_trial(planar, seed):
+    g, _, _, tl = torus_pipeline(4, 4) if planar is None else planar_pipeline(*planar)
+    verdicts = []
+    real = drawing3d._drawing_violations
+
+    def checked(g, pos):
+        got = list(real(g, pos))
+        assert got == list(_scan_drawing_violations(g, pos))
+        verdicts.append(bool(got))
+        return iter(got)
+
+    with mock.patch.object(drawing3d, "_drawing_violations", checked):
+        draw_from_tracks(g, tl, seed=seed)
+    # the loop stops at the first accepted trial
+    assert all(verdicts[:-1]) and not verdicts[-1]
+
+
+@lru_cache(maxsize=None)
+def _pipeline_drawing(which):
+    g, _, _, tl = torus_pipeline(4, 4) if which is None else planar_pipeline(which)
+    return g, draw_from_tracks(g, tl).position
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([None, 30, 45]),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                  st.one_of(st.none(), st.integers(-1, 60))),
+        min_size=1, max_size=3,
+    ),
+)
+def test_verify_drawing_matches_scan_on_moved_vertices(which, moves):
+    # each move puts a vertex on another vertex's column, at that vertex's
+    # point when no height is given
+    g, pos = _pipeline_drawing(which)
+    pos = dict(pos)
+    for a, b, z in moves:
+        x, y, zb = pos[b % g.n]
+        pos[a % g.n] = (x, y, zb if z is None else z)
+    assert_matches_oracle(g, pos)
+
+
+def test_verify_drawing_vertical_segment():
+    # edges (0,1) and (4,5) are vertical on one column and overlap, each
+    # holds an end of the other, and edge (2,3) crosses (0,1)
+    g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    pos = {0: (0, 0, 0), 1: (0, 0, 4), 2: (-1, 0, 2), 3: (1, 0, 2),
+           4: (0, 0, 3), 5: (0, 0, 6)}
+    assert assert_matches_oracle(g, pos) == (
+        "edges (0,1) and (2,3) intersect",
+        "edges (0,1) and (4,5) intersect",
+        "edge (0,1) passes through vertex 4",
+        "edge (4,5) passes through vertex 1",
+    )
+
+
+def test_verify_drawing_three_collinear_columns():
+    # columns (0,0) ... (3,3) on one line: edges (0,2) and (1,3) overlap
+    # and each holds an end of the other; edge (4,5) lies beside them
+    g = Graph.from_edges(6, [(0, 2), (1, 3), (4, 5)])
+    pos = {0: (0, 0, 0), 1: (1, 1, 0), 2: (2, 2, 0), 3: (3, 3, 0),
+           4: (0, 0, 1), 5: (2, 2, 3)}
+    assert assert_matches_oracle(g, pos) == (
+        "edges (0,2) and (1,3) intersect",
+        "edge (0,2) passes through vertex 1",
+        "edge (1,3) passes through vertex 2",
+    )

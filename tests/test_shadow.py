@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layersep.decomposition import TreeDecomposition
 from layersep.generators import (
@@ -16,6 +18,7 @@ from layersep.nonrep import Colouring, format_colouring, verify_nonrepetitive, v
 from layersep.shadow import (
     RichDecomposition,
     ShadowError,
+    _contract_redundant,
     format_rich,
     parse_rich,
     recursive_nonrep_driver,
@@ -251,3 +254,67 @@ def test_parse_rich_rejects_understated_richness():
 def test_parse_rich_rejects_missing_header(text):
     with pytest.raises(GraphInputError):
         parse_rich(text)
+
+
+def _contract_redundant_restart(td: TreeDecomposition) -> TreeDecomposition:
+    """Oracle for ``_contract_redundant``: rescan every bag from the least
+    after each contraction."""
+    bags = list(td.bags)
+    adj = {i: set(ns) for i, ns in td.tree_adjacency.items()}
+    alive = set(range(len(bags)))
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(alive):
+            for y in sorted(adj[x]):
+                if bags[x] <= bags[y]:
+                    # merge x into y
+                    for z in adj[x]:
+                        if z != y:
+                            adj[z].discard(x)
+                            adj[z].add(y)
+                            adj[y].add(z)
+                    adj[y].discard(x)
+                    alive.discard(x)
+                    adj[x] = set()
+                    changed = True
+                    break
+            if changed:
+                break
+    order = sorted(alive)
+    remap = {old: i for i, old in enumerate(order)}
+    edges = set()
+    for x in order:
+        for y in adj[x]:
+            edges.add((min(remap[x], remap[y]), max(remap[x], remap[y])))
+    return TreeDecomposition(tuple(bags[x] for x in order), frozenset(edges))
+
+
+@st.composite
+def nested_bag_trees(draw):
+    """Random trees on up to 40 bags; each bag is a subset or a superset
+    of its parent's bag, or a fresh subset of a 6-element universe."""
+    b = draw(st.integers(1, 40))
+    steps = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 63),
+                                    st.integers(0, 2)), min_size=b, max_size=b))
+    bags, edges = [], set()
+    for x, (parent, mask, how) in enumerate(steps):
+        fresh = frozenset(i for i in range(6) if mask >> i & 1)
+        if x == 0:
+            bags.append(fresh)
+            continue
+        parent %= x
+        edges.add((parent, x))
+        bags.append((bags[parent] & fresh, bags[parent] | fresh, fresh)[how])
+    new_id = draw(st.permutations(range(b)))  # bag ids need not follow the tree
+    old_id = {y: x for x, y in enumerate(new_id)}
+    return TreeDecomposition(
+        tuple(bags[old_id[i]] for i in range(b)),
+        frozenset((min(new_id[x], new_id[y]), max(new_id[x], new_id[y])) for x, y in edges),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_bag_trees())
+def test_contract_redundant_matches_restart_scan(td):
+    assert _contract_redundant(td) == _contract_redundant_restart(td)
