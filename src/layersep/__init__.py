@@ -25,6 +25,7 @@ from .graphs import (
 )
 from .embedding import (
     EmbeddedGraph,
+    EmbedderSelfCheckError,
     EmbeddingError,
     embed_planar,
     format_rotation_system,

@@ -3,9 +3,12 @@
 Every subcommand reads the plain-text formats defined by the library,
 writes its artifact plus a JSON run manifest, and exits 0 only after the
 matching verifier passed.  Exit codes: 0 verified success, 1
-verification failure (counterexample printed), 2 invalid input, 3 a
-construction that gave up (``DrawingError``: no crossing-free placement
-within the drawing's retry budget).
+verification failure (counterexample printed), 2 invalid input
+(including a non-planar, disconnected or empty graph given to the
+planar embedder), 3 a construction failure: ``DrawingError`` (no
+crossing-free placement within the drawing's retry budget) or
+``EmbedderSelfCheckError`` (the planar embedder's rotation system
+failed its genus-0 self-check).
 """
 
 from __future__ import annotations
@@ -36,7 +39,13 @@ from .drawing3d import (
     verify_drawing,
     volume_report,
 )
-from .embedding import EmbeddedGraph, embed_planar, parse_rotation_system, format_rotation_system
+from .embedding import (
+    EmbeddedGraph,
+    EmbedderSelfCheckError,
+    embed_planar,
+    format_rotation_system,
+    parse_rotation_system,
+)
 from .generators import gen as gen_fixture
 from .graphs import (
     GraphInputError,
@@ -431,7 +440,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DrawingError as exc:
+    except (DrawingError, EmbedderSelfCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except (GraphInputError, ValueError, OSError) as exc:

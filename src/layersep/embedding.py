@@ -6,6 +6,13 @@ endpoint) and ``2e+1`` (leaving its second); ``d ^ 1`` reverses a dart.
 Faces are the orbits of ``d -> sigma[d ^ 1]`` and the Euler genus of the
 embedding follows from Euler's formula.  Only orientable rotation systems
 are supported.
+
+Planar graphs are embedded by Brandes' left-right planarity test (U.
+Brandes, "The Left-Right Planarity Test", 2009), ported step by step
+from networkx's ``LRPlanarity`` onto flat int lists: ``embed_planar``
+returns, at every vertex, the clockwise order networkx's
+``check_planarity`` returns for the same graph, and the tests keep
+networkx as that oracle.  The package itself imports no networkx.
 """
 
 from __future__ import annotations
@@ -337,31 +344,346 @@ def tree_cotree(eg: EmbeddedGraph, roots: Iterable[int]) -> TreeCotree:
     return tc
 
 
-def embed_planar(g: Graph) -> EmbeddedGraph:
-    """Planar rotation system for a connected planar simple graph."""
-    import networkx as nx
+class EmbedderSelfCheckError(EmbeddingError):
+    """The planar embedder returned a rotation system of nonzero genus for
+    a graph it found planar: an internal fault, not invalid input."""
 
+
+def _lr_rotation(g: Graph) -> Optional[list[list[int]]]:
+    """Brandes' left-right planarity test with embedding extraction.
+
+    Returns each vertex's neighbours in clockwise order, starting at its
+    leftmost neighbour, or ``None`` when ``g`` is not planar.  This is
+    networkx's ``LRPlanarity`` (iterative variant) step by step on flat
+    int lists, so it returns the rotations ``check_planarity`` returns:
+    the same adjacency order, the same DFS orientation, stable sorts by
+    nesting depth before the test and after ``sign``, the same half-edge
+    insertion rules and the same leftmost neighbour at every vertex.
+    Oriented edges are ids in orientation order (``tail``/``head``); a
+    conflict pair is a list ``[left.low, left.high, right.low,
+    right.high]`` with -1 for "no edge", and stack bottoms are compared
+    by identity.
+    """
+    n = g.n
+    if n > 2 and g.m > 3 * n - 6:
+        return None
+    # Adjacency as networkx's Graph stores ``g.edges``, then as
+    # LRPlanarity copies it: pairs (u, v) with v > u, u ascending.
+    nx_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nx_adj[u].append(v)
+        nx_adj[v].append(u)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    adj_k: list[list[int]] = [[] for _ in range(n)]  # undirected edge ids
+    k = 0
+    for u in range(n):
+        for v in nx_adj[u]:
+            if v > u:
+                adj[u].append(v)
+                adj_k[u].append(k)
+                adj[v].append(u)
+                adj_k[v].append(k)
+                k += 1
+
+    # Orientation DFS: heights, lowpoints and nesting depths.
+    height = [-1] * n
+    parent_edge = [-1] * n
+    tail: list[int] = []
+    head: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    nesting: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]  # oriented edges by tail
+    oriented = bytearray(k)
+    ind = [0] * n
+    resume = [-1] * n  # tree edge to finish when its tail is popped again
+    roots: list[int] = []
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            nbrs, ks = adj[v], adj_k[v]
+            i, d = ind[v], resume[v]
+            while i < len(nbrs):
+                if d < 0:
+                    if oriented[ks[i]]:
+                        i += 1
+                        continue
+                    oriented[ks[i]] = 1
+                    w = nbrs[i]
+                    d = len(head)
+                    tail.append(v)
+                    head.append(w)
+                    out[v].append(d)
+                    lowpt.append(hv)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    if height[w] < 0:  # tree edge
+                        parent_edge[w] = d
+                        height[w] = hv + 1
+                        ind[v], resume[v] = i, d
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[d] = height[w]  # back edge
+                lp = lowpt[d]
+                nesting[d] = 2 * lp + (lowpt2[d] < hv)
+                if e >= 0:
+                    le = lowpt[e]
+                    if lp < le:
+                        lowpt2[e] = min(le, lowpt2[d])
+                        lowpt[e] = lp
+                    elif lp > le:
+                        lowpt2[e] = min(lowpt2[e], lp)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[d])
+                i += 1
+                d = -1
+
+    # Testing: build the stack of conflict pairs and the side references.
+    m = len(head)
+    ordered = [sorted(o, key=nesting.__getitem__) for o in out]
+    ref = [-1] * (m + 1)  # ref[-1] absorbs networkx's writes to ref[None]
+    side = [1] * m
+    lowpt_edge = [-1] * m
+    stack_bottom: list[Optional[list[int]]] = [None] * m
+    S: list[list[int]] = []
+
+    def conflicting(low: int, high: int, b: int) -> bool:
+        return (low >= 0 or high >= 0) and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P = [-1, -1, -1, -1]
+        bottom = stack_bottom[ei]
+        # merge return edges of ei into P.right
+        while True:
+            Q = S.pop()
+            if Q[0] >= 0 or Q[1] >= 0:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] >= 0 or Q[1] >= 0:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:  # merge
+                if P[2] < 0 and P[3] < 0:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
+                break
+        # merge conflicting return edges of earlier siblings into P.left
+        while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+            Q = S.pop()
+            if conflicting(Q[2], Q[3], ei):
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if conflicting(Q[2], Q[3], ei):
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] >= 0:
+                P[2] = Q[2]
+            if P[0] < 0 and P[1] < 0:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] >= 0 or P[1] >= 0 or P[2] >= 0 or P[3] >= 0:
+            S.append(P)
+        return True
+
+    def lowest(P: list[int]) -> int:
+        if P[0] < 0 and P[1] < 0:
+            return lowpt[P[2]]
+        if P[2] < 0 and P[3] < 0:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        hu = height[u]
+        # drop entire conflict pairs returning to u
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] >= 0:
+                side[P[0]] = -1
+        if S:  # one more conflict pair to consider
+            P = S.pop()
+            while P[1] >= 0 and head[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] < 0 and P[0] >= 0:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = -1
+            while P[3] >= 0 and head[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] < 0 and P[2] >= 0:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = -1
+            S.append(P)
+        # side of e is side of a highest return edge
+        if lowpt[e] < hu:
+            hl, hr = S[-1][1], S[-1][3]
+            if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    ind = [0] * n
+    resume = [-1] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            adjv = ordered[v]
+            i, resuming = ind[v], resume[v] >= 0
+            while i < len(adjv):
+                ei = adjv[i]
+                if not resuming:
+                    stack_bottom[ei] = S[-1] if S else None
+                    w = head[ei]
+                    if parent_edge[w] == ei:  # tree edge
+                        ind[v], resume[v] = i, ei
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei  # back edge
+                    S.append([-1, -1, ei, ei])
+                if lowpt[ei] < hv:  # integrate new return edges
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                i += 1
+                resuming = False
+            else:
+                if e >= 0:
+                    remove_back_edges(e)
+
+    # Resolve relative sides (``sign``) in networkx's DiGraph edge order.
+    for v in range(n):
+        for d in out[v]:
+            chain = []
+            x = d
+            while ref[x] >= 0:
+                chain.append(x)
+                ref[x], x = -1, ref[x]
+            s = side[x]
+            for y in reversed(chain):
+                s = side[y] = side[y] * s
+            nesting[d] *= s
+    ordered = [sorted(o, key=nesting.__getitem__) for o in out]
+
+    # Half-edge 2d sits at tail[d], 2d+1 at head[d]; cw/ccw link each
+    # vertex's half-edges into a cycle; leftmost[v] starts the rotation.
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    leftmost = [-1] * n
+
+    def insert_cw_of(ref_h: int, h: int) -> None:
+        nxt = cw[ref_h]
+        cw[h], ccw[h] = nxt, ref_h
+        ccw[nxt] = cw[ref_h] = h
+
+    def insert_ccw_of(ref_h: int, h: int) -> None:
+        prv = ccw[ref_h]
+        cw[h], ccw[h] = ref_h, prv
+        cw[prv] = ccw[ref_h] = h
+
+    for v in range(n):
+        prev = -1
+        for d in ordered[v]:
+            h = 2 * d
+            if prev < 0:
+                cw[h] = ccw[h] = leftmost[v] = h
+            else:
+                insert_cw_of(prev, h)
+            prev = h
+
+    # Complete the embedding (``dfs_embedding``).
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            adjv = ordered[v]
+            i = ind[v]
+            while i < len(adjv):
+                ei = adjv[i]
+                i += 1
+                w = head[ei]
+                h = 2 * ei + 1
+                if parent_edge[w] == ei:  # tree edge: v becomes w's leftmost
+                    if leftmost[w] < 0:
+                        cw[h] = ccw[h] = h
+                    else:
+                        insert_ccw_of(leftmost[w], h)
+                    leftmost[w] = h
+                    left_ref[v] = right_ref[v] = 2 * ei
+                    ind[v] = i
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[ei] == 1:
+                    insert_cw_of(right_ref[w], h)
+                else:
+                    if left_ref[w] == leftmost[w]:
+                        leftmost[w] = h
+                    insert_ccw_of(left_ref[w], h)
+                    left_ref[w] = h
+
+    rotation: list[list[int]] = []
+    for v in range(n):
+        nbrs = []
+        h0 = h = leftmost[v]
+        while h >= 0:
+            nbrs.append(tail[h >> 1] if h & 1 else head[h >> 1])
+            h = cw[h]
+            if h == h0:
+                break
+        rotation.append(nbrs)
+    return rotation
+
+
+def embed_planar(g: Graph) -> EmbeddedGraph:
+    """Planar rotation system for a connected planar simple graph.
+
+    Planarity is decided, and the rotations are found, by Brandes' left-
+    right planarity test (U. Brandes, "The Left-Right Planarity Test",
+    2009) in ``_lr_rotation``.  It follows networkx's ``check_planarity``
+    step by step, so for the same graph each vertex's clockwise neighbour
+    order equals ``PlanarEmbedding.neighbors_cw_order`` (the tests keep
+    networkx as the oracle).  Raises ``EmbeddingError`` for the empty,
+    a non-planar or a disconnected graph, and ``EmbedderSelfCheckError``
+    if the rotation system fails the genus-0 self-check.
+    """
     if g.n == 0:
         raise EmbeddingError("cannot embed the empty graph")
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.vertices())
-    nxg.add_edges_from(g.edges)
-    ok, emb = nx.check_planarity(nxg)
-    if not ok:
+    cyclic = _lr_rotation(g)
+    if cyclic is None:
         raise EmbeddingError("graph is not planar")
-    edge_ids = {e: i for i, e in enumerate(sorted(g.edges))}
     edge_list = sorted(g.edges)
-    rotation: list[tuple[int, ...]] = []
-    for v in g.vertices():
-        nbrs = list(emb.neighbors_cw_order(v)) if g.degree(v) else []
-        darts = []
-        for w in nbrs:
-            e = edge_ids[(min(v, w), max(v, w))]
-            darts.append(2 * e if edge_list[e][0] == v else 2 * e + 1)
-        rotation.append(tuple(darts))
-    eg = EmbeddedGraph(g.n, tuple(edge_list), tuple(rotation))
+    edge_ids = {e: i for i, e in enumerate(edge_list)}
+    rotation = tuple(
+        tuple(
+            2 * edge_ids[(v, w)] if v < w else 2 * edge_ids[(w, v)] + 1
+            for w in nbrs
+        )
+        for v, nbrs in enumerate(cyclic)
+    )
+    eg = EmbeddedGraph(g.n, tuple(edge_list), rotation)
     if eg.euler_genus != 0:
-        raise EmbeddingError("planar embedding produced nonzero genus")
+        raise EmbedderSelfCheckError("planar embedding produced nonzero genus")
     return eg
 
 

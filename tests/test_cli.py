@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from layersep import cli
+import layersep
+from layersep import cli, embedding
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
 from layersep.drawing3d import DrawingError, parse_drawing
+from layersep.generators import k5_graph
+from layersep.graphs import Graph, format_graph
 from layersep.layouts import parse_track_layout
 from layersep.nonrep import Colouring, format_colouring, parse_colouring
 
@@ -163,6 +171,62 @@ def test_drawing_construction_failure_exit_code(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(["draw3d", graph, "--out", tmp_path / "d.txt"]) == cli.EXIT_CONSTRUCTION == 3
     assert "no crossing-free placement" in capsys.readouterr().err
+
+
+def test_embedder_self_check_exit_code(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--out", graph])
+    lr_rotation = embedding._lr_rotation
+
+    def mirrored_at_one_vertex(g):
+        rotation = lr_rotation(g)
+        v = max(range(g.n), key=lambda u: len(rotation[u]))
+        rotation[v].reverse()
+        return rotation
+
+    monkeypatch.setattr(embedding, "_lr_rotation", mirrored_at_one_vertex)
+    capsys.readouterr()
+    assert run(["decompose", graph]) == cli.EXIT_CONSTRUCTION == 3
+    assert "nonzero genus" in capsys.readouterr().err
+
+
+def test_embedder_input_errors_exit_two(tmp_path, capsys):
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    for g, message in (
+        (k5_graph(), "graph is not planar"),
+        (two_triangles, "must be connected"),
+        (Graph.from_edges(0, []), "empty graph"),
+    ):
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g))
+        capsys.readouterr()
+        assert run(["decompose", path]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
+def test_runtime_without_networkx(tmp_path):
+    """The CLI chain runs with networkx unimportable: it is a test-only
+    oracle, never a runtime dependency."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["networkx"] = None
+        from layersep.cli import main
+        for argv in (
+            ["gen", "planar_triangulation", "60", "--out", "g.txt"],
+            ["decompose", "g.txt", "--out", "dec.txt"],
+            ["tracks", "g.txt", "--out", "tl.txt"],
+            ["verify", "tracks", "tl.txt", "g.txt"],
+        ):
+            code = main(argv)
+            if code != 0:
+                sys.exit(f"{argv[0]} exited {code}")
+    """)
+    src = str(Path(layersep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "tl.txt").exists()
 
 
 def test_separate_manifest(tmp_path, capsys):

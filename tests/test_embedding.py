@@ -1,7 +1,11 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layersep.embedding import (
     EmbeddedGraph,
+    EmbeddingError,
     embed_planar,
     format_rotation_system,
     parse_rotation_system,
@@ -10,13 +14,149 @@ from layersep.embedding import (
 )
 from layersep.generators import (
     complete_graph,
+    cycle_graph,
     grid_graph,
     k33_graph,
     k5_graph,
     random_planar_triangulation,
     toroidal_grid,
 )
-from layersep.graphs import GraphInputError
+from layersep.graphs import Graph, GraphInputError
+
+
+def _nx_embed_planar(g: Graph) -> EmbeddedGraph:
+    """Oracle: the rotation system of networkx's ``check_planarity``, which
+    ``embed_planar`` must reproduce (same cyclic order at every vertex)."""
+    if g.n == 0:
+        raise EmbeddingError("cannot embed the empty graph")
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices())
+    nxg.add_edges_from(g.edges)
+    ok, emb = nx.check_planarity(nxg)
+    if not ok:
+        raise EmbeddingError("graph is not planar")
+    edge_list = sorted(g.edges)
+    edge_ids = {e: i for i, e in enumerate(edge_list)}
+    rotation: list[tuple[int, ...]] = []
+    for v in g.vertices():
+        nbrs = list(emb.neighbors_cw_order(v)) if g.degree(v) else []
+        darts = []
+        for w in nbrs:
+            e = edge_ids[(min(v, w), max(v, w))]
+            darts.append(2 * e if edge_list[e][0] == v else 2 * e + 1)
+        rotation.append(tuple(darts))
+    eg = EmbeddedGraph(g.n, tuple(edge_list), tuple(rotation))
+    if eg.euler_genus != 0:
+        raise EmbeddingError("planar embedding produced nonzero genus")
+    return eg
+
+
+def _outcome(embed, g: Graph):
+    """The dart successor map, or the message of the EmbeddingError raised."""
+    try:
+        return embed(g).sigma
+    except EmbeddingError as exc:
+        return str(exc)
+
+
+def _assert_same_as_networkx(g: Graph) -> None:
+    """Same cyclic order (not tuple start, which varies between networkx
+    versions) and same errors as the oracle."""
+    assert _outcome(embed_planar, g) == _outcome(_nx_embed_planar, g)
+
+
+def _relabel(g: Graph, rnd) -> Graph:
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _spanning_subgraph(g: Graph, rnd, extra: int) -> Graph:
+    """A random spanning tree of connected ``g`` plus ``extra`` more edges."""
+    edges = sorted(g.edges)
+    rnd.shuffle(edges)
+    root = list(range(g.n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    tree, rest = [], []
+    for u, v in edges:
+        if find(u) != find(v):
+            root[find(u)] = find(v)
+            tree.append((u, v))
+        else:
+            rest.append((u, v))
+    return Graph.from_edges(g.n, tree + rest[:extra])
+
+
+@st.composite
+def triangulations(draw, max_n=300):
+    n = draw(st.integers(3, max_n))
+    g = random_planar_triangulation(n, seed=draw(st.integers(0, 10**6))).to_graph()
+    return _relabel(g, draw(st.randoms(use_true_random=False)))
+
+
+@st.composite
+def spanning_subgraphs(draw):
+    g = draw(triangulations(max_n=120))
+    return _spanning_subgraph(g, draw(st.randoms(use_true_random=False)),
+                              draw(st.integers(0, 2 * g.n)))
+
+
+@st.composite
+def outerplanar_graphs(draw):
+    """A Hamiltonian cycle plus a random subset of the chords of a random
+    maximal outerplanar graph on it."""
+    n = draw(st.integers(3, 80))
+    rnd = draw(st.randoms(use_true_random=False))
+    boundary = [0, 1, 2]
+    chords: list[tuple[int, int]] = []
+    for v in range(3, n):
+        i = rnd.randrange(len(boundary))
+        chords.append((boundary[i], boundary[(i + 1) % len(boundary)]))
+        boundary.insert(i + 1, v)
+    cycle = [(boundary[i - 1], boundary[i]) for i in range(n)]
+    kept = [c for c in chords if rnd.random() < 0.5]
+    return _relabel(Graph.from_edges(n, cycle + kept), rnd)
+
+
+@st.composite
+def sparse_gnm(draw):
+    """G(n, m) with m <= 3n - 6: the edge-count shortcut decides none."""
+    n = draw(st.integers(3, 40))
+    m = draw(st.integers(0, 3 * n - 6))
+    rnd = draw(st.randoms(use_true_random=False))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, rnd.sample(pairs, m))
+
+
+@st.composite
+def kuratowski_glued(draw):
+    """A subdivided K5 or K3,3 sharing one vertex with a connected planar
+    graph: non-planar, connected and at most 3n - 6 edges."""
+    base = draw(spanning_subgraphs())
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        k, kedges = 5, [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    else:
+        k, kedges = 6, [(a, b) for a in range(3) for b in range(3, 6)]
+    names = [rnd.randrange(base.n)] + list(range(base.n, base.n + k - 1))
+    n = base.n + k - 1
+    edges = list(base.edges)
+    for a, b in kedges:
+        path = [names[a]]
+        for _ in range(rnd.randrange(3)):
+            path.append(n)
+            n += 1
+        path.append(names[b])
+        edges.extend(zip(path, path[1:]))
+    g = Graph.from_edges(n, edges)
+    assert g.m <= 3 * g.n - 6
+    return _relabel(g, rnd)
 
 
 def test_embed_planar_k4():
@@ -124,3 +264,64 @@ def test_random_triangulation_is_triangulation():
         # 2n - 4 faces and 3n - 6 edges for a planar triangulation
         assert len(eg.faces) == 2 * eg.n - 4
         assert len(eg.edge_list) == 3 * eg.n - 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangulations())
+def test_embed_planar_matches_networkx_on_triangulations(g):
+    _assert_same_as_networkx(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spanning_subgraphs())
+def test_embed_planar_matches_networkx_on_spanning_subgraphs(g):
+    _assert_same_as_networkx(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(outerplanar_graphs())
+def test_embed_planar_matches_networkx_on_outerplanar(g):
+    _assert_same_as_networkx(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_gnm())
+def test_embed_planar_verdict_matches_networkx_on_gnm(g):
+    _assert_same_as_networkx(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kuratowski_glued())
+def test_embed_planar_rejects_glued_kuratowski_subdivisions(g):
+    assert _outcome(embed_planar, g) == _outcome(_nx_embed_planar, g) == "graph is not planar"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [grid_graph(r, c) for r, c in ((1, 1), (1, 7), (2, 2), (5, 9), (12, 12))]
+    + [cycle_graph(k) for k in (3, 4, 17)]
+    + [complete_graph(k) for k in (1, 2, 3, 4)],
+)
+def test_embed_planar_matches_networkx_on_named_graphs(g):
+    _assert_same_as_networkx(g)
+
+
+def test_embed_planar_rejects_empty_and_disconnected():
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    for g in (Graph.from_edges(0, []), Graph.from_edges(2, []), two_triangles):
+        with pytest.raises(EmbeddingError):
+            embed_planar(g)
+        _assert_same_as_networkx(g)
+
+
+def test_embed_planar_rotation_pinned():
+    # the tuples, start included, as networkx 3.6 returns them; the oracle
+    # tests compare cyclic order only, so this pins where each one starts
+    assert embed_planar(grid_graph(3, 3)).rotation == (
+        (0, 2), (1, 4, 6), (5, 8), (10, 12, 3), (14, 16, 11, 7), (9, 18, 15),
+        (13, 20), (21, 17, 22), (23, 19),
+    )
+    assert embed_planar(random_planar_triangulation(8, seed=2).to_graph()).rotation == (
+        (0, 6, 4, 10, 2, 8), (1, 18, 20, 12, 14, 16), (13, 28, 24, 3, 26, 22),
+        (23, 32, 5, 30, 15), (31, 7, 17), (34, 19, 9, 25), (33, 27, 11), (29, 21, 35),
+    )
