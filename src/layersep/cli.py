@@ -52,6 +52,7 @@ from .graphs import (
     format_graph,
     parse_graph,
     parse_layering,
+    separator_layer_widths,
     validate_layering,
     validate_separation,
 )
@@ -167,6 +168,8 @@ def cmd_separate(args) -> int:
     sep = layered_separation(g, res.ld, sample)
     report = validate_separation(g, sep, sample, layering=res.ld.layering)
     manifest.bounds["separator_size"] = len(sep.intersection)
+    widths = separator_layer_widths(sep, res.ld.layering)
+    manifest.bounds["separator_layer_width"] = max(widths.values(), default=0)
     manifest.verdicts["separation"] = "pass" if report.ok else "fail"
     lines = [
         " ".join(map(str, sorted(part)))

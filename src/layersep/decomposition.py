@@ -25,6 +25,7 @@ from .graphs import (
     Layering,
     Report,
     Separation,
+    _ints,
     bfs_layering,
     validate_separation,
 )
@@ -878,10 +879,7 @@ def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
         raise GraphInputError("expected 'tree' after the bag list")
     edges = set()
     for ln in lines[2 + b :]:
-        try:
-            x, y = map(int, ln.split())
-        except ValueError as exc:
-            raise GraphInputError(f"bad tree edge {ln!r}") from exc
+        x, y = _ints(ln, "tree edge", 2)
         if not (0 <= x < b and 0 <= y < b) or x == y:
             raise GraphInputError(f"bad tree edge {ln!r}")
         edges.add((min(x, y), max(x, y)))

@@ -9,19 +9,19 @@ exact integer verifier, not this argument, is the authority.
 
 The verifier groups segments by chord, the unordered pair of their
 endpoints' xy points.  Open segments meet only where their open chords
-do, so it compares segments of one chord by their z order, joins the
-segments of properly crossing chords on their heights over the crossing
-point, hands collinear and vertical-chord pairs to the exact predicates
-and skips every other chord pair.  That costs about K*N plus the size of
-the crossing chord pairs for K chords over N columns, against the
-O(m^2 + m*n) pairwise scan that ``tests/test_drawing3d.py`` keeps as its
-oracle; the two give the same report, order included.
+do, so it checks segments of one chord for z order inversions as the
+track verifier does, joins the segments of properly crossing chords on
+their heights over the crossing point, hands collinear and vertical
+chord pairs to the exact predicates and skips every other chord pair.
+That costs about K*N plus the size of the crossing chord pairs for K
+chords over N columns, against the O(m^2 + m*n) pairwise scan that
+``tests/test_drawing3d.py`` keeps as its oracle; the two give the same
+report, order included.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,8 +29,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .graphs import Graph, GraphInputError, Report
-from .layouts import TrackLayout, verify_track_layout
+from .graphs import Graph, GraphInputError, Report, _ints
+from .layouts import TrackLayout, _strict_inversions, verify_track_layout
 
 
 class DrawingError(ValueError):
@@ -38,6 +38,7 @@ class DrawingError(ValueError):
 
 
 Point = tuple[int, int, int]
+_MAX_TRIALS = 200  # seeded placements ``draw_from_tracks`` tries
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,7 @@ def _smallest_prime_at_least(n: int) -> int:
         c += 1
 
 
-def draw_from_tracks(
-    g: Graph, tl: TrackLayout, seed: int = 0x5EED, max_trials: int = 200
-) -> GridDrawing3D:
+def draw_from_tracks(g: Graph, tl: TrackLayout, seed: int = 0x5EED) -> GridDrawing3D:
     """Columns (i, i^2 mod p) for the smallest prime p >= t, with a
     globally injective z in [0, n).
 
@@ -81,8 +80,8 @@ def draw_from_tracks(
     columns are collinear.  Edges on four distinct columns can still be
     coplanar for unlucky tie-breaks, so construction is verify-driven:
     the tie-break and the track-to-column assignment are reshuffled
-    (seeded, deterministic) until the exact verifier passes.  The box is
-    always p x p x n, hence volume <= p^2 n <= 4 t^2 n.
+    (seeded, deterministic) until the exact verifier passes, at most
+    ``_MAX_TRIALS`` times.  The box is p x p x n, so volume <= 4 t^2 n.
     """
     rep = verify_track_layout(g, tl)
     if not rep.ok:
@@ -92,7 +91,7 @@ def draw_from_tracks(
     t = max(len(tl.tracks), 1)
     p = _smallest_prime_at_least(t)
     rng = random.Random(seed)
-    for trial in range(max_trials):
+    for trial in range(_MAX_TRIALS):
         tau = list(range(t))
         sigma = list(range(t))
         if trial:
@@ -109,7 +108,7 @@ def draw_from_tracks(
         if next(_drawing_violations(g, position), None) is None:
             return GridDrawing3D(position)
     raise DrawingError(
-        f"no crossing-free placement found in {max_trials} seeded trials"
+        f"no crossing-free placement found in {_MAX_TRIALS} seeded trials"
     )
 
 
@@ -373,14 +372,7 @@ def _chord_inversions(segs: list[tuple[int, int, int]], hits: list) -> None:
     for _, same in groupby(segs, key=itemgetter(0, 1)):
         ids = [i for *_, i in same]  # ascending
         hits.extend((i, 0, j) for k, i in enumerate(ids) for j in ids[k + 1 :])
-    below: list[tuple[int, int]] = []  # (z at q, edge), sorted, of segments lower at p
-    for _, group in groupby(segs, key=itemgetter(0)):
-        group = list(group)
-        for _, zb, i in group:
-            for _, j in below[bisect_left(below, (zb + 1,)) :]:
-                hits.append((min(i, j), 0, max(i, j)))
-        for _, zb, i in group:
-            insort(below, (zb, i))
+    hits.extend((i, 0, j) for i, j in _strict_inversions(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +424,7 @@ def parse_drawing(text: str) -> GridDrawing3D:
         ln = ln.strip()
         if not ln:
             continue
-        try:
-            v, x, y, z = map(int, ln.split())
-        except ValueError as exc:
-            raise GraphInputError(f"bad drawing line {ln!r}") from exc
+        v, x, y, z = _ints(ln, "drawing line", 4)
         if v in position:
             raise GraphInputError(f"vertex {v} placed twice")
         position[v] = (x, y, z)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .graphs import BfsTree, Graph, GraphInputError
+from .graphs import BfsTree, Graph, GraphInputError, _ints
 
 
 class EmbeddingError(ValueError):
@@ -697,26 +697,25 @@ def parse_rotation_system(text: str) -> EmbeddedGraph:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise GraphInputError("empty rotation-system file")
-    head = lines[0].split()
+    head = _ints(lines[0], "header")
     if len(head) not in (2, 3):
         raise GraphInputError(f"bad header {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    declared_g = int(head[2]) if len(head) == 3 else None
+    n, m = head[:2]
+    declared_g = head[2] if len(head) == 3 else None
     if len(lines) != 1 + m + n:
         raise GraphInputError(
             f"expected {1 + m + n} lines, got {len(lines)}"
         )
     edge_list: list[tuple[int, int]] = [(-1, -1)] * m
     for ln in lines[1:1 + m]:
-        e, u, v = map(int, ln.split())
+        e, u, v = _ints(ln, "edge line", 3)
         if not 0 <= e < m or edge_list[e] != (-1, -1):
             raise GraphInputError(f"bad or duplicate edge id in {ln!r}")
         edge_list[e] = (u, v)
     rotation: list[tuple[int, ...]] = []
     for v, ln in enumerate(lines[1 + m:]):
         darts = []
-        for tok in ln.split():
-            e = int(tok)
+        for e in _ints(ln, "rotation line"):
             if not 0 <= e < m:
                 raise GraphInputError(f"edge id {e} out of range")
             u, w = edge_list[e]

@@ -248,8 +248,9 @@ def validate_separation(
     """Check the separation property and sample balance.
 
     Each strict side may hold at most ``balance * |sample|`` sample
-    vertices.  When a layering is given, also reports the per-layer sizes
-    of the separator (the layered-separator width check).
+    vertices.  When a layering is given, also reports every separator
+    vertex the layering misses; ``separator_layer_widths`` gives the
+    per-layer sizes.
     """
     violations: list[str] = []
     sample = set(sample)
@@ -291,23 +292,26 @@ def separator_layer_widths(s: Separation, layering: Layering) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _ints(ln: str, what: str, count: Optional[int] = None) -> list[int]:
+    """The integers on a text line, exactly ``count`` of them if given;
+    otherwise a ``GraphInputError`` naming the line as a bad ``what``."""
+    try:
+        ints = list(map(int, ln.split()))
+    except ValueError as exc:
+        raise GraphInputError(f"bad {what} {ln!r}") from exc
+    if count is not None and len(ints) != count:
+        raise GraphInputError(f"bad {what} {ln!r}")
+    return ints
+
+
 def parse_graph(text: str) -> Graph:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise GraphInputError("empty graph file")
-    try:
-        n, m = map(int, lines[0].split())
-    except ValueError as exc:
-        raise GraphInputError(f"bad header line {lines[0]!r}") from exc
+    n, m = _ints(lines[0], "header line", 2)
     if len(lines) - 1 != m:
         raise GraphInputError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError as exc:
-            raise GraphInputError(f"bad edge line {ln!r}") from exc
-        edges.append((u, v))
+    edges = [tuple(_ints(ln, "edge line", 2)) for ln in lines[1:]]
     return Graph.from_edges(n, edges)
 
 
@@ -320,10 +324,7 @@ def format_graph(g: Graph) -> str:
 def parse_layering(text: str) -> Layering:
     layers = []
     for ln in text.splitlines():
-        try:
-            layers.append(frozenset(map(int, ln.split())))
-        except ValueError as exc:
-            raise GraphInputError(f"bad layer line {ln.strip()!r}") from exc
+        layers.append(frozenset(_ints(ln.strip(), "layer line")))
     while layers and not layers[-1]:
         layers.pop()
     return Layering(tuple(layers))

@@ -26,7 +26,7 @@ from .decomposition import (
     genus_layered_decomposition,
 )
 from .embedding import EmbeddedGraph
-from .graphs import Graph, GraphInputError, Layering, Report
+from .graphs import Graph, GraphInputError, Layering, Report, _ints
 
 
 class LayoutError(ValueError):
@@ -36,14 +36,12 @@ class LayoutError(ValueError):
 
 @dataclass(frozen=True)
 class RecursionNode:
-    """One recursive call: the sample it received and the separator
-    vertices it labelled."""
+    """One recursive call and the separator vertices it labelled."""
 
     id: int
     parent: Optional[int]
     rank: int  # index among the parent's ordered children
     tree_depth: int
-    sample: frozenset[int]
     separator: frozenset[int]
 
 
@@ -96,9 +94,6 @@ def compute_recursion(
             raise GraphInputError(
                 f"restricted layering disagrees with the global one at layer {i}"
             )
-    gq = Graph.from_edges(
-        g.n, [(u, v) for u, v in g.edges if u in rest and v in rest]
-    )
     ell2 = max(ld_minus_q.layered_width, 1)
     td = ld_minus_q.decomposition
 
@@ -141,7 +136,7 @@ def compute_recursion(
             raise LayoutError(f"recursion depth {d} exceeds the sample-shrink bound")
         bag = td.bags[_halving_bag(td, sample)]
         mid = bag & sample
-        children = _components_within(gq, sample - bag)
+        children = _components_within(g, sample - bag)
         if mode == "separation":
             children = list(
                 _balanced_sides(children, [len(c) for c in children], len(sample))
@@ -154,7 +149,7 @@ def compute_recursion(
             if mode == "separator" and 2 * len(child) > len(sample):
                 raise LayoutError("separator child exceeds 1/2 of the sample")
         me = len(nodes)
-        nodes.append(RecursionNode(me, parent, rank, d, sample, mid))
+        nodes.append(RecursionNode(me, parent, rank, d, mid))
         assign_labels(mid, d, ell2)
         for v in mid:
             node_of[v] = me
@@ -242,11 +237,29 @@ def track_bound(n: int, ell1: int, ell2: int, mode: str = "separation") -> float
     return 3 * ell1 + 3 * ell2 * (1 + math.log(max(n, 2)) / math.log(base))
 
 
+def _strict_inversions(items: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Sorted id pairs (i, j), i < j, of items (x, y, id) where one has
+    the smaller x and the larger y.  Sorted by (x, y), some pair inverts
+    iff some neighbour's y falls, so only a failing group pays for the
+    pairwise listing (Heath and Rosenberg, SIAM J. Comput. 1992)."""
+    items = sorted(items)
+    if len(items) < 2 or all(a[1] <= b[1] for a, b in zip(items, items[1:])):
+        return []
+    return sorted(
+        (min(i, j), max(i, j))
+        for k, (x1, y1, i) in enumerate(items)
+        for x2, y2, j in items[k + 1 :]
+        if x1 < x2 and y2 < y1
+    )
+
+
 def verify_track_layout(g: Graph, tl: TrackLayout) -> Report:
     """Independent check: partition of V(G), no intra-track edge, no
     X-crossing.
 
-    Every pair of edges sharing a pair of tracks is tested exhaustively.
+    Two edges between one track pair X-cross iff their endpoint
+    positions strictly invert; the tests keep the pairwise check over
+    every edge pair as this check's oracle.
     """
     violations: list[str] = []
     try:
@@ -262,7 +275,8 @@ def verify_track_layout(g: Graph, tl: TrackLayout) -> Report:
     if violations:
         return Report.of(violations)
     pos = tl.position_of
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    oriented: list[tuple[int, int]] = []  # edges from the lower track
+    by_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for u, v in sorted(g.edges):
         tu, tv = track_of[u], track_of[v]
         if tu == tv:
@@ -271,17 +285,15 @@ def verify_track_layout(g: Graph, tl: TrackLayout) -> Report:
         if tu > tv:
             u, v = v, u
             tu, tv = tv, tu
-        by_pair.setdefault((tu, tv), []).append((u, v))
-    for (tu, tv), pairs in by_pair.items():
-        for a in range(len(pairs)):
-            va, wa = pairs[a]
-            for b in range(a + 1, len(pairs)):
-                vb, wb = pairs[b]
-                if (pos[va] - pos[vb]) * (pos[wa] - pos[wb]) < 0:
-                    violations.append(
-                        f"edges ({va},{wa}) and ({vb},{wb}) form an "
-                        f"X-crossing between tracks {tu} and {tv}"
-                    )
+        by_pair.setdefault((tu, tv), []).append((pos[u], pos[v], len(oriented)))
+        oriented.append((u, v))
+    for (tu, tv), items in by_pair.items():
+        for a, b in _strict_inversions(items):
+            (va, wa), (vb, wb) = oriented[a], oriented[b]
+            violations.append(
+                f"edges ({va},{wa}) and ({vb},{wb}) form an "
+                f"X-crossing between tracks {tu} and {tv}"
+            )
     return Report.of(violations)
 
 
@@ -317,7 +329,8 @@ def queue_from_tracks(g: Graph, tl: TrackLayout) -> QueueLayout:
 
 def verify_queue_layout(g: Graph, ql: QueueLayout) -> Report:
     """Independent check: order covers V(G), every edge is assigned, and
-    no two same-queue edges nest."""
+    no two same-queue edges nest, i.e. strictly invert their positions;
+    the tests keep the pairwise check as its oracle."""
     violations: list[str] = []
     if sorted(ql.order) != list(g.vertices()):
         violations.append("order is not a permutation of the vertex set")
@@ -331,14 +344,10 @@ def verify_queue_layout(g: Graph, ql: QueueLayout) -> Report:
         l, r = sorted((pos[e[0]], pos[e[1]]))
         by_queue.setdefault(ql.queue_of[e], []).append((l, r))
     for qi, spans in by_queue.items():
-        for a in range(len(spans)):
-            la, ra = spans[a]
-            for b in range(a + 1, len(spans)):
-                lb, rb = spans[b]
-                if (la < lb and rb < ra) or (lb < la and ra < rb):
-                    violations.append(
-                        f"queue {qi} holds nested edges {spans[a]} and {spans[b]}"
-                    )
+        for a, b in _strict_inversions((l, r, k) for k, (l, r) in enumerate(spans)):
+            violations.append(
+                f"queue {qi} holds nested edges {spans[a]} and {spans[b]}"
+            )
     return Report.of(violations)
 
 
@@ -388,12 +397,12 @@ def parse_queue_layout(text: str) -> QueueLayout:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("order:"):
         raise GraphInputError("queue layout must start with an order line")
-    order = tuple(map(int, lines[0].split(":", 1)[1].split()))
+    try:
+        order = tuple(map(int, lines[0].split(":", 1)[1].split()))
+    except ValueError as exc:
+        raise GraphInputError(f"bad order line {lines[0]!r}") from exc
     queue_of: dict[tuple[int, int], int] = {}
     for ln in lines[1:]:
-        try:
-            u, v, qi = map(int, ln.split())
-        except ValueError as exc:
-            raise GraphInputError(f"bad queue line {ln!r}") from exc
+        u, v, qi = _ints(ln, "queue line", 3)
         queue_of[(min(u, v), max(u, v))] = qi
     return QueueLayout(order, queue_of)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, GraphInputError, Layering, Report
+from .graphs import Graph, GraphInputError, Layering, Report, _ints
 from .layouts import ComputeLabels
 
 
@@ -422,10 +422,7 @@ def parse_colouring(text: str) -> Colouring:
         raise GraphInputError("colouring must start with a palette header")
     colour: dict[int, int] = {}
     for ln in lines[1:]:
-        try:
-            v, cid = map(int, ln.split())
-        except ValueError as exc:
-            raise GraphInputError(f"bad colour line {ln!r}") from exc
+        v, cid = _ints(ln, "colour line", 2)
         if v in colour:
             raise GraphInputError(f"vertex {v} coloured twice")
         colour[v] = cid

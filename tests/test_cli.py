@@ -236,6 +236,7 @@ def test_separate_manifest(tmp_path, capsys):
     assert run(["separate", graph, "--manifest", man]) == 0
     data = json.loads(man.read_text())
     assert data["verdicts"].get("separation") == "pass"
+    assert 1 <= data["bounds"]["separator_layer_width"] <= data["bounds"]["layered_width"]
 
 
 REPORT_TABLE = """\

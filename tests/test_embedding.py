@@ -256,6 +256,16 @@ def test_parse_rotation_rejects_garbage():
         parse_rotation_system("nonsense\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("x 3\n", "x 3"),
+    ("2 1\n0 0\n0\n0\n", "0 0"),
+    ("2 1\n0 0 1\n0\nx\n", "x"),
+])
+def test_parse_rotation_names_the_bad_line(text, line):
+    with pytest.raises(GraphInputError, match=repr(line)):
+        parse_rotation_system(text)
+
+
 def test_random_triangulation_is_triangulation():
     for seed in (0, 1, 2):
         eg = random_planar_triangulation(25, seed=seed)

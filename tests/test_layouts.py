@@ -14,7 +14,7 @@ from layersep.generators import (
     random_tree,
     toroidal_grid,
 )
-from layersep.graphs import Graph, bfs_layering
+from layersep.graphs import Graph, GraphInputError, Report, bfs_layering
 from layersep.layouts import (
     ComputeLabels,
     LayoutError,
@@ -169,10 +169,130 @@ def test_queue_layout_format_roundtrip():
 
 
 def test_parse_track_layout_rejects_garbage():
-    from layersep.graphs import GraphInputError
-
     with pytest.raises(GraphInputError):
         parse_track_layout("junk\n")
+
+
+def test_parse_queue_layout_names_a_bad_order_line():
+    with pytest.raises(GraphInputError, match="'order: 0 x'"):
+        parse_queue_layout("order: 0 x\n")
+
+
+def _pairwise_verify_track_layout(g: Graph, tl: TrackLayout) -> Report:
+    """Oracle for ``verify_track_layout``: every pair of edges sharing a
+    pair of tracks is tested."""
+    violations: list[str] = []
+    try:
+        track_of = tl.track_of
+    except GraphInputError as exc:
+        return Report.of([str(exc)])
+    for v in g.vertices():
+        if v not in track_of:
+            violations.append(f"vertex {v} on no track")
+    for v, t in track_of.items():
+        if not 0 <= v < g.n:
+            violations.append(f"vertex {v} on track {t} is not in G")
+    if violations:
+        return Report.of(violations)
+    pos = tl.position_of
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in sorted(g.edges):
+        tu, tv = track_of[u], track_of[v]
+        if tu == tv:
+            violations.append(f"edge ({u},{v}) lies within track {tu}")
+            continue
+        if tu > tv:
+            u, v = v, u
+            tu, tv = tv, tu
+        by_pair.setdefault((tu, tv), []).append((u, v))
+    for (tu, tv), pairs in by_pair.items():
+        for a in range(len(pairs)):
+            va, wa = pairs[a]
+            for b in range(a + 1, len(pairs)):
+                vb, wb = pairs[b]
+                if (pos[va] - pos[vb]) * (pos[wa] - pos[wb]) < 0:
+                    violations.append(
+                        f"edges ({va},{wa}) and ({vb},{wb}) form an "
+                        f"X-crossing between tracks {tu} and {tv}"
+                    )
+    return Report.of(violations)
+
+
+def _pairwise_verify_queue_layout(g: Graph, ql: QueueLayout) -> Report:
+    """Oracle for ``verify_queue_layout``: every pair of same-queue edges
+    is tested for nesting."""
+    violations: list[str] = []
+    if sorted(ql.order) != list(g.vertices()):
+        violations.append("order is not a permutation of the vertex set")
+        return Report.of(violations)
+    pos = ql.position_of
+    by_queue: dict[int, list[tuple[int, int]]] = {}
+    for e in sorted(g.edges):
+        if e not in ql.queue_of:
+            violations.append(f"edge {e} assigned to no queue")
+            continue
+        l, r = sorted((pos[e[0]], pos[e[1]]))
+        by_queue.setdefault(ql.queue_of[e], []).append((l, r))
+    for qi, spans in by_queue.items():
+        for a in range(len(spans)):
+            la, ra = spans[a]
+            for b in range(a + 1, len(spans)):
+                lb, rb = spans[b]
+                if (la < lb and rb < ra) or (lb < la and ra < rb):
+                    violations.append(
+                        f"queue {qi} holds nested edges {spans[a]} and {spans[b]}"
+                    )
+    return Report.of(violations)
+
+
+def test_verifiers_match_pairwise_oracles_on_reversed_tracks():
+    # every other track reversed: many crossings and nestings per group
+    g, _, _, tl = planar_pipeline(150)
+    rev = TrackLayout(tuple(t[::-1] if i % 2 else t for i, t in enumerate(tl.tracks)))
+    rep = verify_track_layout(g, rev)
+    assert not rep.ok and rep == _pairwise_verify_track_layout(g, rev)
+    ql = QueueLayout(tuple(v for t in rev.tracks for v in t), queue_from_tracks(g, tl).queue_of)
+    rep = verify_queue_layout(g, ql)
+    assert not rep.ok and rep == _pairwise_verify_queue_layout(g, ql)
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedded_graphs, st.data())
+def test_verify_track_layout_matches_pairwise_oracle(eg, data):
+    # swap the places of vertex pairs in a pipeline layout: a swap within
+    # a track reorders it, one across tracks may also put an edge inside
+    # a track
+    g, res, labels, _ = pipeline(eg)
+    tracks = [list(t) for t in track_layout_from_compute(g, res.ld.layering, labels).tracks]
+    slot = {v: (i, j) for i, t in enumerate(tracks) for j, v in enumerate(t)}
+    for _ in range(data.draw(st.integers(1, 4))):
+        u = data.draw(st.integers(0, g.n - 1))
+        same_track = data.draw(st.booleans())
+        v = data.draw(st.sampled_from(tracks[slot[u][0]]) if same_track else st.integers(0, g.n - 1))
+        (iu, ju), (iv, jv) = slot[u], slot[v]
+        tracks[iu][ju], tracks[iv][jv] = v, u
+        slot[u], slot[v] = (iv, jv), (iu, ju)
+    tl = TrackLayout(tuple(map(tuple, tracks)))
+    assert verify_track_layout(g, tl) == _pairwise_verify_track_layout(g, tl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedded_graphs, st.data())
+def test_verify_queue_layout_matches_pairwise_oracle(eg, data):
+    # shuffle a window of a pipeline queue layout's order and move some
+    # edges to other queues
+    g, res, labels, _ = pipeline(eg)
+    ql = queue_from_tracks(g, track_layout_from_compute(g, res.ld.layering, labels))
+    order = list(ql.order)
+    lo = data.draw(st.integers(0, g.n))
+    hi = data.draw(st.integers(lo, min(g.n, lo + 20)))
+    order[lo:hi] = data.draw(st.permutations(order[lo:hi]))
+    edges = sorted(ql.queue_of)
+    moves = st.tuples(st.sampled_from(edges), st.integers(0, ql.queue_count))
+    queue_of = dict(ql.queue_of)
+    queue_of.update(data.draw(st.lists(moves, max_size=3)))
+    mutant = QueueLayout(tuple(order), queue_of)
+    assert verify_queue_layout(g, mutant) == _pairwise_verify_queue_layout(g, mutant)
 
 
 def _pipeline(eg, mode):
@@ -242,16 +362,24 @@ def test_recursion_split_properties(eg, mode):
     g, res, labels = _pipeline(eg, mode)
     bags = res.ld.decomposition.bags
     cap = Fraction(2, 3) if mode == "separation" else Fraction(1, 2)
-    children: dict[int, list[frozenset[int]]] = {}
+    children: dict[int, list[int]] = {}
     for node in labels.nodes:
         if node.parent is not None:
-            children.setdefault(node.parent, []).append(node.sample)
+            children.setdefault(node.parent, []).append(node.id)
+    # a node's sample is its separator plus its children's samples;
+    # nodes are numbered in preorder, so children come after their parent
+    sample: dict[int, frozenset[int]] = {}
+    for node in reversed(labels.nodes):
+        kids = [sample[c] for c in children.get(node.id, [])]
+        sample[node.id] = node.separator.union(*kids)
+    assert sample.get(0, frozenset()) == frozenset(g.vertices()) - res.apex_paths
+    separators = [node.separator for node in labels.nodes]
+    assert sum(map(len, separators)) == len(frozenset().union(*separators))
     for node in labels.nodes:
-        kids = children.get(node.id, [])
+        kids = [sample[c] for c in children.get(node.id, [])]
         assert any(node.separator <= bag for bag in bags)
-        assert frozenset().union(*kids) == node.sample - node.separator
         for kid in kids:
-            assert len(kid) <= cap * len(node.sample)
+            assert len(kid) <= cap * len(sample[node.id])
         for a, b in itertools.combinations(kids, 2):
             assert not any(w in b for v in a for w in g.adjacency[v])
 
