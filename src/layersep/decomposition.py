@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
 
 from .embedding import EmbeddedGraph, embed_planar, tree_cotree, triangulate
 from .graphs import (
@@ -37,9 +37,16 @@ class DecompositionError(ValueError):
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Bags indexed 0..b-1 joined by a tree on the bag indices."""
+    """Bags indexed 0..b-1 joined by a tree on the bag indices.
 
-    bags: tuple[frozenset[int], ...]
+    ``bags`` is a tuple of frozensets, except for decompositions built by
+    ``genus_layered_decomposition``, whose bags are a lazy ``Sequence``
+    that builds each bag when it is read (``_RootPathBags``).  Both index,
+    iterate and compare equal alike; take ``tuple(bags)`` before tuple
+    arithmetic.
+    """
+
+    bags: Sequence[frozenset[int]]
     tree_edges: frozenset[tuple[int, int]]
 
     @staticmethod
@@ -108,7 +115,9 @@ class TreeDecomposition:
     def top_bag(self) -> dict[int, int]:
         """Each vertex's bag nearest the root.  A vertex's bags form a
         subtree, so this is its bag of least preorder rank."""
-        _, order, _ = self.rooted
+        _, order, tin = self.rooted
+        if isinstance(self.bags, _RootPathBags):
+            return self.bags.top_bag(order, tin)
         top: dict[int, int] = {}
         for x in order:
             for v in self.bags[x]:
@@ -126,8 +135,10 @@ class LayeredDecomposition:
 
     @cached_property
     def layered_width(self) -> int:
-        best = 0
         layer_of = self.layering.layer_of
+        if isinstance(self.decomposition.bags, _RootPathBags):
+            return self.decomposition.bags.layered_width(layer_of)
+        best = 0
         for bag in self.decomposition.bags:
             counts: dict[int, int] = {}
             for v in bag:
@@ -230,6 +241,102 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
 # ---------------------------------------------------------------------------
 
 
+class _RootPathBags(Sequence):
+    """The bags of ``genus_layered_decomposition``, stored as root paths.
+
+    Bag f is Q | P(x) | P(y) | P(z) for the corners x, y, z of face f,
+    where P(v) is the path from v to the root in the primal BFS tree.
+    Only the parent and depth lists, three corners per face and Q are
+    kept, O(n + F + |Q|) words, and a bag is built each time it is read.
+    Q and every root path are closed upwards, so the walk up from a
+    corner stops at the first vertex already in Q or already collected.
+    The sequence compares equal to the tuple of its bags.
+    """
+
+    __slots__ = ("_parent", "_depth", "_corners", "_q")
+
+    def __init__(
+        self, parent: list[int], depth: list[int], corners: list[int], q: frozenset[int]
+    ) -> None:
+        self._parent = parent  # the root is its own parent
+        self._depth = depth
+        self._corners = corners  # face f's corners at 3f, 3f+1, 3f+2
+        self._q = q
+
+    def __len__(self) -> int:
+        return len(self._corners) // 3
+
+    def __getitem__(self, i: int) -> frozenset[int]:
+        return self._bag(3 * range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._bag, range(0, len(self._corners), 3))
+
+    def _bag(self, k: int) -> frozenset[int]:
+        """The bag of the face whose corners start at ``_corners[k]``."""
+        parent = self._parent
+        bag = set(self._q)
+        add = bag.add
+        for v in self._corners[k : k + 3]:
+            while v not in bag:
+                add(v)
+                v = parent[v]
+        return frozenset(bag)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _RootPathBags)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def layered_width(self, layer_of: dict[int, int]) -> int:
+        """Most vertices of one bag in one layer: |Q & layer| counted
+        once, plus each bag's vertices outside Q per layer."""
+        parent, q, corners = self._parent, self._q, self._corners
+        in_q: dict[int, int] = {}
+        for v in q:
+            i = layer_of[v]
+            in_q[i] = in_q.get(i, 0) + 1
+        best = max(in_q.values(), default=0)
+        for k in range(0, len(corners), 3):
+            bag = set(q)
+            counts: dict[int, int] = {}
+            for v in corners[k : k + 3]:
+                while v not in bag:
+                    bag.add(v)
+                    i = layer_of[v]
+                    counts[i] = counts.get(i, 0) + 1
+                    v = parent[v]
+            for i, c in counts.items():
+                best = max(best, in_q.get(i, 0) + c)
+        return best
+
+    def top_bag(self, order: list[int], tin: list[int]) -> dict[int, int]:
+        """``TreeDecomposition.top_bag`` in O(n log n + F).  A vertex v
+        outside Q lies in the bags of the faces with a corner in its
+        subtree, so its top bag has the least preorder rank among them;
+        the ranks are pushed up the parent list, deepest vertices first.
+        Q lies in every bag, so its top bag is the root bag."""
+        parent, corners = self._parent, self._corners
+        none = len(self)
+        least = [none] * len(parent)
+        for r in range(none - 1, -1, -1):
+            f = 3 * order[r]
+            for v in corners[f : f + 3]:
+                least[v] = r
+        # a vertex's children are one level deeper, or are the other roots
+        # of a root clique, which only the least root (its own parent) adopts
+        for v in sorted(range(len(parent)), key=self._depth.__getitem__, reverse=True):
+            p = parent[v]
+            if least[v] < least[p]:
+                least[p] = least[v]
+        top = {v: order[r] for v, r in enumerate(least) if r < none}
+        top.update(dict.fromkeys(self._q, order[0]))
+        return top
+
+
 @dataclass(frozen=True)
 class GenusDecompositionResult:
     """Layered decomposition of an embedded graph rooted at a clique,
@@ -267,6 +374,11 @@ def genus_layered_decomposition(
     the least root, so a bag has at most 2g+3 vertices per layer >= 1 and
     at most |K| in layer 0; Q - K has at most 2g vertices per layer, and
     without it a bag has at most 3 per layer when |K| <= 3.
+
+    The bags are a lazy ``_RootPathBags`` sequence holding the BFS parent
+    and depth lists, the face corners and Q once, in O(n + F + |Q|) words
+    for F faces, rather than F frozensets that each copy Q.  Its layered
+    width and ``top_bag`` are derived without building a bag.
     """
     clique = tuple(sorted(set(root_clique)))
     if not clique:
@@ -286,27 +398,28 @@ def genus_layered_decomposition(
     tri = triangulate(eg)
     tc = tree_cotree(tri, clique)
     tree = tc.primal_tree
-    layer_sets: list[set[int]] = [set() for _ in range(max(tree.depth.values()) + 1)]
-    for v, d in tree.depth.items():
+    depth = [tree.depth[v] for v in range(tri.n)]
+    parent = [v if tree.parent[v] is None else tree.parent[v] for v in range(tri.n)]
+    layer_sets: list[set[int]] = [set() for _ in range(max(depth) + 1)]
+    for v, d in enumerate(depth):
         layer_sets[d].add(v)
 
-    paths = {v: tree.path_to_root(v) for v in range(tri.n)}
     q: set[int] = set()
     for e in tc.extra_edges:
-        a, b = tri.edge_list[e]
-        q |= paths[a] | paths[b]
+        for v in tri.edge_list[e]:
+            while v not in q:
+                q.add(v)
+                v = parent[v]
 
-    bags = []
-    for walk in tri.faces:
-        x, y, z = (tri.dart_tail(d) for d in walk)
-        bags.append(frozenset(q | paths[x] | paths[y] | paths[z]))
+    corners = [tri.dart_tail(d) for walk in tri.faces for d in walk]
+    bags = _RootPathBags(parent, depth, corners, frozenset(q))
     tree_edges = frozenset(
         (min(f1, f2), max(f1, f2))
         for e, f1, f2 in tc.dual_edges
         if e in tc.dual_tree_edges
     )
     layering = Layering(tuple(frozenset(layer) for layer in layer_sets))
-    ld = LayeredDecomposition(TreeDecomposition(tuple(bags), tree_edges), layering)
+    ld = LayeredDecomposition(TreeDecomposition(bags, tree_edges), layering)
     if ld.layered_width > 2 * g + 3:
         raise DecompositionError(
             f"layered width {ld.layered_width} exceeds 2g+3 = {2 * g + 3}"
@@ -458,7 +571,7 @@ def clique_sum_compose(
         if w not in c2:
             layers[i0 + layer_of2[w]].add(vmap2[w])
 
-    bags1 = ld1.decomposition.bags
+    bags1 = tuple(ld1.decomposition.bags)
     bags2 = tuple(
         frozenset(vmap2[w] for w in bag) for bag in ld2.decomposition.bags
     )
@@ -859,17 +972,27 @@ def parse_decomposition(text: str) -> TreeDecomposition:
     return _decomposition_from_lines(text.splitlines())
 
 
+class _TokenInts(dict):
+    """``int(tok)`` per distinct token string, parsed on its first
+    lookup, so equal tokens share one ``int`` object."""
+
+    def __missing__(self, tok: str) -> int:
+        v = self[tok] = int(tok)
+        return v
+
+
 def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
     lines = [ln for ln in (s.strip() for s in raw) if ln]
     b = _bag_count(lines[0] if lines else "")
     if len(lines) < 1 + b + 1:
         raise GraphInputError("truncated decomposition")
     bags: list[frozenset[int]] = []
+    ints = _TokenInts()
     for ln in lines[1 : 1 + b]:
         head, _, rest = ln.partition(":")
         try:
             bag_id = int(head)
-            bag = frozenset(int(v) for v in rest.split())
+            bag = frozenset(map(ints.__getitem__, rest.split()))
         except ValueError as exc:
             raise GraphInputError(f"bad bag line {ln!r}") from exc
         if bag_id != len(bags):

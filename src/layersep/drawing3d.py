@@ -81,7 +81,9 @@ def draw_from_tracks(g: Graph, tl: TrackLayout, seed: int = 0x5EED) -> GridDrawi
     coplanar for unlucky tie-breaks, so construction is verify-driven:
     the tie-break and the track-to-column assignment are reshuffled
     (seeded, deterministic) until the exact verifier passes, at most
-    ``_MAX_TRIALS`` times.  The box is p x p x n, so volume <= 4 t^2 n.
+    ``_MAX_TRIALS`` times.  A trial is rejected at its first violation
+    and accepted only when every check ran to the end without one.  The
+    box is p x p x n, so volume <= 4 t^2 n.
     """
     rep = verify_track_layout(g, tl)
     if not rep.ok:
@@ -105,7 +107,7 @@ def draw_from_tracks(g: Graph, tl: TrackLayout, seed: int = 0x5EED) -> GridDrawi
         position: dict[int, Point] = {}
         for z, (_, _, v, x) in enumerate(items):
             position[v] = (x, (x * x) % p, z)
-        if next(_drawing_violations(g, position), None) is None:
+        if next(_drawing_violations(g, position, in_order=False), None) is None:
             return GridDrawing3D(position)
     raise DrawingError(
         f"no crossing-free placement found in {_MAX_TRIALS} seeded trials"
@@ -185,11 +187,14 @@ def verify_drawing(g: Graph, d: GridDrawing3D) -> Report:
     return Report.of(_drawing_violations(g, d.position))
 
 
-def _drawing_violations(g: Graph, pos: dict[int, Point]) -> Iterator[str]:
+def _drawing_violations(
+    g: Graph, pos: dict[int, Point], in_order: bool = True
+) -> Iterator[str]:
     """The violations ``verify_drawing`` reports, in order: an unplaced
     vertex, vertices outside G, shared points, then per sorted edge its
     intersections with later edges followed by the vertices strictly
-    inside it."""
+    inside it.  With ``in_order`` false the segment violations come as
+    they are found, so the first one costs no more than finding it."""
     for v in g.vertices():
         if v not in pos:
             yield f"vertex {v} unplaced"
@@ -206,7 +211,8 @@ def _drawing_violations(g: Graph, pos: dict[int, Point]) -> Iterator[str]:
             yield f"vertices {seen[pos[v]]} and {v} share {pos[v]}"
         seen[pos[v]] = v
     edges = sorted(g.edges)
-    for i, through, j in sorted(_segment_hits(g.n, pos, edges)):
+    hits = _segment_hits(g.n, pos, edges)
+    for i, through, j in sorted(hits) if in_order else hits:
         u, v = edges[i]
         if through:
             yield f"edge ({u},{v}) passes through vertex {j}"
@@ -228,9 +234,10 @@ def _ones(x: int) -> Iterator[int]:
 
 def _segment_hits(
     n: int, pos: dict[int, Point], edges: list[tuple[int, int]]
-) -> list[tuple[int, int, int]]:
+) -> Iterator[tuple[int, int, int]]:
     """``(i, 0, j)`` for each pair i < j of edges whose open segments meet
-    and ``(i, 1, w)`` for each vertex w strictly inside edge i.
+    and ``(i, 1, w)`` for each vertex w strictly inside edge i, unsorted
+    and generated as they are found.
 
     A non-vertical open segment projects one-to-one onto its open chord
     in the xy plane, so two segments can meet only where their open
@@ -284,26 +291,24 @@ def _segment_hits(
             segs.append([])
         segs[c].append((pos[u][2], pos[v][2], i))
 
-    hits: list[tuple[int, int, int]] = []
-
-    def exact(ids1, ids2) -> None:
+    def exact(ids1, ids2) -> Iterator[tuple[int, int, int]]:
         for i in ids1:
             a, b = pos[edges[i][0]], pos[edges[i][1]]
             for j in ids2:
                 if segments_intersect_int(a, b, pos[edges[j][0]], pos[edges[j][1]]):
-                    hits.append((min(i, j), 0, max(i, j)))
+                    yield (min(i, j), 0, max(i, j))
 
-    def inside(ids, ws) -> None:
+    def inside(ids, ws) -> Iterator[tuple[int, int, int]]:
         for i in ids:
             u, v = edges[i]
             for w in ws:
                 if w != u and w != v and segment_through_point(pos[u], pos[v], pos[w]):
-                    hits.append((i, 1, w))
+                    yield (i, 1, w)
 
     for r, ids in vertical.items():
         for k, i in enumerate(ids):
-            exact([i], ids[k + 1 :])
-        inside(ids, at[r])
+            yield from exact([i], ids[k + 1 :])
+        yield from inside(ids, at[r])
 
     # orient(c, r) = a*ry - b*rx + e: twice the signed area of (p, q, r)
     coef = []
@@ -322,7 +327,7 @@ def _segment_hits(
     # the line of every chord in split[c] strictly separates the ends of c
     split = [(left[p] & right[q]) | (right[p] & left[q]) for p, q in ends]
     for c1, (p1, q1) in enumerate(ends):
-        _chord_inversions(segs[c1], hits)
+        yield from _chord_inversions(segs[c1])
         a1, b1, e1 = coef[c1]
         (x1, y1), (x2, y2) = points[p1], points[q1]
         for k in _ones(split[c1] >> (c1 + 1)):
@@ -341,13 +346,15 @@ def _segment_hits(
             for za, zb, j in segs[c2]:
                 key = (o1 * zb - o2 * za) * d1
                 if key in keys:
-                    hits.extend(
+                    yield from (
                         (min(i, j), 0, max(i, j))
                         for za1, zb1, i in segs[c1]
                         if (o3 * zb1 - o4 * za1) * d2 == key
                     )
         for k in _ones((on[p1] & on[q1]) >> (c1 + 1)):  # collinear chords
-            exact([i for *_, i in segs[c1]], [j for *_, j in segs[c1 + 1 + k]])
+            yield from exact(
+                [i for *_, i in segs[c1]], [j for *_, j in segs[c1 + 1 + k]]
+            )
 
     for r, (rx, ry) in enumerate(points):
         for c in _ones(on[r]):
@@ -359,20 +366,21 @@ def _segment_hits(
             ):
                 continue
             ids = [i for *_, i in segs[c]]
-            inside(ids, at[r])
-            exact(ids, vertical.get(r, ()))
-    return hits
+            yield from inside(ids, at[r])
+            yield from exact(ids, vertical.get(r, ()))
 
 
-def _chord_inversions(segs: list[tuple[int, int, int]], hits: list) -> None:
+def _chord_inversions(
+    segs: list[tuple[int, int, int]]
+) -> Iterator[tuple[int, int, int]]:
     """Pairs of segments on one non-vertical chord that meet: segments
     between the same two vertical lines meet inside iff their heights
     strictly swap order, or everywhere iff they are identical."""
     segs.sort()
     for _, same in groupby(segs, key=itemgetter(0, 1)):
         ids = [i for *_, i in same]  # ascending
-        hits.extend((i, 0, j) for k, i in enumerate(ids) for j in ids[k + 1 :])
-    hits.extend((i, 0, j) for i, j in _strict_inversions(segs))
+        yield from ((i, 0, j) for k, i in enumerate(ids) for j in ids[k + 1 :])
+    yield from ((i, 0, j) for i, j in _strict_inversions(segs))
 
 
 # ---------------------------------------------------------------------------

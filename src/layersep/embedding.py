@@ -694,26 +694,38 @@ def embed_planar(g: Graph) -> EmbeddedGraph:
 
 
 def parse_rotation_system(text: str) -> EmbeddedGraph:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
+    """Read the header ``n m [g]``, m edge lines ``e u v`` and n rotation
+    lines listing the edge ids at each vertex in rotation order.  An
+    isolated vertex has an empty rotation line, so blank lines count
+    once the rotation lines start; elsewhere, and after the n-th rotation
+    line, they are skipped.  Any text that is not a valid rotation system
+    raises ``GraphInputError``."""
+    lines = [s.strip() for s in text.splitlines()]
+    filled = [i for i, ln in enumerate(lines) if ln]
+    if not filled:
         raise GraphInputError("empty rotation-system file")
-    head = _ints(lines[0], "header")
-    if len(head) not in (2, 3):
-        raise GraphInputError(f"bad header {lines[0]!r}")
+    head = _ints(lines[filled[0]], "header")
+    if len(head) not in (2, 3) or min(head[:2]) < 0:
+        raise GraphInputError(f"bad header {lines[filled[0]]!r}")
     n, m = head[:2]
     declared_g = head[2] if len(head) == 3 else None
-    if len(lines) != 1 + m + n:
+    if len(filled) < 1 + m:
+        raise GraphInputError(f"expected {m} edge lines, got {len(filled) - 1}")
+    rotation_lines = lines[filled[m] + 1 :]
+    while len(rotation_lines) > n and not rotation_lines[-1]:
+        rotation_lines.pop()
+    if len(rotation_lines) != n:
         raise GraphInputError(
-            f"expected {1 + m + n} lines, got {len(lines)}"
+            f"expected {n} rotation lines, got {len(rotation_lines)}"
         )
     edge_list: list[tuple[int, int]] = [(-1, -1)] * m
-    for ln in lines[1:1 + m]:
+    for ln in (lines[i] for i in filled[1 : 1 + m]):
         e, u, v = _ints(ln, "edge line", 3)
         if not 0 <= e < m or edge_list[e] != (-1, -1):
             raise GraphInputError(f"bad or duplicate edge id in {ln!r}")
         edge_list[e] = (u, v)
     rotation: list[tuple[int, ...]] = []
-    for v, ln in enumerate(lines[1 + m:]):
+    for v, ln in enumerate(rotation_lines):
         darts = []
         for e in _ints(ln, "rotation line"):
             if not 0 <= e < m:
@@ -726,10 +738,14 @@ def parse_rotation_system(text: str) -> EmbeddedGraph:
             else:
                 raise GraphInputError(f"edge {e} not incident to vertex {v}")
         rotation.append(tuple(darts))
-    eg = EmbeddedGraph(n, tuple(edge_list), tuple(rotation))
-    if declared_g is not None and eg.euler_genus != declared_g:
+    try:
+        eg = EmbeddedGraph(n, tuple(edge_list), tuple(rotation))
+        genus = None if declared_g is None else eg.euler_genus
+    except EmbeddingError as exc:
+        raise GraphInputError(f"not a rotation system: {exc}") from exc
+    if genus != declared_g:
         raise GraphInputError(
-            f"declared genus {declared_g} != embedding genus {eg.euler_genus}"
+            f"declared genus {declared_g} != embedding genus {genus}"
         )
     return eg
 

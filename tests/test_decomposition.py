@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from layersep.decomposition import (
     treedec_from_separations,
     validate_tree_decomposition,
 )
-from layersep.embedding import embed_planar
+from layersep.embedding import embed_planar, tree_cotree, triangulate
 from layersep.generators import (
     complete_graph,
     cycle_graph,
@@ -248,6 +250,70 @@ def test_genus_decomposition_clique_roots(eg, data):
     assert all(c <= 2 * res.genus for c in res.q_per_layer().values())
 
 
+def _explicit_genus_bags(eg, root):
+    """Oracle: the bags of ``genus_layered_decomposition`` built as it
+    once stored them, one frozenset Q | P(x) | P(y) | P(z) per face from
+    a frozenset root path per vertex."""
+    tri = triangulate(eg)
+    tc = tree_cotree(tri, sorted(set(root)))
+    paths = {v: tc.primal_tree.path_to_root(v) for v in range(tri.n)}
+    q: set[int] = set()
+    for e in tc.extra_edges:
+        a, b = tri.edge_list[e]
+        q |= paths[a] | paths[b]
+    bags = []
+    for walk in tri.faces:
+        x, y, z = (tri.dart_tail(d) for d in walk)
+        bags.append(frozenset(q | paths[x] | paths[y] | paths[z]))
+    return tuple(bags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_graphs, st.data())
+def test_root_path_bags_match_explicit_oracle(eg, data):
+    g = eg.to_graph()
+    u, v = data.draw(st.sampled_from(sorted(g.edges)))
+    common = sorted(set(g.adjacency[u]) & set(g.adjacency[v]))
+    root = data.draw(st.sampled_from([[u], [u, v]] + [[u, v, w] for w in common[:1]]))
+    res = genus_layered_decomposition(eg, root)
+    td = res.ld.decomposition
+    bags = _explicit_genus_bags(eg, root)
+    explicit = LayeredDecomposition(
+        TreeDecomposition(bags, td.tree_edges), res.ld.layering
+    )
+    assert tuple(td.bags) == bags and td.bags == bags and bags == td.bags
+    assert len(td.bags) == len(bags) and td.bags[-1] == bags[-1]
+    with pytest.raises(IndexError):
+        td.bags[len(bags)]
+    assert td == explicit.decomposition
+    assert td.top_bag == explicit.decomposition.top_bag
+    assert res.ld.layered_width == explicit.layered_width
+    assert td.width == explicit.decomposition.width
+    sample = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    sep = layered_separation(g, res.ld, sample)
+    assert sep == layered_separation(g, explicit, sample)
+
+
+def _retained_bytes(build):
+    """(result, bytes still allocated once ``build()`` returned)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = build()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_root_path_bags_retain_a_tenth_of_explicit_bags():
+    eg = toroidal_grid(30, 30)
+    res, lazy = _retained_bytes(lambda: genus_layered_decomposition(eg, (0,)))
+    bags, explicit = _retained_bytes(lambda: _explicit_genus_bags(eg, (0,)))
+    assert res.ld.decomposition.bags == bags
+    assert lazy < explicit / 10, (lazy, explicit)
+
+
 def test_separator_balance_and_layer_widths():
     g, res, _, _ = planar_pipeline(60)
     sample = frozenset(range(g.n))
@@ -387,6 +453,26 @@ def test_parse_decomposition_rejects_garbage():
             parse_decomposition(text)
         with pytest.raises(GraphInputError):
             parse_layered_decomposition(text)
+
+
+def test_parse_decomposition_parses_each_token_once():
+    td = parse_decomposition(
+        "bags 3\n0: 300 301\n1: 301 302\n2: 302 300\ntree\n0 1\n1 2\n"
+    )
+    assert td.bags == tuple(map(frozenset, ({300, 301}, {301, 302}, {300, 302})))
+    # equal tokens share one int object
+    assert len({id(v) for bag in td.bags for v in bag}) == 3
+    # a bad token raises on its line, also after good tokens were cached
+    # and when it recurs on a later line
+    for text, line in (
+        ("bags 2\n0: 300 301\n1: 301 3x\ntree\n0 1\n", "1: 301 3x"),
+        ("bags 2\n0: 300 3x\n1: 3x 301\ntree\n0 1\n", "0: 300 3x"),
+        ("bags 2\n0: 300 301\n1: 300 -\ntree\n0 1\n", "1: 300 -"),
+    ):
+        with pytest.raises(GraphInputError, match=repr(line)):
+            parse_decomposition(text)
+        with pytest.raises(GraphInputError, match=repr(line)):
+            parse_layered_decomposition(text + "0 1\n")
 
 
 def test_layered_decomposition_roundtrip_keeps_empty_layers():

@@ -282,11 +282,14 @@ def test_verify_drawing_matches_scan_on_every_draw_trial(planar, seed):
     verdicts = []
     real = drawing3d._drawing_violations
 
-    def checked(g, pos):
+    def checked(g, pos, in_order=True):
+        # every trial's placement gets the full report, compared with the
+        # scan; the trial's own check may stop at its first violation
         got = list(real(g, pos))
         assert got == list(_scan_drawing_violations(g, pos))
+        assert (next(real(g, pos, in_order), None) is None) == (not got)
         verdicts.append(bool(got))
-        return iter(got)
+        return real(g, pos, in_order)
 
     with mock.patch.object(drawing3d, "_drawing_violations", checked):
         draw_from_tracks(g, tl, seed=seed)

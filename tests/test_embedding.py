@@ -266,6 +266,24 @@ def test_parse_rotation_names_the_bad_line(text, line):
         parse_rotation_system(text)
 
 
+def test_rotation_roundtrip_one_vertex():
+    eg = EmbeddedGraph(1, (), ((),))
+    text = format_rotation_system(eg)
+    assert text == "1 0 0\n\n"
+    assert parse_rotation_system(text) == eg
+
+
+def test_parse_rotation_rejects_repeated_dart():
+    # edge 0 listed twice at vertex 0
+    with pytest.raises(GraphInputError):
+        parse_rotation_system("2 1\n0 0 1\n0 0\n0\n")
+
+
+def test_parse_rotation_rejects_loop():
+    with pytest.raises(GraphInputError):
+        parse_rotation_system("1 1\n0 0 0\n0 0\n")
+
+
 def test_random_triangulation_is_triangulation():
     for seed in (0, 1, 2):
         eg = random_planar_triangulation(25, seed=seed)
