@@ -35,6 +35,7 @@ from .embedding import (
 from .decomposition import (
     BoundReport,
     DecompositionError,
+    DecompositionSelfCheckError,
     GenusDecompositionResult,
     LayeredDecomposition,
     TreeDecomposition,

@@ -6,9 +6,11 @@ matching verifier passed.  Exit codes: 0 verified success, 1
 verification failure (counterexample printed), 2 invalid input
 (including a non-planar, disconnected or empty graph given to the
 planar embedder), 3 a construction failure: ``DrawingError`` (no
-crossing-free placement within the drawing's retry budget) or
+crossing-free placement within the drawing's retry budget),
 ``EmbedderSelfCheckError`` (the planar embedder's rotation system
-failed its genus-0 self-check).
+failed its genus-0 self-check, or triangulating an embedding changed
+its genus) or ``DecompositionSelfCheckError`` (the genus decomposition
+exceeded its layered width bound 2g+3).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from .decomposition import (
+    DecompositionSelfCheckError,
     format_layered_decomposition,
     genus_layered_decomposition,
     layered_separation,
@@ -443,7 +446,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DrawingError, EmbedderSelfCheckError) as exc:
+    except (DrawingError, EmbedderSelfCheckError, DecompositionSelfCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except (GraphInputError, ValueError, OSError) as exc:

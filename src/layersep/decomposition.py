@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +33,11 @@ from .graphs import (
 
 class DecompositionError(ValueError):
     """Raised for invalid decompositions or broken oracle contracts."""
+
+
+class DecompositionSelfCheckError(DecompositionError):
+    """A decomposition the package built broke its proved bound: an
+    internal fault, not invalid input."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,8 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
+        if isinstance(self.bags, _RootPathBags):
+            return self.bags.width()
         return max((len(b) for b in self.bags), default=0) - 1
 
     @cached_property
@@ -135,18 +142,15 @@ class LayeredDecomposition:
 
     @cached_property
     def layered_width(self) -> int:
+        """Most vertices of one bag in one layer.  The core, the vertices
+        common to every bag, is counted per layer once; then each bag is
+        counted outside it."""
+        bags = self.decomposition.bags
         layer_of = self.layering.layer_of
-        if isinstance(self.decomposition.bags, _RootPathBags):
-            return self.decomposition.bags.layered_width(layer_of)
-        best = 0
-        for bag in self.decomposition.bags:
-            counts: dict[int, int] = {}
-            for v in bag:
-                i = layer_of[v]
-                counts[i] = counts.get(i, 0) + 1
-            if counts:
-                best = max(best, max(counts.values()))
-        return best
+        if isinstance(bags, _RootPathBags):
+            return _core_layered_width(bags.q, bags.outsides(), layer_of)
+        core = frozenset(bags[0]).intersection(*bags[1:]) if bags else frozenset()
+        return _core_layered_width(core, (bag - core for bag in bags), layer_of)
 
     def restricted_to(self, keep: Iterable[int]) -> "LayeredDecomposition":
         """Restriction to a vertex subset: bags and layers intersected."""
@@ -157,6 +161,29 @@ class LayeredDecomposition:
         )
         layers = tuple(layer & keep for layer in self.layering.layers)
         return LayeredDecomposition(td, Layering(layers))
+
+
+def _core_layered_width(
+    core: Iterable[int], rests: Iterable[Iterable[int]], layer_of: dict[int, int]
+) -> int:
+    """Layered width of the bags ``core | rest``, each rest disjoint from
+    the core: the most, over rests and layers, of the core's count in a
+    layer plus the rest's."""
+    in_core: dict[int, int] = {}
+    for v in core:
+        i = layer_of[v]
+        in_core[i] = in_core.get(i, 0) + 1
+    best = max(in_core.values(), default=0)
+    for rest in rests:
+        counts: dict[int, int] = {}
+        for v in rest:
+            i = layer_of[v]
+            counts[i] = counts.get(i, 0) + 1
+        for i, c in counts.items():
+            c += in_core.get(i, 0)
+            if c > best:
+                best = c
+    return best
 
 
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
@@ -248,12 +275,13 @@ class _RootPathBags(Sequence):
     where P(v) is the path from v to the root in the primal BFS tree.
     Only the parent and depth lists, three corners per face and Q are
     kept, O(n + F + |Q|) words, and a bag is built each time it is read.
-    Q and every root path are closed upwards, so the walk up from a
-    corner stops at the first vertex already in Q or already collected.
-    The sequence compares equal to the tuple of its bags.
+    Everything derived from the bags (the bags themselves, their width,
+    layered width and text lines) walks each face's vertices outside Q
+    (``_outside``) and takes Q once.  The sequence compares equal to the
+    tuple of its bags.
     """
 
-    __slots__ = ("_parent", "_depth", "_corners", "_q")
+    __slots__ = ("_parent", "_depth", "_corners", "q")
 
     def __init__(
         self, parent: list[int], depth: list[int], corners: list[int], q: frozenset[int]
@@ -261,27 +289,34 @@ class _RootPathBags(Sequence):
         self._parent = parent  # the root is its own parent
         self._depth = depth
         self._corners = corners  # face f's corners at 3f, 3f+1, 3f+2
-        self._q = q
+        self.q = q
 
     def __len__(self) -> int:
         return len(self._corners) // 3
 
     def __getitem__(self, i: int) -> frozenset[int]:
-        return self._bag(3 * range(len(self))[i])
+        return self.q.union(self._outside(3 * range(len(self))[i]))
 
     def __iter__(self):
-        return map(self._bag, range(0, len(self._corners), 3))
+        return map(self.q.union, self.outsides())
 
-    def _bag(self, k: int) -> frozenset[int]:
-        """The bag of the face whose corners start at ``_corners[k]``."""
-        parent = self._parent
-        bag = set(self._q)
-        add = bag.add
+    def _outside(self, k: int) -> set[int]:
+        """The vertices outside Q of the bag of the face whose corners
+        start at ``_corners[k]``.  Q and every root path are closed
+        upwards, so the walk up from a corner stops at the first vertex
+        in Q or already collected."""
+        parent, q = self._parent, self.q
+        out: set[int] = set()
+        add = out.add
         for v in self._corners[k : k + 3]:
-            while v not in bag:
+            while v not in q and v not in out:
                 add(v)
                 v = parent[v]
-        return frozenset(bag)
+        return out
+
+    def outsides(self) -> Iterator[set[int]]:
+        """Each bag's vertices outside Q, in bag order."""
+        return map(self._outside, range(0, len(self._corners), 3))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, _RootPathBags)):
@@ -291,27 +326,30 @@ class _RootPathBags(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
-    def layered_width(self, layer_of: dict[int, int]) -> int:
-        """Most vertices of one bag in one layer: |Q & layer| counted
-        once, plus each bag's vertices outside Q per layer."""
-        parent, q, corners = self._parent, self._q, self._corners
-        in_q: dict[int, int] = {}
-        for v in q:
-            i = layer_of[v]
-            in_q[i] = in_q.get(i, 0) + 1
-        best = max(in_q.values(), default=0)
-        for k in range(0, len(corners), 3):
-            bag = set(q)
-            counts: dict[int, int] = {}
-            for v in corners[k : k + 3]:
-                while v not in bag:
-                    bag.add(v)
-                    i = layer_of[v]
-                    counts[i] = counts.get(i, 0) + 1
-                    v = parent[v]
-            for i, c in counts.items():
-                best = max(best, in_q.get(i, 0) + c)
-        return best
+    def width(self) -> int:
+        """``TreeDecomposition.width``: |Q| plus the longest walk, less one."""
+        return len(self.q) + max(map(len, self.outsides()), default=0) - 1
+
+    def lines(self) -> Iterator[str]:
+        """The bag lines "f: v1 v2 ..." of the text format.  Q is sorted
+        and joined once; each face's vertices outside Q are spliced into
+        that text at their ``bisect`` positions in sorted Q, found once
+        per vertex."""
+        qs = sorted(self.q)
+        token = [f" {v}" for v in range(len(self._parent))]
+        qtext = "".join(map(token.__getitem__, qs))
+        starts = list(itertools.accumulate(map(len, map(token.__getitem__, qs)), initial=0))
+        cut = [starts[bisect_left(qs, v)] for v in range(len(token))]
+        for f, out in enumerate(self.outsides()):
+            parts = [f"{f}:"]
+            at = 0
+            for v in sorted(out):
+                if cut[v] != at:
+                    parts.append(qtext[at : cut[v]])
+                    at = cut[v]
+                parts.append(token[v])
+            parts.append(qtext[at:])
+            yield "".join(parts)
 
     def top_bag(self, order: list[int], tin: list[int]) -> dict[int, int]:
         """``TreeDecomposition.top_bag`` in O(n log n + F).  A vertex v
@@ -333,7 +371,7 @@ class _RootPathBags(Sequence):
             if least[v] < least[p]:
                 least[p] = least[v]
         top = {v: order[r] for v, r in enumerate(least) if r < none}
-        top.update(dict.fromkeys(self._q, order[0]))
+        top.update(dict.fromkeys(self.q, order[0]))
         return top
 
 
@@ -377,8 +415,10 @@ def genus_layered_decomposition(
 
     The bags are a lazy ``_RootPathBags`` sequence holding the BFS parent
     and depth lists, the face corners and Q once, in O(n + F + |Q|) words
-    for F faces, rather than F frozensets that each copy Q.  Its layered
-    width and ``top_bag`` are derived without building a bag.
+    for F faces, rather than F frozensets that each copy Q.  Its width,
+    layered width, ``top_bag`` and text lines are derived without
+    building a bag.  A layered width above 2g+3 is a fault of this
+    construction and raises ``DecompositionSelfCheckError``.
     """
     clique = tuple(sorted(set(root_clique)))
     if not clique:
@@ -421,7 +461,7 @@ def genus_layered_decomposition(
     layering = Layering(tuple(frozenset(layer) for layer in layer_sets))
     ld = LayeredDecomposition(TreeDecomposition(bags, tree_edges), layering)
     if ld.layered_width > 2 * g + 3:
-        raise DecompositionError(
+        raise DecompositionSelfCheckError(
             f"layered width {ld.layered_width} exceeds 2g+3 = {2 * g + 3}"
         )
     return GenusDecompositionResult(ld, frozenset(q) - set(clique), g, clique)
@@ -961,8 +1001,11 @@ def exact_treewidth(g: Graph) -> int:
 
 def format_decomposition(td: TreeDecomposition) -> str:
     lines = [f"bags {len(td.bags)}"]
-    for i, bag in enumerate(td.bags):
-        lines.append(f"{i}: " + " ".join(str(v) for v in sorted(bag)))
+    if isinstance(td.bags, _RootPathBags):
+        lines.extend(td.bags.lines())
+    else:
+        for i, bag in enumerate(td.bags):
+            lines.append(f"{i}: " + " ".join(str(v) for v in sorted(bag)))
     lines.append("tree")
     lines.extend(f"{x} {y}" for x, y in sorted(td.tree_edges))
     return "\n".join(lines) + "\n"

@@ -29,6 +29,13 @@ class EmbeddingError(ValueError):
     """Raised for malformed rotation systems or unmet face preconditions."""
 
 
+class EmbedderSelfCheckError(EmbeddingError):
+    """An embedding the package built failed its own check: the planar
+    embedder returned a rotation system of nonzero genus for a graph it
+    found planar, or ``triangulate`` changed the genus.  An internal
+    fault, not invalid input."""
+
+
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """Loop-free multigraph with a rotation system."""
@@ -90,8 +97,18 @@ class EmbeddedGraph:
 
     @cached_property
     def euler_genus(self) -> int:
-        comps = self.to_graph().components()
-        if len(comps) != 1:
+        """Euler genus 2 - (n - m + F) of a connected embedding.  The
+        connectivity search walks the rotation system, so no ``Graph`` is
+        built for an embedding that is only checked."""
+        reached = {0} if self.n else set()
+        stack = list(reached)
+        while stack:
+            for d in self.rotation[stack.pop()]:
+                w = self.dart_tail(d ^ 1)
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if not self.n or len(reached) != self.n:
             raise EmbeddingError("embedded graph must be connected")
         if self.m == 0:
             return 0
@@ -107,9 +124,14 @@ class EmbeddedGraph:
                 out[d] = i
         return out
 
-    def to_graph(self) -> Graph:
-        """Underlying simple graph (parallel edges collapsed)."""
+    @cached_property
+    def _graph(self) -> Graph:
         return Graph.from_edges(self.n, self.edge_list)
+
+    def to_graph(self) -> Graph:
+        """Underlying simple graph (parallel edges collapsed), built once
+        per embedding."""
+        return self._graph
 
 
 def _rotation_from_faces(
@@ -183,11 +205,16 @@ def triangulate(eg: EmbeddedGraph) -> EmbeddedGraph:
     Original edges are preserved up to removal of redundant parallel
     copies, the genus does not increase and parallel edges may be
     introduced.  Faces of length >= 4 are fanned from the corner with
-    minimum vertex id whose fan chords produce no loops.
+    minimum vertex id whose fan chords produce no loops.  An embedding
+    whose faces are all triangles once bigons are dropped is returned as
+    it is.  A fan that changes the genus raises
+    ``EmbedderSelfCheckError``.
     """
     if eg.n < 3:
         raise EmbeddingError("triangulation needs at least 3 vertices")
     eg = _drop_bigons(eg)
+    if all(len(walk) == 3 for walk in eg.faces):
+        return eg
     edge_list = list(eg.edge_list)
     new_walks: list[list[int]] = []
     for walk in eg.faces:
@@ -221,7 +248,7 @@ def triangulate(eg: EmbeddedGraph) -> EmbeddedGraph:
         new_walks.append([chord_fwd[k - 2], rot_walk[k - 2], rot_walk[k - 1]])
     out = _rotation_from_faces(eg.n, edge_list, new_walks)
     if out.euler_genus != eg.euler_genus:
-        raise EmbeddingError("triangulation changed the genus")
+        raise EmbedderSelfCheckError("triangulation changed the genus")
     return out
 
 
@@ -342,11 +369,6 @@ def tree_cotree(eg: EmbeddedGraph, roots: Iterable[int]) -> TreeCotree:
             f"|X|={tc.x_size} does not equal genus {eg.euler_genus}"
         )
     return tc
-
-
-class EmbedderSelfCheckError(EmbeddingError):
-    """The planar embedder returned a rotation system of nonzero genus for
-    a graph it found planar: an internal fault, not invalid input."""
 
 
 def _lr_rotation(g: Graph) -> Optional[list[list[int]]]:
@@ -682,6 +704,7 @@ def embed_planar(g: Graph) -> EmbeddedGraph:
         for v, nbrs in enumerate(cyclic)
     )
     eg = EmbeddedGraph(g.n, tuple(edge_list), rotation)
+    eg.__dict__["_graph"] = g  # its simple graph: share it, build no copy
     if eg.euler_genus != 0:
         raise EmbedderSelfCheckError("planar embedding produced nonzero genus")
     return eg

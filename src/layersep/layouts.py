@@ -157,6 +157,7 @@ def compute_recursion(
             rec(child, d + 1, me, i)
 
     rec(rest, 1, None, 0)
+    del rec  # the closure refers to itself: break the cycle so its data is freed now
     missing = rest - set(depth)
     if missing:
         raise LayoutError(f"recursion left {len(missing)} vertices unlabelled")

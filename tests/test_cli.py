@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import layersep
-from layersep import cli, embedding
+from layersep import cli, decomposition, embedding
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
 from layersep.drawing3d import DrawingError, parse_drawing
-from layersep.generators import k5_graph
+from layersep.generators import complete_graph, k5_graph
 from layersep.graphs import Graph, format_graph
 from layersep.layouts import parse_track_layout
 from layersep.nonrep import Colouring, format_colouring, parse_colouring
@@ -188,6 +188,27 @@ def test_embedder_self_check_exit_code(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(["decompose", graph]) == cli.EXIT_CONSTRUCTION == 3
     assert "nonzero genus" in capsys.readouterr().err
+
+
+def test_decomposition_self_check_exit_code(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--out", graph])
+    monkeypatch.setattr(decomposition.LayeredDecomposition, "layered_width", property(lambda ld: 4))
+    capsys.readouterr()
+    assert run(["decompose", graph]) == cli.EXIT_CONSTRUCTION == 3
+    assert "exceeds 2g+3" in capsys.readouterr().err
+
+
+def test_triangulation_self_check_exit_code(tmp_path, monkeypatch, capsys):
+    rot = tmp_path / "torus.txt"
+    run(["gen", "toroidal_grid", 4, "--rotation", "--out", rot])
+    planar_k4 = embedding.embed_planar(complete_graph(4))
+    # the torus's faces are quadrangles, so triangulate fans them and
+    # checks the genus of what it rebuilt
+    monkeypatch.setattr(embedding, "_rotation_from_faces", lambda n, edges, walks: planar_k4)
+    capsys.readouterr()
+    assert run(["decompose", "--embedded", rot]) == cli.EXIT_CONSTRUCTION == 3
+    assert "triangulation changed the genus" in capsys.readouterr().err
 
 
 def test_embedder_input_errors_exit_two(tmp_path, capsys):

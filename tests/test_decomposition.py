@@ -30,7 +30,7 @@ from layersep.decomposition import (
     treedec_from_separations,
     validate_tree_decomposition,
 )
-from layersep.embedding import embed_planar, tree_cotree, triangulate
+from layersep.embedding import _rotation_from_faces, embed_planar, tree_cotree, triangulate
 from layersep.generators import (
     complete_graph,
     cycle_graph,
@@ -289,9 +289,115 @@ def test_root_path_bags_match_explicit_oracle(eg, data):
     assert td.top_bag == explicit.decomposition.top_bag
     assert res.ld.layered_width == explicit.layered_width
     assert td.width == explicit.decomposition.width
+    assert format_decomposition(td) == format_decomposition(explicit.decomposition)
+    assert format_layered_decomposition(res.ld) == format_layered_decomposition(explicit)
     sample = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
     sep = layered_separation(g, res.ld, sample)
     assert sep == layered_separation(g, explicit, sample)
+
+
+@pytest.mark.parametrize(
+    "eg, root",
+    [
+        (random_planar_triangulation(60, seed=4), (0,)),
+        (random_planar_triangulation(60, seed=4), (0, 1)),
+        (random_planar_triangulation(60, seed=4), (0, 1, 2)),
+        (toroidal_grid(6, 7), (0,)),
+        (toroidal_grid(6, 7), (0, 1)),
+        (toroidal_grid(5, 3), (0, 1, 2)),  # a row of the 5 x 3 torus is a triangle
+    ],
+)
+def test_root_path_bag_lines_match_explicit_lines(eg, root):
+    """The spliced bag lines equal the lines of the explicit bags byte for
+    byte, with Q empty (planar) and Q non-empty (tori)."""
+    res = genus_layered_decomposition(eg, root)
+    assert bool(res.ld.decomposition.bags.q) == (res.genus > 0)
+    explicit = LayeredDecomposition(
+        TreeDecomposition(_explicit_genus_bags(eg, root), res.ld.decomposition.tree_edges),
+        res.ld.layering,
+    )
+    assert format_decomposition(res.ld.decomposition) == format_decomposition(
+        explicit.decomposition
+    )
+    assert format_layered_decomposition(res.ld) == format_layered_decomposition(explicit)
+
+
+def _scan_layered_width(ld):
+    """Oracle: the layered width counted bag by bag, every vertex of every
+    bag looked up in its layer."""
+    best = 0
+    for bag in ld.decomposition.bags:
+        counts = {}
+        for v in bag:
+            i = ld.layering.layer_of[v]
+            counts[i] = counts.get(i, 0) + 1
+        best = max(best, max(counts.values(), default=0))
+    return best
+
+
+@st.composite
+def _explicit_layered_decompositions(draw, kind):
+    """Explicit bag tuples on a random layering: with no vertex common to
+    all bags, with an empty bag, a single bag, with a shared core, and
+    restrictions and parsed copies of genus decompositions."""
+    if kind in ("restricted", "parsed"):
+        eg = draw(embedded_graphs)
+        ld = genus_layered_decomposition(eg, (0,)).ld
+        if kind == "parsed":
+            return parse_layered_decomposition(format_layered_decomposition(ld))
+        return ld.restricted_to(draw(st.sets(st.integers(0, eg.n - 1))))
+    n = draw(st.integers(2, 12))
+    vertex = st.integers(0, n - 1)
+    layer_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    layering = Layering(tuple(frozenset(v for v in range(n) if layer_of[v] == i) for i in range(4)))
+    size = 1 if kind == "single" else draw(st.integers(2, 6))
+    bags = draw(st.lists(st.frozensets(vertex, max_size=n), min_size=size, max_size=size))
+    if kind == "disjoint":
+        bags.append(frozenset(range(n)) - bags[0])
+    elif kind == "empty":
+        bags.insert(draw(st.integers(0, len(bags))), frozenset())
+    elif kind == "core":
+        core = draw(st.frozensets(vertex, min_size=1))
+        bags = [bag | core for bag in bags]
+    return LayeredDecomposition(TreeDecomposition(tuple(bags), frozenset()), layering)
+
+
+@pytest.mark.parametrize("kind", ["disjoint", "empty", "single", "core", "restricted", "parsed"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_layered_width_matches_bag_scan(kind, data):
+    ld = data.draw(_explicit_layered_decompositions(kind))
+    bags = ld.decomposition.bags
+    if kind in ("disjoint", "empty"):
+        assert not frozenset.intersection(*bags)
+    assert ld.layered_width == _scan_layered_width(ld)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_planar_triangulation, st.integers(3, 120), st.integers(0, 10**6)),
+        st.builds(
+            lambda p, q: triangulate(toroidal_grid(p, q)), st.integers(3, 8), st.integers(3, 8)
+        ),
+    ),
+    st.data(),
+)
+def test_genus_decomposition_of_a_triangulation_matches_rebuilt_copy(eg, data):
+    """``triangulate`` hands a triangulation back as it is; the result
+    equals that of the copy it once rebuilt from the faces."""
+    copy = _rotation_from_faces(eg.n, list(eg.edge_list), [list(w) for w in eg.faces])
+    assert copy is not eg and copy.faces == eg.faces
+    g = eg.to_graph()
+    u, v = data.draw(st.sampled_from(sorted(g.edges)))
+    common = sorted(set(g.adjacency[u]) & set(g.adjacency[v]))
+    root = data.draw(st.sampled_from([[u], [u, v]] + [[u, v, w] for w in common[:1]]))
+    res, ref = genus_layered_decomposition(eg, root), genus_layered_decomposition(copy, root)
+    assert tuple(res.ld.decomposition.bags) == tuple(ref.ld.decomposition.bags)
+    assert res.ld.decomposition.tree_edges == ref.ld.decomposition.tree_edges
+    assert res.ld.layering == ref.ld.layering
+    assert res.apex_paths == ref.apex_paths
+    assert format_layered_decomposition(res.ld) == format_layered_decomposition(ref.ld)
 
 
 def _retained_bytes(build):

@@ -202,6 +202,43 @@ def test_triangulate_torus():
     assert all(len(f) == 3 for f in tri.faces)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_planar_triangulation, st.integers(3, 80), st.integers(0, 10**6)),
+        st.builds(
+            lambda p, q: triangulate(toroidal_grid(p, q)), st.integers(3, 7), st.integers(3, 7)
+        ),
+    )
+)
+def test_triangulate_returns_a_triangulation_as_it_is(eg):
+    assert all(len(f) == 3 for f in eg.faces)
+    assert triangulate(eg) is eg
+
+
+def test_to_graph_is_built_once_per_embedding():
+    for eg in (random_planar_triangulation(40, seed=3), toroidal_grid(4, 5)):
+        assert eg.to_graph() is eg.to_graph()
+        assert eg.to_graph() == Graph.from_edges(eg.n, eg.edge_list)
+    g = random_planar_triangulation(40, seed=3).to_graph()
+    assert embed_planar(g).to_graph() is g  # the embedder keeps no second copy
+
+
+def test_euler_genus_checks_connectivity_without_a_graph():
+    eg = parse_rotation_system(format_rotation_system(toroidal_grid(4, 5)))
+    assert eg.euler_genus == 2 and "_graph" not in eg.__dict__
+    tri = triangulate(eg)
+    assert tri.euler_genus == 2 and "_graph" not in tri.__dict__
+    two_triangles = EmbeddedGraph(
+        6,
+        ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)),
+        ((0, 5), (2, 1), (4, 3), (6, 11), (8, 7), (10, 9)),
+    )
+    for disconnected in (two_triangles, EmbeddedGraph(2, (), ((), ())), EmbeddedGraph(0, (), ())):
+        with pytest.raises(EmbeddingError, match="must be connected"):
+            disconnected.euler_genus
+
+
 def test_triangulate_absorbs_bigon():
     # a triangle with edge 01 doubled: the two copies bound a face of
     # length 2, which triangulate must absorb without changing the genus
