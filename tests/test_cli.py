@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
 from layersep.drawing3d import DrawingError, parse_drawing
 from layersep.generators import complete_graph, k5_graph
-from layersep.graphs import Graph, format_graph
+from layersep.graphs import Graph, Report, format_graph, format_layering
 from layersep.layouts import parse_track_layout
 from layersep.nonrep import Colouring, format_colouring, parse_colouring
 
@@ -125,6 +126,37 @@ def test_verify_nonrep_planted_square(tmp_path, capsys):
     assert run(["verify", "nonrep", col, graph, "--manifest", man]) == 1
     assert "repetitive path: (0, 1, 2, 3)" in capsys.readouterr().err
     assert json.loads(man.read_text())["verdicts"] == {"nonrep": "fail"}
+    # vertex 3 has no colour: the square search never runs on it
+    col.write_text(format_colouring(Colouring({0: 0, 1: 1, 2: 0})))
+    assert run(["verify", "nonrep", col, graph, "--manifest", man]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == "vertex 3 uncoloured"
+    assert json.loads(man.read_text())["verdicts"] == {"nonrep": "fail"}
+
+
+@pytest.mark.parametrize("command, verifier, verdict", [
+    ("decompose", "validate_tree_decomposition", "decomposition"),
+    ("separate", "validate_separation", "separation"),
+    ("tracks", "verify_track_layout", "tracks"),
+    ("queues", "verify_queue_layout", "queues"),
+    ("nonrep", "verify_nonrepetitive", "nonrepetitive"),
+    ("draw3d", "verify_drawing", "drawing"),
+])
+def test_build_verifier_failure(tmp_path, monkeypatch, capsys, command, verifier, verdict):
+    """A build subcommand whose verifier rejects still writes its artifact,
+    records the fail verdict, prints the first violation and exits 1."""
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 12, "--out", graph])
+    if verifier == "verify_nonrepetitive":
+        planted, message = (0, 1, 2, 3), "repetitive path: (0, 1, 2, 3)"
+    else:
+        planted, message = Report(("planted violation", "second violation")), "planted violation"
+    monkeypatch.setattr(cli, verifier, lambda *args, **kwargs: planted)
+    out, man = tmp_path / "artifact.txt", tmp_path / "m.json"
+    capsys.readouterr()
+    assert run([command, graph, "--out", out, "--manifest", man]) == cli.EXIT_VERIFY
+    assert json.loads(man.read_text())["verdicts"][verdict] == "fail"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert out.read_text()
 
 
 def test_verify_layering(tmp_path, capsys):
@@ -286,3 +318,156 @@ def test_shadow_verify(tmp_path):
     # a BFS layering of a path is shadow-complete with k=1
     lay.write_text("0\n1\n2\n3\n4\n")
     assert run(["verify", "shadow", lay, graph, "--k", 1]) == 0
+
+
+def _sha256(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+_PINNED_INPUTS = (("p", ["p.txt"], "0,1,2"), ("t", ["--embedded", "t.rot"], "0,1"))
+
+
+def _pinned_builds():
+    """The planar triangulation and the torus through every build
+    subcommand; some runs print their artifact or manifest on stdout."""
+    runs = [
+        ["gen", "planar_triangulation", 60, "--seed", 7, "--out", "p.txt", "--manifest", "p.gen.json"],
+        ["gen", "toroidal_grid", 5, "--rotation", "--out", "t.rot"],
+        ["gen", "toroidal_grid", 5, "--out", "t.txt", "--manifest", "t.gen.json"],
+    ]
+    # 0, 1, 2 is the triangulation's first triangle; the torus grid has no triangle
+    for x, src, clique in _PINNED_INPUTS:
+        runs += [
+            ["decompose", *src, "--root", 0],
+            ["decompose", *src, "--root", clique, "--out", f"{x}.dec", "--manifest", f"{x}.dec.json"],
+            ["separate", *src, "--out", f"{x}.sep", "--manifest", f"{x}.sep.json"],
+            ["tracks", *src, "--out", f"{x}.tl", "--manifest", f"{x}.tl.json"],
+            ["queues", *src, "--out", f"{x}.ql"],
+            ["nonrep", *src, "--out", f"{x}.col", "--manifest", f"{x}.col.json"],
+            ["draw3d", *src, "--svg", f"{x}.svg", "--obj", f"{x}.obj", "--out", f"{x}.d",
+             "--manifest", f"{x}.d.json"],
+        ]
+    return runs
+
+
+def _pinned_verifies():
+    """Every verify kind on both inputs' artifacts, plus a failing one."""
+    runs = []
+    for x, _, _ in _PINNED_INPUTS:
+        for kind, artifact in (("tracks", "tl"), ("queues", "ql"), ("layering", "lay"),
+                               ("decomposition", "dec"), ("nonrep", "col"), ("drawing", "d"),
+                               ("shadow", "lay")):
+            runs.append(["verify", kind, f"{x}.{artifact}", f"{x}.txt", "--k", 3,
+                         "--manifest", f"{x}.verify-{kind}.json"])
+        runs.append(["verify", "shadow", f"{x}.lay", f"{x}.txt", "--k", 1,
+                     "--manifest", f"{x}.verify-shadow-1.json"])
+    return runs
+
+
+CLI_OUTPUTS = {
+    "gen planar_triangulation 60 --seed 7 --out p.txt --manifest p.gen.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "gen toroidal_grid 5 --rotation --out t.rot": "exit 0 stdout 82299a8c4d8851e8a4235b1afc257d37424dd03ea2dfb721a780851744b0d6a8",
+    "gen toroidal_grid 5 --out t.txt --manifest t.gen.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "decompose p.txt --root 0": "exit 0 stdout cfeb31afd9d689a98cf2c4d5a08ba381b1a2344a14988e2af10e3dbd5421d2fd",
+    "decompose p.txt --root 0,1,2 --out p.dec --manifest p.dec.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "separate p.txt --out p.sep --manifest p.sep.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "tracks p.txt --out p.tl --manifest p.tl.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "queues p.txt --out p.ql": "exit 0 stdout 6adc1b419eb2090f7e84ce39d9c3e7fd1944cf99c9d281a78531cced0a92e0f0",
+    "nonrep p.txt --out p.col --manifest p.col.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "draw3d p.txt --svg p.svg --obj p.obj --out p.d --manifest p.d.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "decompose --embedded t.rot --root 0": "exit 0 stdout a7beabe8f88eb642c3b990039075d6104c54a87ae37cdc01687de021d192fbfd",
+    "decompose --embedded t.rot --root 0,1 --out t.dec --manifest t.dec.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "separate --embedded t.rot --out t.sep --manifest t.sep.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "tracks --embedded t.rot --out t.tl --manifest t.tl.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "queues --embedded t.rot --out t.ql": "exit 0 stdout e900bdf4d6d49226a0695d0b457234bcb1c9ac970997c7b1f883b876b9f8ba9d",
+    "nonrep --embedded t.rot --out t.col --manifest t.col.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "draw3d --embedded t.rot --svg t.svg --obj t.obj --out t.d --manifest t.d.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "verify tracks p.tl p.txt --k 3 --manifest p.verify-tracks.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify queues p.ql p.txt --k 3 --manifest p.verify-queues.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify layering p.lay p.txt --k 3 --manifest p.verify-layering.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify decomposition p.dec p.txt --k 3 --manifest p.verify-decomposition.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify nonrep p.col p.txt --k 3 --manifest p.verify-nonrep.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify drawing p.d p.txt --k 3 --manifest p.verify-drawing.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify shadow p.lay p.txt --k 3 --manifest p.verify-shadow.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify shadow p.lay p.txt --k 1 --manifest p.verify-shadow-1.json": "exit 1 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "verify tracks t.tl t.txt --k 3 --manifest t.verify-tracks.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify queues t.ql t.txt --k 3 --manifest t.verify-queues.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify layering t.lay t.txt --k 3 --manifest t.verify-layering.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify decomposition t.dec t.txt --k 3 --manifest t.verify-decomposition.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify nonrep t.col t.txt --k 3 --manifest t.verify-nonrep.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify drawing t.d t.txt --k 3 --manifest t.verify-drawing.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+    "verify shadow t.lay t.txt --k 3 --manifest t.verify-shadow.json": "exit 1 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "verify shadow t.lay t.txt --k 1 --manifest t.verify-shadow-1.json": "exit 1 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "p.col": "a4cd98617cc13e05f512d078326a15f7609aebb1d7dc80cab4c4ffe0a5f4fa49",
+    "p.col.json": "57ea625cb07b9649239dbb8fe656a223956bf37cca829e4b39c3c102e831cd73",
+    "p.d": "38fd96b100ef2b4a022a402b78b2ba6386486471152d5f6135184d6925397a9d",
+    "p.d.json": "a88d663fee1c2100c7b36118cbfae6fa9d5b846675071d3305ee85a3ef4a8e35",
+    "p.dec": "58bcd8b279ab770aaebab4e0f665170da61956df0cff11ed5b2d3ef550ea3127",
+    "p.dec.json": "02ca74a384a18e1f9f80bdea88530ba2e00f08d7cd6c74ebb2a4d2f124d081d6",
+    "p.gen.json": "2dfff6cf47f1e5407156e54d6f96459bd110bf7ca4f1d72ee9e5d788feaa5efc",
+    "p.lay": "a56b703d20473a8af0e30505f3ce81bcc2793c100a7c53e9e7b39fc8cb24ab2c",
+    "p.obj": "44a37ddd1120f91e711a41412c9a11ef3ba876c9a7de2cdc0e8f5466b030e8cd",
+    "p.ql": "835b3a38032a4402a7eb16675e5dec190dfcb74703f3ec6b2aa80c47e56988b9",
+    "p.sep": "b5ba3715f8bc1ececff1c18492d0de9110dfc03c19fad7cd5dfd80a2dee1e701",
+    "p.sep.json": "05a003932ad7c7be760ecbf38622010e83e04b6dfe07796dba714564ea7f9ad4",
+    "p.svg": "8a85bc9dad56e655cf9f8048a52401e992b8ebfec5c6218354782bfceb8203bb",
+    "p.tl": "4c03bbfba8c920e92f56ad435f294b25d29fdca44ce0176b643325dcc065d22a",
+    "p.tl.json": "f7957ca29a977fcc07528f0166baafd97167cd8e2ea5943cae098981608efeb6",
+    "p.txt": "3b6c6ac148315f3aa7610da564d26150d96c25c94f1bfeabfc1bb2782005ed80",
+    "p.verify-decomposition.json": "47c1b8001c961051f0a5a820d40dd68be21f8fea7d999994dfb54768c97896d6",
+    "p.verify-drawing.json": "35dc4d9fb1d97839fb74111522cb16903f9f775054cb0c4ff5f3c1951f85d941",
+    "p.verify-layering.json": "8b06b0e46f10173ca52757f031e3a8893e01263eaa150bd3c3f77984fd46f945",
+    "p.verify-nonrep.json": "635c4878974973dc6035ba315ad9414e21cc7fb17400b68f65c4644b1a625255",
+    "p.verify-queues.json": "0e55db71d69bc371899314a24a7be7623a963f8406e025e57a96885d650b26af",
+    "p.verify-shadow-1.json": "9a936bb80da18b8b137c020e4fa396d5938e338898b24d604df5759398aa1e59",
+    "p.verify-shadow.json": "08b7a56c5373ae1df98c2ac69714dfc7feb10d6a4c9728e0baa11703363ba73f",
+    "p.verify-tracks.json": "7aa526051392ac1fbac5ce4b0ead6eec605174153373ec8e938cfc1555849510",
+    "t.col": "18a1969a68b3c1c5f81851a5dfd921274be72670dd2c6a97c4c6e265e4ef5f92",
+    "t.col.json": "decfc92bcde8dc0ab384e89e96f74abb3d1362c20521eba2902115b460612061",
+    "t.d": "4655f1125a0ab4f24024cb9c10bdfe6e81372f40b68722160d115fe3fdcc7be4",
+    "t.d.json": "f662506bb285888d31cfd091c203167de7854e75acb6b0c664836df77ca08433",
+    "t.dec": "d8d5e01a8d89c1d054dd708eaeea2236410a55a42b616dc22ddd1cbb55ec913f",
+    "t.dec.json": "911cee074b05380ce6aa8bac6b870ce6fe4dcc2b139fbf5eddd2fed8d4d68baa",
+    "t.gen.json": "82299a8c4d8851e8a4235b1afc257d37424dd03ea2dfb721a780851744b0d6a8",
+    "t.lay": "9bd82ffcbc6d2f64c7745b43f69281a0a45ca2c14671e49a76ca01fd3efe9420",
+    "t.obj": "81dca67150d581bea73bf523c0d9ce3aa4da83d6a2bdb2593f2702c8135c8170",
+    "t.ql": "3a67373ca9cf592fec623cecf8defea4ee9e4a3c662bbe3915625aa196019529",
+    "t.rot": "5ac8a0421c045057cacdaed4939e731399b07873cee85e182d841cb90fe94bcb",
+    "t.sep": "b9fc7562f97e61a9035a7ebc692eb1d48e65de140e4217b57db92da1e3f6c5cd",
+    "t.sep.json": "440e2c1bf3cef2058d1cb92824ca1803ba33f22f1ca6c9b6bf065278b0085382",
+    "t.svg": "dd73c4e4dedf1547162838a488cbf6ae74bc2d20c46c39ca9d4b41a949498822",
+    "t.tl": "e92412598e121e770030779fb3c66be5acd1e107949b2c42860f4e8b291c3153",
+    "t.tl.json": "8b6df59239861fc98ab42210e9bbc7218b0617b59c586af1fab0fed62ffb990e",
+    "t.txt": "96a323e852e999b16c31458eb958bdce51247800425df2ca90f3215909bce31d",
+    "t.verify-decomposition.json": "8a2be05d5b76827ea27348545e19b417f7528aef77d2d1749af3dae28cc12639",
+    "t.verify-drawing.json": "3fa436a6d6107cdcee25a01f12f68edd4e9c377ad7e704a3a46416ace9425a7b",
+    "t.verify-layering.json": "95bec8ebca219eae4f09e57973e54e7f570c4cb199526d61a90391d0f2bb2b60",
+    "t.verify-nonrep.json": "23907ab8fce08299c05977f920db52d87803f5b6ea5b6661c7d5d3b6db4052de",
+    "t.verify-queues.json": "b0425fef18372205f76d4de56905bfba576a6c157a6bce56259b22341b3022e0",
+    "t.verify-shadow-1.json": "7d58b2a8d6b484ff92474ac9e72312186ba428a7bf037b9dd736295703e61cf2",
+    "t.verify-shadow.json": "7d58b2a8d6b484ff92474ac9e72312186ba428a7bf037b9dd736295703e61cf2",
+    "t.verify-tracks.json": "932a342c2308fce1bf77be7a1ccaccafbd6e347d1f417b39999fa14fae878d02",
+}
+
+
+def test_cli_outputs_pinned(tmp_path, monkeypatch, capsys):
+    """The sha256 of every artifact, manifest and stdout, and every exit
+    code, of a fixed set of runs.  The working directory is tmp_path, so
+    every path a manifest records is relative."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    got = {}
+
+    def run_all(runs):
+        for argv in runs:
+            code = run(argv)
+            got[" ".join(map(str, argv))] = f"exit {code} stdout {_sha256(capsys.readouterr().out)}"
+
+    run_all(_pinned_builds())
+    for x, _, _ in _PINNED_INPUTS:
+        ld = parse_layered_decomposition(Path(f"{x}.dec").read_text())
+        Path(f"{x}.lay").write_text(format_layering(ld.layering))
+    run_all(_pinned_verifies())
+    for path in sorted(tmp_path.iterdir()):
+        got[path.name] = _sha256(path.read_bytes())
+    assert got == CLI_OUTPUTS
