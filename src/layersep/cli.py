@@ -5,12 +5,17 @@ writes its artifact plus a JSON run manifest, and exits 0 only after the
 matching verifier passed.  Exit codes: 0 verified success, 1
 verification failure (counterexample printed), 2 invalid input
 (including a non-planar, disconnected or empty graph given to the
-planar embedder), 3 a construction failure: ``DrawingError`` (no
-crossing-free placement within the drawing's retry budget),
-``EmbedderSelfCheckError`` (the planar embedder's rotation system
-failed its genus-0 self-check, or triangulating an embedding changed
-its genus) or ``DecompositionSelfCheckError`` (the genus decomposition
-exceeded its layered width bound 2g+3).
+planar embedder), 3 a construction failure, which is one of
+
+- ``DrawingError``: the drawing's seeded retry budget ran out before a
+  crossing-free placement was found;
+- ``EmbedderSelfCheckError``: the planar embedder's rotation system
+  failed its genus-0 self-check, or triangulating an embedding changed
+  its genus;
+- ``DecompositionSelfCheckError``: the genus decomposition broke its
+  layered width bound 2g+3;
+- ``LayoutError``: the labelling recursion broke one of its invariants,
+  or a track layout built here was turned into queues and was not one.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from . import layouts
 from .decomposition import (
     DecompositionSelfCheckError,
     format_layered_decomposition,
@@ -43,7 +49,6 @@ from .drawing3d import (
     volume_report,
 )
 from .embedding import (
-    EmbeddedGraph,
     EmbedderSelfCheckError,
     embed_planar,
     format_rotation_system,
@@ -52,6 +57,7 @@ from .embedding import (
 from .generators import gen as gen_fixture
 from .graphs import (
     GraphInputError,
+    Report,
     format_graph,
     parse_graph,
     parse_layering,
@@ -60,6 +66,7 @@ from .graphs import (
     validate_separation,
 )
 from .layouts import (
+    LayoutError,
     format_queue_layout,
     format_track_layout,
     parse_queue_layout,
@@ -102,11 +109,7 @@ class RunManifest:
         self.inputs[path] = digest
 
     def write(self, out_path: Optional[str]) -> None:
-        text = json.dumps(asdict(self), indent=2, default=str) + "\n"
-        if out_path:
-            Path(out_path).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write(out_path, json.dumps(asdict(self), indent=2, default=str) + "\n")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -116,201 +119,173 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_embedded(args, manifest: RunManifest) -> EmbeddedGraph:
-    if getattr(args, "embedded", None):
-        manifest.add_input(args.embedded)
-        return parse_rotation_system(Path(args.embedded).read_text(encoding="utf-8"))
-    manifest.add_input(args.graph)
-    g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
-    return embed_planar(g)
-
-
 def _root_clique(args) -> tuple[int, ...]:
     return tuple(int(x) for x in str(args.root).split(",")) if args.root else (0,)
 
 
-def _decompose(args, manifest: RunManifest):
-    """Embedded input -> (G, layered decomposition result)."""
-    eg = _load_embedded(args, manifest)
-    return eg.to_graph(), genus_layered_decomposition(eg, _root_clique(args))
-
-
-def _pipeline(args, manifest: RunManifest):
-    """Embedded input -> layered decomposition -> recursion labels."""
-    g, res, labels, _ = pipeline(_load_embedded(args, manifest), _root_clique(args))
+def _decomposed(args, manifest: RunManifest):
+    """The input stage of every build subcommand: load the embedded input,
+    decompose it from the root clique and record the layered width and
+    genus.  Returns (G, genus decomposition result)."""
+    if args.embedded:
+        manifest.add_input(args.embedded)
+        eg = parse_rotation_system(Path(args.embedded).read_text(encoding="utf-8"))
+    else:
+        manifest.add_input(args.graph)
+        eg = embed_planar(parse_graph(Path(args.graph).read_text(encoding="utf-8")))
+    res = genus_layered_decomposition(eg, _root_clique(args))
     manifest.bounds["layered_width"] = res.ld.layered_width
     manifest.bounds["genus"] = res.genus
+    return eg.to_graph(), res
+
+
+def _labelled(args, manifest: RunManifest):
+    """The input stage plus the separation-mode recursion with Q the
+    decomposition's apex paths: (G, decomposition result, labels)."""
+    g, res = _decomposed(args, manifest)
+    labels = layouts.compute_recursion(
+        g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode="separation"
+    )
     return g, res, labels
+
+
+def _check_nonrep(args, manifest: RunManifest, g, colouring):
+    """The square search runs only on a proper colouring, so it never sees
+    an uncoloured vertex."""
+    proper = verify_proper(g, colouring)
+    if not proper.ok:
+        return [("proper", proper)]
+    max_path = args.verify_max_path or default_max_path(g.n)
+    manifest.parameters["max_path"] = max_path
+    hit = verify_nonrepetitive(g, colouring, max_path)
+    square = Report.of(() if hit is None else (f"repetitive path: {hit}",))
+    return [("proper", proper), ("nonrepetitive", square)]
+
+
+# One check per artifact kind, shared by verify and the build subcommands:
+# kind -> (parser, check).  A check takes (args, manifest, G, artifact) and
+# returns [(verdict name, Report)].  The lambdas look the verifiers up in
+# this module when they run, so a test can patch them here.
+_CHECKS = {
+    "tracks": (parse_track_layout, lambda args, m, g, tl: [("tracks", verify_track_layout(g, tl))]),
+    "queues": (parse_queue_layout, lambda args, m, g, ql: [("queues", verify_queue_layout(g, ql))]),
+    "layering": (parse_layering, lambda args, m, g, lay: [("layering", validate_layering(g, lay))]),
+    "decomposition": (parse_layered_decomposition, lambda args, m, g, ld: [
+        ("decomposition", validate_tree_decomposition(g, ld.decomposition)),
+        ("layering", validate_layering(g, ld.layering)),
+    ]),
+    "nonrep": (parse_colouring, _check_nonrep),
+    "drawing": (parse_drawing, lambda args, m, g, d: [("drawing", verify_drawing(g, d))]),
+    "shadow": (parse_layering, lambda args, m, g, lay: [
+        ("shadow", verify_shadow_complete(g, lay, args.k)),
+    ]),
+}
+
+
+def _check(kind: str, args, manifest: RunManifest, g, artifact):
+    return _CHECKS[kind][1](args, manifest, g, artifact)
+
+
+def _finish(args, manifest: RunManifest, text: Optional[str], reports) -> int:
+    """Record the verdicts, write the artifact (if any) and the manifest;
+    print the first violation and return 1 if any report failed."""
+    for name, rep in reports:
+        manifest.verdicts[name] = "pass" if rep.ok else "fail"
+    if text is not None:
+        _write(args.out, text)
+    manifest.write(args.manifest)
+    violations = [v for _, rep in reports for v in rep.violations]
+    if violations:
+        print(violations[0], file=sys.stderr)
+        return EXIT_VERIFY
+    if args.command in ("nonrep", "verify"):  # only these print a verdict on stdout
+        print("pass")
+    return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     manifest = RunManifest("decompose", parameters={"root": args.root})
-    g, res = _decompose(args, manifest)
-    ld = res.ld
-    rep_d = validate_tree_decomposition(g, ld.decomposition)
-    rep_l = validate_layering(g, ld.layering)
-    manifest.bounds["layered_width"] = ld.layered_width
-    manifest.bounds["width"] = ld.decomposition.width
-    manifest.bounds["genus"] = res.genus
-    manifest.verdicts["decomposition"] = "pass" if rep_d.ok else "fail"
-    manifest.verdicts["layering"] = "pass" if rep_l.ok else "fail"
-    _write(args.out, format_layered_decomposition(ld))
-    manifest.write(args.manifest)
-    if not (rep_d.ok and rep_l.ok):
-        print((rep_d.violations + rep_l.violations)[0], file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    g, res = _decomposed(args, manifest)
+    bounds = manifest.bounds
+    bounds["width"] = res.ld.decomposition.width
+    bounds["genus"] = bounds.pop("genus")  # the manifest lists width before genus
+    return _finish(args, manifest, format_layered_decomposition(res.ld),
+                   _check("decomposition", args, manifest, g, res.ld))
 
 
 def cmd_separate(args) -> int:
     manifest = RunManifest("separate", parameters={"root": args.root})
-    g, res = _decompose(args, manifest)
-    manifest.bounds["layered_width"] = res.ld.layered_width
-    manifest.bounds["genus"] = res.genus
+    g, res = _decomposed(args, manifest)
     sample = frozenset(g.vertices())
     sep = layered_separation(g, res.ld, sample)
-    report = validate_separation(g, sep, sample, layering=res.ld.layering)
     manifest.bounds["separator_size"] = len(sep.intersection)
     widths = separator_layer_widths(sep, res.ld.layering)
     manifest.bounds["separator_layer_width"] = max(widths.values(), default=0)
-    manifest.verdicts["separation"] = "pass" if report.ok else "fail"
     lines = [
         " ".join(map(str, sorted(part)))
         for part in (sep.part1 - sep.part2, sep.intersection, sep.part2 - sep.part1)
     ]
-    _write(args.out, "\n".join(lines) + "\n")
-    manifest.write(args.manifest)
-    if not report.ok:
-        print(report.violations[0], file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    report = validate_separation(g, sep, sample, layering=res.ld.layering)
+    return _finish(args, manifest, "\n".join(lines) + "\n", [("separation", report)])
 
 
 def cmd_tracks(args) -> int:
     manifest = RunManifest("tracks", parameters={"root": args.root})
-    g, res, labels = _pipeline(args, manifest)
+    g, res, labels = _labelled(args, manifest)
     tl = track_layout_from_compute(g, res.ld.layering, labels)
-    rep = verify_track_layout(g, tl)
     manifest.bounds["tracks"] = len(tl.tracks)
-    manifest.verdicts["tracks"] = "pass" if rep.ok else "fail"
-    _write(args.out, format_track_layout(tl))
-    manifest.write(args.manifest)
-    if not rep.ok:
-        print(rep.violations[0], file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _finish(args, manifest, format_track_layout(tl), _check("tracks", args, manifest, g, tl))
 
 
 def cmd_queues(args) -> int:
     manifest = RunManifest("queues", parameters={"root": args.root})
-    g, res, labels = _pipeline(args, manifest)
+    g, res, labels = _labelled(args, manifest)
     tl = track_layout_from_compute(g, res.ld.layering, labels)
     ql = queue_from_tracks(g, tl)
-    rep = verify_queue_layout(g, ql)
     manifest.bounds["tracks"] = len(tl.tracks)
     manifest.bounds["queues"] = ql.queue_count
-    manifest.verdicts["queues"] = "pass" if rep.ok else "fail"
-    _write(args.out, format_queue_layout(ql))
-    manifest.write(args.manifest)
-    if not rep.ok:
-        print(rep.violations[0], file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _finish(args, manifest, format_queue_layout(ql), _check("queues", args, manifest, g, ql))
 
 
 def cmd_nonrep(args) -> int:
     manifest = RunManifest("nonrep", parameters={"root": args.root})
-    g, res, labels = _pipeline(args, manifest)
+    g, res, labels = _labelled(args, manifest)
     lp = layer_pattern_colouring(len(res.ld.layering))
     manifest.parameters["layer_pattern_search_nodes"] = lp.search_nodes
     manifest.parameters["layer_pattern_fell_back"] = lp.fell_back
     colouring = nonrep_from_compute(g, res.ld.layering, labels, lp)
-    max_path = args.verify_max_path or default_max_path(g.n)
-    manifest.parameters["max_path"] = max_path
-    proper = verify_proper(g, colouring)
-    counterexample = verify_nonrepetitive(g, colouring, max_path)
     manifest.bounds["palette"] = colouring.palette_size
-    manifest.verdicts["proper"] = "pass" if proper.ok else "fail"
-    manifest.verdicts["nonrepetitive"] = "pass" if counterexample is None else "fail"
-    _write(args.out, format_colouring(colouring))
-    manifest.write(args.manifest)
-    if not proper.ok:
-        print(proper.violations[0], file=sys.stderr)
-        return EXIT_VERIFY
-    if counterexample is not None:
-        print(f"repetitive path: {counterexample}", file=sys.stderr)
-        return EXIT_VERIFY
-    print("pass")
-    return EXIT_OK
+    return _finish(args, manifest, format_colouring(colouring),
+                   _check("nonrep", args, manifest, g, colouring))
 
 
 def cmd_draw3d(args) -> int:
     manifest = RunManifest("draw3d", parameters={"root": args.root, "seed": args.seed})
-    g, res, labels = _pipeline(args, manifest)
+    g, res, labels = _labelled(args, manifest)
     tl = track_layout_from_compute(g, res.ld.layering, labels)
     d = draw_from_tracks(g, tl, seed=args.seed)
-    rep = verify_drawing(g, d)
     vr = volume_report(d, g, track_count=len(tl.tracks))
     manifest.bounds["tracks"] = len(tl.tracks)
     manifest.bounds["volume"] = vr.volume
     manifest.bounds["volume_bound"] = vr.upper_bound
-    manifest.verdicts["drawing"] = "pass" if rep.ok else "fail"
-    _write(args.out, format_drawing(d))
     if args.svg:
         Path(args.svg).write_text(export_svg(g, d), encoding="utf-8")
     if args.obj:
         Path(args.obj).write_text(export_obj(g, d), encoding="utf-8")
-    manifest.write(args.manifest)
-    if not rep.ok:
-        print(rep.violations[0], file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _finish(args, manifest, format_drawing(d), _check("drawing", args, manifest, g, d))
 
 
 def cmd_verify(args) -> int:
+    """Re-check a saved artifact; one verdict under its kind, which passes
+    only if every report of the kind's check passes."""
     manifest = RunManifest("verify", parameters={"kind": args.kind})
     manifest.add_input(args.artifact)
     manifest.add_input(args.graph)
     g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
-    text = Path(args.artifact).read_text(encoding="utf-8")
-    kind = args.kind
-    if kind == "tracks":
-        rep = verify_track_layout(g, parse_track_layout(text))
-    elif kind == "queues":
-        rep = verify_queue_layout(g, parse_queue_layout(text))
-    elif kind == "layering":
-        rep = validate_layering(g, parse_layering(text))
-    elif kind == "decomposition":
-        ld = parse_layered_decomposition(text)
-        rep = validate_tree_decomposition(g, ld.decomposition)
-        if rep.ok:
-            rep = validate_layering(g, ld.layering)
-    elif kind == "nonrep":
-        colouring = parse_colouring(text)
-        rep = verify_proper(g, colouring)
-        if rep.ok:
-            max_path = args.verify_max_path or default_max_path(g.n)
-            manifest.parameters["max_path"] = max_path
-            hit = verify_nonrepetitive(g, colouring, max_path)
-            if hit is not None:
-                print(f"repetitive path: {hit}", file=sys.stderr)
-                manifest.verdicts[kind] = "fail"
-                manifest.write(args.manifest)
-                return EXIT_VERIFY
-    elif kind == "drawing":
-        rep = verify_drawing(g, parse_drawing(text))
-    elif kind == "shadow":
-        layering = parse_layering(text)
-        rep = verify_shadow_complete(g, layering, args.k)
-    else:
-        raise GraphInputError(f"unknown verification kind {kind!r}")
-    manifest.verdicts[kind] = "pass" if rep.ok else "fail"
-    manifest.write(args.manifest)
-    if not rep.ok:
-        print(rep.violations[0], file=sys.stderr)
-        return EXIT_VERIFY
-    print("pass")
-    return EXIT_OK
+    parse, check = _CHECKS[args.kind]
+    reports = check(args, manifest, g, parse(Path(args.artifact).read_text(encoding="utf-8")))
+    merged = Report.of(v for _, rep in reports for v in rep.violations)
+    return _finish(args, manifest, None, [(args.kind, merged)])
 
 
 def cmd_gen(args) -> int:
@@ -417,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--obj", help="also export an OBJ line set")
 
     p = sub.add_parser("verify")
-    p.add_argument("kind", choices=["tracks", "queues", "layering", "decomposition", "nonrep", "drawing", "shadow"])
+    p.add_argument("kind", choices=list(_CHECKS))
     p.add_argument("artifact")
     p.add_argument("graph")
     p.add_argument("--k", type=int, default=1, help="shadow size bound for kind=shadow")
@@ -441,12 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main call and kept: a parser is a web of reference
+# cycles, so one per call would leave it all for the cyclic collector.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DrawingError, EmbedderSelfCheckError, DecompositionSelfCheckError) as exc:
+    except (DrawingError, EmbedderSelfCheckError, DecompositionSelfCheckError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except (GraphInputError, ValueError, OSError) as exc:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import layersep
-from layersep import cli, decomposition, embedding
+from layersep import cli, decomposition, embedding, layouts
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
 from layersep.drawing3d import DrawingError, parse_drawing
@@ -471,3 +472,53 @@ def test_cli_outputs_pinned(tmp_path, monkeypatch, capsys):
     for path in sorted(tmp_path.iterdir()):
         got[path.name] = _sha256(path.read_bytes())
     assert got == CLI_OUTPUTS
+
+
+def test_layout_error_exit_code(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--out", graph])
+
+    def broken_recursion(*args, **kwargs):
+        raise layouts.LayoutError("recursion left 2 vertices unlabelled")
+
+    monkeypatch.setattr(layouts, "compute_recursion", broken_recursion)
+    capsys.readouterr()
+    assert run(["tracks", graph]) == cli.EXIT_CONSTRUCTION == 3
+    assert capsys.readouterr().err == "error: recursion left 2 vertices unlabelled\n"
+
+
+def test_nonrep_uncoloured_vertex_exits_one(tmp_path, monkeypatch, capsys):
+    """A construction that leaves a vertex uncoloured fails the proper
+    check; the square search, which needs every colour, never runs."""
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 12, "--out", graph])
+    build = cli.nonrep_from_compute
+
+    def drop_vertex_zero(*args):
+        colouring = build(*args)
+        return Colouring({v: c for v, c in colouring.colour.items() if v != 0})
+
+    monkeypatch.setattr(cli, "nonrep_from_compute", drop_vertex_zero)
+    man = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run(["nonrep", graph, "--out", tmp_path / "c.txt", "--manifest", man]) == cli.EXIT_VERIFY
+    assert json.loads(man.read_text())["verdicts"] == {"proper": "fail"}
+    assert capsys.readouterr().err == "vertex 0 uncoloured\n"
+
+
+def test_parser_built_once(tmp_path):
+    """A second main call leaves no argparse object for the cyclic
+    collector: the parser is built once per process."""
+    argv = ["gen", "path", 4, "--out", tmp_path / "g.txt", "--manifest", tmp_path / "m.json"]
+    run(argv)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(argv)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
