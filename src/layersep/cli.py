@@ -23,13 +23,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import layouts
 from .decomposition import (
     DecompositionSelfCheckError,
     format_layered_decomposition,
@@ -123,30 +123,51 @@ def _root_clique(args) -> tuple[int, ...]:
     return tuple(int(x) for x in str(args.root).split(",")) if args.root else (0,)
 
 
-def _decomposed(args, manifest: RunManifest):
-    """The input stage of every build subcommand: load the embedded input,
-    decompose it from the root clique and record the layered width and
-    genus.  Returns (G, genus decomposition result)."""
+def _load(args, manifest: RunManifest):
+    """The embedded input of a build subcommand, its digest recorded."""
     if args.embedded:
         manifest.add_input(args.embedded)
-        eg = parse_rotation_system(Path(args.embedded).read_text(encoding="utf-8"))
-    else:
-        manifest.add_input(args.graph)
-        eg = embed_planar(parse_graph(Path(args.graph).read_text(encoding="utf-8")))
+        return parse_rotation_system(Path(args.embedded).read_text(encoding="utf-8"))
+    manifest.add_input(args.graph)
+    return embed_planar(parse_graph(Path(args.graph).read_text(encoding="utf-8")))
+
+
+def _decomposed(args, manifest: RunManifest):
+    """(G, decomposition result) from the root clique, bounds recorded."""
+    eg = _load(args, manifest)
     res = genus_layered_decomposition(eg, _root_clique(args))
-    manifest.bounds["layered_width"] = res.ld.layered_width
-    manifest.bounds["genus"] = res.genus
+    manifest.bounds.update(layered_width=res.ld.layered_width, genus=res.genus)
     return eg.to_graph(), res
 
 
 def _labelled(args, manifest: RunManifest):
-    """The input stage plus the separation-mode recursion with Q the
-    decomposition's apex paths: (G, decomposition result, labels)."""
-    g, res = _decomposed(args, manifest)
-    labels = layouts.compute_recursion(
-        g, res.ld.layering, res.ld, q=tuple(res.apex_paths), mode="separation"
-    )
+    """(G, decomposition result, labels) from ``layouts.pipeline``."""
+    g, res, labels, _ = pipeline(_load(args, manifest), _root_clique(args))
+    manifest.bounds.update(layered_width=res.ld.layered_width, genus=res.genus)
     return g, res, labels
+
+
+# One check per artifact kind, shared by verify and the build subcommands:
+# (args, manifest, G, artifact) -> [(verdict name, Report)].
+
+
+def _check_tracks(args, manifest: RunManifest, g, tl):
+    return [("tracks", verify_track_layout(g, tl))]
+
+
+def _check_queues(args, manifest: RunManifest, g, ql):
+    return [("queues", verify_queue_layout(g, ql))]
+
+
+def _check_layering(args, manifest: RunManifest, g, layering):
+    return [("layering", validate_layering(g, layering))]
+
+
+def _check_decomposition(args, manifest: RunManifest, g, ld):
+    return [
+        ("decomposition", validate_tree_decomposition(g, ld.decomposition)),
+        ("layering", validate_layering(g, ld.layering)),
+    ]
 
 
 def _check_nonrep(args, manifest: RunManifest, g, colouring):
@@ -162,33 +183,31 @@ def _check_nonrep(args, manifest: RunManifest, g, colouring):
     return [("proper", proper), ("nonrepetitive", square)]
 
 
-# One check per artifact kind, shared by verify and the build subcommands:
-# kind -> (parser, check).  A check takes (args, manifest, G, artifact) and
-# returns [(verdict name, Report)].  The lambdas look the verifiers up in
-# this module when they run, so a test can patch them here.
+def _check_drawing(args, manifest: RunManifest, g, d):
+    return [("drawing", verify_drawing(g, d))]
+
+
+def _check_shadow(args, manifest: RunManifest, g, layering):
+    return [("shadow", verify_shadow_complete(g, layering, args.k))]
+
+
+# kind -> (parser, check), for verify.
 _CHECKS = {
-    "tracks": (parse_track_layout, lambda args, m, g, tl: [("tracks", verify_track_layout(g, tl))]),
-    "queues": (parse_queue_layout, lambda args, m, g, ql: [("queues", verify_queue_layout(g, ql))]),
-    "layering": (parse_layering, lambda args, m, g, lay: [("layering", validate_layering(g, lay))]),
-    "decomposition": (parse_layered_decomposition, lambda args, m, g, ld: [
-        ("decomposition", validate_tree_decomposition(g, ld.decomposition)),
-        ("layering", validate_layering(g, ld.layering)),
-    ]),
+    "tracks": (parse_track_layout, _check_tracks),
+    "queues": (parse_queue_layout, _check_queues),
+    "layering": (parse_layering, _check_layering),
+    "decomposition": (parse_layered_decomposition, _check_decomposition),
     "nonrep": (parse_colouring, _check_nonrep),
-    "drawing": (parse_drawing, lambda args, m, g, d: [("drawing", verify_drawing(g, d))]),
-    "shadow": (parse_layering, lambda args, m, g, lay: [
-        ("shadow", verify_shadow_complete(g, lay, args.k)),
-    ]),
+    "drawing": (parse_drawing, _check_drawing),
+    "shadow": (parse_layering, _check_shadow),
 }
 
 
-def _check(kind: str, args, manifest: RunManifest, g, artifact):
-    return _CHECKS[kind][1](args, manifest, g, artifact)
-
-
-def _finish(args, manifest: RunManifest, text: Optional[str], reports) -> int:
+def _finish(args, manifest: RunManifest, text: Optional[str], reports,
+            verdict_on_stdout: bool = False) -> int:
     """Record the verdicts, write the artifact (if any) and the manifest;
-    print the first violation and return 1 if any report failed."""
+    print the first violation and return 1 if any report failed, else
+    print "pass" if asked to and return 0."""
     for name, rep in reports:
         manifest.verdicts[name] = "pass" if rep.ok else "fail"
     if text is not None:
@@ -198,7 +217,7 @@ def _finish(args, manifest: RunManifest, text: Optional[str], reports) -> int:
     if violations:
         print(violations[0], file=sys.stderr)
         return EXIT_VERIFY
-    if args.command in ("nonrep", "verify"):  # only these print a verdict on stdout
+    if verdict_on_stdout:
         print("pass")
     return EXIT_OK
 
@@ -210,7 +229,7 @@ def cmd_decompose(args) -> int:
     bounds["width"] = res.ld.decomposition.width
     bounds["genus"] = bounds.pop("genus")  # the manifest lists width before genus
     return _finish(args, manifest, format_layered_decomposition(res.ld),
-                   _check("decomposition", args, manifest, g, res.ld))
+                   _check_decomposition(args, manifest, g, res.ld))
 
 
 def cmd_separate(args) -> int:
@@ -221,12 +240,10 @@ def cmd_separate(args) -> int:
     manifest.bounds["separator_size"] = len(sep.intersection)
     widths = separator_layer_widths(sep, res.ld.layering)
     manifest.bounds["separator_layer_width"] = max(widths.values(), default=0)
-    lines = [
-        " ".join(map(str, sorted(part)))
-        for part in (sep.part1 - sep.part2, sep.intersection, sep.part2 - sep.part1)
-    ]
+    parts = (sep.part1 - sep.part2, sep.intersection, sep.part2 - sep.part1)
+    text = "".join(" ".join(map(str, sorted(part))) + "\n" for part in parts)
     report = validate_separation(g, sep, sample, layering=res.ld.layering)
-    return _finish(args, manifest, "\n".join(lines) + "\n", [("separation", report)])
+    return _finish(args, manifest, text, [("separation", report)])
 
 
 def cmd_tracks(args) -> int:
@@ -234,7 +251,7 @@ def cmd_tracks(args) -> int:
     g, res, labels = _labelled(args, manifest)
     tl = track_layout_from_compute(g, res.ld.layering, labels)
     manifest.bounds["tracks"] = len(tl.tracks)
-    return _finish(args, manifest, format_track_layout(tl), _check("tracks", args, manifest, g, tl))
+    return _finish(args, manifest, format_track_layout(tl), _check_tracks(args, manifest, g, tl))
 
 
 def cmd_queues(args) -> int:
@@ -244,7 +261,7 @@ def cmd_queues(args) -> int:
     ql = queue_from_tracks(g, tl)
     manifest.bounds["tracks"] = len(tl.tracks)
     manifest.bounds["queues"] = ql.queue_count
-    return _finish(args, manifest, format_queue_layout(ql), _check("queues", args, manifest, g, ql))
+    return _finish(args, manifest, format_queue_layout(ql), _check_queues(args, manifest, g, ql))
 
 
 def cmd_nonrep(args) -> int:
@@ -256,7 +273,7 @@ def cmd_nonrep(args) -> int:
     colouring = nonrep_from_compute(g, res.ld.layering, labels, lp)
     manifest.bounds["palette"] = colouring.palette_size
     return _finish(args, manifest, format_colouring(colouring),
-                   _check("nonrep", args, manifest, g, colouring))
+                   _check_nonrep(args, manifest, g, colouring), verdict_on_stdout=True)
 
 
 def cmd_draw3d(args) -> int:
@@ -268,11 +285,14 @@ def cmd_draw3d(args) -> int:
     manifest.bounds["tracks"] = len(tl.tracks)
     manifest.bounds["volume"] = vr.volume
     manifest.bounds["volume_bound"] = vr.upper_bound
+    reports = _check_drawing(args, manifest, g, d)
+    # the drawing goes out before its SVG and OBJ exports
+    _write(args.out, format_drawing(d))
     if args.svg:
         Path(args.svg).write_text(export_svg(g, d), encoding="utf-8")
     if args.obj:
         Path(args.obj).write_text(export_obj(g, d), encoding="utf-8")
-    return _finish(args, manifest, format_drawing(d), _check("drawing", args, manifest, g, d))
+    return _finish(args, manifest, None, reports)
 
 
 def cmd_verify(args) -> int:
@@ -285,7 +305,7 @@ def cmd_verify(args) -> int:
     parse, check = _CHECKS[args.kind]
     reports = check(args, manifest, g, parse(Path(args.artifact).read_text(encoding="utf-8")))
     merged = Report.of(v for _, rep in reports for v in rep.violations)
-    return _finish(args, manifest, None, [(args.kind, merged)])
+    return _finish(args, manifest, None, [(args.kind, merged)], verdict_on_stdout=True)
 
 
 def cmd_gen(args) -> int:
@@ -341,8 +361,6 @@ _REPORT_FAMILIES = (
 
 
 def cmd_report(args) -> int:
-    import math
-
     print("| fixture | n | layered width | bound | tracks | track bound | palette | palette bound |")
     print("|---|---|---|---|---|---|---|---|")
     for family, size, lw_bound in _REPORT_FAMILIES:
@@ -366,24 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def pipeline_args(p):
+    builds = {"decompose": cmd_decompose, "separate": cmd_separate, "tracks": cmd_tracks,
+              "queues": cmd_queues, "nonrep": cmd_nonrep, "draw3d": cmd_draw3d}
+    for name, fn in builds.items():
+        p = sub.add_parser(name, parents=[seeded] if name == "draw3d" else [])
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("graph", nargs="?", help="graph file (planar input)")
         src.add_argument("--embedded", help="rotation-system file")
         p.add_argument("--root", default="0", help="root clique, comma-separated ids")
         p.add_argument("--out", help="output artifact path (default stdout)")
         p.add_argument("--manifest", help="manifest JSON path (default stdout)")
-
-    for name, fn in (
-        ("decompose", cmd_decompose),
-        ("separate", cmd_separate),
-        ("tracks", cmd_tracks),
-        ("queues", cmd_queues),
-        ("nonrep", cmd_nonrep),
-        ("draw3d", cmd_draw3d),
-    ):
-        p = sub.add_parser(name, parents=[seeded] if name == "draw3d" else [])
-        pipeline_args(p)
         p.set_defaults(fn=fn)
         if name == "nonrep":
             p.add_argument("--verify-max-path", type=int, default=None)

@@ -206,6 +206,18 @@ def test_drawing_construction_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "no crossing-free placement" in capsys.readouterr().err
 
 
+def test_draw3d_writes_drawing_before_a_failing_export(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--out", graph])
+    drawing = tmp_path / "d.txt"
+    svg = tmp_path / "missing" / "d.svg"
+    capsys.readouterr()
+    assert run(["draw3d", graph, "--out", drawing, "--svg", svg]) == cli.EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert len(parse_drawing(drawing.read_text()).position) == 10
+    assert not svg.exists()
+
+
 def test_embedder_self_check_exit_code(tmp_path, monkeypatch, capsys):
     graph = tmp_path / "g.txt"
     run(["gen", "planar_triangulation", 10, "--out", graph])
