@@ -14,6 +14,7 @@ import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -194,10 +195,15 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     subtree iff it is new -- in a bag but not in the parent's bag -- in
     exactly one bag, its top bag.  For two such vertices the bags of u
     and v meet iff v is in u's top bag or u is in v's top bag, since a
-    common bag lies below both tops.  So one set difference per bag and
-    one lookup per edge decide a valid decomposition in O(sum |B|); only
-    vertices new in several bags are scanned bag by bag, against the
-    tree edges as given.
+    common bag lies below both tops, and then the top read later in
+    preorder holds the other end.  So one pass over the bags in preorder
+    decides a valid decomposition in O(sum |B| + m): each bag's new
+    vertices come from one set difference with its parent's bag, kept
+    on the root path, and each edge is checked in the top bag of the end
+    read last.  Bags are read once, as their core, the vertices in every
+    bag, and the rest (``_bag_parts``), so root-path bags are never
+    built.  Only vertices new in several bags are scanned bag by bag,
+    against the tree edges as given.
     """
     violations: list[str] = []
     b = len(td.bags)
@@ -213,36 +219,46 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     except DecompositionError:
         violations.append("decomposition tree is disconnected")
         return Report.of(violations)
-    bags = td.bags
+    core, rest = _bag_parts(td.bags)
+    nbrs = g.adjacency
+    path: list[tuple[int, AbstractSet[int]]] = []  # (bag, rest), root to x
     top: dict[int, int] = {}
     spread: set[int] = set()  # vertices new in more than one bag
+    missed: set[tuple[int, int]] = set()  # edges the later top bag misses
     for x in order:
-        new = bags[x] - bags[parent[x]] if parent[x] >= 0 else bags[x]
+        r = rest(x)
+        while path and path[-1][0] != parent[x]:
+            path.pop()
+        new = r - path[-1][1] if path else core | r  # the core cancels
+        path.append((x, r))
         for v in new:
             if v in top:
                 spread.add(v)
-            else:
-                top[v] = x
+                continue
+            top[v] = x
+            if 0 <= v < g.n:
+                for w in nbrs[v]:
+                    if w not in r and w in top and w not in core:
+                        missed.update(((v, w), (w, v)))
     where: dict[int, list[int]] = {v: [] for v in spread}
-    if spread:
-        for i, bag in enumerate(bags):
-            for v in bag & spread:
+    if spread:  # never in the core, which is new in the root bag only
+        for i in range(b):
+            for v in rest(i) & spread:
                 where[v].append(i)
-    for v in sorted(top):
-        if not 0 <= v < g.n:
-            first = next(i for i, bag in enumerate(bags) if v in bag)
-            violations.append(f"vertex {v} in bag {first} is not in G")
-    for u, v in sorted(g.edges):
+    for v in sorted(v for v in top if not 0 <= v < g.n):
+        first = 0 if v in core else next(i for i in range(b) if v in rest(i))
+        violations.append(f"vertex {v} in bag {first} is not in G")
+    uncovered = []
+    for u, v in g.edges:
         if v in where:
-            covered = any(u in bags[i] for i in where[v])
+            covered = u in core or any(u in rest(i) for i in where[v])
         elif u in where:
-            covered = any(v in bags[i] for i in where[u])
+            covered = v in core or any(v in rest(i) for i in where[u])
         else:
-            covered = u in top and v in top and (
-                v in bags[top[u]] or u in bags[top[v]]
-            )
+            covered = u in top and v in top and (u, v) not in missed
         if not covered:
-            violations.append(f"edge ({u},{v}) covered by no bag")
+            uncovered.append((u, v))
+    violations.extend(f"edge ({u},{v}) covered by no bag" for u, v in sorted(uncovered))
     adj = td.tree_adjacency
     for v in g.vertices():
         if v not in top:
@@ -263,6 +279,17 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     return Report.of(violations)
 
 
+def _bag_parts(
+    bags: Sequence[frozenset[int]],
+) -> tuple[frozenset[int], Callable[[int], AbstractSet[int]]]:
+    """(core, rest): vertices common to every bag, and bag i less the
+    core.  Root-path bags give Q and each face's walk outside Q, so no
+    bag is built; explicit bags give the empty core and the bags."""
+    if isinstance(bags, _RootPathBags):
+        return bags.q, bags.outside
+    return frozenset(), bags.__getitem__
+
+
 # ---------------------------------------------------------------------------
 # Genus-driven layered decomposition (tree-cotree bags).
 # ---------------------------------------------------------------------------
@@ -277,7 +304,7 @@ class _RootPathBags(Sequence):
     kept, O(n + F + |Q|) words, and a bag is built each time it is read.
     Everything derived from the bags (the bags themselves, their width,
     layered width and text lines) walks each face's vertices outside Q
-    (``_outside``) and takes Q once.  The sequence compares equal to the
+    (``outside``) and takes Q once.  The sequence compares equal to the
     tuple of its bags.
     """
 
@@ -295,20 +322,19 @@ class _RootPathBags(Sequence):
         return len(self._corners) // 3
 
     def __getitem__(self, i: int) -> frozenset[int]:
-        return self.q.union(self._outside(3 * range(len(self))[i]))
+        return self.q.union(self.outside(range(len(self))[i]))
 
     def __iter__(self):
         return map(self.q.union, self.outsides())
 
-    def _outside(self, k: int) -> set[int]:
-        """The vertices outside Q of the bag of the face whose corners
-        start at ``_corners[k]``.  Q and every root path are closed
-        upwards, so the walk up from a corner stops at the first vertex
-        in Q or already collected."""
+    def outside(self, f: int) -> set[int]:
+        """The vertices outside Q of bag f.  Q and every root path are
+        closed upwards, so the walk up from a corner stops at the first
+        vertex in Q or already collected."""
         parent, q = self._parent, self.q
         out: set[int] = set()
         add = out.add
-        for v in self._corners[k : k + 3]:
+        for v in self._corners[3 * f : 3 * f + 3]:
             while v not in q and v not in out:
                 add(v)
                 v = parent[v]
@@ -316,7 +342,7 @@ class _RootPathBags(Sequence):
 
     def outsides(self) -> Iterator[set[int]]:
         """Each bag's vertices outside Q, in bag order."""
-        return map(self._outside, range(0, len(self._corners), 3))
+        return map(self.outside, range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, _RootPathBags)):

@@ -13,21 +13,28 @@ do, so it checks segments of one chord for z order inversions as the
 track verifier does, joins the segments of properly crossing chords on
 their heights over the crossing point, hands collinear and vertical
 chord pairs to the exact predicates and skips every other chord pair.
-That costs about K*N plus the size of the crossing chord pairs for K
-chords over N columns, against the O(m^2 + m*n) pairwise scan that
-``tests/test_drawing3d.py`` keeps as its oracle; the two give the same
-report, order included.
+For K chords over N columns the orientations cost a few operations on
+integers of at most 16*K bits per column (``_orientations``; wider once
+coordinates span more than 90), then each chord pair whose lines cross
+costs a few steps and each crossing chord pair one height comparison
+per segment (a hash join when both chords carry several).  The tests
+keep the O(m^2 + m*n) pairwise scan as the oracle
+(``tests/test_drawing3d.py``); the two give the same report, order
+included.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphInputError, Report, _ints
 from .layouts import TrackLayout, _strict_inversions, verify_track_layout
@@ -220,10 +227,6 @@ def _drawing_violations(
             yield f"edges ({u},{v}) and ({edges[j][0]},{edges[j][1]}) intersect"
 
 
-# Turn orientation signs (0 right, 1 on the line, 2 left) into bit strings.
-_RIGHT, _ON, _LEFT = (bytes.maketrans(b"\0\1\2", t) for t in (b"100", b"010", b"001"))
-
-
 def _ones(x: int) -> Iterator[int]:
     """Indices of the set bits of x, ascending."""
     while x:
@@ -248,19 +251,34 @@ def _segment_hits(
       their z order strictly inverts or they are identical;
     * chords that cross properly (each strictly separates the other's
       endpoints): one crossing point, where the segments meet iff their
-      heights agree, decided by a hash join on the integer key d*z;
+      heights agree;
     * collinear chords, and vertical (zero xy-length) chords at a point
       interior to the other chord or at the same point: the exact
       predicates on every segment pair;
     * anything else (disjoint chords, chords touching only at an end of
       one of them, vertical chords at different points): no meeting.
 
-    Orientations of every (non-vertical chord, xy point) pair give per
-    point the bitsets of chords strictly left of, strictly right of and
-    on whose line it lies.  Cost O(K*N + sum over crossing chord pairs of
-    their segments + s log s per chord) for K chords and N xy points,
-    plus the exact predicates on the degenerate pairs; O(m^2 + m*n) in
-    the worst case, when every vertex has its own xy point.
+    ``_orientations`` gives per xy point its row of orientations
+    orient(c, r) over all chords c and, from their signs, the bitsets of
+    chords strictly left of, strictly right of and on whose line it lies.
+    The crossing candidates of chord c1 = (p1, q1) are the chords whose
+    line separates p1 from q1; a candidate c2 = (p2, q2) crosses c1 iff
+    o1 = orient(c1, p2) and o2 = orient(c1, q2) have opposite signs.
+    With o3 = orient(c2, p1) and o4 = orient(c2, q1), also read from the
+    rows, the heights over the crossing point are (o3*zb - o4*za) /
+    (o3 - o4) on c1 and (o1*zb - o2*za) / (o1 - o2) on c2, and o1 - o2 =
+    o4 - o3, so a segment of c1 and one of c2 meet iff o3*zb - o4*za =
+    o2*za' - o1*zb' (their four ends are coplanar).  A chord with one
+    segment compares that key directly; two chords with several are
+    joined on a hash of it (``_crossing_join``).
+
+    Cost: N times a few operations on K*w-bit integers for the rows, w
+    the field width (at most 16 bits while coordinates span at most 90),
+    kept as K*N fields of w bits; per chord one step per later candidate;
+    per crossing chord pair O(1) per segment; s log s per chord of s
+    segments; plus the exact predicates on the degenerate pairs.  That
+    is O(m^2 + m*n) in the worst case, when every vertex has its own xy
+    point.
     """
     point_of: dict[tuple[int, int], int] = {}
     pt: list[int] = []  # vertex -> xy point index
@@ -278,6 +296,7 @@ def _segment_hits(
     ends: list[tuple[int, int]] = []  # chord -> (p, q) with p < q
     segs: list[list[tuple[int, int, int]]] = []  # chord -> (z at p, z at q, edge)
     vertical: dict[int, list[int]] = {}  # xy point -> edges with both ends there
+    incident = [0] * len(points)  # xy point -> bitset of the chords ending there
     for i, (u, v) in enumerate(edges):
         p, q = pt[u], pt[v]
         if p == q:
@@ -289,6 +308,8 @@ def _segment_hits(
         if c == len(ends):
             ends.append((p, q))
             segs.append([])
+            incident[p] |= 1 << c
+            incident[q] |= 1 << c
         segs[c].append((pos[u][2], pos[v][2], i))
 
     def exact(ids1, ids2) -> Iterator[tuple[int, int, int]]:
@@ -310,57 +331,46 @@ def _segment_hits(
             yield from exact([i], ids[k + 1 :])
         yield from inside(ids, at[r])
 
-    # orient(c, r) = a*ry - b*rx + e: twice the signed area of (p, q, r)
-    coef = []
-    for p, q in ends:
-        (px, py), (qx, qy) = points[p], points[q]
-        coef.append((qx - px, qy - py, (qy - py) * px - (qx - px) * py))
-    left, right, on = [], [], []
-    for rx, ry in points:
-        row = [a * ry - b * rx + e for a, b, e in coef]
-        # bit c of each bitset is chord c; b"0" stands for an empty set
-        signs = bytes([(o > 0) - (o < 0) + 1 for o in reversed(row)]) or b"0"
-        left.append(int(signs.translate(_LEFT), 2))
-        right.append(int(signs.translate(_RIGHT), 2))
-        on.append(int(signs.translate(_ON), 2))
+    rows, left, right, on = _orientations(points, ends)
 
     # the line of every chord in split[c] strictly separates the ends of c
     split = [(left[p] & right[q]) | (right[p] & left[q]) for p, q in ends]
-    for c1, (p1, q1) in enumerate(ends):
-        yield from _chord_inversions(segs[c1])
-        a1, b1, e1 = coef[c1]
-        (x1, y1), (x2, y2) = points[p1], points[q1]
-        for k in _ones(split[c1] >> (c1 + 1)):
-            c2 = c1 + 1 + k
-            if not split[c2] >> c1 & 1:
+    end_rows = [(rows[p], rows[q]) for p, q in ends]
+    for c1, (at_p1, at_q1) in enumerate(end_rows):
+        s1 = segs[c1]
+        single = len(s1) == 1
+        if single:
+            ((za1, zb1, i1),) = s1
+        else:
+            yield from _chord_inversions(s1)
+        rest = split[c1] >> c1 + 1
+        while rest:  # the chords c2 > c1 in split[c1]
+            low = rest & -rest
+            rest ^= low
+            c2 = c1 + low.bit_length()
+            at_p2, at_q2 = end_rows[c2]
+            o1, o2 = at_p2[c1], at_q2[c1]
+            if o1 * o2 >= 0:
+                continue  # the line of c1 does not separate the ends of c2
+            o3, o4 = at_p1[c2], at_q1[c2]
+            if not single:
+                yield from _crossing_join(s1, segs[c2], o1, o2, o3, o4)
                 continue
-            p2, q2 = ends[c2]
-            a2, b2, e2 = coef[c2]
-            # heights over the crossing point are key / (d1*d2)
-            o1 = a1 * points[p2][1] - b1 * points[p2][0] + e1
-            o2 = a1 * points[q2][1] - b1 * points[q2][0] + e1
-            o3 = a2 * y1 - b2 * x1 + e2
-            o4 = a2 * y2 - b2 * x2 + e2
-            d1, d2 = o3 - o4, o1 - o2
-            keys = {(o3 * zb - o4 * za) * d2 for za, zb, _ in segs[c1]}
+            key = o3 * zb1 - o4 * za1
             for za, zb, j in segs[c2]:
-                key = (o1 * zb - o2 * za) * d1
-                if key in keys:
-                    yield from (
-                        (min(i, j), 0, max(i, j))
-                        for za1, zb1, i in segs[c1]
-                        if (o3 * zb1 - o4 * za1) * d2 == key
-                    )
+                if o2 * za - o1 * zb == key:
+                    yield (min(i1, j), 0, max(i1, j))
+        p1, q1 = ends[c1]
         for k in _ones((on[p1] & on[q1]) >> (c1 + 1)):  # collinear chords
             yield from exact(
                 [i for *_, i in segs[c1]], [j for *_, j in segs[c1 + 1 + k]]
             )
 
     for r, (rx, ry) in enumerate(points):
-        for c in _ones(on[r]):
+        for c in _ones(on[r] ^ incident[r]):  # chords r is on, not an end of
             p, q = ends[c]
             (px, py), (qx, qy) = points[p], points[q]
-            if r in (p, q) or not (
+            if not (
                 0 < (rx - px) * (qx - px) + (ry - py) * (qy - py)
                 < (qx - px) ** 2 + (qy - py) ** 2
             ):
@@ -368,6 +378,123 @@ def _segment_hits(
             ids = [i for *_, i in segs[c]]
             yield from inside(ids, at[r])
             yield from exact(ids, vertical.get(r, ()))
+
+
+# Per byte, "1" iff its top bit is set, and "1" iff it is clear.
+_TOP_SET = b"0" * 128 + b"1" * 128
+_TOP_CLEAR = b"1" * 128 + b"0" * 128
+# Typecodes of signed integers of 1, 2, 4 and 8 bytes, in struct's
+# standard sizes and, where this platform agrees, in array's.
+_SIGNED = {
+    w: c for w, c in ((1, "b"), (2, "h"), (4, "i"), (8, "q")) if array(c).itemsize == w
+}
+
+
+def _fields(
+    k: int, wb: int
+) -> tuple[Callable[..., bytes], Callable[[bytes], Sequence[int]]]:
+    """(pack, unpack) between k signed integers and k little-endian
+    two's complement fields of wb bytes each.  unpack returns an array,
+    wb bytes per value, for the widths that have a typecode."""
+    if wb in _SIGNED:
+        code = _SIGNED[wb]
+
+        def unpack_array(raw: bytes) -> array:
+            row = array(code, raw)
+            if sys.byteorder == "big":
+                row.byteswap()
+            return row
+
+        return struct.Struct(f"<{k}{code}").pack, unpack_array
+
+    def pack(*vals: int) -> bytes:
+        return b"".join(v.to_bytes(wb, "little", signed=True) for v in vals)
+
+    def unpack(raw: bytes) -> list[int]:
+        return [int.from_bytes(raw[i : i + wb], "little", signed=True)
+                for i in range(0, len(raw), wb)]
+
+    return pack, unpack
+
+
+def _orientations(
+    points: list[tuple[int, int]], ends: list[tuple[int, int]]
+) -> tuple[list[Sequence[int]], list[int], list[int], list[int]]:
+    """Per xy point r: its row orient(c, r) over the chords c, and the
+    bitsets of the chords with r strictly left of, strictly right of and
+    on their lines (bit c is chord c).
+
+    orient(c, r) = a*ry - b*rx + e is twice the signed area of (p, q, r)
+    for chord c = (p, q).  Measured from the corner of the points' box,
+    every orientation lies within 2*span^2, so it fits a w-bit field, and
+    one integer holds a point's whole row: ry*A - rx*B + E, where A, B and
+    E pack the chords' coefficients at bit c*w and E adds 2^(w-1) to each
+    field.  A field's top bit is then clear iff orient < 0, and it stays
+    set after subtracting one iff orient > 0; the top bytes read off as bit
+    strings give the bitsets, and the fields, top bits flipped, the row.
+    So a point costs a few operations on K*w-bit integers instead of K
+    Python products.
+    """
+    k = len(ends)
+    x0 = min((x for x, _ in points), default=0)
+    y0 = min((y for _, y in points), default=0)
+    span = max((max(x - x0, y - y0) for x, y in points), default=0)
+    # bits per field: the magnitude, the sign, and a margin so that
+    # subtracting one from a field never borrows from the next
+    need = (2 * span * span).bit_length() + 2
+    wb = next((b for b in _SIGNED if 8 * b >= need), -(-need // 8))  # bytes
+    pack, unpack = _fields(k, wb)
+    ones = int.from_bytes(pack(*[1] * k), "little")  # 1 in each field
+    top = ones << 8 * wb - 1
+    coef: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for p, q in ends:
+        (px, py), (qx, qy) = points[p], points[q]
+        coef[0].append(qx - px)
+        coef[1].append(qy - py)
+        coef[2].append((qy - py) * (px - x0) - (qx - px) * (py - y0))
+    # flipping the top bit of a two's complement field adds 2^(w-1) to it:
+    # A and B drop that again, E keeps it
+    big_a, big_b, big_e = (int.from_bytes(pack(*col), "little") ^ top for col in coef)
+    big_a -= top
+    big_b -= top
+
+    rows, left, right, on = [], [], [], []
+    full = (1 << k) - 1
+    nb = k * wb
+    for rx, ry in points:
+        t = (ry - y0) * big_a - (rx - x0) * big_b + big_e
+        # the top byte of each field, chord k-1 first; b"0" is the empty set
+        lft = int((t - ones).to_bytes(nb, "big")[::wb].translate(_TOP_SET) or b"0", 2)
+        rgt = int(t.to_bytes(nb, "big")[::wb].translate(_TOP_CLEAR) or b"0", 2)
+        left.append(lft)
+        right.append(rgt)
+        on.append(full ^ lft ^ rgt)
+        rows.append(unpack((t ^ top).to_bytes(nb, "little")))
+    return rows, left, right, on
+
+
+def _crossing_join(
+    s1: list[tuple[int, int, int]],
+    s2: list[tuple[int, int, int]],
+    o1: int, o2: int, o3: int, o4: int,
+) -> Iterator[tuple[int, int, int]]:
+    """Pairs of segments on two properly crossing chords that meet: those
+    with equal keys o3*zb - o4*za on the first and o2*za - o1*zb on the
+    second (see ``_segment_hits``).  A second chord with one segment is
+    compared with each of the first's; else the keys are hash-joined."""
+    if len(s2) == 1:
+        ((za, zb, j),) = s2
+        key = o2 * za - o1 * zb
+        for za, zb, i in s1:
+            if o3 * zb - o4 * za == key:
+                yield (min(i, j), 0, max(i, j))
+        return
+    keys: dict[int, list[int]] = {}
+    for za, zb, i in s1:
+        keys.setdefault(o3 * zb - o4 * za, []).append(i)
+    for za, zb, j in s2:
+        for i in keys.get(o2 * za - o1 * zb, ()):
+            yield (min(i, j), 0, max(i, j))
 
 
 def _chord_inversions(

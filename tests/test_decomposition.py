@@ -133,6 +133,40 @@ def test_validate_tree_decomposition_matches_scan(eg, mutation, pick):
         assert expected.ok
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    embedded_graphs,
+    st.sampled_from(("none", "uncovered_edge", "drop_edge", "add_edge", "move_edge")),
+    st.integers(0, 10**6),
+)
+def test_validate_root_path_bags_matches_explicit_copy(eg, mutation, pick):
+    # root-path bags are read as Q and each face's walk outside it; the
+    # report is the one on the same bags held as a tuple
+    g = eg.to_graph()
+    td = genus_layered_decomposition(eg, (0,)).ld.decomposition
+    bags = tuple(td.bags)
+    edges = set(td.tree_edges)
+    b = len(bags)
+    i, j = pick % b, (pick // b) % b
+    if mutation == "uncovered_edge":
+        # an edge from u to a vertex sharing no bag with u, or to a new one
+        u = pick % g.n
+        near = frozenset().union(*(bag for bag in bags if u in bag))
+        v = next((w for w in g.vertices() if w not in near), g.n)
+        g = Graph.from_edges(max(g.n, v + 1), g.edges | {(min(u, v), max(u, v))})
+    elif mutation in ("drop_edge", "move_edge") and edges:
+        edges.discard(sorted(edges)[pick % len(edges)])
+    if mutation in ("add_edge", "move_edge") and i != j:
+        edges.add((min(i, j), max(i, j)))
+    lazy = TreeDecomposition(td.bags, frozenset(edges))
+    explicit = TreeDecomposition(bags, frozenset(edges))
+    rep = validate_tree_decomposition(g, lazy)
+    assert rep == validate_tree_decomposition(g, explicit)
+    assert rep == _scan_validate_tree_decomposition(g, explicit)
+    if mutation in ("none", "uncovered_edge"):
+        assert rep.ok == (mutation == "none")
+
+
 def test_validate_tree_decomposition_path():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     td = TreeDecomposition(

@@ -213,11 +213,15 @@ def test_verify_drawing_lists_violations_in_order():
 
 def test_draw_from_tracks_output_pinned():
     # the first seeded trial that passes the verifier is accepted, so the
-    # drawing text is fixed for a given layout
+    # drawing text is fixed for a given layout; planar n = 80 is accepted
+    # at trial 6 and the 8x8 torus at trial 4, so a check that flips the
+    # verdict on any earlier trial changes their text
     for (g, _, _, tl), digest in (
         (planar_pipeline(30), "36f9c46d289fdf7a"),
         (planar_pipeline(60), "3bd7194722938adf"),
         (torus_pipeline(4, 4), "b967cedcbbbb99e7"),
+        (planar_pipeline(80), "7c2c6f287a6031b2"),
+        (torus_pipeline(8, 8), "dbbb179599cb615f"),
     ):
         text = format_drawing(draw_from_tracks(g, tl))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -269,7 +273,41 @@ def column_drawings(draw):
 @settings(max_examples=300, deadline=None)
 @given(column_drawings())
 def test_verify_drawing_matches_scan_on_column_drawings(case):
-    assert_matches_oracle(*case)
+    got = assert_matches_oracle(*case)
+    # the as-found order of the draw loop's check yields the same
+    # violations, each once
+    assert sorted(drawing3d._drawing_violations(*case, in_order=False)) == sorted(got)
+
+
+@pytest.mark.parametrize("scale", [1, 7, 3000, 10**6, 2**40, 3**50])
+def test_verify_drawing_meetings_at_every_scale(scale):
+    # edges (0,1) and (2,3) cross at (1,1) at height 1 and meet there,
+    # edge (4,5) crosses both at height 2; edge (4,6) passes through
+    # vertex 1; vertex 9, an end of edge (9,10), lies inside edge (7,8)
+    g = Graph.from_edges(11, [(0, 1), (2, 3), (4, 5), (4, 6), (7, 8), (9, 10)])
+    pos = {0: (0, 0, 0), 1: (2, 2, 2), 2: (0, 2, 2), 3: (2, 0, 0), 4: (0, 1, 0),
+           5: (2, 1, 4), 6: (4, 3, 4), 7: (4, 0, 0), 8: (6, 0, 2), 9: (5, 0, 1),
+           10: (5, 2, 5)}
+    pos = {v: (scale * x - 5, scale * y + 3, z) for v, (x, y, z) in pos.items()}
+    assert assert_matches_oracle(g, pos) == (
+        "edges (0,1) and (2,3) intersect",
+        "edge (4,6) passes through vertex 1",
+        "edge (7,8) passes through vertex 9",
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    column_drawings(),
+    st.sampled_from([7, 3000, 10**6, 2**40, 3**50]),
+    st.integers(-(2**70), 2**70),
+)
+def test_verify_drawing_matches_scan_on_scaled_column_drawings(case, scale, shift):
+    # an affine map of the xy plane keeps every meeting; the scales take
+    # the orientations through each packed field width and past 64 bits
+    g, pos = case
+    pos = {v: (scale * x + shift, scale * y - shift, z) for v, (x, y, z) in pos.items()}
+    assert_matches_oracle(g, pos)
 
 
 @settings(max_examples=8, deadline=None)
