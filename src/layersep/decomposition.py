@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from abc import abstractmethod
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from collections.abc import Set as AbstractSet
@@ -26,7 +27,6 @@ from .graphs import (
     Layering,
     Report,
     Separation,
-    _ints,
     bfs_layering,
     validate_separation,
 )
@@ -45,9 +45,10 @@ class DecompositionSelfCheckError(DecompositionError):
 class TreeDecomposition:
     """Bags indexed 0..b-1 joined by a tree on the bag indices.
 
-    ``bags`` is a tuple of frozensets, except for decompositions built by
-    ``genus_layered_decomposition``, whose bags are a lazy ``Sequence``
-    that builds each bag when it is read (``_RootPathBags``).  Both index,
+    ``bags`` is a tuple of frozensets, or a ``_CoreBags`` sequence that
+    holds the core, the vertices in every bag, once and builds each bag
+    when it is read: the root-path bags of ``genus_layered_decomposition``
+    and the bags parsed from a text with a core line.  Both index,
     iterate and compare equal alike; take ``tuple(bags)`` before tuple
     arithmetic.
     """
@@ -61,7 +62,7 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        if isinstance(self.bags, _RootPathBags):
+        if isinstance(self.bags, _CoreBags):
             return self.bags.width()
         return max((len(b) for b in self.bags), default=0) - 1
 
@@ -126,9 +127,10 @@ class TreeDecomposition:
         _, order, tin = self.rooted
         if isinstance(self.bags, _RootPathBags):
             return self.bags.top_bag(order, tin)
-        top: dict[int, int] = {}
+        core, rest = _bag_parts(self.bags)
+        top = dict.fromkeys(core, order[0])
         for x in order:
-            for v in self.bags[x]:
+            for v in rest(x):
                 top.setdefault(v, x)
         return top
 
@@ -145,13 +147,13 @@ class LayeredDecomposition:
     def layered_width(self) -> int:
         """Most vertices of one bag in one layer.  The core, the vertices
         common to every bag, is counted per layer once; then each bag is
-        counted outside it."""
+        counted outside it, up to the root-path bags' proved ceiling
+        (``_RootPathBags.layer_ceiling``) where it applies."""
         bags = self.decomposition.bags
         layer_of = self.layering.layer_of
-        if isinstance(bags, _RootPathBags):
-            return _core_layered_width(bags.q, bags.outsides(), layer_of)
-        core = frozenset(bags[0]).intersection(*bags[1:]) if bags else frozenset()
-        return _core_layered_width(core, (bag - core for bag in bags), layer_of)
+        ceiling = bags.layer_ceiling(layer_of) if isinstance(bags, _RootPathBags) else None
+        core, rest = _bag_parts(bags)
+        return _core_layered_width(core, map(rest, range(len(bags))), layer_of, ceiling)
 
     def restricted_to(self, keep: Iterable[int]) -> "LayeredDecomposition":
         """Restriction to a vertex subset: bags and layers intersected."""
@@ -165,17 +167,23 @@ class LayeredDecomposition:
 
 
 def _core_layered_width(
-    core: Iterable[int], rests: Iterable[Iterable[int]], layer_of: dict[int, int]
+    core: Iterable[int],
+    rests: Iterable[Iterable[int]],
+    layer_of: dict[int, int],
+    ceiling: int | None = None,
 ) -> int:
     """Layered width of the bags ``core | rest``, each rest disjoint from
     the core: the most, over rests and layers, of the core's count in a
-    layer plus the rest's."""
+    layer plus the rest's.  ``ceiling``, if given, bounds every bag's
+    count in a layer, so the scan stops at the first bag reaching it."""
     in_core: dict[int, int] = {}
     for v in core:
         i = layer_of[v]
         in_core[i] = in_core.get(i, 0) + 1
     best = max(in_core.values(), default=0)
     for rest in rests:
+        if ceiling is not None and best >= ceiling:
+            break
         counts: dict[int, int] = {}
         for v in rest:
             i = layer_of[v]
@@ -201,7 +209,7 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     vertices come from one set difference with its parent's bag, kept
     on the root path, and each edge is checked in the top bag of the end
     read last.  Bags are read once, as their core, the vertices in every
-    bag, and the rest (``_bag_parts``), so root-path bags are never
+    bag, and the rest (``_bag_parts``), so ``_CoreBags`` are never
     built.  Only vertices new in several bags are scanned bag by bag,
     against the tree edges as given.
     """
@@ -282,12 +290,69 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
 def _bag_parts(
     bags: Sequence[frozenset[int]],
 ) -> tuple[frozenset[int], Callable[[int], AbstractSet[int]]]:
-    """(core, rest): vertices common to every bag, and bag i less the
-    core.  Root-path bags give Q and each face's walk outside Q, so no
-    bag is built; explicit bags give the empty core and the bags."""
-    if isinstance(bags, _RootPathBags):
-        return bags.q, bags.outside
-    return frozenset(), bags.__getitem__
+    """(core, rest): the vertices common to every bag, and bag i less the
+    core.  ``_CoreBags`` hold both, so no bag is built; explicit bags are
+    intersected once."""
+    if isinstance(bags, _CoreBags):
+        return bags.core, bags.outside
+    core = frozenset(bags[0]).intersection(*bags[1:]) if bags else frozenset()
+    if not core:
+        return core, bags.__getitem__
+    return core, lambda i: bags[i] - core
+
+
+class _CoreBags(Sequence):
+    """Bags held as their core, the vertices common to every bag, and
+    each bag's rest outside the core (``outside``).  A bag is built each
+    time it is read; the width, layered width, validation, ``top_bag`` and
+    text lines take the core once and read the rests.  The sequence
+    compares equal to the tuple of its bags."""
+
+    __slots__ = ("core",)
+
+    @abstractmethod
+    def outside(self, i: int) -> AbstractSet[int]:
+        """Bag i less the core."""
+
+    def outsides(self) -> Iterator[AbstractSet[int]]:
+        """Each bag less the core, in bag order."""
+        return map(self.outside, range(len(self)))
+
+    def __getitem__(self, i: int) -> frozenset[int]:
+        return self.core.union(self.outside(range(len(self))[i]))
+
+    def __iter__(self):
+        return map(self.core.union, self.outsides())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _CoreBags)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def width(self) -> int:
+        """``TreeDecomposition.width``: the core plus the largest rest,
+        less one."""
+        return len(self.core) + max(map(len, self.outsides()), default=0) - 1
+
+
+class _ParsedBags(_CoreBags):
+    """The bags of a decomposition text with a core line: the core and
+    one frozenset per bag line."""
+
+    __slots__ = ("_rests",)
+
+    def __init__(self, core: frozenset[int], rests: tuple[frozenset[int], ...]) -> None:
+        self.core = core
+        self._rests = rests
+
+    def __len__(self) -> int:
+        return len(self._rests)
+
+    def outside(self, i: int) -> frozenset[int]:
+        return self._rests[i]
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +360,15 @@ def _bag_parts(
 # ---------------------------------------------------------------------------
 
 
-class _RootPathBags(Sequence):
+class _RootPathBags(_CoreBags):
     """The bags of ``genus_layered_decomposition``, stored as root paths.
 
     Bag f is Q | P(x) | P(y) | P(z) for the corners x, y, z of face f,
     where P(v) is the path from v to the root in the primal BFS tree.
-    Only the parent and depth lists, three corners per face and Q are
-    kept, O(n + F + |Q|) words, and a bag is built each time it is read.
-    Everything derived from the bags (the bags themselves, their width,
-    layered width and text lines) walks each face's vertices outside Q
-    (``outside``) and takes Q once.  The sequence compares equal to the
-    tuple of its bags.
+    Only the parent and depth lists, three corners per face, Q and the
+    core are kept, O(n + F + |Q|) words.  The core is Q plus the few
+    vertices above every face's corners (``_common_beyond_q``); each
+    bag's rest is the walk up from its corners to the core.
     """
 
     __slots__ = ("_parent", "_depth", "_corners", "q")
@@ -317,65 +380,84 @@ class _RootPathBags(Sequence):
         self._depth = depth
         self._corners = corners  # face f's corners at 3f, 3f+1, 3f+2
         self.q = q
+        self.core = q  # the walks of _common_beyond_q stop at Q
+        self.core = q.union(self._common_beyond_q())
 
     def __len__(self) -> int:
         return len(self._corners) // 3
 
-    def __getitem__(self, i: int) -> frozenset[int]:
-        return self.q.union(self.outside(range(len(self))[i]))
-
-    def __iter__(self):
-        return map(self.q.union, self.outsides())
-
     def outside(self, f: int) -> set[int]:
-        """The vertices outside Q of bag f.  Q and every root path are
-        closed upwards, so the walk up from a corner stops at the first
-        vertex in Q or already collected."""
-        parent, q = self._parent, self.q
+        """The vertices of bag f outside the core.  The core and every
+        root path are closed upwards, so the walk up from a corner stops
+        at the first vertex in the core or already collected."""
+        parent, core = self._parent, self.core
         out: set[int] = set()
         add = out.add
         for v in self._corners[3 * f : 3 * f + 3]:
-            while v not in q and v not in out:
+            while v not in core and v not in out:
                 add(v)
                 v = parent[v]
         return out
 
-    def outsides(self) -> Iterator[set[int]]:
-        """Each bag's vertices outside Q, in bag order."""
-        return map(self.outside, range(len(self)))
+    def _common_beyond_q(self) -> list[int]:
+        """The vertices outside Q in every bag, in O(n + F) without a
+        walk beyond face 0's.  Vertex v is in bag f iff a corner of f
+        lies in v's subtree, an interval of preorder ranks.  A vertex
+        whose subtree is the whole tree is in every bag; the others of
+        face 0 stay candidates while each next face has a corner in their
+        interval, and the scan stops once none is left."""
+        parent, corners = self._parent, self._corners
+        n = len(parent)
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if p != v:
+                kids[p].append(v)
+        order: list[int] = []
+        stack = [v for v, p in enumerate(parent) if p == v]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(kids[v])
+        rank = [0] * n
+        for r, v in enumerate(order):
+            rank[v] = r
+        size = [1] * n
+        for v in reversed(order):
+            if parent[v] != v:
+                size[parent[v]] += size[v]
+        whole = []
+        cand = []  # (first rank, rank past the subtree, vertex)
+        for v in self.outside(0):
+            (whole if size[v] == n else cand).append((rank[v], rank[v] + size[v], v))
+        for f in range(3, len(corners), 3):
+            if not cand:
+                break
+            x, y, z = rank[corners[f]], rank[corners[f + 1]], rank[corners[f + 2]]
+            cand = [c for c in cand if c[0] <= x < c[1] or c[0] <= y < c[1] or c[0] <= z < c[1]]
+        return [c[2] for c in whole + cand]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _RootPathBags)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def width(self) -> int:
-        """``TreeDecomposition.width``: |Q| plus the longest walk, less one."""
-        return len(self.q) + max(map(len, self.outsides()), default=0) - 1
-
-    def lines(self) -> Iterator[str]:
-        """The bag lines "f: v1 v2 ..." of the text format.  Q is sorted
-        and joined once; each face's vertices outside Q are spliced into
-        that text at their ``bisect`` positions in sorted Q, found once
-        per vertex."""
-        qs = sorted(self.q)
-        token = [f" {v}" for v in range(len(self._parent))]
-        qtext = "".join(map(token.__getitem__, qs))
-        starts = list(itertools.accumulate(map(len, map(token.__getitem__, qs)), initial=0))
-        cut = [starts[bisect_left(qs, v)] for v in range(len(token))]
-        for f, out in enumerate(self.outsides()):
-            parts = [f"{f}:"]
-            at = 0
-            for v in sorted(out):
-                if cut[v] != at:
-                    parts.append(qtext[at : cut[v]])
-                    at = cut[v]
-                parts.append(token[v])
-            parts.append(qtext[at:])
-            yield "".join(parts)
+    def layer_ceiling(self, layer_of: dict[int, int]) -> int | None:
+        """A bound on every bag's count in one layer, or None if a parent
+        breaks its premise.  If each vertex's parent lies one layer up,
+        or in layer 0 for a vertex of layer 0, a root path meets each
+        layer i >= 1 at most once; then bag f = Q | P(x) | P(y) | P(z)
+        has at most |Q & L_i| + 3 vertices in layer i >= 1, and at most
+        |L_0| in layer 0.  The premise is checked in O(n)."""
+        parent = self._parent
+        try:
+            layer = [layer_of[v] for v in range(len(parent))]
+        except KeyError:
+            return None
+        if any(layer[p] != max(i - 1, 0) for i, p in zip(layer, parent)):
+            return None
+        in_q: dict[int, int] = {}
+        for v in self.q:
+            if layer[v]:
+                in_q[layer[v]] = in_q.get(layer[v], 0) + 1
+        ceiling = layer.count(0)
+        if any(layer):
+            ceiling = max(ceiling, 3 + max(in_q.values(), default=0))
+        return ceiling
 
     def top_bag(self, order: list[int], tin: list[int]) -> dict[int, int]:
         """``TreeDecomposition.top_bag`` in O(n log n + F).  A vertex v
@@ -444,7 +526,9 @@ def genus_layered_decomposition(
     for F faces, rather than F frozensets that each copy Q.  Its width,
     layered width, ``top_bag`` and text lines are derived without
     building a bag.  A layered width above 2g+3 is a fault of this
-    construction and raises ``DecompositionSelfCheckError``.
+    construction and raises ``DecompositionSelfCheckError``; the check
+    stops at the first bag that reaches the proved ceiling
+    (``_RootPathBags.layer_ceiling``).
     """
     clique = tuple(sorted(set(root_clique)))
     if not clique:
@@ -1020,18 +1104,25 @@ def exact_treewidth(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Text format: "bags B", B lines "id: v1 v2 ...", "tree", B-1 lines "x y".
-# The layered variant appends the layering block.
+# Text format: "bags B", the core line "core: v1 v2 ..." (the vertices in
+# every bag, sorted; left out when there are none), B lines "id: v1 ..."
+# listing each bag less the core, "tree", B-1 lines "x y".  The layered
+# variant appends the layering block.  A text without a core line is the
+# same format with an empty core.
 # ---------------------------------------------------------------------------
 
 
 def format_decomposition(td: TreeDecomposition) -> str:
-    lines = [f"bags {len(td.bags)}"]
-    if isinstance(td.bags, _RootPathBags):
-        lines.extend(td.bags.lines())
-    else:
-        for i, bag in enumerate(td.bags):
-            lines.append(f"{i}: " + " ".join(str(v) for v in sorted(bag)))
+    """The text of ``td``, a function of its value: root-path, parsed and
+    explicit bags of equal value give equal text."""
+    bags = td.bags
+    core, rest = _bag_parts(bags)
+    token = _TokenStrs().__getitem__
+    lines = [f"bags {len(bags)}"]
+    if core:
+        lines.append("core: " + " ".join(map(token, sorted(core))))
+    for i in range(len(bags)):
+        lines.append(f"{i}: " + " ".join(map(token, sorted(rest(i)))))
     lines.append("tree")
     lines.extend(f"{x} {y}" for x, y in sorted(td.tree_edges))
     return "\n".join(lines) + "\n"
@@ -1050,32 +1141,66 @@ class _TokenInts(dict):
         return v
 
 
+class _TokenStrs(dict):
+    """``str(v)`` per distinct vertex, made on its first lookup."""
+
+    def __missing__(self, v: int) -> str:
+        tok = self[v] = str(v)
+        return tok
+
+
+def _is_core_line(line: str) -> bool:
+    return line.partition(":")[0].strip() == "core"
+
+
 def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
+    """Bags as a tuple of frozensets, or as ``_ParsedBags`` if the text
+    has a core line, with any vertex common to all bag lines moved into
+    the core.  Every token is parsed once (``_TokenInts``)."""
     lines = [ln for ln in (s.strip() for s in raw) if ln]
     b = _bag_count(lines[0] if lines else "")
-    if len(lines) < 1 + b + 1:
+    ints = _TokenInts()
+    core = None
+    if b and len(lines) > 1 and _is_core_line(lines[1]):
+        try:
+            core = frozenset(map(ints.__getitem__, lines[1].partition(":")[2].split()))
+        except ValueError as exc:
+            raise GraphInputError(f"bad core line {lines[1]!r}") from exc
+    start = 1 if core is None else 2
+    if len(lines) < start + b + 1:
         raise GraphInputError("truncated decomposition")
     bags: list[frozenset[int]] = []
-    ints = _TokenInts()
-    for ln in lines[1 : 1 + b]:
+    for ln in lines[start : start + b]:
         head, _, rest = ln.partition(":")
         try:
             bag_id = int(head)
             bag = frozenset(map(ints.__getitem__, rest.split()))
         except ValueError as exc:
-            raise GraphInputError(f"bad bag line {ln!r}") from exc
+            what = "misplaced core" if head.strip() == "core" else "bad bag"
+            raise GraphInputError(f"{what} line {ln!r}") from exc
         if bag_id != len(bags):
             raise GraphInputError(f"bag ids must be consecutive, got {head!r}")
+        if core is not None and not core.isdisjoint(bag):
+            raise GraphInputError(f"bag line {ln!r} repeats a core vertex")
         bags.append(bag)
-    if lines[1 + b] != "tree":
-        raise GraphInputError("expected 'tree' after the bag list")
+    if lines[start + b] != "tree":
+        raise GraphInputError(f"expected 'tree' after the bag list, got {lines[start + b]!r}")
     edges = set()
-    for ln in lines[2 + b :]:
-        x, y = _ints(ln, "tree edge", 2)
+    for ln in lines[start + b + 1 :]:
+        try:
+            x, y = map(ints.__getitem__, ln.split())
+        except ValueError:
+            x = y = -1
         if not (0 <= x < b and 0 <= y < b) or x == y:
             raise GraphInputError(f"bad tree edge {ln!r}")
-        edges.add((min(x, y), max(x, y)))
-    return TreeDecomposition(tuple(bags), frozenset(edges))
+        edges.add((x, y) if x < y else (y, x))
+    if core is None:
+        return TreeDecomposition(tuple(bags), frozenset(edges))
+    common = bags[0].intersection(*bags[1:])
+    if common:
+        core |= common
+        bags = [bag - common for bag in bags]
+    return TreeDecomposition(_ParsedBags(core, tuple(bags)), frozenset(edges))
 
 
 def _bag_count(header: str) -> int:
@@ -1101,13 +1226,14 @@ def parse_layered_decomposition(text: str) -> LayeredDecomposition:
     from .graphs import parse_layering
 
     lines = text.splitlines()
-    # the decomposition is the header, B bag lines, "tree" and the B - 1
-    # tree edge lines; every line after it, blank or not, is a layer
-    filled = (i for i, ln in enumerate(lines) if ln.strip())
-    first = next(filled, None)
-    b = _bag_count("" if first is None else lines[first])
-    last = next(itertools.islice(filled, b + max(b - 1, 0), None), None)
-    cut = len(lines) if last is None else last + 1
+    # the decomposition is the header, the core line if B > 0 and line 2
+    # is one, B bag lines, "tree" and the B - 1 tree edge lines; every
+    # line after it, blank or not, is a layer
+    filled = [i for i, ln in enumerate(lines) if ln.strip()]
+    b = _bag_count(lines[filled[0]] if filled else "")
+    core = b > 0 and len(filled) > 1 and _is_core_line(lines[filled[1]])
+    end = 2 + core + b + max(b - 1, 0)
+    cut = filled[end - 1] + 1 if len(filled) >= end else len(lines)
     td = _decomposition_from_lines(itertools.islice(lines, cut))
     layering = parse_layering("\n".join(lines[cut:]))
     return LayeredDecomposition(td, layering)

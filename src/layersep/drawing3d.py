@@ -206,18 +206,15 @@ def _drawing_violations(
         if v not in pos:
             yield f"vertex {v} unplaced"
             return
-    outside = [
-        f"vertex {v} at {pos[v]} is not in G" for v in sorted(pos) if not 0 <= v < g.n
-    ]
-    if outside:
-        yield from outside
+    if len(pos) > g.n:
+        yield from (f"vertex {v} at {pos[v]} is not in G" for v in sorted(pos) if not 0 <= v < g.n)
         return
     seen: dict[Point, int] = {}
-    for v in sorted(pos):
+    for v in g.vertices():  # pos holds exactly G's vertices
         if pos[v] in seen:
             yield f"vertices {seen[pos[v]]} and {v} share {pos[v]}"
         seen[pos[v]] = v
-    edges = sorted(g.edges)
+    edges = g.sorted_edges
     hits = _segment_hits(g.n, pos, edges)
     for i, through, j in sorted(hits) if in_order else hits:
         u, v = edges[i]
@@ -236,7 +233,7 @@ def _ones(x: int) -> Iterator[int]:
 
 
 def _segment_hits(
-    n: int, pos: dict[int, Point], edges: list[tuple[int, int]]
+    n: int, pos: dict[int, Point], edges: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[int, int, int]]:
     """``(i, 0, j)`` for each pair i < j of edges whose open segments meet
     and ``(i, 1, w)`` for each vertex w strictly inside edge i, unsorted

@@ -45,6 +45,10 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
+    @cached_property
+    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.edges))
+
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from layersep.decomposition import (
     DecompositionError,
     LayeredDecomposition,
+    _ParsedBags,
+    _RootPathBags,
     _balanced_sides,
     TreeDecomposition,
     bound_report,
@@ -47,6 +49,7 @@ from layersep.graphs import (
     Layering,
     Report,
     bfs_layering,
+    format_layering,
     validate_layering,
     validate_separation,
     separator_layer_widths,
@@ -223,32 +226,32 @@ def test_genus_pipeline_k4():
 # SHA-256 prefixes of the formatted layered decomposition plus the sorted
 # apex set Q, rooted at vertex 0 (planar: (n, seed); torus: (p, q)).
 _GENUS_DIGESTS = (
-    (("planar", 5, 0), "38a79c08354c07e0"),
-    (("planar", 5, 1), "dcc0c518a90129a1"),
-    (("planar", 5, 2), "0aef2b20117ed041"),
-    (("planar", 5, 3), "9bbecbcefdf3c727"),
-    (("planar", 30, 0), "23ecc684d05eae8c"),
-    (("planar", 30, 1), "c08c9ab65bd43969"),
-    (("planar", 30, 2), "3ac2e512b8aa50d4"),
-    (("planar", 30, 3), "2d74e7a1a01eba0d"),
-    (("planar", 80, 0), "09c24a5b8028f9d0"),
-    (("planar", 80, 1), "5a6370523df83fe2"),
-    (("planar", 80, 2), "c481a2d346f958db"),
-    (("planar", 80, 3), "b2a7a1263594236f"),
-    (("planar", 150, 0), "876c5354d3a7ece2"),
-    (("planar", 150, 1), "7f43d51957651dd0"),
-    (("planar", 150, 2), "dd5a7561ae18cf83"),
-    (("planar", 150, 3), "9ca374a6808ebd32"),
-    (("planar", 300, 0), "1d955b6a30bc5e15"),
-    (("planar", 300, 1), "c690572a82082bbb"),
-    (("planar", 300, 2), "10600019fa81ca5c"),
-    (("planar", 300, 3), "20273694527e35ef"),
-    (("torus", 3, 3), "e33ed33a10341c19"),
-    (("torus", 4, 4), "32bf5f260dfcc421"),
-    (("torus", 6, 6), "cb3ed83d62e57f01"),
-    (("torus", 9, 9), "59f47ccc3952dd58"),
-    (("torus", 12, 12), "55aded19ea8ed39f"),
-    (("torus", 3, 5), "a5002ac592a0591e"),
+    (("planar", 5, 0), "0ab7748df0721599"),
+    (("planar", 5, 1), "ad0dade6e618ee22"),
+    (("planar", 5, 2), "08f41366ce5ec25b"),
+    (("planar", 5, 3), "ea0552b8c83c3ca2"),
+    (("planar", 30, 0), "7814a3d480a3c834"),
+    (("planar", 30, 1), "27378afb1cb34240"),
+    (("planar", 30, 2), "66be6d5a16ec27cb"),
+    (("planar", 30, 3), "08bd2e972bcc8d82"),
+    (("planar", 80, 0), "a848860f24e68b11"),
+    (("planar", 80, 1), "84db2eabfe737d68"),
+    (("planar", 80, 2), "e217bde43312a1d1"),
+    (("planar", 80, 3), "dec6d2a838b8cd65"),
+    (("planar", 150, 0), "797718913f74119d"),
+    (("planar", 150, 1), "3a417403c8b3252b"),
+    (("planar", 150, 2), "50035ae0c3ea8217"),
+    (("planar", 150, 3), "ee0bdfd58ad235db"),
+    (("planar", 300, 0), "32c53047ae9d96e5"),
+    (("planar", 300, 1), "52379c608aa4537e"),
+    (("planar", 300, 2), "3ef6dbc78a329975"),
+    (("planar", 300, 3), "579dc06384c9c793"),
+    (("torus", 3, 3), "f498ed79184435b1"),
+    (("torus", 4, 4), "7a74b68e0e7ec880"),
+    (("torus", 6, 6), "2ca510bcd756bd44"),
+    (("torus", 9, 9), "0b8ad55f13dc2d40"),
+    (("torus", 12, 12), "306c5832c899a1e0"),
+    (("torus", 3, 5), "99f6b02d6e2bbe05"),
 )
 
 
@@ -626,6 +629,149 @@ def test_layered_decomposition_roundtrip_keeps_empty_layers():
     ld = res.ld.restricted_to(keep)
     assert not ld.layering.layers[1]
     assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
+
+
+def _full_bag_text(ld):
+    """Oracle: the layered text as written before the core line, every
+    bag listed in full."""
+    td = ld.decomposition
+    lines = [f"bags {len(td.bags)}"]
+    lines += [f"{i}: " + " ".join(map(str, sorted(bag))) for i, bag in enumerate(td.bags)]
+    lines.append("tree")
+    lines += [f"{x} {y}" for x, y in sorted(td.tree_edges)]
+    return "\n".join(lines) + "\n" + format_layering(ld.layering)
+
+
+@st.composite
+def _bag_trees(draw):
+    """Explicit bags joined by a random tree, with or without a shared
+    core, including no bag, a single bag and empty bags, on a layering
+    whose last layer is not empty."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    bags = draw(st.lists(st.frozensets(vertex, max_size=n), max_size=7))
+    if draw(st.booleans()):
+        core = draw(st.frozensets(vertex, min_size=1))
+        bags = [bag | core for bag in bags]
+    edges = frozenset((draw(st.integers(0, i - 1)), i) for i in range(1, len(bags)))
+    layer_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    layers = tuple(frozenset(v for v in range(n) if layer_of[v] == i) for i in range(max(layer_of) + 1))
+    return LayeredDecomposition(TreeDecomposition(tuple(bags), edges), Layering(layers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bag_trees())
+def test_decomposition_text_round_trips(ld):
+    td = ld.decomposition
+    text, layered = format_decomposition(td), format_layered_decomposition(ld)
+    core = frozenset.intersection(*td.bags) if td.bags else frozenset()
+    assert ("\ncore: " in text) == bool(core)
+    back = parse_decomposition(text)
+    assert back == td and format_decomposition(back) == text
+    assert isinstance(back.bags, _ParsedBags if core else tuple)
+    back_ld = parse_layered_decomposition(layered)
+    assert back_ld == ld and format_layered_decomposition(back_ld) == layered
+    assert back_ld.layered_width == ld.layered_width == _scan_layered_width(ld)
+    # the text written before the core line parses to the same value
+    assert parse_layered_decomposition(_full_bag_text(ld)) == ld
+    if td.bags:
+        assert back.width == td.width and back.top_bag == td.top_bag
+
+
+def test_parse_decomposition_moves_common_vertices_into_the_core():
+    """A core line need not hold every common vertex; the value is what
+    counts, and it is written back with the whole core."""
+    td = parse_decomposition("bags 2\ncore: 301\n0: 302 303\n1: 302\ntree\n0 1\n")
+    assert td.bags == (frozenset({301, 302, 303}), frozenset({301, 302}))
+    assert format_decomposition(td) == "bags 2\ncore: 301 302\n0: 303\n1: \ntree\n0 1\n"
+    # equal tokens share one int object, in the core and the bag lines
+    assert len({id(v) for bag in td.bags for v in bag}) == 3
+    td = parse_decomposition("bags 1\ncore:\n0: 4\ntree\n")
+    assert td == TreeDecomposition.single_bag([4])
+    assert format_decomposition(td) == "bags 1\ncore: 4\n0: \ntree\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("bags 2\ncore: 1 2\n0: 3\n1: 2 4\ntree\n0 1\n", "1: 2 4"),  # repeats a core vertex
+        ("bags 2\ncore: 1\n0: 3\ncore: 2\ntree\n0 1\n", "core: 2"),  # a second core line
+        ("bags 2\n0: 3\ncore: 1\n1: 4\ntree\n0 1\n", "core: 1"),  # after a bag line
+        ("bags 0\ncore: 1\ntree\n", "core: 1"),  # the core of no bags
+        ("bags 1\ncore: 1 x\n0: 3\ntree\n", "core: 1 x"),
+    ],
+)
+def test_parse_decomposition_rejects_bad_core_lines(text, line):
+    with pytest.raises(GraphInputError, match=repr(line)):
+        parse_decomposition(text)
+    with pytest.raises(GraphInputError, match=repr(line)):
+        parse_layered_decomposition(text + "1 2 3 4\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(embedded_graphs)
+def test_parsed_core_bags_check_like_explicit_bags(eg):
+    """Validation, width, ``top_bag`` and layered width read a parsed
+    decomposition as core and rests, with the results of its explicit
+    bags, also against G with an uncovered edge and a vertex in no bag,
+    and against G less a bag vertex."""
+    g = eg.to_graph()
+    res = genus_layered_decomposition(eg, (0,))
+    ld = parse_layered_decomposition(format_layered_decomposition(res.ld))
+    td = ld.decomposition
+    explicit = tuple(res.ld.decomposition.bags)
+    assert isinstance(td.bags, _ParsedBags) and td.bags == explicit
+    assert td.bags.core == res.ld.decomposition.bags.core == frozenset.intersection(*explicit)
+    flat = TreeDecomposition(explicit, td.tree_edges)
+    last = g.n - 1
+    for h in (
+        g,
+        Graph.from_edges(g.n + 1, g.edges | {(0, g.n)}),
+        Graph.from_edges(last, {e for e in g.edges if last not in e}),
+    ):
+        got = validate_tree_decomposition(h, td)
+        assert got == validate_tree_decomposition(h, flat)
+        assert got.ok == (h is g)
+    assert td.width == flat.width and td.top_bag == flat.top_bag
+    assert ld.layered_width == _scan_layered_width(ld) == res.ld.layered_width
+
+
+def test_parsed_core_bags_retain_under_half_of_explicit_parse():
+    res = genus_layered_decomposition(toroidal_grid(30, 30), (0,))
+    text, full = format_layered_decomposition(res.ld), _full_bag_text(res.ld)
+    parsed, core_bytes = _retained_bytes(lambda: parse_layered_decomposition(text))
+    flat, flat_bytes = _retained_bytes(lambda: parse_layered_decomposition(full))
+    assert isinstance(flat.decomposition.bags, tuple) and parsed == flat
+    assert core_bytes < flat_bytes / 2, (core_bytes, flat_bytes)
+
+
+@pytest.mark.parametrize(
+    "eg", [toroidal_grid(7, 6), random_planar_triangulation(80, seed=2)], ids=["torus", "planar"]
+)
+def test_layered_width_ceiling_holds_only_under_its_premise(eg):
+    """With the BFS layering every parent is one layer up, so the ceiling
+    applies and bounds the scan; on a layering from another vertex the
+    premise fails and every bag is counted."""
+    res = genus_layered_decomposition(eg, (0,))
+    bags = res.ld.decomposition.bags
+    ceiling = bags.layer_ceiling(res.ld.layering.layer_of)
+    assert ceiling is not None and res.ld.layered_width == _scan_layered_width(res.ld) <= ceiling
+    g = eg.to_graph()
+    other = LayeredDecomposition(res.ld.decomposition, bfs_layering(g, [g.n - 1])[0])
+    assert bags.layer_ceiling(other.layering.layer_of) is None
+    assert other.layered_width == _scan_layered_width(other)
+
+
+def test_layered_width_ceiling_counts_a_large_root_clique():
+    """Root paths from a four-vertex root clique K meet only layer 0, and
+    the face opposite the least root has all of K in its bag: the
+    ceiling is |K|."""
+    corners = [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3]
+    bags = _RootPathBags([0, 0, 0, 0], [0, 0, 0, 0], corners, frozenset())
+    td = TreeDecomposition(bags, frozenset({(0, 1), (0, 2), (0, 3)}))
+    ld = LayeredDecomposition(td, Layering((frozenset(range(4)),)))
+    assert bags.layer_ceiling(ld.layering.layer_of) == 4
+    assert ld.layered_width == _scan_layered_width(ld) == 4
 
 
 @settings(max_examples=300, deadline=None)
