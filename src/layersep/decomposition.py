@@ -510,8 +510,8 @@ class GenusDecompositionResult:
 def genus_layered_decomposition(
     eg: EmbeddedGraph, root_clique: Iterable[int]
 ) -> GenusDecompositionResult:
-    """Layered tree decomposition of width <= 2g+3 whose first layer is
-    the given clique K.
+    """Layered tree decomposition of layered width <= max(2g+3, |K|)
+    whose first layer is the given clique K.
 
     Triangulate, split the edges by tree-cotree with the primal tree grown
     from K (layers are its depths), and take one bag per face: the root
@@ -525,8 +525,8 @@ def genus_layered_decomposition(
     and depth lists, the face corners and Q once, in O(n + F + |Q|) words
     for F faces, rather than F frozensets that each copy Q.  Its width,
     layered width, ``top_bag`` and text lines are derived without
-    building a bag.  A layered width above 2g+3 is a fault of this
-    construction and raises ``DecompositionSelfCheckError``; the check
+    building a bag.  A layered width above max(2g+3, |K|) is a fault of
+    this construction and raises ``DecompositionSelfCheckError``; the check
     stops at the first bag that reaches the proved ceiling
     (``_RootPathBags.layer_ceiling``).
     """
@@ -570,9 +570,11 @@ def genus_layered_decomposition(
     )
     layering = Layering(tuple(frozenset(layer) for layer in layer_sets))
     ld = LayeredDecomposition(TreeDecomposition(bags, tree_edges), layering)
-    if ld.layered_width > 2 * g + 3:
+    cap = max(2 * g + 3, len(clique))
+    if ld.layered_width > cap:
         raise DecompositionSelfCheckError(
-            f"layered width {ld.layered_width} exceeds 2g+3 = {2 * g + 3}"
+            f"layered width {ld.layered_width} exceeds 2g+3 = {2 * g + 3} "
+            f"and |K| = {len(clique)}"
         )
     return GenusDecompositionResult(ld, frozenset(q) - set(clique), g, clique)
 

@@ -7,6 +7,12 @@ clique) whose layers carry (k-1)-rich decompositions, so track layouts
 and nonrepetitive colourings compose level by level: each level costs a
 factor 3c^(s+1) in tracks, and in colours the layer-pattern symbol
 count (4 when the four-symbol word is found).
+
+The recursion is planned once per (G, rd): a tree of pieces, each split
+into its components or into the layers of its shadow layering.  The plan
+is held by ``rd`` (O(total piece size), freed with it) and shared by
+``rich_shadow_layering`` and both recursive drivers, which fold it with
+their own bag solver and composition.
 """
 
 from __future__ import annotations
@@ -44,6 +50,23 @@ class RichDecomposition:
             (len(td.bags[x] & td.bags[y]) for x, y in td.tree_edges),
             default=0,
         )
+
+    @cached_property
+    def _memo(self) -> dict[tuple[str, Graph], Any]:
+        """Shadow layerings and recursion plans built from this
+        decomposition, keyed by kind and graph; see ``_memoised``."""
+        return {}
+
+
+def _memoised(kind: str, g: Graph, rd: RichDecomposition, build: Callable) -> Any:
+    """``build(g, rd)``, stored on ``rd`` so later calls for an equal G
+    share it.  Only a result is stored: a call that raises raises again
+    on the next call, with every check rerun."""
+    memo = rd._memo
+    key = (kind, g)
+    if key not in memo:
+        memo[key] = build(g, rd)
+    return memo[key]
 
 
 def validate_rich(g: Graph, rd: RichDecomposition, k: Optional[int] = None) -> Report:
@@ -118,7 +141,14 @@ def rich_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     non-decreasing down the tree (property checked), and restricting the
     bags of the subtree reaching layer i to that layer gives a
     (k-1)-rich decomposition of the layer.
+
+    The layering is built once per (G, rd) and held by ``rd``; for a
+    connected G the recursive drivers' plan reuses it as its top level.
     """
+    return _memoised("layering", g, rd, _build_shadow_layering)
+
+
+def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     if g.n == 0:
         raise GraphInputError("graph must be non-empty")
     rep = validate_rich(g, rd)
@@ -473,12 +503,13 @@ def _compose_tracks(
 @dataclass(frozen=True)
 class _Artifact:
     """How the shadow recursion handles one kind of artifact: ``relabel``
-    maps a piece's result back to the parent's vertex ids, ``merge`` joins
+    maps a piece's result back to the parent's vertex ids (``to_old[j]``
+    is the parent's id of the piece's vertex j), ``merge`` joins
     the results of disjoint components, and ``compose(g, layering, parts,
     k)`` joins per-layer results across one shadow level of a k-rich
     decomposition."""
 
-    relabel: Callable[[Any, dict[int, int]], Any]
+    relabel: Callable[[Any, Sequence[int]], Any]
     merge: Callable[[Sequence[Any]], Any]
     compose: Callable[[Graph, Layering, Sequence[Any], int], Any]
 
@@ -500,43 +531,75 @@ _COLOURS = _Artifact(
 )
 
 
-def _shadow_recursion(
-    g: Graph, rd: RichDecomposition, solve: Callable[[Graph], Any], art: _Artifact
-) -> Any:
-    """Recurse on richness: split G into components, give each connected
-    piece a shadow-complete layering whose layers are one richness lower,
-    recurse on every layer and compose.  0-rich pieces go to the solver."""
+@dataclass(frozen=True)
+class _Piece:
+    """A node of the shadow recursion's plan: a piece G of richness k and
+    its ``parts``, each ``(to_old, child)`` where ``to_old[j]`` is the id
+    in G of the child's vertex j.  With no layering the parts are G's
+    components, or there are none and G is a leaf for the solver (k == 0
+    or n <= 1); otherwise G is connected and the parts are the layers of
+    its shadow layering, one richness lower."""
+
+    g: Graph
+    k: int
+    layering: Optional[Layering] = None
+    parts: tuple[tuple[tuple[int, ...], _Piece], ...] = ()
+
+
+def _build_plan(g: Graph, rd: RichDecomposition) -> _Piece:
+    """Split G into components, give each connected piece a
+    shadow-complete layering and recurse on every layer; every check of
+    ``rich_shadow_layering`` runs once per connected piece."""
     k = rd.richness
     if k == 0 or g.n <= 1:
-        return solve(g)
+        return _Piece(g, k)
 
-    def on(part: frozenset[int], part_rd: RichDecomposition) -> Any:
+    def on(part: frozenset[int], part_rd: RichDecomposition) -> tuple:
         sub_g, to_new = g.induced(sorted(part))
-        sub = _shadow_recursion(sub_g, _restrict_rd(part_rd, part, to_new), solve, art)
-        return art.relabel(sub, {j: v for v, j in to_new.items()})
+        return tuple(to_new), _build_plan(sub_g, _restrict_rd(part_rd, part, to_new))
 
     comps = sorted(g.components(), key=min)
     if len(comps) > 1:
-        return art.merge([on(comp, rd) for comp in comps])
+        return _Piece(g, k, None, tuple(on(comp, rd) for comp in comps))
     sl = rich_shadow_layering(g, rd)
-    parts = [on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)]
-    return art.compose(g, sl.layering, parts, k)
+    return _Piece(g, k, sl.layering, tuple(
+        on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)
+    ))
+
+
+def _plan(g: Graph, rd: RichDecomposition) -> _Piece:
+    """The shadow recursion's plan for G, built once per (G, rd) and held
+    by ``rd``: O(total piece size), shared by both drivers."""
+    return _memoised("plan", g, rd, _build_plan)
+
+
+def _fold(plan: _Piece, solve: Callable[[Graph], Any], art: _Artifact) -> Any:
+    """One artifact from a plan: ``solve`` runs on the leaves depth first,
+    and each node relabels its parts' results and merges or composes them."""
+    if not plan.parts:
+        return solve(plan.g)
+    parts = [art.relabel(_fold(child, solve, art), to_old) for to_old, child in plan.parts]
+    if plan.layering is None:
+        return art.merge(parts)
+    return art.compose(plan.g, plan.layering, parts, plan.k)
 
 
 def recursive_track_driver(
     g: Graph, rd: RichDecomposition, bag_solver: TrackSolver
 ) -> TrackLayout:
-    """Track layout by the shadow recursion: each level multiplies the
-    track count by at most ``shadow_track_bound``'s factor."""
-    return _shadow_recursion(g, rd, bag_solver, _TRACKS)
+    """Track layout by the shadow recursion, folded over the plan shared
+    with ``rich_shadow_layering`` and the colouring driver: each level
+    multiplies the track count by at most ``shadow_track_bound``'s factor."""
+    return _fold(_plan(g, rd), bag_solver, _TRACKS)
 
 
 def recursive_nonrep_driver(
     g: Graph, rd: RichDecomposition, bag_solver: ColourSolver
 ) -> Colouring:
-    """Nonrepetitive colouring by the shadow recursion: each level
-    multiplies the palette by the layer-pattern symbol count."""
-    return _shadow_recursion(g, rd, bag_solver, _COLOURS)
+    """Nonrepetitive colouring by the shadow recursion, folded over the
+    plan shared with ``rich_shadow_layering`` and the track driver: each
+    level multiplies the palette by the layer-pattern symbol count."""
+    return _fold(_plan(g, rd), bag_solver, _COLOURS)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from layersep.nonrep import (
 from layersep.shadow import (
     _COLOURS,
     _TRACKS,
-    _shadow_recursion,
+    _fold,
+    _plan,
     rich_shadow_layering,
     validate_shadow_layering,
     verify_shadow_complete,
@@ -287,9 +288,10 @@ def test_criterion_9_recursive_drivers():
     ]
     for (g, rd), tsolver, csolver in cases:
         failures: list = []
-        tl = _shadow_recursion(g, rd, tsolver, _checked(_TRACKS, _track_bound, failures))
+        plan = _plan(g, rd)
+        tl = _fold(plan, tsolver, _checked(_TRACKS, _track_bound, failures))
         ok &= verify_track_layout(g, tl).ok
-        c = _shadow_recursion(g, rd, csolver, _checked(_COLOURS, _colour_bound, failures))
+        c = _fold(plan, csolver, _checked(_COLOURS, _colour_bound, failures))
         ok &= verify_proper(g, c).ok
         ok &= verify_nonrepetitive(g, c, max_path=10) is None
         ok &= not failures

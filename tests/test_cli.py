@@ -58,6 +58,18 @@ def test_decompose_clique_root(tmp_path):
     assert run(["verify", "decomposition", dec, graph]) == 0
 
 
+def test_decompose_four_clique_root(tmp_path, capsys):
+    # layer 0 is all of K, so the layered width is |K| = 4 > 2g+3
+    graph = tmp_path / "k4.txt"
+    graph.write_text(format_graph(complete_graph(4)))
+    dec = tmp_path / "dec.txt"
+    man = tmp_path / "dec.json"
+    assert run(["decompose", graph, "--root", "0,1,2,3", "--out", dec, "--manifest", man]) == 0
+    assert parse_layered_decomposition(dec.read_text()).layered_width == 4
+    assert json.loads(man.read_text())["bounds"]["layered_width"] == 4
+    assert run(["verify", "decomposition", dec, graph]) == 0
+
+
 def test_embedded_pipeline(tmp_path):
     rot = tmp_path / "torus.txt"
     assert run(["gen", "toroidal_grid", 4, "--rotation", "--out", rot]) == 0

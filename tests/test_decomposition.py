@@ -223,6 +223,25 @@ def test_genus_pipeline_k4():
     assert res.ld.layered_width <= 3
 
 
+def test_genus_decomposition_rooted_at_four_clique():
+    # every root path ends at vertex 0, so the bag of face 1-2-3 holds all
+    # of K = layer 0: layered width |K| = 4 > 2g+3 = 3
+    g = complete_graph(4)
+    res = genus_layered_decomposition(embed_planar(g), (0, 1, 2, 3))
+    assert res.ld.layering.layers[0] == {0, 1, 2, 3}
+    assert validate_tree_decomposition(g, res.ld.decomposition).ok
+    assert validate_layering(g, res.ld.layering).ok
+    assert res.ld.layered_width == 4
+    # a stacked triangulation starts from the K4 on 0..3; the layers
+    # below it keep their 2g+3 bound
+    eg = random_planar_triangulation(30, seed=1)
+    big = eg.to_graph()
+    res = genus_layered_decomposition(eg, (0, 1, 2, 3))
+    assert validate_tree_decomposition(big, res.ld.decomposition).ok
+    assert res.ld.layered_width == 4
+    assert res.ld.restricted_to(set(range(4, big.n))).layered_width <= 3
+
+
 # SHA-256 prefixes of the formatted layered decomposition plus the sorted
 # apex set Q, rooted at vertex 0 (planar: (n, seed); torus: (p, q)).
 _GENUS_DIGESTS = (

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersep import shadow
 from layersep.decomposition import TreeDecomposition
 from layersep.generators import (
     complete_graph,
@@ -12,13 +13,17 @@ from layersep.generators import (
     random_chordal_with_decomposition,
     random_tree,
 )
-from layersep.graphs import Graph, GraphInputError, Layering, parse_layering
+from layersep.graphs import Graph, GraphInputError, Layering, format_layering, parse_layering
 from layersep.layouts import TrackLayout, format_track_layout, verify_track_layout
 from layersep.nonrep import Colouring, format_colouring, verify_nonrepetitive, verify_proper
 from layersep.shadow import (
+    _COLOURS,
+    _TRACKS,
     RichDecomposition,
     ShadowError,
     _contract_redundant,
+    _plan,
+    _restrict_rd,
     format_rich,
     parse_rich,
     recursive_nonrep_driver,
@@ -223,6 +228,137 @@ def test_recursive_drivers_output_pinned():
         colours = format_colouring(recursive_nonrep_driver(g, rd, csolver))
         assert hashlib.sha256(tracks.encode()).hexdigest()[:16] == tdigest
         assert hashlib.sha256(colours.encode()).hexdigest()[:16] == cdigest
+
+
+def _shadow_recursion(g, rd, solve, art):
+    """Oracle for the planned recursion: split G into components, give
+    each connected piece a shadow-complete layering whose layers are one
+    richness lower, recurse on every layer and compose, planning and
+    solving as it goes.  0-rich pieces go to the solver."""
+    k = rd.richness
+    if k == 0 or g.n <= 1:
+        return solve(g)
+
+    def on(part, part_rd):
+        sub_g, to_new = g.induced(sorted(part))
+        sub = _shadow_recursion(sub_g, _restrict_rd(part_rd, part, to_new), solve, art)
+        return art.relabel(sub, {j: v for v, j in to_new.items()})
+
+    comps = sorted(g.components(), key=min)
+    if len(comps) > 1:
+        return art.merge([on(comp, rd) for comp in comps])
+    sl = rich_shadow_layering(g, rd)
+    parts = [on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)]
+    return art.compose(g, sl.layering, parts, k)
+
+
+def _recording(solver, seen):
+    def solve(g):
+        seen.append(g)
+        return solver(g)
+
+    return solve
+
+
+def _oracle_cases():
+    cases = []
+    for seed in range(12):
+        k = 1 + seed % 3  # richness at most k
+        g, td = random_chordal_with_decomposition(10 + 5 * seed, seed=seed, max_clique=k + 1)
+        cases.append((g, RichDecomposition(td), rainbow_tracks, rainbow_colours))
+        cases.append((g, RichDecomposition(td), clique_track_solver, clique_colour_solver))
+    for seed in range(4):
+        g = random_tree(6 + 7 * seed, seed=seed)
+        cases.append((g, edge_bag_rd(g), rainbow_tracks, rainbow_colours))
+    cases.append((*_twin_trees(), rainbow_tracks, rainbow_colours))
+    cases.append((*planar_torso(), planar_track_solver, planar_colour_solver))
+    return cases
+
+
+def test_planned_recursion_matches_oracle():
+    # every text equals the interleaved recursion's, in either call order,
+    # and the solver sees the same leaves in the same order
+    richness = set()
+    for g, rd, tsolver, csolver in _oracle_cases():
+        richness.add(rd.richness)
+        td = rd.decomposition
+        oracle_rd = RichDecomposition(td)
+        t_leaves, c_leaves = [], []
+        want_t = format_track_layout(
+            _shadow_recursion(g, oracle_rd, _recording(tsolver, t_leaves), _TRACKS))
+        want_c = format_colouring(
+            _shadow_recursion(g, oracle_rd, _recording(csolver, c_leaves), _COLOURS))
+        connected = len(g.components()) == 1
+        if connected:
+            want_l = format_layering(rich_shadow_layering(g, RichDecomposition(td)).layering)
+
+        first = RichDecomposition(td)
+        if connected:
+            assert format_layering(rich_shadow_layering(g, first).layering) == want_l
+        seen: list = []
+        assert format_track_layout(
+            recursive_track_driver(g, first, _recording(tsolver, seen))) == want_t
+        assert seen == t_leaves
+        seen = []
+        assert format_colouring(
+            recursive_nonrep_driver(g, first, _recording(csolver, seen))) == want_c
+        assert seen == c_leaves
+
+        second = RichDecomposition(td)
+        assert format_colouring(recursive_nonrep_driver(g, second, csolver)) == want_c
+        assert format_track_layout(recursive_track_driver(g, second, tsolver)) == want_t
+        if connected:
+            assert format_layering(rich_shadow_layering(g, second).layering) == want_l
+    assert {1, 2, 3} <= richness
+
+
+def _compose_nodes(plan) -> int:
+    return (plan.layering is not None) + sum(_compose_nodes(c) for _, c in plan.parts)
+
+
+def test_layerings_built_once_per_shadow_level(monkeypatch):
+    builds = []
+    real = shadow._contract_redundant
+    monkeypatch.setattr(shadow, "_contract_redundant", lambda td: builds.append(1) or real(td))
+    for g, rd in (chordal_fixture(80, 4, 2), planar_torso(), _twin_trees()):
+        rd = RichDecomposition(rd.decomposition)
+        builds.clear()
+        if len(g.components()) == 1:
+            rich_shadow_layering(g, rd)
+            assert len(builds) == 1
+        recursive_track_driver(g, rd, rainbow_tracks)
+        recursive_nonrep_driver(g, rd, rainbow_colours)
+        if len(g.components()) == 1:
+            rich_shadow_layering(g, rd)
+        levels = _compose_nodes(_plan(g, rd))
+        assert levels
+        assert len(builds) == levels
+
+
+def test_failed_layering_is_not_memoised(monkeypatch):
+    # a chain of edge bags on C4 is 1-rich but leaves edge (0, 3) uncovered
+    g = cycle_graph(4)
+    rd = RichDecomposition(TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})), ((0, 1), (1, 2))
+    ))
+    checks = []
+    real = shadow.validate_rich
+    monkeypatch.setattr(shadow, "validate_rich", lambda *a: checks.append(1) or real(*a))
+    calls = [
+        lambda: rich_shadow_layering(g, rd),
+        lambda: recursive_track_driver(g, rd, rainbow_tracks),
+        lambda: recursive_nonrep_driver(g, rd, rainbow_colours),
+    ]
+    for round_ in range(2):
+        for i, call in enumerate(calls):
+            with pytest.raises(ShadowError, match="covered by no bag"):
+                call()
+            assert len(checks) == 3 * round_ + i + 1
+    empty = Graph.from_edges(0, [])
+    rd0 = RichDecomposition(TreeDecomposition.single_bag([]))
+    for _ in range(2):
+        with pytest.raises(GraphInputError):
+            rich_shadow_layering(empty, rd0)
 
 
 def test_validate_rich_rejects_overdeclared():
