@@ -27,6 +27,7 @@ from .graphs import (
     Layering,
     Report,
     Separation,
+    _components_within,
     bfs_layering,
     validate_separation,
 )
@@ -256,8 +257,7 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     for v in sorted(v for v in top if not 0 <= v < g.n):
         first = 0 if v in core else next(i for i in range(b) if v in rest(i))
         violations.append(f"vertex {v} in bag {first} is not in G")
-    uncovered = []
-    for u, v in g.edges:
+    for u, v in g.sorted_edges:
         if v in where:
             covered = u in core or any(u in rest(i) for i in where[v])
         elif u in where:
@@ -265,8 +265,7 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
         else:
             covered = u in top and v in top and (u, v) not in missed
         if not covered:
-            uncovered.append((u, v))
-    violations.extend(f"edge ({u},{v}) covered by no bag" for u, v in sorted(uncovered))
+            violations.append(f"edge ({u},{v}) covered by no bag")
     adj = td.tree_adjacency
     for v in g.vertices():
         if v not in top:
@@ -748,28 +747,6 @@ def clique_sum_compose(
 # ---------------------------------------------------------------------------
 
 
-def _components_within(g: Graph, allowed: frozenset[int]) -> list[frozenset[int]]:
-    """Components of G[allowed], in increasing order of their least
-    vertex."""
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(allowed):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def _halving_bag(td: TreeDecomposition, sample: frozenset[int]) -> int:
     """Bag whose removal leaves at most half the sample in every
     component of G - B.
@@ -1237,5 +1214,5 @@ def parse_layered_decomposition(text: str) -> LayeredDecomposition:
     end = 2 + core + b + max(b - 1, 0)
     cut = filled[end - 1] + 1 if len(filled) >= end else len(lines)
     td = _decomposition_from_lines(itertools.islice(lines, cut))
-    layering = parse_layering("\n".join(lines[cut:]))
+    layering = parse_layering("".join(ln + "\n" for ln in lines[cut:]))
     return LayeredDecomposition(td, layering)

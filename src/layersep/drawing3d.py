@@ -76,7 +76,7 @@ def _smallest_prime_at_least(n: int) -> int:
         c += 1
 
 
-def draw_from_tracks(g: Graph, tl: TrackLayout, seed: int = 0x5EED) -> GridDrawing3D:
+def draw_from_tracks(g: Graph, tl: TrackLayout, seed: int = 0) -> GridDrawing3D:
     """Columns (i, i^2 mod p) for the smallest prime p >= t, with a
     globally injective z in [0, n).
 
@@ -534,7 +534,7 @@ def volume_report(
         bound_ok = d.volume <= upper
     floor = None
     if g is not None:
-        floor = Fraction(g.n + len(g.edges), 8)
+        floor = Fraction(g.n + g.m, 8)
     return VolumeReport(d.bounding_box, d.volume, track_count, upper, bound_ok, floor)
 
 
@@ -574,7 +574,7 @@ def export_svg(g: Graph, d: GridDrawing3D, scale: int = 20) -> str:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}">'
     ]
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges:
         (x1, y1), (x2, y2) = pts[u], pts[v]
         out.append(
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
@@ -591,5 +591,5 @@ def export_obj(g: Graph, d: GridDrawing3D) -> str:
     order = sorted(d.position)
     index = {v: i + 1 for i, v in enumerate(order)}
     lines = [f"v {x} {y} {z}" for v in order for (x, y, z) in [d.position[v]]]
-    lines.extend(f"l {index[u]} {index[v]}" for u, v in sorted(g.edges))
+    lines.extend(f"l {index[u]} {index[v]}" for u, v in g.sorted_edges)
     return "\n".join(lines) + "\n"

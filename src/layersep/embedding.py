@@ -9,10 +9,12 @@ are supported.
 
 Planar graphs are embedded by Brandes' left-right planarity test (U.
 Brandes, "The Left-Right Planarity Test", 2009), ported step by step
-from networkx's ``LRPlanarity`` onto flat int lists: ``embed_planar``
-returns, at every vertex, the clockwise order networkx's
-``check_planarity`` returns for the same graph, and the tests keep
-networkx as that oracle.  The package itself imports no networkx.
+from networkx's ``LRPlanarity`` onto flat int lists.  It reads the
+graph in its canonical order, ``Graph.sorted_edges``, so equal graphs
+get equal rotation systems: at every vertex ``embed_planar`` returns
+the clockwise order networkx's ``check_planarity`` returns for a graph
+built from that sorted edge list, and the tests keep networkx as that
+oracle.  The package itself imports no networkx.
 """
 
 from __future__ import annotations
@@ -374,14 +376,18 @@ def tree_cotree(eg: EmbeddedGraph, roots: Iterable[int]) -> TreeCotree:
 def _lr_rotation(g: Graph) -> Optional[list[list[int]]]:
     """Brandes' left-right planarity test with embedding extraction.
 
-    Returns each vertex's neighbours in clockwise order, starting at its
-    leftmost neighbour, or ``None`` when ``g`` is not planar.  This is
-    networkx's ``LRPlanarity`` (iterative variant) step by step on flat
-    int lists, so it returns the rotations ``check_planarity`` returns:
-    the same adjacency order, the same DFS orientation, stable sorts by
-    nesting depth before the test and after ``sign``, the same half-edge
-    insertion rules and the same leftmost neighbour at every vertex.
-    Oriented edges are ids in orientation order (``tail``/``head``); a
+    Returns each vertex's darts in clockwise order, starting at its
+    leftmost neighbour, or ``None`` when ``g`` is not planar.  Edge
+    ``k`` is ``g.sorted_edges[k]``, with darts as in ``EmbeddedGraph``,
+    and neighbours are scanned in the ascending order of
+    ``g.adjacency``: the adjacency networkx's ``LRPlanarity`` copies
+    from a graph built from the sorted edge list.  This is
+    ``LRPlanarity`` (iterative variant) step by step on flat int lists,
+    so it returns the rotations ``check_planarity`` returns for that
+    graph: the same DFS orientation, stable sorts by nesting depth
+    before the test and after ``sign``, the same half-edge insertion
+    rules and the same leftmost neighbour at every vertex.  Oriented
+    edges are ids in orientation order (``tail``/``head``/``und``); a
     conflict pair is a list ``[left.low, left.high, right.low,
     right.high]`` with -1 for "no edge", and stack bottoms are compared
     by identity.
@@ -389,34 +395,23 @@ def _lr_rotation(g: Graph) -> Optional[list[list[int]]]:
     n = g.n
     if n > 2 and g.m > 3 * n - 6:
         return None
-    # Adjacency as networkx's Graph stores ``g.edges``, then as
-    # LRPlanarity copies it: pairs (u, v) with v > u, u ascending.
-    nx_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        nx_adj[u].append(v)
-        nx_adj[v].append(u)
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj = g.adjacency
     adj_k: list[list[int]] = [[] for _ in range(n)]  # undirected edge ids
-    k = 0
-    for u in range(n):
-        for v in nx_adj[u]:
-            if v > u:
-                adj[u].append(v)
-                adj_k[u].append(k)
-                adj[v].append(u)
-                adj_k[v].append(k)
-                k += 1
+    for k, (u, v) in enumerate(g.sorted_edges):
+        adj_k[u].append(k)
+        adj_k[v].append(k)
 
     # Orientation DFS: heights, lowpoints and nesting depths.
     height = [-1] * n
     parent_edge = [-1] * n
     tail: list[int] = []
     head: list[int] = []
+    und: list[int] = []  # undirected id of each oriented edge
     lowpt: list[int] = []
     lowpt2: list[int] = []
     nesting: list[int] = []
     out: list[list[int]] = [[] for _ in range(n)]  # oriented edges by tail
-    oriented = bytearray(k)
+    oriented = bytearray(g.m)
     ind = [0] * n
     resume = [-1] * n  # tree edge to finish when its tail is popped again
     roots: list[int] = []
@@ -442,6 +437,7 @@ def _lr_rotation(g: Graph) -> Optional[list[list[int]]]:
                     d = len(head)
                     tail.append(v)
                     head.append(w)
+                    und.append(ks[i])
                     out[v].append(d)
                     lowpt.append(hv)
                     lowpt2.append(hv)
@@ -666,44 +662,39 @@ def _lr_rotation(g: Graph) -> Optional[list[list[int]]]:
 
     rotation: list[list[int]] = []
     for v in range(n):
-        nbrs = []
+        darts = []
         h0 = h = leftmost[v]
         while h >= 0:
-            nbrs.append(tail[h >> 1] if h & 1 else head[h >> 1])
+            d = h >> 1
+            w = tail[d] if h & 1 else head[d]
+            darts.append(2 * und[d] + (v > w))
             h = cw[h]
             if h == h0:
                 break
-        rotation.append(nbrs)
+        rotation.append(darts)
     return rotation
 
 
 def embed_planar(g: Graph) -> EmbeddedGraph:
     """Planar rotation system for a connected planar simple graph.
 
-    Planarity is decided, and the rotations are found, by Brandes' left-
-    right planarity test (U. Brandes, "The Left-Right Planarity Test",
-    2009) in ``_lr_rotation``.  It follows networkx's ``check_planarity``
-    step by step, so for the same graph each vertex's clockwise neighbour
-    order equals ``PlanarEmbedding.neighbors_cw_order`` (the tests keep
+    The edge list is ``g.sorted_edges``, so the result is a function of
+    the graph value alone.  Planarity is decided, and the rotations are
+    found, by Brandes' left-right planarity test (U. Brandes, "The
+    Left-Right Planarity Test", 2009) in ``_lr_rotation``.  It follows
+    networkx's ``check_planarity`` step by step, so each vertex's
+    clockwise neighbour order equals ``PlanarEmbedding.neighbors_cw_order``
+    for networkx's graph built from the sorted edge list (the tests keep
     networkx as the oracle).  Raises ``EmbeddingError`` for the empty,
     a non-planar or a disconnected graph, and ``EmbedderSelfCheckError``
     if the rotation system fails the genus-0 self-check.
     """
     if g.n == 0:
         raise EmbeddingError("cannot embed the empty graph")
-    cyclic = _lr_rotation(g)
-    if cyclic is None:
+    rotation = _lr_rotation(g)
+    if rotation is None:
         raise EmbeddingError("graph is not planar")
-    edge_list = sorted(g.edges)
-    edge_ids = {e: i for i, e in enumerate(edge_list)}
-    rotation = tuple(
-        tuple(
-            2 * edge_ids[(v, w)] if v < w else 2 * edge_ids[(w, v)] + 1
-            for w in nbrs
-        )
-        for v, nbrs in enumerate(cyclic)
-    )
-    eg = EmbeddedGraph(g.n, tuple(edge_list), rotation)
+    eg = EmbeddedGraph(g.n, g.sorted_edges, tuple(map(tuple, rotation)))
     eg.__dict__["_graph"] = g  # its simple graph: share it, build no copy
     if eg.euler_genus != 0:
         raise EmbedderSelfCheckError("planar embedding produced nonzero genus")

@@ -38,16 +38,20 @@ class Graph:
         return Graph(n, frozenset(norm))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges in ascending order: the one edge order every
+        consumer reads, so equal graphs give equal outputs."""
+        return tuple(sorted(self.edges))
 
     @cached_property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending (one pass over the
+        sorted edges lists them in order)."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.sorted_edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
@@ -85,23 +89,31 @@ class Graph:
         return Graph.from_edges(len(order), edges), to_new
 
     def components(self) -> list[frozenset[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        """Connected components, in increasing order of their least
+        vertex."""
+        return _components_within(self, frozenset(self.vertices()))
+
+
+def _components_within(g: Graph, allowed: frozenset[int]) -> list[frozenset[int]]:
+    """Components of G[allowed], in increasing order of their least
+    vertex."""
+    seen: set[int] = set()
+    comps = []
+    for s in sorted(allowed):
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        seen.add(s)
+        while stack:
+            v = stack.pop()
+            for w in g.adjacency[v]:
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
 
 
 @dataclass(frozen=True)
@@ -234,7 +246,7 @@ def validate_layering(g: Graph, layering: Layering) -> Report:
     for v in g.vertices():
         if v not in seen:
             violations.append(f"uncovered vertex {v}")
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges:
         if u in seen and v in seen and abs(seen[u] - seen[v]) > 1:
             violations.append(
                 f"edge ({u},{v}) spans layers {seen[u]} and {seen[v]}"
@@ -263,7 +275,7 @@ def validate_separation(
         violations.append(f"vertex {missing} in neither part")
     side1 = s.part1 - s.part2
     side2 = s.part2 - s.part1
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges:
         if (u in side1 and v in side2) or (u in side2 and v in side1):
             violations.append(f"crossing edge ({u},{v})")
     cap = balance * len(sample)
@@ -321,20 +333,19 @@ def parse_graph(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v}" for u, v in g.sorted_edges)
     return "\n".join(lines) + "\n"
 
 
 def parse_layering(text: str) -> Layering:
-    layers = []
-    for ln in text.splitlines():
-        layers.append(frozenset(_ints(ln.strip(), "layer line")))
-    while layers and not layers[-1]:
-        layers.pop()
-    return Layering(tuple(layers))
+    """Every line is a layer, a blank one an empty layer, so
+    ``parse_layering(format_layering(L)) == L`` for every layering."""
+    return Layering(tuple(
+        frozenset(_ints(ln.strip(), "layer line")) for ln in text.splitlines()
+    ))
 
 
 def format_layering(layering: Layering) -> str:
-    return "\n".join(
-        " ".join(map(str, sorted(layer))) for layer in layering.layers
-    ) + "\n"
+    return "".join(
+        " ".join(map(str, sorted(layer))) + "\n" for layer in layering.layers
+    )

@@ -21,12 +21,11 @@ from .decomposition import (
     GenusDecompositionResult,
     LayeredDecomposition,
     _balanced_sides,
-    _components_within,
     _halving_bag,
     genus_layered_decomposition,
 )
 from .embedding import EmbeddedGraph
-from .graphs import Graph, GraphInputError, Layering, Report, _ints
+from .graphs import Graph, GraphInputError, Layering, Report, _components_within, _ints
 
 
 class LayoutError(ValueError):
@@ -278,7 +277,7 @@ def verify_track_layout(g: Graph, tl: TrackLayout) -> Report:
     pos = tl.position_of
     oriented: list[tuple[int, int]] = []  # edges from the lower track
     by_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges:
         tu, tv = track_of[u], track_of[v]
         if tu == tv:
             violations.append(f"edge ({u},{v}) lies within track {tu}")
@@ -323,7 +322,7 @@ def queue_from_tracks(g: Graph, tl: TrackLayout) -> QueueLayout:
     order = tuple(v for track in tl.tracks for v in track)
     track_of = tl.track_of
     queue_of = {
-        e: abs(track_of[e[0]] - track_of[e[1]]) - 1 for e in sorted(g.edges)
+        e: abs(track_of[e[0]] - track_of[e[1]]) - 1 for e in g.sorted_edges
     }
     return QueueLayout(order, queue_of)
 
@@ -338,7 +337,7 @@ def verify_queue_layout(g: Graph, ql: QueueLayout) -> Report:
         return Report.of(violations)
     pos = ql.position_of
     by_queue: dict[int, list[tuple[int, int]]] = {}
-    for e in sorted(g.edges):
+    for e in g.sorted_edges:
         if e not in ql.queue_of:
             violations.append(f"edge {e} assigned to no queue")
             continue

@@ -279,7 +279,7 @@ def verify_proper(g: Graph, c: Colouring) -> Report:
     is monochromatic."""
     violations = [
         f"edge ({u},{v}) monochromatic in colour {c.colour[u]}"
-        for u, v in sorted(g.edges)
+        for u, v in g.sorted_edges
         if c.colour.get(u) == c.colour.get(v)
     ]
     for v in g.vertices():

@@ -23,12 +23,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
-from .decomposition import (
-    TreeDecomposition,
+from .decomposition import TreeDecomposition, validate_tree_decomposition
+from .graphs import (
+    Graph,
+    GraphInputError,
+    Layering,
+    Report,
     _components_within,
-    validate_tree_decomposition,
+    bfs_layering,
+    validate_layering,
 )
-from .graphs import Graph, GraphInputError, Layering, Report, bfs_layering, validate_layering
 from .layouts import TrackLayout
 from .nonrep import Colouring, layer_pattern_colouring, shadow_nonrep_compose
 
@@ -134,7 +138,8 @@ def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
 
 
 def rich_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
-    """Shadow-complete layering from a k-rich decomposition.
+    """Shadow-complete layering of a connected G from a k-rich
+    decomposition; a disconnected G raises ``ShadowError``.
 
     BFS-layers the bag-completed graph from the minimum-id vertex; each
     bag then spans two consecutive layers, layer indices are
@@ -154,6 +159,9 @@ def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     rep = validate_rich(g, rd)
     if not rep.ok:
         raise ShadowError(f"input decomposition invalid: {rep.violations[0]}")
+    c = len(g.components())
+    if c > 1:
+        raise ShadowError(f"graph has {c} components; a shadow layering needs one")
     k = max(rd.richness, 1)
     td = _contract_redundant(rd.decomposition)
 
@@ -309,7 +317,7 @@ def shadow_track_compose(
     comp_of: dict[int, tuple[int, int]] = {}  # vertex -> (layer, comp index)
     comps: list[list[frozenset[int]]] = []
     for i in range(t):
-        cs = sorted(_components_within(g, layers[i]), key=min)
+        cs = _components_within(g, layers[i])
         comps.append(cs)
         for j, c in enumerate(cs):
             for v in c:
@@ -558,7 +566,7 @@ def _build_plan(g: Graph, rd: RichDecomposition) -> _Piece:
         sub_g, to_new = g.induced(sorted(part))
         return tuple(to_new), _build_plan(sub_g, _restrict_rd(part_rd, part, to_new))
 
-    comps = sorted(g.components(), key=min)
+    comps = g.components()
     if len(comps) > 1:
         return _Piece(g, k, None, tuple(on(comp, rd) for comp in comps))
     sl = rich_shadow_layering(g, rd)

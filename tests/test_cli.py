@@ -13,9 +13,9 @@ import layersep
 from layersep import cli, decomposition, embedding, layouts
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
-from layersep.drawing3d import DrawingError, parse_drawing
+from layersep.drawing3d import DrawingError, draw_from_tracks, format_drawing, parse_drawing
 from layersep.generators import complete_graph, k5_graph
-from layersep.graphs import Graph, Report, format_graph, format_layering
+from layersep.graphs import Graph, Report, format_graph, format_layering, parse_graph
 from layersep.layouts import parse_track_layout
 from layersep.nonrep import Colouring, format_colouring, parse_colouring
 
@@ -118,6 +118,16 @@ def test_draw3d_with_exports(tmp_path):
     parse_drawing(out.read_text())
     assert svg.read_text().startswith("<svg")
     assert obj.read_text().startswith("v ")
+
+
+def test_draw3d_default_seed_is_the_library_default(tmp_path):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 30, "--seed", 5, "--out", graph])
+    out = tmp_path / "d.txt"
+    assert run(["draw3d", graph, "--out", out]) == 0
+    g, res, labels, _ = layouts.pipeline(embedding.embed_planar(parse_graph(graph.read_text())))
+    tl = layouts.track_layout_from_compute(g, res.ld.layering, labels)
+    assert out.read_text() == format_drawing(draw_from_tracks(g, tl))
 
 
 def test_verify_failure_exit_code(tmp_path):

@@ -50,6 +50,7 @@ from layersep.graphs import (
     Report,
     bfs_layering,
     format_layering,
+    parse_layering,
     validate_layering,
     validate_separation,
     separator_layer_widths,
@@ -638,16 +639,20 @@ def test_parse_decomposition_parses_each_token_once():
 
 
 def test_layered_decomposition_roundtrip_keeps_empty_layers():
-    # restricted_to leaves interior layers empty; their indices must survive
+    # restricted_to leaves interior and last layers empty; their indices
+    # must survive
     td = TreeDecomposition((frozenset({0}), frozenset({0, 2})), frozenset({(0, 1)}))
-    for layers in ([[0], [], [2]], [[], [0], [], [], [2]]):
+    for layers in ([[0], [], [2]], [[], [0], [], [], [2]], [[0, 2], [], []]):
         ld = LayeredDecomposition(td, Layering(tuple(map(frozenset, layers))))
         assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
     g, res, _, _ = planar_pipeline(15)
-    keep = [v for v in g.vertices() if res.ld.layering.layer_of[v] != 1]
-    ld = res.ld.restricted_to(keep)
-    assert not ld.layering.layers[1]
-    assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
+    last = len(res.ld.layering) - 1
+    for gone in (1, last):
+        keep = [v for v in g.vertices() if res.ld.layering.layer_of[v] != gone]
+        ld = res.ld.restricted_to(keep)
+        assert not ld.layering.layers[gone]
+        assert parse_layering(format_layering(ld.layering)) == ld.layering
+        assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
 
 
 def _full_bag_text(ld):
@@ -665,7 +670,7 @@ def _full_bag_text(ld):
 def _bag_trees(draw):
     """Explicit bags joined by a random tree, with or without a shared
     core, including no bag, a single bag and empty bags, on a layering
-    whose last layer is not empty."""
+    with up to two empty layers at its end."""
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
     bags = draw(st.lists(st.frozensets(vertex, max_size=n), max_size=7))
@@ -674,7 +679,8 @@ def _bag_trees(draw):
         bags = [bag | core for bag in bags]
     edges = frozenset((draw(st.integers(0, i - 1)), i) for i in range(1, len(bags)))
     layer_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    layers = tuple(frozenset(v for v in range(n) if layer_of[v] == i) for i in range(max(layer_of) + 1))
+    t = max(layer_of) + 1 + draw(st.integers(0, 2))
+    layers = tuple(frozenset(v for v in range(n) if layer_of[v] == i) for i in range(t))
     return LayeredDecomposition(TreeDecomposition(tuple(bags), edges), Layering(layers))
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersep.decomposition import format_layered_decomposition
 from layersep.embedding import (
     EmbeddedGraph,
     EmbeddingError,
@@ -19,23 +20,26 @@ from layersep.generators import (
     k33_graph,
     k5_graph,
     random_planar_triangulation,
+    random_tree,
     toroidal_grid,
 )
 from layersep.graphs import Graph, GraphInputError
+from layersep.layouts import format_track_layout, pipeline, track_layout_from_compute
 
 
 def _nx_embed_planar(g: Graph) -> EmbeddedGraph:
-    """Oracle: the rotation system of networkx's ``check_planarity``, which
-    ``embed_planar`` must reproduce (same cyclic order at every vertex)."""
+    """Oracle: the rotation system of networkx's ``check_planarity`` on the
+    graph built from ``g.sorted_edges``, which ``embed_planar`` must
+    reproduce (same cyclic order at every vertex)."""
     if g.n == 0:
         raise EmbeddingError("cannot embed the empty graph")
     nxg = nx.Graph()
     nxg.add_nodes_from(g.vertices())
-    nxg.add_edges_from(g.edges)
+    nxg.add_edges_from(g.sorted_edges)
     ok, emb = nx.check_planarity(nxg)
     if not ok:
         raise EmbeddingError("graph is not planar")
-    edge_list = sorted(g.edges)
+    edge_list = g.sorted_edges
     edge_ids = {e: i for i, e in enumerate(edge_list)}
     rotation: list[tuple[int, ...]] = []
     for v in g.vertices():
@@ -45,7 +49,7 @@ def _nx_embed_planar(g: Graph) -> EmbeddedGraph:
             e = edge_ids[(min(v, w), max(v, w))]
             darts.append(2 * e if edge_list[e][0] == v else 2 * e + 1)
         rotation.append(tuple(darts))
-    eg = EmbeddedGraph(g.n, tuple(edge_list), tuple(rotation))
+    eg = EmbeddedGraph(g.n, edge_list, tuple(rotation))
     if eg.euler_genus != 0:
         raise EmbeddingError("planar embedding produced nonzero genus")
     return eg
@@ -380,13 +384,46 @@ def test_embed_planar_rejects_empty_and_disconnected():
 
 
 def test_embed_planar_rotation_pinned():
-    # the tuples, start included, as networkx 3.6 returns them; the oracle
-    # tests compare cyclic order only, so this pins where each one starts
+    # the tuples, start included, as networkx 3.6 returns them for the
+    # sorted edge list; the oracle tests compare cyclic order only, so
+    # this pins where each one starts
     assert embed_planar(grid_graph(3, 3)).rotation == (
         (0, 2), (1, 4, 6), (5, 8), (10, 12, 3), (14, 16, 11, 7), (9, 18, 15),
         (13, 20), (21, 17, 22), (23, 19),
     )
     assert embed_planar(random_planar_triangulation(8, seed=2).to_graph()).rotation == (
-        (0, 6, 4, 10, 2, 8), (1, 18, 20, 12, 14, 16), (13, 28, 24, 3, 26, 22),
-        (23, 32, 5, 30, 15), (31, 7, 17), (34, 19, 9, 25), (33, 27, 11), (29, 21, 35),
+        (0, 8, 2, 10, 4, 6), (1, 16, 14, 12, 20, 18), (13, 22, 26, 3, 24, 28),
+        (23, 15, 30, 5, 32), (31, 17, 7), (25, 9, 19, 34), (33, 11, 27), (35, 21, 29),
     )
+
+
+@st.composite
+def permuted_copies(draw):
+    """A random tree or a connected spanning subgraph of a random
+    triangulation, and the equal graph built from its edges in a random
+    order."""
+    if draw(st.booleans()):
+        g = random_tree(draw(st.integers(1, 60)), seed=draw(st.integers(0, 10**6)))
+    else:
+        g = draw(spanning_subgraphs())
+    edges = list(g.sorted_edges)
+    draw(st.randoms(use_true_random=False)).shuffle(edges)
+    return g, Graph.from_edges(g.n, edges)
+
+
+def _artifact_texts(eg: EmbeddedGraph) -> tuple[str, str]:
+    g, res, labels, _ = pipeline(eg)
+    tl = track_layout_from_compute(g, res.ld.layering, labels)
+    return format_layered_decomposition(res.ld), format_track_layout(tl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_copies())
+def test_equal_graphs_embed_alike(pair):
+    # the embedding is a function of the graph value, not of the order
+    # its edges arrived in, and so is every artifact built on it
+    g, h = pair
+    assert g == h
+    eg, eh = embed_planar(g), embed_planar(h)
+    assert eg.rotation == eh.rotation
+    assert _artifact_texts(eg) == _artifact_texts(eh)

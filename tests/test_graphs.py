@@ -120,6 +120,26 @@ def test_layering_format_roundtrip():
     assert parse_layering(format_layering(layering)) == layering
     gappy = Layering((frozenset({0}), frozenset(), frozenset({2})))
     assert parse_layering(format_layering(gappy)) == gappy
+    assert format_layering(Layering(())) == ""
+
+
+@st.composite
+def layerings(draw):
+    """Up to 6 layers over up to 20 vertices, any of them empty, the last
+    ones and a lone one included, and no layer at all."""
+    t = draw(st.integers(0, 6))
+    layer_of = draw(st.lists(st.integers(0, t - 1), max_size=20)) if t else []
+    return Layering(tuple(
+        frozenset(v for v, i in enumerate(layer_of) if i == j) for j in range(t)
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layerings())
+def test_layering_text_round_trips(layering):
+    text = format_layering(layering)
+    assert parse_layering(text) == layering
+    assert format_layering(parse_layering(text)) == text
 
 
 def test_parse_layering_rejects_garbage():

@@ -197,6 +197,13 @@ def _twin_trees():
     return g, edge_bag_rd(g)
 
 
+def test_rich_shadow_layering_rejects_disconnected_graph():
+    # the drivers split G into its components before they layer it
+    g, rd = _twin_trees()
+    with pytest.raises(ShadowError, match="graph has 2 components"):
+        rich_shadow_layering(g, rd)
+
+
 def test_recursive_drivers_disconnected():
     g, rd = _twin_trees()
     tl = recursive_track_driver(g, rd, rainbow_tracks)
@@ -219,7 +226,7 @@ def test_recursive_drivers_output_pinned():
         (chordal_fixture(80, 4, 160), clique, "b255270704cbd95f", "83941406505903a9"),
         (chordal_fixture(80, 4, 2), clique, "d8cf3434dce0c7c5", "c8944293cd54bf46"),
         (planar_torso(), (planar_track_solver, planar_colour_solver),
-         "10a15661691873d2", "cf169706328659a9"),
+         "aa418c2780674495", "59805177257fd86e"),
         (_twin_trees(), (rainbow_tracks, rainbow_colours),
          "0657627d8bfaf8ed", "f0562153b4b2ed09"),
     ]
