@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from abc import abstractmethod
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from collections.abc import Set as AbstractSet
@@ -46,12 +45,13 @@ class DecompositionSelfCheckError(DecompositionError):
 class TreeDecomposition:
     """Bags indexed 0..b-1 joined by a tree on the bag indices.
 
-    ``bags`` is a tuple of frozensets, or a ``_CoreBags`` sequence that
-    holds the core, the vertices in every bag, once and builds each bag
-    when it is read: the root-path bags of ``genus_layered_decomposition``
-    and the bags parsed from a text with a core line.  Both index,
-    iterate and compare equal alike; take ``tuple(bags)`` before tuple
-    arithmetic.
+    ``bags`` is a tuple of frozensets, or a lazy ``_CoreBags`` sequence:
+    the root-path bags of ``genus_layered_decomposition``, or the bags
+    parsed from a text, held as each bag's change from its parent bag.
+    Both index, iterate and compare equal alike; take ``tuple(bags)``
+    before tuple arithmetic.  Width, layered width, ``top_bag``,
+    validation and the text read the bags as ``deltas`` along ``forest``,
+    so a lazy bag is never built for them.
     """
 
     bags: Sequence[frozenset[int]]
@@ -63,9 +63,15 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        if isinstance(self.bags, _CoreBags):
-            return self.bags.width()
-        return max((len(b) for b in self.bags), default=0) - 1
+        if isinstance(self.bags, tuple):
+            return max(map(len, self.bags), default=0) - 1
+        core, adds, drops = self.deltas
+        parent, order = self.forest
+        size = [0] * len(order)
+        for x in order:
+            p = parent[x]
+            size[x] = (size[p] if p >= 0 else 0) + len(adds[x]) - len(drops[x])
+        return len(core) + max(size, default=0) - 1
 
     @cached_property
     def tree_adjacency(self) -> dict[int, list[int]]:
@@ -78,27 +84,72 @@ class TreeDecomposition:
         return adj
 
     @cached_property
-    def rooted(self) -> tuple[list[int], list[int], list[int]]:
-        """(parent, preorder, tin) with the tree rooted at bag 0."""
-        b = len(self.bags)
+    def forest(self) -> tuple[list[int], list[int]]:
+        """(parent, preorder) of a depth-first search of the bag tree from
+        bag 0, then from the least bag not yet reached, neighbours taken
+        in ascending order; parent -1 marks each search's root.  A
+        disconnected tree gives a spanning forest, one with a cycle a
+        spanning tree.  Bags parsed with their tree hand theirs over."""
+        bags = self.bags
+        if isinstance(bags, _DeltaBags) and bags.tree_edges is self.tree_edges:
+            return bags.parent, bags.order
+        b = len(bags)
+        adj = self.tree_adjacency
         parent = [-1] * b
         order: list[int] = []
-        tin = [0] * b
-        stack = [0]
         seen = [False] * b
-        seen[0] = True
-        while stack:
-            x = stack.pop()
-            tin[x] = len(order)
-            order.append(x)
-            for y in self.tree_adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    stack.append(y)
-        if len(order) != b:
+        for r in range(b):
+            if seen[r]:
+                continue
+            seen[r] = True
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                order.append(x)
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        parent[y] = x
+                        stack.append(y)
+        return parent, order
+
+    @cached_property
+    def rooted(self) -> tuple[list[int], list[int], list[int]]:
+        """(parent, preorder, tin) with the tree rooted at bag 0."""
+        parent, order = self.forest
+        if parent.count(-1) > 1:
             raise DecompositionError("decomposition tree is disconnected")
+        tin = [0] * len(order)
+        for r, x in enumerate(order):
+            tin[x] = r
         return parent, order, tin
+
+    @cached_property
+    def deltas(self) -> tuple[frozenset[int], Sequence[Sequence[int]], Sequence[Sequence[int]]]:
+        """(core, adds, drops): the vertices in every bag and, per bag,
+        the vertices it adds to and drops from its parent's bag in
+        ``forest``; a root adds its bag less the core.  Parsed bags hold
+        exactly these when their parents are ``forest``'s, root-path bags
+        derive them in O(change) (``_RootPathBags.deltas``), and other
+        bags are compared with their parents' bags."""
+        bags = self.bags
+        parent, order = self.forest
+        if isinstance(bags, _DeltaBags) and parent is bags.parent:
+            return bags.core, bags.adds, bags.drops
+        if isinstance(bags, _RootPathBags):
+            return bags.core, *bags.deltas(parent, order)
+        full = tuple(bags)
+        core = full[0].intersection(*full[1:]) if full else frozenset()
+        adds: list[AbstractSet[int]] = [frozenset()] * len(full)
+        drops: list[AbstractSet[int]] = [frozenset()] * len(full)
+        for x in order:
+            p = parent[x]
+            if p < 0:
+                adds[x] = full[x] - core
+            else:
+                adds[x] = full[x] - full[p]
+                drops[x] = full[p] - full[x]
+        return core, adds, drops
 
     @cached_property
     def subtree_end(self) -> list[int]:
@@ -124,14 +175,15 @@ class TreeDecomposition:
     @cached_property
     def top_bag(self) -> dict[int, int]:
         """Each vertex's bag nearest the root.  A vertex's bags form a
-        subtree, so this is its bag of least preorder rank."""
+        subtree, so this is its bag of least preorder rank, the first bag
+        in preorder that adds it."""
         _, order, tin = self.rooted
         if isinstance(self.bags, _RootPathBags):
             return self.bags.top_bag(order, tin)
-        core, rest = _bag_parts(self.bags)
+        core, adds, _ = self.deltas
         top = dict.fromkeys(core, order[0])
         for x in order:
-            for v in rest(x):
+            for v in adds[x]:
                 top.setdefault(v, x)
         return top
 
@@ -147,14 +199,41 @@ class LayeredDecomposition:
     @cached_property
     def layered_width(self) -> int:
         """Most vertices of one bag in one layer.  The core, the vertices
-        common to every bag, is counted per layer once; then each bag is
-        counted outside it, up to the root-path bags' proved ceiling
-        (``_RootPathBags.layer_ceiling``) where it applies."""
+        common to every bag, is counted per layer once; then one search
+        of the bag tree keeps the count of the bag it is at per layer,
+        changing it by each bag's ``deltas``.  Root-path bags under their
+        proved ceiling (``_RootPathBags.layer_ceiling``) are instead
+        counted bag by bag up to the first that reaches it."""
         bags = self.decomposition.bags
         layer_of = self.layering.layer_of
-        ceiling = bags.layer_ceiling(layer_of) if isinstance(bags, _RootPathBags) else None
-        core, rest = _bag_parts(bags)
-        return _core_layered_width(core, map(rest, range(len(bags))), layer_of, ceiling)
+        if isinstance(bags, _RootPathBags):
+            ceiling = bags.layer_ceiling(layer_of)
+            if ceiling is not None:
+                return bags.ceiling_width(layer_of, ceiling)
+        core, adds, drops = self.decomposition.deltas
+        parent, order = self.decomposition.forest
+        count = [0] * len(self.layering)
+        for v in core:
+            count[layer_of[v]] += 1
+        best = max(count, default=0)
+        path: list[int] = []
+        for x in order:
+            p = parent[x]
+            while path and path[-1] != p:
+                y = path.pop()
+                for v in adds[y]:
+                    count[layer_of[v]] -= 1
+                for v in drops[y]:
+                    count[layer_of[v]] += 1
+            for v in drops[x]:
+                count[layer_of[v]] -= 1
+            for v in adds[x]:
+                i = layer_of[v]
+                c = count[i] = count[i] + 1
+                if c > best:
+                    best = c
+            path.append(x)
+        return best
 
     def restricted_to(self, keep: Iterable[int]) -> "LayeredDecomposition":
         """Restriction to a vertex subset: bags and layers intersected."""
@@ -167,52 +246,22 @@ class LayeredDecomposition:
         return LayeredDecomposition(td, Layering(layers))
 
 
-def _core_layered_width(
-    core: Iterable[int],
-    rests: Iterable[Iterable[int]],
-    layer_of: dict[int, int],
-    ceiling: int | None = None,
-) -> int:
-    """Layered width of the bags ``core | rest``, each rest disjoint from
-    the core: the most, over rests and layers, of the core's count in a
-    layer plus the rest's.  ``ceiling``, if given, bounds every bag's
-    count in a layer, so the scan stops at the first bag reaching it."""
-    in_core: dict[int, int] = {}
-    for v in core:
-        i = layer_of[v]
-        in_core[i] = in_core.get(i, 0) + 1
-    best = max(in_core.values(), default=0)
-    for rest in rests:
-        if ceiling is not None and best >= ceiling:
-            break
-        counts: dict[int, int] = {}
-        for v in rest:
-            i = layer_of[v]
-            counts[i] = counts.get(i, 0) + 1
-        for i, c in counts.items():
-            c += in_core.get(i, 0)
-            if c > best:
-                best = c
-    return best
-
-
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     """Check bag-tree shape, that every bag vertex is in G, edge
     coverage and subtree connectivity.
 
-    With the bag tree rooted (``rooted``), a vertex's bags form a
+    With the bag tree rooted (``forest``), a vertex's bags form a
     subtree iff it is new -- in a bag but not in the parent's bag -- in
     exactly one bag, its top bag.  For two such vertices the bags of u
     and v meet iff v is in u's top bag or u is in v's top bag, since a
     common bag lies below both tops, and then the top read later in
     preorder holds the other end.  So one pass over the bags in preorder
-    decides a valid decomposition in O(sum |B| + m): each bag's new
-    vertices come from one set difference with its parent's bag, kept
-    on the root path, and each edge is checked in the top bag of the end
-    read last.  Bags are read once, as their core, the vertices in every
-    bag, and the rest (``_bag_parts``), so ``_CoreBags`` are never
-    built.  Only vertices new in several bags are scanned bag by bag,
-    against the tree edges as given.
+    decides a valid decomposition in O(sum of changes + m): a bag's new
+    vertices are the ones its ``deltas`` add, the bag itself is one set
+    changed by each bag's deltas on the way down and back on the way up,
+    and each edge is checked in the top bag of the end read last.  Only
+    vertices new in several bags are looked up bag by bag, against the
+    tree edges as given.
     """
     violations: list[str] = []
     b = len(td.bags)
@@ -223,23 +272,27 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
         violations.append(
             f"tree has {len(td.tree_edges)} edges for {b} bags"
         )
-    try:
-        parent, order, _ = td.rooted
-    except DecompositionError:
+    parent, order = td.forest
+    if parent.count(-1) > 1:
         violations.append("decomposition tree is disconnected")
         return Report.of(violations)
-    core, rest = _bag_parts(td.bags)
+    core, adds, drops = td.deltas
     nbrs = g.adjacency
-    path: list[tuple[int, AbstractSet[int]]] = []  # (bag, rest), root to x
     top: dict[int, int] = {}
     spread: set[int] = set()  # vertices new in more than one bag
     missed: set[tuple[int, int]] = set()  # edges the later top bag misses
+    stray = dict.fromkeys((v for v in core if not 0 <= v < g.n), 0)  # least bag holding v
+    rest: set[int] = set()  # the bag at x less the core
+    path: list[int] = []  # the bags from the root to x
     for x in order:
-        r = rest(x)
-        while path and path[-1][0] != parent[x]:
-            path.pop()
-        new = r - path[-1][1] if path else core | r  # the core cancels
-        path.append((x, r))
+        while path and path[-1] != parent[x]:
+            y = path.pop()
+            rest.difference_update(adds[y])
+            rest.update(drops[y])
+        path.append(x)
+        rest.difference_update(drops[x])
+        rest.update(adds[x])
+        new = adds[x] if parent[x] >= 0 else core.union(adds[x])
         for v in new:
             if v in top:
                 spread.add(v)
@@ -247,30 +300,35 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
             top[v] = x
             if 0 <= v < g.n:
                 for w in nbrs[v]:
-                    if w not in r and w in top and w not in core:
+                    if w not in rest and w in top and w not in core:
                         missed.update(((v, w), (w, v)))
+            else:
+                stray[v] = x
+        if stray:
+            for v in stray.keys() & rest:
+                stray[v] = min(stray[v], x)
+    bags = td.bags
     where: dict[int, list[int]] = {v: [] for v in spread}
     if spread:  # never in the core, which is new in the root bag only
         for i in range(b):
-            for v in rest(i) & spread:
+            for v in bags[i] & spread:
                 where[v].append(i)
-    for v in sorted(v for v in top if not 0 <= v < g.n):
-        first = 0 if v in core else next(i for i in range(b) if v in rest(i))
-        violations.append(f"vertex {v} in bag {first} is not in G")
+    for v in sorted(stray):
+        violations.append(f"vertex {v} in bag {stray[v]} is not in G")
     for u, v in g.sorted_edges:
         if v in where:
-            covered = u in core or any(u in rest(i) for i in where[v])
+            covered = u in core or any(u in bags[i] for i in where[v])
         elif u in where:
-            covered = v in core or any(v in rest(i) for i in where[u])
+            covered = v in core or any(v in bags[i] for i in where[u])
         else:
             covered = u in top and v in top and (u, v) not in missed
         if not covered:
             violations.append(f"edge ({u},{v}) covered by no bag")
-    adj = td.tree_adjacency
     for v in g.vertices():
         if v not in top:
             violations.append(f"vertex {v} in no bag")
         elif v in where:
+            adj = td.tree_adjacency
             nodes = where[v]
             nodeset = set(nodes)
             comp = {nodes[0]}
@@ -286,42 +344,11 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     return Report.of(violations)
 
 
-def _bag_parts(
-    bags: Sequence[frozenset[int]],
-) -> tuple[frozenset[int], Callable[[int], AbstractSet[int]]]:
-    """(core, rest): the vertices common to every bag, and bag i less the
-    core.  ``_CoreBags`` hold both, so no bag is built; explicit bags are
-    intersected once."""
-    if isinstance(bags, _CoreBags):
-        return bags.core, bags.outside
-    core = frozenset(bags[0]).intersection(*bags[1:]) if bags else frozenset()
-    if not core:
-        return core, bags.__getitem__
-    return core, lambda i: bags[i] - core
-
-
 class _CoreBags(Sequence):
-    """Bags held as their core, the vertices common to every bag, and
-    each bag's rest outside the core (``outside``).  A bag is built each
-    time it is read; the width, layered width, validation, ``top_bag`` and
-    text lines take the core once and read the rests.  The sequence
-    compares equal to the tuple of its bags."""
+    """A lazy bag sequence that holds the core, the vertices common to
+    every bag, once.  It compares equal to the tuple of its bags."""
 
     __slots__ = ("core",)
-
-    @abstractmethod
-    def outside(self, i: int) -> AbstractSet[int]:
-        """Bag i less the core."""
-
-    def outsides(self) -> Iterator[AbstractSet[int]]:
-        """Each bag less the core, in bag order."""
-        return map(self.outside, range(len(self)))
-
-    def __getitem__(self, i: int) -> frozenset[int]:
-        return self.core.union(self.outside(range(len(self))[i]))
-
-    def __iter__(self):
-        return map(self.core.union, self.outsides())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, _CoreBags)):
@@ -331,27 +358,57 @@ class _CoreBags(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
-    def width(self) -> int:
-        """``TreeDecomposition.width``: the core plus the largest rest,
-        less one."""
-        return len(self.core) + max(map(len, self.outsides()), default=0) - 1
 
+class _DeltaBags(_CoreBags):
+    """The bags of a decomposition text: the core and, per bag, its
+    parent in the bag forest (-1 for a root) and the vertices it adds to
+    and drops from the parent's bag; a root adds its bag less the core.
+    Each root is the least bag of its tree, so ``order``, the forest's
+    preorder, is the search ``TreeDecomposition.forest`` makes.  The
+    first bag read builds every bag once and keeps them."""
 
-class _ParsedBags(_CoreBags):
-    """The bags of a decomposition text with a core line: the core and
-    one frozenset per bag line."""
+    __slots__ = ("parent", "order", "adds", "drops", "tree_edges", "_bags")
 
-    __slots__ = ("_rests",)
-
-    def __init__(self, core: frozenset[int], rests: tuple[frozenset[int], ...]) -> None:
+    def __init__(
+        self,
+        core: frozenset[int],
+        parent: list[int],
+        order: list[int],
+        adds: list[AbstractSet[int] | tuple[int, ...]],
+        drops: list[AbstractSet[int] | tuple[int, ...]],
+    ) -> None:
         self.core = core
-        self._rests = rests
+        self.parent = parent
+        self.order = order
+        self.adds = adds
+        self.drops = drops
+        self.tree_edges = frozenset(
+            (p, x) if p < x else (x, p) for x, p in enumerate(parent) if p >= 0
+        )
+        self._bags: tuple[frozenset[int], ...] | None = None
 
     def __len__(self) -> int:
-        return len(self._rests)
+        return len(self.parent)
 
-    def outside(self, i: int) -> frozenset[int]:
-        return self._rests[i]
+    def _built(self) -> tuple[frozenset[int], ...]:
+        parent, adds, drops = self.parent, self.adds, self.drops
+        rests: list[frozenset[int]] = [frozenset()] * len(parent)
+        for x in self.order:
+            p = parent[x]
+            rest = rests[p] if p >= 0 else frozenset()
+            if drops[x]:
+                rest = rest.difference(drops[x])
+            if adds[x]:
+                rest = rest.union(adds[x])
+            rests[x] = rest
+        self._bags = tuple(map(self.core.union, rests)) if self.core else tuple(rests)
+        return self._bags
+
+    def __getitem__(self, i: int) -> frozenset[int]:
+        return (self._bags or self._built())[i]
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return iter(self._bags or self._built())
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +421,17 @@ class _RootPathBags(_CoreBags):
 
     Bag f is Q | P(x) | P(y) | P(z) for the corners x, y, z of face f,
     where P(v) is the path from v to the root in the primal BFS tree.
-    Only the parent and depth lists, three corners per face, Q and the
-    core are kept, O(n + F + |Q|) words.  The core is Q plus the few
-    vertices above every face's corners (``_common_beyond_q``); each
-    bag's rest is the walk up from its corners to the core.
+    Only the parent and depth lists, the BFS tree's preorder intervals,
+    three corners per face, Q and the core are kept, O(n + F + |Q|)
+    words.  The core is Q plus the few vertices above every face's
+    corners (``_common_beyond_q``); each bag's rest is the walk up from
+    its corners to the core.  Vertex v lies in bag f iff v is in the
+    core or a corner of f lies in v's subtree, an interval of preorder
+    ranks; so the change between two bags is read off a few short walks
+    (``deltas``).
     """
 
-    __slots__ = ("_parent", "_depth", "_corners", "q")
+    __slots__ = ("_parent", "_depth", "_corners", "_rank", "_end", "q")
 
     def __init__(
         self, parent: list[int], depth: list[int], corners: list[int], q: frozenset[int]
@@ -378,12 +439,19 @@ class _RootPathBags(_CoreBags):
         self._parent = parent  # the root is its own parent
         self._depth = depth
         self._corners = corners  # face f's corners at 3f, 3f+1, 3f+2
+        self._rank, self._end = _preorder_intervals(parent)
         self.q = q
         self.core = q  # the walks of _common_beyond_q stop at Q
         self.core = q.union(self._common_beyond_q())
 
     def __len__(self) -> int:
         return len(self._corners) // 3
+
+    def __getitem__(self, f: int) -> frozenset[int]:
+        return self.core.union(self.outside(range(len(self))[f]))
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return map(self.core.union, map(self.outside, range(len(self))))
 
     def outside(self, f: int) -> set[int]:
         """The vertices of bag f outside the core.  The core and every
@@ -398,36 +466,57 @@ class _RootPathBags(_CoreBags):
                 v = parent[v]
         return out
 
+    def deltas(
+        self, parent: list[int], order: list[int]
+    ) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
+        """``TreeDecomposition.deltas`` along a forest of these bags, in
+        O(F + sum of changes).  A root adds its rest.  Bag x adds the
+        vertices of bag x outside its parent bag p: the walk up from each
+        corner of x that is not one of p's, up to the core, a vertex above
+        a corner of p (a preorder interval holds that corner's rank) or a
+        vertex already collected.  It drops the converse."""
+        vparent, core, rank, end, corners = self._parent, self.core, self._rank, self._end, self._corners
+
+        def beyond(src: list[int], dst: list[int]) -> list[int]:
+            a, b, c = dst
+            ra, rb, rc = rank[a], rank[b], rank[c]
+            walked: list[int] = []
+            for v in src:
+                if v == a or v == b or v == c:
+                    continue
+                while v not in core:
+                    r, e = rank[v], end[v]
+                    if r <= ra < e or r <= rb < e or r <= rc < e or v in walked:
+                        break
+                    walked.append(v)
+                    v = vparent[v]
+            return walked
+
+        adds: list[Sequence[int]] = [()] * len(order)
+        drops: list[Sequence[int]] = [()] * len(order)
+        for x in order:
+            p = parent[x]
+            if p < 0:
+                adds[x] = tuple(self.outside(x))
+                continue
+            own, other = corners[3 * x : 3 * x + 3], corners[3 * p : 3 * p + 3]
+            adds[x] = beyond(own, other)
+            drops[x] = beyond(other, own)
+        return adds, drops
+
     def _common_beyond_q(self) -> list[int]:
         """The vertices outside Q in every bag, in O(n + F) without a
         walk beyond face 0's.  Vertex v is in bag f iff a corner of f
-        lies in v's subtree, an interval of preorder ranks.  A vertex
-        whose subtree is the whole tree is in every bag; the others of
-        face 0 stay candidates while each next face has a corner in their
-        interval, and the scan stops once none is left."""
-        parent, corners = self._parent, self._corners
-        n = len(parent)
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if p != v:
-                kids[p].append(v)
-        order: list[int] = []
-        stack = [v for v, p in enumerate(parent) if p == v]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(kids[v])
-        rank = [0] * n
-        for r, v in enumerate(order):
-            rank[v] = r
-        size = [1] * n
-        for v in reversed(order):
-            if parent[v] != v:
-                size[parent[v]] += size[v]
+        lies in v's subtree.  A vertex whose subtree is the whole tree is
+        in every bag; the others of face 0 stay candidates while each
+        next face has a corner in their interval, and the scan stops once
+        none is left."""
+        corners, rank, end = self._corners, self._rank, self._end
+        n = len(rank)
         whole = []
         cand = []  # (first rank, rank past the subtree, vertex)
         for v in self.outside(0):
-            (whole if size[v] == n else cand).append((rank[v], rank[v] + size[v], v))
+            (whole if end[v] - rank[v] == n else cand).append((rank[v], end[v], v))
         for f in range(3, len(corners), 3):
             if not cand:
                 break
@@ -458,6 +547,26 @@ class _RootPathBags(_CoreBags):
             ceiling = max(ceiling, 3 + max(in_q.values(), default=0))
         return ceiling
 
+    def ceiling_width(self, layer_of: dict[int, int], ceiling: int) -> int:
+        """``LayeredDecomposition.layered_width`` when ``ceiling`` bounds
+        every bag's count in a layer: the core's count per layer plus each
+        bag's rest, bag by bag, stopping at the first bag reaching it."""
+        in_core: dict[int, int] = {}
+        for v in self.core:
+            i = layer_of[v]
+            in_core[i] = in_core.get(i, 0) + 1
+        best = max(in_core.values(), default=0)
+        for f in range(len(self)):
+            if best >= ceiling:
+                break
+            counts: dict[int, int] = {}
+            for v in self.outside(f):
+                i = layer_of[v]
+                counts[i] = counts.get(i, 0) + 1
+            for i, c in counts.items():
+                best = max(best, c + in_core.get(i, 0))
+        return best
+
     def top_bag(self, order: list[int], tin: list[int]) -> dict[int, int]:
         """``TreeDecomposition.top_bag`` in O(n log n + F).  A vertex v
         outside Q lies in the bags of the faces with a corner in its
@@ -480,6 +589,31 @@ class _RootPathBags(_CoreBags):
         top = {v: order[r] for v, r in enumerate(least) if r < none}
         top.update(dict.fromkeys(self.q, order[0]))
         return top
+
+
+def _preorder_intervals(parent: list[int]) -> tuple[list[int], list[int]]:
+    """(rank, end) of a forest given by its parent list, each root its
+    own parent: the preorder rank of each vertex and the rank just past
+    its subtree, so u lies in v's subtree iff rank[v] <= rank[u] < end[v]."""
+    n = len(parent)
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p != v:
+            kids[p].append(v)
+    order: list[int] = []
+    stack = [v for v, p in enumerate(parent) if p == v]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(kids[v])
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    size = [1] * n
+    for v in reversed(order):
+        if parent[v] != v:
+            size[parent[v]] += size[v]
+    return rank, [r + k for r, k in zip(rank, size)]
 
 
 @dataclass(frozen=True)
@@ -1084,26 +1218,53 @@ def exact_treewidth(g: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # Text format: "bags B", the core line "core: v1 v2 ..." (the vertices in
-# every bag, sorted; left out when there are none), B lines "id: v1 ..."
-# listing each bag less the core, "tree", B-1 lines "x y".  The layered
-# variant appends the layering block.  A text without a core line is the
-# same format with an empty core.
+# every bag, sorted; left out when there are none), then one line per bag
+# in id order, each about the bag less the core:
+#   "x: v1 v2 ..."           a root of the bag forest, its vertices listed;
+#   "x < p + a1 a2 - d1 d2"  a bag whose parent is bag p, as the vertices
+#                            it adds to bag p's and drops from it, either
+#                            part left out when empty;
+#   "x < p: v1 v2 ..."       the same bag listed, written when shorter.
+# The parent fields are the tree: bag 0 roots its component, the least bag
+# roots any other, and each parent is the neighbour towards the root.  The
+# layered variant appends the layering block.  Older texts list every bag
+# on an "x: ..." line and end the decomposition with "tree" and the tree
+# edges as "x y" lines (B - 1 of them in a layered text); they still parse,
+# with or without a core line.
 # ---------------------------------------------------------------------------
 
 
 def format_decomposition(td: TreeDecomposition) -> str:
     """The text of ``td``, a function of its value: root-path, parsed and
-    explicit bags of equal value give equal text."""
+    explicit bags of equal value give equal text.  A bag tree with a cycle
+    has no parent fields and raises ``DecompositionError``."""
+    b = len(td.bags)
+    parent, order = td.forest
+    if len(td.tree_edges) != b - parent.count(-1):
+        raise DecompositionError("the bag tree has a cycle and cannot be written")
+    core, adds, drops = td.deltas
     bags = td.bags
-    core, rest = _bag_parts(bags)
     token = _TokenStrs().__getitem__
-    lines = [f"bags {len(bags)}"]
+    lines = [f"bags {b}"] + [""] * b
     if core:
-        lines.append("core: " + " ".join(map(token, sorted(core))))
-    for i in range(len(bags)):
-        lines.append(f"{i}: " + " ".join(map(token, sorted(rest(i)))))
-    lines.append("tree")
-    lines.extend(f"{x} {y}" for x, y in sorted(td.tree_edges))
+        lines[0] += "\ncore: " + " ".join(map(token, sorted(core)))
+    size = [0] * b  # of each bag less the core
+    for x in order:
+        p, a, d = parent[x], adds[x], drops[x]
+        size[x] = len(a) + (size[p] - len(d) if p >= 0 else 0)
+        if p < 0:
+            line = f"{x}: " + " ".join(map(token, sorted(a)))
+        elif size[x] < len(a) + len(d) + bool(a) + bool(d):
+            # listing the bag is shorter, so the bag is small
+            rest = bags.outside(x) if isinstance(bags, _RootPathBags) else bags[x] - core
+            line = f"{x} < {p}: " + " ".join(map(token, sorted(rest)))
+        else:
+            line = f"{x} < {p}"
+            if a:
+                line += " + " + " ".join(map(token, sorted(a)))
+            if d:
+                line += " - " + " ".join(map(token, sorted(d)))
+        lines[x + 1] = line
     return "\n".join(lines) + "\n"
 
 
@@ -1133,53 +1294,143 @@ def _is_core_line(line: str) -> bool:
 
 
 def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
-    """Bags as a tuple of frozensets, or as ``_ParsedBags`` if the text
-    has a core line, with any vertex common to all bag lines moved into
-    the core.  Every token is parsed once (``_TokenInts``)."""
+    """The bags as ``_DeltaBags``, checked and made exact by
+    ``_resolve_deltas``; the tree from the parent fields, or from the
+    tree block of an older text.  Every token is parsed once
+    (``_TokenInts``)."""
     lines = [ln for ln in (s.strip() for s in raw) if ln]
     b = _bag_count(lines[0] if lines else "")
-    ints = _TokenInts()
-    core = None
+    ints = _TokenInts().__getitem__
+    core: frozenset[int] = frozenset()
+    start = 1
     if b and len(lines) > 1 and _is_core_line(lines[1]):
         try:
-            core = frozenset(map(ints.__getitem__, lines[1].partition(":")[2].split()))
+            core = frozenset(map(ints, lines[1].partition(":")[2].split()))
         except ValueError as exc:
             raise GraphInputError(f"bad core line {lines[1]!r}") from exc
-    start = 1 if core is None else 2
-    if len(lines) < start + b + 1:
+        start = 2
+    if len(lines) < start + b:
         raise GraphInputError("truncated decomposition")
-    bags: list[frozenset[int]] = []
-    for ln in lines[start : start + b]:
-        head, _, rest = ln.partition(":")
+    body, tail = lines[start : start + b], lines[start + b :]
+    parent = [-1] * b
+    adds: list[AbstractSet[int] | tuple[int, ...]] = [()] * b
+    drops: list[AbstractSet[int] | tuple[int, ...] | None] = [None] * b  # None: listed
+    for x, ln in enumerate(body):
+        head, listed, vs = ln.partition(":")
+        if not listed:
+            head, _, dropped = ln.partition("-")
+            head, _, vs = head.partition("+")
+        bag_id, child, up = head.partition("<")
+        has_parent = bool(child) or not listed
         try:
-            bag_id = int(head)
-            bag = frozenset(map(ints.__getitem__, rest.split()))
+            given = int(bag_id)
+            if listed:
+                adds[x] = frozenset(map(ints, vs.split()))
+            else:
+                adds[x] = tuple(map(ints, vs.split()))
+                drops[x] = tuple(map(ints, dropped.split()))
+            if has_parent:
+                parent[x] = int(up)
         except ValueError as exc:
             what = "misplaced core" if head.strip() == "core" else "bad bag"
             raise GraphInputError(f"{what} line {ln!r}") from exc
-        if bag_id != len(bags):
-            raise GraphInputError(f"bag ids must be consecutive, got {head!r}")
-        if core is not None and not core.isdisjoint(bag):
-            raise GraphInputError(f"bag line {ln!r} repeats a core vertex")
-        bags.append(bag)
-    if lines[start + b] != "tree":
-        raise GraphInputError(f"expected 'tree' after the bag list, got {lines[start + b]!r}")
+        if given != x:
+            raise GraphInputError(f"bag ids must be consecutive, got {bag_id.strip()!r}")
+        if has_parent and not (0 <= parent[x] < b and parent[x] != x):
+            raise GraphInputError(f"bad parent in bag line {ln!r}")
+    if tail and tail[0] != "tree":
+        raise GraphInputError(f"expected 'tree' or the end after the bag list, got {tail[0]!r}")
+    if tail and parent.count(-1) < b:
+        raise GraphInputError("a text with a tree block has no parent fields")
+    bags = _resolve_deltas(core, parent, adds, drops, body)
+    if not tail:
+        return TreeDecomposition(bags, bags.tree_edges)
     edges = set()
-    for ln in lines[start + b + 1 :]:
+    for ln in tail[1:]:
         try:
-            x, y = map(ints.__getitem__, ln.split())
+            x, y = map(ints, ln.split())
         except ValueError:
             x = y = -1
         if not (0 <= x < b and 0 <= y < b) or x == y:
             raise GraphInputError(f"bad tree edge {ln!r}")
         edges.add((x, y) if x < y else (y, x))
-    if core is None:
-        return TreeDecomposition(tuple(bags), frozenset(edges))
-    common = bags[0].intersection(*bags[1:])
+    return TreeDecomposition(bags, frozenset(edges))
+
+
+def _resolve_deltas(
+    core: frozenset[int],
+    parent: list[int],
+    adds: list,
+    drops: list,
+    lines: list[str],
+) -> "_DeltaBags":
+    """The bags of parsed bag lines, checked in one search of the forest
+    the parent fields give, with the bag it is at held as one running
+    set.  A line that adds a vertex its parent's bag holds, drops one it
+    lacks, names one twice or repeats a core vertex, parents that close a
+    cycle, and a root that is not the least bag of its component raise
+    ``GraphInputError``.  A listed bag (``drops`` None) becomes its
+    change from its parent, and any vertex in every bag moves into the
+    core, so the value alone fixes the fields."""
+    b = len(parent)
+    chain = itertools.chain.from_iterable
+    if core and not (core.isdisjoint(chain(adds)) and core.isdisjoint(chain(filter(None, drops)))):
+        x = next(x for x in range(b) if not core.isdisjoint((*adds[x], *(drops[x] or ()))))
+        raise GraphInputError(f"bag line {lines[x]!r} repeats a core vertex")
+    kids: list[list[int]] = [[] for _ in range(b)]
+    roots = []
+    for x, p in enumerate(parent):
+        (roots if p < 0 else kids[p]).append(x)
+    order: list[int] = []
+    bag: set[int] = set()  # the rest of the bag on top of path
+    path: list[int] = []
+    for r in roots:
+        start = len(order)
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            stack.extend(kids[x])
+            p = parent[x]
+            while path and path[-1] != p:
+                y = path.pop()
+                bag.difference_update(adds[y])
+                bag.update(drops[y])
+            path.append(x)
+            a, d = adds[x], drops[x]
+            if d is None:
+                adds[x], drops[x] = a.difference(bag), bag.difference(a)
+                bag.difference_update(drops[x])
+                bag.update(adds[x])
+                continue
+            k = len(bag)
+            if d:
+                bag.difference_update(d)
+                if len(bag) + len(d) != k:
+                    raise GraphInputError(f"bag line {lines[x]!r} drops a vertex bag {p} lacks")
+                k -= len(d)
+            if a:
+                bag.update(a)
+                if len(bag) != k + len(a) or d and not bag.isdisjoint(d):
+                    raise GraphInputError(f"bag line {lines[x]!r} adds a vertex bag {p} holds")
+        least = min(order[start:])
+        if least != r:
+            raise GraphInputError(f"bag {r} is a root, but bag {least} is in its tree")
+    if len(order) < b:
+        stuck = min(set(range(b)).difference(order))
+        raise GraphInputError(f"bag parents form a cycle through bag {stuck}")
+    common = set(adds[roots[0]]) if roots else set()
+    for r in roots[1:]:
+        common.intersection_update(adds[r])
+    for d in drops:
+        if not common:
+            break
+        common.difference_update(d)
     if common:
-        core |= common
-        bags = [bag - common for bag in bags]
-    return TreeDecomposition(_ParsedBags(core, tuple(bags)), frozenset(edges))
+        core = core.union(common)
+        for r in roots:
+            adds[r] = tuple(v for v in adds[r] if v not in common)
+    return _DeltaBags(core, parent, order, adds, drops)
 
 
 def _bag_count(header: str) -> int:
@@ -1206,12 +1457,13 @@ def parse_layered_decomposition(text: str) -> LayeredDecomposition:
 
     lines = text.splitlines()
     # the decomposition is the header, the core line if B > 0 and line 2
-    # is one, B bag lines, "tree" and the B - 1 tree edge lines; every
-    # line after it, blank or not, is a layer
+    # is one, and B bag lines, then in an older text "tree" and B - 1 tree
+    # edge lines; every line after it, blank or not, is a layer
     filled = [i for i, ln in enumerate(lines) if ln.strip()]
     b = _bag_count(lines[filled[0]] if filled else "")
-    core = b > 0 and len(filled) > 1 and _is_core_line(lines[filled[1]])
-    end = 2 + core + b + max(b - 1, 0)
+    end = 1 + (b > 0 and len(filled) > 1 and _is_core_line(lines[filled[1]])) + b
+    if len(filled) > end and lines[filled[end]].strip() == "tree":
+        end += 1 + max(b - 1, 0)
     cut = filled[end - 1] + 1 if len(filled) >= end else len(lines)
     td = _decomposition_from_lines(itertools.islice(lines, cut))
     layering = parse_layering("".join(ln + "\n" for ln in lines[cut:]))

@@ -70,6 +70,33 @@ def test_decompose_four_clique_root(tmp_path, capsys):
     assert run(["verify", "decomposition", dec, graph]) == 0
 
 
+def test_verify_decomposition_reports_a_disconnected_tree(tmp_path, capsys):
+    """Three bags, one tree edge and three layers: the text says which
+    bag has no parent, so the layers are read as layers and the check
+    fails (exit 1) instead of the parser (exit 2)."""
+    graph = tmp_path / "g.txt"
+    graph.write_text(format_graph(Graph.from_edges(4, [(0, 1), (1, 2)])))
+    dec = tmp_path / "dec.txt"
+    dec.write_text("bags 3\n0: 0 1\n1 < 0: 1 2\n2: 3\n0\n1 3\n2\n")
+    man = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run(["verify", "decomposition", dec, graph, "--manifest", man]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().err == "tree has 1 edges for 3 bags\n"
+    assert json.loads(man.read_text())["verdicts"] == {"decomposition": "fail"}
+    ld = parse_layered_decomposition(dec.read_text())
+    assert "decomposition tree is disconnected" in decomposition.validate_tree_decomposition(
+        parse_graph(graph.read_text()), ld.decomposition
+    ).violations
+
+
+def test_verify_decomposition_reads_an_older_text():
+    """A decomposition written with a core line and a tree block, before
+    parent fields, still verifies."""
+    fixtures = Path(__file__).parent / "fixtures"
+    argv = ["verify", "decomposition", fixtures / "planar30.dec", fixtures / "planar30.txt"]
+    assert run(argv + ["--manifest", os.devnull]) == 0
+
+
 def test_embedded_pipeline(tmp_path):
     rot = tmp_path / "torus.txt"
     assert run(["gen", "toroidal_grid", 4, "--rotation", "--out", rot]) == 0
@@ -403,14 +430,14 @@ CLI_OUTPUTS = {
     "gen planar_triangulation 60 --seed 7 --out p.txt --manifest p.gen.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "gen toroidal_grid 5 --rotation --out t.rot": "exit 0 stdout 82299a8c4d8851e8a4235b1afc257d37424dd03ea2dfb721a780851744b0d6a8",
     "gen toroidal_grid 5 --out t.txt --manifest t.gen.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "decompose p.txt --root 0": "exit 0 stdout ba45aa58d08173dea57e377b65e173fe64d9d22a0067413aa578a09e958ae6fa",
+    "decompose p.txt --root 0": "exit 0 stdout 723d2d667bba7b4a2115a332d661a8cf47737ae3907bc49515b803bb4d2fc83d",
     "decompose p.txt --root 0,1,2 --out p.dec --manifest p.dec.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "separate p.txt --out p.sep --manifest p.sep.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "tracks p.txt --out p.tl --manifest p.tl.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "queues p.txt --out p.ql": "exit 0 stdout 6adc1b419eb2090f7e84ce39d9c3e7fd1944cf99c9d281a78531cced0a92e0f0",
     "nonrep p.txt --out p.col --manifest p.col.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
     "draw3d p.txt --svg p.svg --obj p.obj --out p.d --manifest p.d.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "decompose --embedded t.rot --root 0": "exit 0 stdout a0e6c1e17b06e42ddb431f00c2bae8dbcd919b928c034e1d4e6965ac40e18226",
+    "decompose --embedded t.rot --root 0": "exit 0 stdout 887df519cdd05ccc2006691985d5673816701df14fe432db266985670e211387",
     "decompose --embedded t.rot --root 0,1 --out t.dec --manifest t.dec.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "separate --embedded t.rot --out t.sep --manifest t.sep.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "tracks --embedded t.rot --out t.tl --manifest t.tl.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -437,7 +464,7 @@ CLI_OUTPUTS = {
     "p.col.json": "57ea625cb07b9649239dbb8fe656a223956bf37cca829e4b39c3c102e831cd73",
     "p.d": "38fd96b100ef2b4a022a402b78b2ba6386486471152d5f6135184d6925397a9d",
     "p.d.json": "a88d663fee1c2100c7b36118cbfae6fa9d5b846675071d3305ee85a3ef4a8e35",
-    "p.dec": "5be6e48eb3b706a0029a1696f0d6300a7774cd470eb82c14cf08eb0bdf42cbab",
+    "p.dec": "b99cf8a2ef60f995247fbddd6dd0ce6eef105469175c03120846c6f56772279b",
     "p.dec.json": "02ca74a384a18e1f9f80bdea88530ba2e00f08d7cd6c74ebb2a4d2f124d081d6",
     "p.gen.json": "2dfff6cf47f1e5407156e54d6f96459bd110bf7ca4f1d72ee9e5d788feaa5efc",
     "p.lay": "a56b703d20473a8af0e30505f3ce81bcc2793c100a7c53e9e7b39fc8cb24ab2c",
@@ -449,7 +476,7 @@ CLI_OUTPUTS = {
     "p.tl": "4c03bbfba8c920e92f56ad435f294b25d29fdca44ce0176b643325dcc065d22a",
     "p.tl.json": "f7957ca29a977fcc07528f0166baafd97167cd8e2ea5943cae098981608efeb6",
     "p.txt": "3b6c6ac148315f3aa7610da564d26150d96c25c94f1bfeabfc1bb2782005ed80",
-    "p.verify-decomposition.json": "a294ef3328d7758876b6f0124df4a447c7183f51dfbe524fd929fcefd3b5ed74",
+    "p.verify-decomposition.json": "32b43c1708a9c6e8953ed0dcc0e9b1fed17900b728e9fd275a37bb674bb3c2d0",
     "p.verify-drawing.json": "35dc4d9fb1d97839fb74111522cb16903f9f775054cb0c4ff5f3c1951f85d941",
     "p.verify-layering.json": "8b06b0e46f10173ca52757f031e3a8893e01263eaa150bd3c3f77984fd46f945",
     "p.verify-nonrep.json": "635c4878974973dc6035ba315ad9414e21cc7fb17400b68f65c4644b1a625255",
@@ -461,7 +488,7 @@ CLI_OUTPUTS = {
     "t.col.json": "decfc92bcde8dc0ab384e89e96f74abb3d1362c20521eba2902115b460612061",
     "t.d": "4655f1125a0ab4f24024cb9c10bdfe6e81372f40b68722160d115fe3fdcc7be4",
     "t.d.json": "f662506bb285888d31cfd091c203167de7854e75acb6b0c664836df77ca08433",
-    "t.dec": "82fa75253931c3817dcf884c7933230f644af49636c412b3ec445dc9ece20cb7",
+    "t.dec": "76d9a17ebf7e73ca7c545504c644834c4215412206dfeb8f8c5e2b49343ecf90",
     "t.dec.json": "911cee074b05380ce6aa8bac6b870ce6fe4dcc2b139fbf5eddd2fed8d4d68baa",
     "t.gen.json": "82299a8c4d8851e8a4235b1afc257d37424dd03ea2dfb721a780851744b0d6a8",
     "t.lay": "9bd82ffcbc6d2f64c7745b43f69281a0a45ca2c14671e49a76ca01fd3efe9420",
@@ -474,7 +501,7 @@ CLI_OUTPUTS = {
     "t.tl": "e92412598e121e770030779fb3c66be5acd1e107949b2c42860f4e8b291c3153",
     "t.tl.json": "8b6df59239861fc98ab42210e9bbc7218b0617b59c586af1fab0fed62ffb990e",
     "t.txt": "96a323e852e999b16c31458eb958bdce51247800425df2ca90f3215909bce31d",
-    "t.verify-decomposition.json": "1f911f90d5b91c268bcad666b36b4c8dadb3d8c6fc42ab9de30fbcafbc82cad2",
+    "t.verify-decomposition.json": "8e9a8ba084d7a7da62d531e1a876503b5ea189cf917f47d9b38441fa6b7ff070",
     "t.verify-drawing.json": "3fa436a6d6107cdcee25a01f12f68edd4e9c377ad7e704a3a46416ace9425a7b",
     "t.verify-layering.json": "95bec8ebca219eae4f09e57973e54e7f570c4cb199526d61a90391d0f2bb2b60",
     "t.verify-nonrep.json": "23907ab8fce08299c05977f920db52d87803f5b6ea5b6661c7d5d3b6db4052de",

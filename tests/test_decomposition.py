@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from layersep.decomposition import (
     DecompositionError,
     LayeredDecomposition,
-    _ParsedBags,
+    _DeltaBags,
     _RootPathBags,
     _balanced_sides,
     TreeDecomposition,
@@ -38,6 +39,7 @@ from layersep.generators import (
     cycle_graph,
     grid_graph,
     k5_graph,
+    random_chordal_with_decomposition,
     random_planar_triangulation,
     random_tree,
     toroidal_grid,
@@ -49,12 +51,15 @@ from layersep.graphs import (
     Layering,
     Report,
     bfs_layering,
+    format_graph,
     format_layering,
+    parse_graph,
     parse_layering,
     validate_layering,
     validate_separation,
     separator_layer_widths,
 )
+from layersep.shadow import RichDecomposition, format_rich, parse_rich
 from tests.conftest import embedded_graphs, planar_pipeline, torus_pipeline
 
 
@@ -107,6 +112,86 @@ def _scan_validate_tree_decomposition(g, td):
         if comp != nodeset:
             violations.append(f"bags of vertex {v} are not a subtree")
     return Report.of(violations)
+
+
+def _rest_validate_tree_decomposition(g, td):
+    """Oracle: ``validate_tree_decomposition`` as it read the bags before
+    deltas, as their core and each bag's rest: in preorder, a bag's new
+    vertices are one set difference of its rest with its parent's."""
+    violations = []
+    bags = tuple(td.bags)
+    b = len(bags)
+    if b == 0:
+        return Report.of(["decomposition has no bags"])
+    if len(td.tree_edges) != b - 1:
+        violations.append(f"tree has {len(td.tree_edges)} edges for {b} bags")
+    adj = td.tree_adjacency
+    parent, order, seen, stack = [-1] * b, [], {0}, [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                stack.append(y)
+    if len(order) != b:
+        violations.append("decomposition tree is disconnected")
+        return Report.of(violations)
+    core = bags[0].intersection(*bags[1:])
+    rest = [bag - core for bag in bags]
+    path, top, spread, missed = [], {}, set(), set()
+    for x in order:
+        while path and path[-1] != parent[x]:
+            path.pop()
+        new = rest[x] - rest[path[-1]] if path else core | rest[x]
+        path.append(x)
+        for v in new:
+            if v in top:
+                spread.add(v)
+                continue
+            top[v] = x
+            if 0 <= v < g.n:
+                for w in g.adjacency[v]:
+                    if w not in rest[x] and w in top and w not in core:
+                        missed.update(((v, w), (w, v)))
+    where = {v: [i for i in range(b) if v in rest[i]] for v in spread}
+    for v in sorted(v for v in top if not 0 <= v < g.n):
+        first = 0 if v in core else next(i for i in range(b) if v in rest[i])
+        violations.append(f"vertex {v} in bag {first} is not in G")
+    for u, v in g.sorted_edges:
+        if v in where:
+            covered = u in core or any(u in rest[i] for i in where[v])
+        elif u in where:
+            covered = v in core or any(v in rest[i] for i in where[u])
+        else:
+            covered = u in top and v in top and (u, v) not in missed
+        if not covered:
+            violations.append(f"edge ({u},{v}) covered by no bag")
+    for v in g.vertices():
+        if v not in top:
+            violations.append(f"vertex {v} in no bag")
+        elif v in where:
+            nodes = set(where[v])
+            comp, stack = {where[v][0]}, [where[v][0]]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if y in nodes and y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            if comp != nodes:
+                violations.append(f"bags of vertex {v} are not a subtree")
+    return Report.of(violations)
+
+
+def _rest_top_bag(td):
+    """Oracle: each vertex's first bag in preorder, every bag scanned."""
+    _, order, _ = td.rooted
+    top = {}
+    for x in order:
+        for v in td.bags[x]:
+            top.setdefault(v, x)
+    return top
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,32 +331,32 @@ def test_genus_decomposition_rooted_at_four_clique():
 # SHA-256 prefixes of the formatted layered decomposition plus the sorted
 # apex set Q, rooted at vertex 0 (planar: (n, seed); torus: (p, q)).
 _GENUS_DIGESTS = (
-    (("planar", 5, 0), "0ab7748df0721599"),
-    (("planar", 5, 1), "ad0dade6e618ee22"),
-    (("planar", 5, 2), "08f41366ce5ec25b"),
-    (("planar", 5, 3), "ea0552b8c83c3ca2"),
-    (("planar", 30, 0), "7814a3d480a3c834"),
-    (("planar", 30, 1), "27378afb1cb34240"),
-    (("planar", 30, 2), "66be6d5a16ec27cb"),
-    (("planar", 30, 3), "08bd2e972bcc8d82"),
-    (("planar", 80, 0), "a848860f24e68b11"),
-    (("planar", 80, 1), "84db2eabfe737d68"),
-    (("planar", 80, 2), "e217bde43312a1d1"),
-    (("planar", 80, 3), "dec6d2a838b8cd65"),
-    (("planar", 150, 0), "797718913f74119d"),
-    (("planar", 150, 1), "3a417403c8b3252b"),
-    (("planar", 150, 2), "50035ae0c3ea8217"),
-    (("planar", 150, 3), "ee0bdfd58ad235db"),
-    (("planar", 300, 0), "32c53047ae9d96e5"),
-    (("planar", 300, 1), "52379c608aa4537e"),
-    (("planar", 300, 2), "3ef6dbc78a329975"),
-    (("planar", 300, 3), "579dc06384c9c793"),
-    (("torus", 3, 3), "f498ed79184435b1"),
-    (("torus", 4, 4), "7a74b68e0e7ec880"),
-    (("torus", 6, 6), "2ca510bcd756bd44"),
-    (("torus", 9, 9), "0b8ad55f13dc2d40"),
-    (("torus", 12, 12), "306c5832c899a1e0"),
-    (("torus", 3, 5), "99f6b02d6e2bbe05"),
+    (("planar", 5, 0), "6b6a1daa2a884247"),
+    (("planar", 5, 1), "5a007991a7fbb12b"),
+    (("planar", 5, 2), "97bdebac2cce0814"),
+    (("planar", 5, 3), "f134d782224c60d8"),
+    (("planar", 30, 0), "82a3f4b47fe86dce"),
+    (("planar", 30, 1), "3a345ea3e56b044e"),
+    (("planar", 30, 2), "85676281bde32915"),
+    (("planar", 30, 3), "74cd7c94163775b0"),
+    (("planar", 80, 0), "232cf4c0f736a883"),
+    (("planar", 80, 1), "d26e51d83aefe6a9"),
+    (("planar", 80, 2), "ea1352e1a3ef90ee"),
+    (("planar", 80, 3), "d3f2224c47c32f6c"),
+    (("planar", 150, 0), "103e6b2f6f710e5a"),
+    (("planar", 150, 1), "b7a76663980e661e"),
+    (("planar", 150, 2), "491ee9d396276939"),
+    (("planar", 150, 3), "fa9faadb872e4804"),
+    (("planar", 300, 0), "73eb8d7a4246dc44"),
+    (("planar", 300, 1), "d5e92e19c246a9bf"),
+    (("planar", 300, 2), "ed756de372a4ce07"),
+    (("planar", 300, 3), "7ffd533f4698e280"),
+    (("torus", 3, 3), "d1066d7ce36b5657"),
+    (("torus", 4, 4), "b6e2f69eca75b415"),
+    (("torus", 6, 6), "cdb7fd937a4660d1"),
+    (("torus", 9, 9), "580fe634ae86c0f2"),
+    (("torus", 12, 12), "37c3584513b12ca1"),
+    (("torus", 3, 5), "55ae1c8832453011"),
 )
 
 
@@ -285,6 +370,54 @@ def test_genus_decomposition_output_pinned():
         apex = " ".join(map(str, sorted(res.apex_paths)))
         text = format_layered_decomposition(res.ld) + apex + "\n"
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (kind, a, b)
+
+
+# SHA-256 prefixes of the decoded value for the inputs of _GENUS_DIGESTS:
+# each bag sorted, in bag order, the sorted tree edges, each layer sorted,
+# and the sorted apex set Q.  They do not depend on the text format.
+_GENUS_VALUE_DIGESTS = (
+    (("planar", 5, 0), "317418fcb69787c1"),
+    (("planar", 5, 1), "4f24f5bd84b99046"),
+    (("planar", 5, 2), "eccf630ea44f3a30"),
+    (("planar", 5, 3), "de91ae0db0221acd"),
+    (("planar", 30, 0), "daef519da9d3bd4a"),
+    (("planar", 30, 1), "c404eb941b9ddeb4"),
+    (("planar", 30, 2), "11788281e787b4cf"),
+    (("planar", 30, 3), "445bdd80c0e06da6"),
+    (("planar", 80, 0), "2b55a58debab7cac"),
+    (("planar", 80, 1), "37dc72d2a9e84f9b"),
+    (("planar", 80, 2), "91fe96df7ceefb41"),
+    (("planar", 80, 3), "e9c1c7b7e04e1779"),
+    (("planar", 150, 0), "1c71a14ef4b9466f"),
+    (("planar", 150, 1), "3090a86d2fd9940d"),
+    (("planar", 150, 2), "aed3521ad520154a"),
+    (("planar", 150, 3), "2c829725a47df1c2"),
+    (("planar", 300, 0), "7c528bcdfbe237d4"),
+    (("planar", 300, 1), "973149a84dbbe799"),
+    (("planar", 300, 2), "714f0c0b9ca857bd"),
+    (("planar", 300, 3), "a930211262cbe650"),
+    (("torus", 3, 3), "8e6ddaf1ec06a9f9"),
+    (("torus", 4, 4), "a989aa6237584678"),
+    (("torus", 6, 6), "739a79ac0969e042"),
+    (("torus", 9, 9), "9c7077a405a36568"),
+    (("torus", 12, 12), "dae517cc4be4ce01"),
+    (("torus", 3, 5), "8261c23dc6b55b41"),
+)
+
+
+def test_genus_decomposition_values_pinned():
+    """The decoded values behind the pinned texts, read back from them."""
+    for (kind, a, b), digest in _GENUS_VALUE_DIGESTS:
+        eg = random_planar_triangulation(a, seed=b) if kind == "planar" else toroidal_grid(a, b)
+        res = genus_layered_decomposition(eg, (0,))
+        ld = parse_layered_decomposition(format_layered_decomposition(res.ld))
+        value = (
+            tuple(tuple(sorted(bag)) for bag in ld.decomposition.bags),
+            tuple(sorted(ld.decomposition.tree_edges)),
+            tuple(tuple(sorted(layer)) for layer in ld.layering.layers),
+            tuple(sorted(res.apex_paths)),
+        )
+        assert hashlib.sha256(repr(value).encode()).hexdigest()[:16] == digest, (kind, a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -655,29 +788,38 @@ def test_layered_decomposition_roundtrip_keeps_empty_layers():
         assert parse_layered_decomposition(format_layered_decomposition(ld)) == ld
 
 
-def _full_bag_text(ld):
-    """Oracle: the layered text as written before the core line, every
-    bag listed in full."""
-    td = ld.decomposition
-    lines = [f"bags {len(td.bags)}"]
-    lines += [f"{i}: " + " ".join(map(str, sorted(bag))) for i, bag in enumerate(td.bags)]
+def _old_text(td, core=False):
+    """Oracle: the decomposition text as written before parent fields:
+    every bag listed on an "x: ..." line, less the core on a core line if
+    ``core``, then "tree" and the tree edges."""
+    bags = tuple(td.bags)
+    common = bags[0].intersection(*bags[1:]) if core and bags else frozenset()
+    lines = [f"bags {len(bags)}"]
+    if common:
+        lines.append("core: " + " ".join(map(str, sorted(common))))
+    lines += [f"{i}: " + " ".join(map(str, sorted(bag - common))) for i, bag in enumerate(bags)]
     lines.append("tree")
     lines += [f"{x} {y}" for x, y in sorted(td.tree_edges)]
-    return "\n".join(lines) + "\n" + format_layering(ld.layering)
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
 def _bag_trees(draw):
-    """Explicit bags joined by a random tree, with or without a shared
-    core, including no bag, a single bag and empty bags, on a layering
-    with up to two empty layers at its end."""
+    """Explicit bags joined by a random tree or forest, with or without
+    a shared core, including no bag, a single bag and empty bags, on a
+    layering with up to two empty layers at its end."""
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
     bags = draw(st.lists(st.frozensets(vertex, max_size=n), max_size=7))
     if draw(st.booleans()):
         core = draw(st.frozensets(vertex, min_size=1))
         bags = [bag | core for bag in bags]
-    edges = frozenset((draw(st.integers(0, i - 1)), i) for i in range(1, len(bags)))
+    forest = draw(st.booleans())
+    edges = frozenset(
+        (draw(st.integers(0, i - 1)), i)
+        for i in range(1, len(bags))
+        if not (forest and draw(st.booleans()))
+    )
     layer_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     t = max(layer_of) + 1 + draw(st.integers(0, 2))
     layers = tuple(frozenset(v for v in range(n) if layer_of[v] == i) for i in range(t))
@@ -690,17 +832,24 @@ def test_decomposition_text_round_trips(ld):
     td = ld.decomposition
     text, layered = format_decomposition(td), format_layered_decomposition(ld)
     core = frozenset.intersection(*td.bags) if td.bags else frozenset()
-    assert ("\ncore: " in text) == bool(core)
+    assert ("\ncore: " in text) == bool(core) and "tree" not in text
     back = parse_decomposition(text)
     assert back == td and format_decomposition(back) == text
-    assert isinstance(back.bags, _ParsedBags if core else tuple)
+    assert isinstance(back.bags, _DeltaBags) and back.bags.core == core
     back_ld = parse_layered_decomposition(layered)
     assert back_ld == ld and format_layered_decomposition(back_ld) == layered
     assert back_ld.layered_width == ld.layered_width == _scan_layered_width(ld)
-    # the text written before the core line parses to the same value
-    assert parse_layered_decomposition(_full_bag_text(ld)) == ld
-    if td.bags:
-        assert back.width == td.width and back.top_bag == td.top_bag
+    assert back.width == td.width == max(map(len, td.bags), default=0) - 1
+    # the texts written before parent fields, with and without a core
+    # line, parse to the same value; a layered one reads B - 1 tree edges
+    tree = len(td.tree_edges) == max(len(td.bags) - 1, 0)
+    for old in (_old_text(td), _old_text(td, core=True)):
+        assert parse_decomposition(old) == back
+        assert format_decomposition(parse_decomposition(old)) == text
+        if tree:
+            assert parse_layered_decomposition(old + format_layering(ld.layering)) == ld
+    if td.bags and tree:
+        assert back.top_bag == td.top_bag == _rest_top_bag(td)
 
 
 def test_parse_decomposition_moves_common_vertices_into_the_core():
@@ -708,12 +857,12 @@ def test_parse_decomposition_moves_common_vertices_into_the_core():
     counts, and it is written back with the whole core."""
     td = parse_decomposition("bags 2\ncore: 301\n0: 302 303\n1: 302\ntree\n0 1\n")
     assert td.bags == (frozenset({301, 302, 303}), frozenset({301, 302}))
-    assert format_decomposition(td) == "bags 2\ncore: 301 302\n0: 303\n1: \ntree\n0 1\n"
+    assert format_decomposition(td) == "bags 2\ncore: 301 302\n0: 303\n1 < 0: \n"
     # equal tokens share one int object, in the core and the bag lines
     assert len({id(v) for bag in td.bags for v in bag}) == 3
     td = parse_decomposition("bags 1\ncore:\n0: 4\ntree\n")
     assert td == TreeDecomposition.single_bag([4])
-    assert format_decomposition(td) == "bags 1\ncore: 4\n0: \ntree\n"
+    assert format_decomposition(td) == "bags 1\ncore: 4\n0: \n"
 
 
 @pytest.mark.parametrize(
@@ -745,7 +894,7 @@ def test_parsed_core_bags_check_like_explicit_bags(eg):
     ld = parse_layered_decomposition(format_layered_decomposition(res.ld))
     td = ld.decomposition
     explicit = tuple(res.ld.decomposition.bags)
-    assert isinstance(td.bags, _ParsedBags) and td.bags == explicit
+    assert isinstance(td.bags, _DeltaBags) and td.bags == explicit
     assert td.bags.core == res.ld.decomposition.bags.core == frozenset.intersection(*explicit)
     flat = TreeDecomposition(explicit, td.tree_edges)
     last = g.n - 1
@@ -762,12 +911,20 @@ def test_parsed_core_bags_check_like_explicit_bags(eg):
 
 
 def test_parsed_core_bags_retain_under_half_of_explicit_parse():
+    """A parsed text keeps each bag as its change from its parent: under
+    a third of the core and one rest frozenset per bag that a text with a
+    core line was kept as, which is itself under half of one frozenset
+    per bag."""
     res = genus_layered_decomposition(toroidal_grid(30, 30), (0,))
-    text, full = format_layered_decomposition(res.ld), _full_bag_text(res.ld)
-    parsed, core_bytes = _retained_bytes(lambda: parse_layered_decomposition(text))
-    flat, flat_bytes = _retained_bytes(lambda: parse_layered_decomposition(full))
-    assert isinstance(flat.decomposition.bags, tuple) and parsed == flat
-    assert core_bytes < flat_bytes / 2, (core_bytes, flat_bytes)
+    text = format_decomposition(res.ld.decomposition)
+    parsed, delta_bytes = _retained_bytes(lambda: parse_decomposition(text))
+    bags = tuple(parsed.bags)
+    core = frozenset.intersection(*bags)
+    _, rest_bytes = _retained_bytes(lambda: (core - {-1}, tuple(bag - core for bag in bags)))
+    _, flat_bytes = _retained_bytes(lambda: tuple(bag - {-1} for bag in bags))
+    assert parsed == res.ld.decomposition and parsed.bags.core == core
+    assert rest_bytes < flat_bytes / 2, (rest_bytes, flat_bytes)
+    assert delta_bytes < rest_bytes / 3, (delta_bytes, rest_bytes)
 
 
 @pytest.mark.parametrize(
@@ -848,3 +1005,247 @@ def test_exact_treewidth_never_exceeds_constructive():
         g = eg.to_graph()
         res = genus_layered_decomposition(eg, (0,))
         assert exact_treewidth(g) <= res.ld.decomposition.width
+
+
+# ---------------------------------------------------------------------------
+# Delta-coded texts: older forms, forests, oracles and mutations.
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_older_texts_parse_like_their_new_texts():
+    """Texts written before parent fields (tests/fixtures): the planar
+    n = 30 seed 1 and 6 x 6 torus decompositions rooted at vertex 0 (with
+    a core line), a chordal decomposition on its BFS layering (without
+    one) and a rich decomposition.  Each parses to the value built today,
+    and to the value of the text written from it."""
+    planar = parse_graph((FIXTURES / "planar30.txt").read_text())
+    chordal, td = random_chordal_with_decomposition(40, 3, max_clique=4)
+    assert (FIXTURES / "chordal40.txt").read_text() == format_graph(chordal)
+    built = {
+        "planar30.dec": genus_layered_decomposition(embed_planar(planar), (0,)).ld,
+        "torus6.dec": genus_layered_decomposition(toroidal_grid(6, 6), (0,)).ld,
+        "chordal40.dec": LayeredDecomposition(td, bfs_layering(chordal, [0])[0]),
+    }
+    for name, ld in built.items():
+        text = (FIXTURES / name).read_text()
+        assert ("\ncore: " in text) == (name != "chordal40.dec") and "\ntree\n" in text
+        old = parse_layered_decomposition(text)
+        new = format_layered_decomposition(old)
+        assert old == ld == parse_layered_decomposition(new)
+        assert new == format_layered_decomposition(ld) and len(new) < len(text)
+    g = planar
+    for name in ("planar30.dec", "chordal40.dec"):
+        old = parse_layered_decomposition((FIXTURES / name).read_text())
+        assert validate_tree_decomposition(g, old.decomposition).ok
+        g = chordal
+    text = (FIXTURES / "chordal30.rich").read_text()
+    rd = parse_rich(text)
+    assert rd == RichDecomposition(random_chordal_with_decomposition(30, 5, max_clique=4)[1])
+    assert parse_rich(format_rich(rd)) == rd and rd.richness == 3
+
+
+def _forest_ld():
+    """Three bags and one tree edge, on three layers."""
+    td = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2}), frozenset({3})), frozenset({(0, 1)})
+    )
+    return LayeredDecomposition(td, Layering((frozenset({0}), frozenset({1, 3}), frozenset({2}))))
+
+
+def test_disconnected_layered_decomposition_round_trips():
+    """A bag forest round-trips: the parent fields say which bags have
+    none, so no layer line is read as a tree edge."""
+    ld = _forest_ld()
+    text = format_layered_decomposition(ld)
+    assert text == "bags 3\n0: 0 1\n1 < 0: 1 2\n2: 3\n0\n1 3\n2\n"
+    back = parse_layered_decomposition(text)
+    assert back == ld and format_layered_decomposition(back) == text
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    rep = validate_tree_decomposition(g, back.decomposition)
+    assert rep.violations == ("tree has 1 edges for 3 bags", "decomposition tree is disconnected")
+    assert back.layered_width == 1 and back.decomposition.width == 1
+    with pytest.raises(DecompositionError, match="disconnected"):
+        back.decomposition.top_bag
+
+
+def test_format_decomposition_rejects_a_cyclic_bag_tree():
+    td = TreeDecomposition(
+        (frozenset({0}), frozenset({0}), frozenset({0})), frozenset({(0, 1), (1, 2), (0, 2)})
+    )
+    with pytest.raises(DecompositionError, match="cycle"):
+        format_decomposition(td)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bags 2\n0: 1\n1 < 0 + 1\n", "adds a vertex bag 0 holds"),
+        ("bags 2\n0: 1\n1 < 0 - 2\n", "drops a vertex bag 0 lacks"),
+        ("bags 2\n0: 1\n1 < 0 - 1 1\n", "drops a vertex bag 0 lacks"),
+        ("bags 2\n0: 1\n1 < 0 + 2 2\n", "adds a vertex bag 0 holds"),
+        ("bags 2\n0: 1\n1 < 0 + 1 - 1\n", "adds a vertex bag 0 holds"),
+        ("bags 2\n0: 1\n1 < 0 + 2 - 2\n", "drops a vertex bag 0 lacks"),
+        ("bags 2\ncore: 5\n0: 1\n1 < 0 + 5\n", "repeats a core vertex"),
+        ("bags 2\ncore: 5\n0: 1\n1 < 0: 5\n", "repeats a core vertex"),
+        ("bags 3\n0: 1\n1 < 2 + 2\n2 < 1 - 1\n", "cycle through bag 1"),
+        ("bags 2\n0: 1\n1 < 1 + 2\n", "bad parent"),
+        ("bags 2\n0: 1\n1 < 2 + 2\n", "bad parent"),
+        ("bags 3\n0 < 1 + 3\n1 < 2: 1 2\n2: 2\n", "bag 2 is a root, but bag 0 is in its tree"),
+        ("bags 2\n0: 1\n1 + 2\n", "bad bag line"),
+        ("bags 2\n0: 1\n1 < 0 - 1 + 2\n", "bad bag line"),
+        ("bags 2\n0: 1\n1 < 0: 2\ntree\n0 1\n", "no parent fields"),
+        ("bags 2\n0: 1\n1 < 0\n0 1\n", "expected 'tree' or the end"),
+    ],
+)
+def test_parse_decomposition_rejects_bad_bag_lines(text, message):
+    with pytest.raises(GraphInputError, match=message):
+        parse_decomposition(text)
+
+
+def test_parse_decomposition_reads_listed_lines_under_a_parent():
+    """A bag listed under its parent, and vertices in every bag outside
+    the core line, give the value written back in canonical form."""
+    td = parse_decomposition("bags 3\n0: 1 2 3\n1 < 0 - 3\n2 < 1: 2\n")
+    assert tuple(td.bags) == (frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({2}))
+    assert td.tree_edges == frozenset({(0, 1), (1, 2)})
+    assert format_decomposition(td) == "bags 3\ncore: 2\n0: 1 3\n1 < 0: 1\n2 < 1: \n"
+    assert td == parse_decomposition(format_decomposition(td))
+    g = Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)])
+    assert validate_tree_decomposition(g, td) == _rest_validate_tree_decomposition(g, td)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    embedded_graphs,
+    st.sampled_from(("none", "drop_vertex", "add_vertex", "uncovered_edge", "drop_edge",
+                     "add_edge", "move_edge")),
+    st.sampled_from(("root_path", "new_text", "old_text", "explicit")),
+    st.integers(0, 10**6),
+)
+def test_delta_views_check_like_rest_oracles(eg, mutation, form, pick):
+    """Validation, layered width, width and ``top_bag`` read bags as
+    deltas; on root-path bags, new and older parsed texts and explicit
+    bags, valid and mutated, they equal the rest-based and bag-scanning
+    oracles, messages and their order included."""
+    g = eg.to_graph()
+    res = genus_layered_decomposition(eg, (0,))
+    bags = list(res.ld.decomposition.bags)
+    edges = set(res.ld.decomposition.tree_edges)
+    b = len(bags)
+    i, j = pick % b, (pick // b) % b
+    if mutation == "drop_vertex" and form != "root_path" and bags[i]:
+        bags[i] = bags[i] - {sorted(bags[i])[pick % len(bags[i])]}
+    elif mutation == "add_vertex" and form != "root_path":
+        bags[i] = bags[i] | {pick % (g.n + 2)}
+    elif mutation == "uncovered_edge":
+        u = pick % g.n
+        near = frozenset().union(*(bag for bag in bags if u in bag))
+        v = next((w for w in g.vertices() if w not in near), g.n)
+        g = Graph.from_edges(max(g.n, v + 1), g.edges | {(min(u, v), max(u, v))})
+    elif mutation in ("drop_edge", "move_edge") and edges:
+        edges.discard(sorted(edges)[pick % len(edges)])
+    if mutation in ("add_edge", "move_edge") and i != j:
+        edges.add((min(i, j), max(i, j)))
+    explicit = TreeDecomposition(tuple(bags), frozenset(edges))
+    if form == "root_path":
+        td = TreeDecomposition(res.ld.decomposition.bags, frozenset(edges))
+    elif form == "old_text":
+        td = parse_decomposition(_old_text(explicit, core=bool(pick % 2)))
+    elif form == "new_text":
+        parent, _ = explicit.forest
+        if len(edges) != b - parent.count(-1):
+            with pytest.raises(DecompositionError, match="cycle"):
+                format_decomposition(explicit)
+            return
+        td = parse_decomposition(format_decomposition(explicit))
+    else:
+        td = explicit
+    assert td == explicit
+    rep = validate_tree_decomposition(g, td)
+    assert rep == _rest_validate_tree_decomposition(g, explicit)
+    assert rep == _scan_validate_tree_decomposition(g, explicit)
+    if mutation == "none":
+        assert rep.ok
+    assert td.width == explicit.width
+    layering = res.ld.layering
+    if all(v in layering.layer_of for bag in bags for v in bag):
+        ld = LayeredDecomposition(td, layering)
+        assert ld.layered_width == _scan_layered_width(ld)
+    if len(edges) == b - 1 and "decomposition tree is disconnected" not in rep.violations:
+        assert td.top_bag == _rest_top_bag(explicit)
+
+
+@pytest.mark.parametrize(
+    "eg", [toroidal_grid(6, 7), random_planar_triangulation(60, seed=4)], ids=["torus", "planar"]
+)
+def test_root_path_deltas_along_any_tree(eg):
+    """Faces joined in a star share few corners, so the walks up from
+    one bag's corners meet above them; the deltas still read like the
+    explicit bags, in the text, the checks and layered width."""
+    g = eg.to_graph()
+    res = genus_layered_decomposition(eg, (0,))
+    bags = res.ld.decomposition.bags
+    star = frozenset((0, f) for f in range(1, len(bags)))
+    lazy, explicit = TreeDecomposition(bags, star), TreeDecomposition(tuple(bags), star)
+    _, adds, drops = lazy.deltas
+    assert all(len(set(a)) == len(a) for a in adds) and all(len(set(d)) == len(d) for d in drops)
+    assert format_decomposition(lazy) == format_decomposition(explicit)
+    assert validate_tree_decomposition(g, lazy) == _rest_validate_tree_decomposition(g, explicit)
+    assert lazy.width == explicit.width and lazy.top_bag == _rest_top_bag(explicit)
+    # a layering from the last vertex breaks the ceiling's premise
+    ld = LayeredDecomposition(lazy, bfs_layering(g, [g.n - 1])[0])
+    assert ld.layered_width == _scan_layered_width(ld)
+
+
+_TOKENS = ("0", "1", "2", "7", "12", "-1", "<", "+", "-", ":", "core:", "tree", "bags", "x", "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bag_trees(), st.data())
+def test_decomposition_text_mutations_raise_or_check_like_the_oracle(ld, data):
+    """Every single-token or single-line change of a layered text either
+    raises ``GraphInputError`` or parses to a value that validation,
+    width, layered width and ``top_bag`` judge as the oracles do on its
+    explicit bags; no other exception escapes."""
+    lines = format_layered_decomposition(ld).splitlines()
+    if not lines:
+        return
+    i = data.draw(st.integers(0, len(lines) - 1))
+    change = data.draw(st.sampled_from(("token", "drop_token", "drop_line", "copy_line",
+                                        "swap_lines", "new_line")))
+    words = lines[i].split()
+    if change == "token" and words:
+        words[data.draw(st.integers(0, len(words) - 1))] = data.draw(st.sampled_from(_TOKENS))
+        lines[i] = " ".join(words)
+    elif change == "drop_token" and words:
+        del words[data.draw(st.integers(0, len(words) - 1))]
+        lines[i] = " ".join(words)
+    elif change == "drop_line":
+        del lines[i]
+    elif change == "copy_line":
+        lines.insert(i, lines[i])
+    elif change == "swap_lines":
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[k] = lines[k], lines[i]
+    else:
+        lines.insert(i, " ".join(data.draw(st.lists(st.sampled_from(_TOKENS), max_size=5))))
+    try:
+        back = parse_layered_decomposition("\n".join(lines) + "\n")
+    except GraphInputError:
+        return
+    td = back.decomposition
+    explicit = TreeDecomposition(tuple(td.bags), td.tree_edges)
+    assert td == explicit
+    n = max((v + 1 for bag in explicit.bags for v in bag), default=0)
+    pairs = sorted({(u, v) for bag in ld.decomposition.bags for u in bag for v in bag if u < v})
+    g = Graph.from_edges(max(n, 1), [e for e in pairs if e[1] < n])
+    assert validate_tree_decomposition(g, td) == _rest_validate_tree_decomposition(g, explicit)
+    assert td.width == explicit.width
+    layers = back.layering.layers
+    if sum(map(len, layers)) == len(frozenset().union(*layers)):  # else no layer_of
+        if all(v in back.layering.layer_of for bag in explicit.bags for v in bag):
+            assert back.layered_width == _scan_layered_width(back)
+    if td.bags and len(td.tree_edges) == len(td.bags) - 1:
+        assert td.top_bag == _rest_top_bag(explicit)
