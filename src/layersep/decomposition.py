@@ -203,7 +203,8 @@ class LayeredDecomposition:
         of the bag tree keeps the count of the bag it is at per layer,
         changing it by each bag's ``deltas``.  Root-path bags under their
         proved ceiling (``_RootPathBags.layer_ceiling``) are instead
-        counted bag by bag up to the first that reaches it."""
+        counted bag by bag up to the first that reaches it.  A bag
+        vertex that no layer holds raises ``GraphInputError``."""
         bags = self.decomposition.bags
         layer_of = self.layering.layer_of
         if isinstance(bags, _RootPathBags):
@@ -213,26 +214,29 @@ class LayeredDecomposition:
         core, adds, drops = self.decomposition.deltas
         parent, order = self.decomposition.forest
         count = [0] * len(self.layering)
-        for v in core:
-            count[layer_of[v]] += 1
-        best = max(count, default=0)
-        path: list[int] = []
-        for x in order:
-            p = parent[x]
-            while path and path[-1] != p:
-                y = path.pop()
-                for v in adds[y]:
+        try:
+            for v in core:
+                count[layer_of[v]] += 1
+            best = max(count, default=0)
+            path: list[int] = []
+            for x in order:
+                p = parent[x]
+                while path and path[-1] != p:
+                    y = path.pop()
+                    for v in adds[y]:
+                        count[layer_of[v]] -= 1
+                    for v in drops[y]:
+                        count[layer_of[v]] += 1
+                for v in drops[x]:
                     count[layer_of[v]] -= 1
-                for v in drops[y]:
-                    count[layer_of[v]] += 1
-            for v in drops[x]:
-                count[layer_of[v]] -= 1
-            for v in adds[x]:
-                i = layer_of[v]
-                c = count[i] = count[i] + 1
-                if c > best:
-                    best = c
-            path.append(x)
+                for v in adds[x]:
+                    i = layer_of[v]
+                    c = count[i] = count[i] + 1
+                    if c > best:
+                        best = c
+                path.append(x)
+        except KeyError as exc:
+            raise GraphInputError(f"bag vertex {exc.args[0]} lies in no layer") from None
         return best
 
     def restricted_to(self, keep: Iterable[int]) -> "LayeredDecomposition":

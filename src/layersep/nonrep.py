@@ -15,8 +15,12 @@ same pair search over the whole word, up to any even length.
 and it too grows the two halves of a candidate square in lockstep as
 colour-equal pairs, so that each half prunes the other.  It anchors the
 search at the first vertex of the second half, inside a BFS ball around
-that vertex that bounds how far the first half may stray.  Exhaustive
-enumerations in the tests are the oracles of both verifiers.
+that vertex that bounds how far the first half may stray.  It builds
+flat tables once per call (colours by vertex, (degree, id) ranks, each
+anchor's end list), finds the squares of half-length <= 2 by lookups
+over those end lists with no ball, and runs the longer search on level
+and mark lists that every anchor reuses.  Exhaustive enumerations in the
+tests are the oracles of both verifiers.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import Graph, GraphInputError, Layering, Report, _ints
 from .layouts import ComputeLabels
@@ -316,9 +320,18 @@ def verify_nonrepetitive(
     around hubs, which each neighbour of a hub would otherwise search
     again.
 
-    One search to half-length cap finds the squares of every half-length
-    <= cap.  A first pass to half-length 2 finds short squares (an
-    improper edge, a planted P4) cheaply; the second covers max_path.
+    The search reads flat tables built once per call: the colours as a
+    list indexed by vertex, each vertex's rank in (degree, id) order,
+    and each anchor's end list.  A first pass finds the squares of
+    half-length <= 2 (an improper edge, a planted P4) by lookups over
+    each anchor's ends, with no ball: x_2 is an end, x_1 a neighbour of
+    it and y_2 a neighbour of y_1.  If it finds none, one search to
+    half-length max_path // 2 finds the squares of every longer
+    half-length.  Its balls live in one level list that all anchors
+    share: an entry is the anchor's base stamp plus the BFS distance,
+    so an entry below the base is outside the ball and nothing is
+    cleared between anchors.
+
     The result is the lexicographically least square of the least
     half-length, which is what a depth-first search over start vertices
     and sorted neighbours returns first.
@@ -327,74 +340,124 @@ def verify_nonrepetitive(
     for v in g.vertices():
         if v not in colour:
             raise GraphInputError(f"vertex {v} uncoloured")
+    cap = max_path // 2
+    if cap < 1:
+        return None
+    col = [colour[v] for v in g.vertices()]
     adj = g.adjacency
+    rank = [0] * g.n
+    for r, v in enumerate(sorted(g.vertices(), key=g.degree)):  # stable: ids break ties
+        rank[v] = r
+    ends_of = [[w for w in adj[y] if rank[w] < rank[y]] for y in g.vertices()]
+
+    # half-length 1: an end x_1 of y_1 with c(x_1) = c(y_1)
+    squares = [
+        min((x1, y1), (y1, x1))
+        for y1, ends in enumerate(ends_of)
+        for x1 in ends
+        if col[x1] == col[y1]
+    ]
+    if squares or cap == 1:
+        return min(squares, default=None)
+    # half-length 2: an end x_2 of y_1, x_1 in N(x_2), y_2 in N(y_1);
+    # y_2 = x_1 would make x_1 x_2 an edge of one colour, found above
+    for y1, ends in enumerate(ends_of):
+        want = col[y1]
+        for x2 in ends:
+            c2 = col[x2]
+            for x1 in adj[x2]:
+                if col[x1] == want and x1 != y1:
+                    for y2 in adj[y1]:
+                        if col[y2] == c2 and y2 != x2:
+                            p = (x1, x2, y1, y2)
+                            squares.append(min(p, p[::-1]))
+    if squares or cap == 2:
+        return min(squares, default=None)
+
+    # level[v] = base + the distance from v to y_1's ends in G - y_1, for
+    # v in the current ball; x_i needs a distance <= cap - i + 1, and
+    # x_cap must be an end (distance 1)
+    level = [-1] * g.n
+    used = [False] * g.n
+    xs: list[int] = []
+    ys: list[int] = []
+    hits: list[tuple[int, tuple[int, ...]]] = []
+    base = end = 0
 
     def grow(x: int, y: int, i: int) -> None:
         """Record and extend the pair path xs/ys, whose i-th pair is (x, y)."""
-        if x in ends:
+        if level[x] == end:
             hits.append((i, (*xs, *ys)))
-        if i == cap:
-            return
         if i == cap - 1:
             # the last x must be an end: no need to recurse
-            for x2 in ends.intersection(adj[x]):
-                if x2 not in used:
-                    c2 = colour[x2]
+            for x2 in adj[x]:
+                if level[x2] == end and not used[x2]:
+                    c2 = col[x2]
                     for y2 in adj[y]:
-                        if colour[y2] == c2 and y2 not in used and y2 != x2:
+                        if col[y2] == c2 and not used[y2] and y2 != x2:
                             hits.append((cap, (*xs, x2, *ys, y2)))
             return
+        top = base + cap - i
         for x2 in adj[x]:
-            if x2 in used or dist.get(x2, cap) > cap - i:
+            if used[x2] or not base < level[x2] <= top:
                 continue
-            c2 = colour[x2]
-            partners = [w for w in adj[y] if colour[w] == c2]
-            if not partners:
-                continue
-            used.add(x2)
+            c2 = col[x2]
+            used[x2] = True
             xs.append(x2)
-            for y2 in partners:
-                if y2 not in used:
-                    used.add(y2)
+            for y2 in adj[y]:
+                if col[y2] == c2 and not used[y2]:
+                    used[y2] = True
                     ys.append(y2)
                     grow(x2, y2, i + 1)
                     ys.pop()
-                    used.discard(y2)
+                    used[y2] = False
             xs.pop()
-            used.discard(x2)
+            used[x2] = False
 
-    longest = max_path // 2
-    least_square = None
-    for cap in sorted({min(2, longest), longest} - {0}):
-        hits: list[tuple[int, tuple[int, ...]]] = []
-        for y1 in g.vertices():
-            rank = (len(adj[y1]), y1)
-            ends = frozenset(w for w in adj[y1] if (len(adj[w]), w) < rank)
-            if not ends:
-                continue
-            # dist[v] - 1: length of a shortest path from v to the ends in
-            # G - y_1 (y_1 is entered as 0 so the BFS never passes it),
-            # recorded below cap; x_i needs dist <= cap - i + 1
-            dist = dict.fromkeys(ends, 1)
-            dist[y1] = 0
-            frontier: Iterable[int] = ends
-            for d in range(2, cap):
-                frontier = set().union(*(adj[u] for u in frontier)).difference(dist)
-                dist.update(dict.fromkeys(frontier, d))
-            want = colour[y1]
-            cands = {v for v in dist if colour[v] == want}
-            if cap > 1:
-                cands.update(w for u in frontier for w in adj[u] if colour[w] == want)
-            cands.discard(y1)
-            for x1 in cands:
-                xs, ys, used = [x1], [y1], {x1, y1}
-                grow(x1, y1, 1)
-        if hits:
-            least = min(h for h, _ in hits)
-            least_square = min(min(p, p[::-1]) for h, p in hits if h == least)
-            break
+    for y1, ends in enumerate(ends_of):
+        if not ends:
+            continue
+        base += cap + 1  # above every level of the previous ball
+        end = base + 1
+        level[y1] = base  # the BFS never passes y_1
+        want = col[y1]
+        cands = []
+        for w in ends:
+            level[w] = end
+            if col[w] == want:
+                cands.append(w)
+        frontier = ends
+        for d in range(end + 1, base + cap):
+            ring = []
+            for u in frontier:
+                for w in adj[u]:
+                    if level[w] < base:
+                        level[w] = d
+                        ring.append(w)
+                        if col[w] == want:
+                            cands.append(w)
+            frontier = ring
+        # x_1 may lie one step beyond the ball
+        for u in frontier:
+            for w in adj[u]:
+                if level[w] < base and col[w] == want:
+                    level[w] = base + cap
+                    cands.append(w)
+        used[y1] = True
+        ys.append(y1)
+        for x1 in cands:
+            used[x1] = True
+            xs.append(x1)
+            grow(x1, y1, 1)
+            xs.pop()
+            used[x1] = False
+        ys.pop()
+        used[y1] = False
     del grow  # break the closure's reference cycle
-    return least_square
+    if not hits:
+        return None
+    least = min(h for h, _ in hits)
+    return min(min(p, p[::-1]) for h, p in hits if h == least)
 
 
 def default_max_path(n: int) -> int:

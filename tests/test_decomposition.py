@@ -944,6 +944,17 @@ def test_layered_width_ceiling_holds_only_under_its_premise(eg):
     assert other.layered_width == _scan_layered_width(other)
 
 
+@pytest.mark.parametrize(
+    "text", ["bags 1\n0: 0 5\n0\n", "bags 1\n0: 0 5\ntree\n0\n"], ids=["parent", "tree"]
+)
+def test_layered_width_names_a_bag_vertex_in_no_layer(text):
+    """Vertex 5 is in the bag but in no layer: in the parent-field and the
+    older ``tree`` text form alike, the width raises ``GraphInputError``."""
+    ld = parse_layered_decomposition(text)
+    with pytest.raises(GraphInputError, match="bag vertex 5 lies in no layer"):
+        ld.layered_width
+
+
 def test_layered_width_ceiling_counts_a_large_root_clique():
     """Root paths from a four-vertex root clique K meet only layer 0, and
     the face opposite the least root has all of K in its bag: the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersep.embedding import embed_planar
 from layersep.generators import (
     cycle_graph,
     path_graph,
@@ -13,6 +14,7 @@ from layersep.generators import (
     random_tree,
 )
 from layersep.graphs import Graph, GraphInputError, bfs_layering
+from layersep.layouts import pipeline
 from layersep.nonrep import (
     _SEARCH_WALK_CAP,
     Colouring,
@@ -30,7 +32,8 @@ from layersep.nonrep import (
     verify_nonrepetitive,
     verify_proper,
 )
-from tests.conftest import planar_pipeline, torus_pipeline
+from layersep.shadow import recursive_nonrep_driver
+from tests.conftest import chordal_fixture, clique_colour_solver, planar_pipeline, torus_pipeline
 
 
 def _enumerated_walks_ok(seq):
@@ -362,11 +365,82 @@ def test_verify_nonrepetitive_matches_dfs_oracle_near_valid(n, changes, max_path
     assert verify_nonrepetitive(g, c, max_path) == _dfs_squares(g, c, max_path)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(20, 60),
+    st.integers(0, 9),
+    st.lists(st.tuples(st.integers(0, 59), st.integers(0, 10**6)), max_size=3),
+    st.integers(1, 9),
+)
+def test_verify_nonrepetitive_matches_dfs_oracle_near_valid_shadow(n, seed, changes, max_path):
+    # a shadow colouring of a chordal graph: small palette, many degree
+    # ties and hubs; recolouring up to three vertices with colours
+    # already in use may create squares
+    g, rd = chordal_fixture(n, 4, seed)
+    colour = dict(recursive_nonrep_driver(g, rd, clique_colour_solver).colour)
+    palette = sorted(set(colour.values()))
+    for v, pick in changes:
+        colour[v % n] = palette[pick % len(palette)]
+    c = Colouring(colour)
+    assert verify_nonrepetitive(g, c, max_path) == _dfs_squares(g, c, max_path)
+
+
+def _first_induced_p4(g):
+    """First path a-b-c-d with a~c and b~d non-adjacent, in id order."""
+    adj = g.adjacency
+    for b in g.vertices():
+        for a in adj[b]:
+            for c in adj[b]:
+                if c == a or g.has_edge(a, c):
+                    continue
+                for d in adj[c]:
+                    if d not in (a, b) and not g.has_edge(b, d):
+                        return a, b, c, d
+    return None
+
+
+def test_verify_nonrepetitive_pins_the_planted_square():
+    # the benchmark's planted-square mutant: a pipeline colouring whose
+    # first induced P4 is recoloured x y x y with two new colours
+    g = random_planar_triangulation(40, seed=1).to_graph()
+    _, res, labels, _ = pipeline(embed_planar(g))
+    colour = dict(nonrep_from_compute(g, res.ld.layering, labels).colour)
+    a, b, c, d = _first_induced_p4(g)
+    x, y = max(colour.values()) + 1, max(colour.values()) + 2
+    colour.update({a: x, c: x, b: y, d: y})
+    bad = Colouring(colour)
+    for max_path in (4, 6, 10, g.n):
+        assert verify_nonrepetitive(g, bad, max_path) == (1, 0, 4, 13)
+    assert verify_nonrepetitive(g, bad, 3) is None
+
+
 def test_square_detection_on_path():
     g = path_graph(4)
     c = Colouring({0: 0, 1: 1, 2: 0, 3: 1})
     hit = verify_nonrepetitive(g, c, max_path=4)
     assert hit == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_square_spanning_a_long_path(k):
+    # colours 0..k-1 twice: the whole path is the only square; at
+    # max_path 2k its x_1 lies on the rim of the anchor's ball, above
+    # it the square is shorter than the search
+    g = path_graph(2 * k)
+    c = Colouring({v: v % k for v in g.vertices()})
+    for max_path in (2 * k, 2 * k + 1, 2 * k + 4):
+        assert verify_nonrepetitive(g, c, max_path) == tuple(g.vertices())
+    assert verify_nonrepetitive(g, c, 2 * k - 1) is None
+
+
+def test_square_around_a_cycle_is_simple():
+    # the 8-cycle 0-2-5-3-1-6-4-7 reads 5 4 1 4 5 4 1 4 from 0: every
+    # square is the whole cycle opened at an edge; the walk 0 2 5 3 1 6
+    # 4 6, which turns back at 4, reads the same colours but is no path
+    g = Graph.from_edges(8, [(0, 2), (2, 5), (5, 3), (3, 1), (1, 6), (6, 4), (4, 7), (7, 0)])
+    c = Colouring({0: 5, 1: 5, 2: 4, 3: 4, 4: 1, 5: 1, 6: 4, 7: 4})
+    assert verify_nonrepetitive(g, c, 9) == _dfs_squares(g, c, 9) == (0, 2, 5, 3, 1, 6, 4, 7)
+    assert verify_nonrepetitive(g, c, 7) is None
 
 
 def test_cycle_needs_more_than_two_colours():
