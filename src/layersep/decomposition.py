@@ -684,9 +684,7 @@ def genus_layered_decomposition(
 
     tri = triangulate(eg)
     tc = tree_cotree(tri, clique)
-    tree = tc.primal_tree
-    depth = [tree.depth[v] for v in range(tri.n)]
-    parent = [v if tree.parent[v] is None else tree.parent[v] for v in range(tri.n)]
+    depth, parent = tc.depth, tc.parent
     layer_sets: list[set[int]] = [set() for _ in range(max(depth) + 1)]
     for v, d in enumerate(depth):
         layer_sets[d].add(v)
@@ -698,12 +696,10 @@ def genus_layered_decomposition(
                 q.add(v)
                 v = parent[v]
 
-    corners = [tri.dart_tail(d) for walk in tri.faces for d in walk]
+    corners = list(map(tri.tail.__getitem__, itertools.chain.from_iterable(tri.faces)))
     bags = _RootPathBags(parent, depth, corners, frozenset(q))
     tree_edges = frozenset(
-        (min(f1, f2), max(f1, f2))
-        for e, f1, f2 in tc.dual_edges
-        if e in tc.dual_tree_edges
+        (p, f) if p < f else (f, p) for f, p in enumerate(tc.dual_parent) if p >= 0
     )
     layering = Layering(tuple(frozenset(layer) for layer in layer_sets))
     ld = LayeredDecomposition(TreeDecomposition(bags, tree_edges), layering)

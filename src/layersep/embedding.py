@@ -3,9 +3,18 @@
 An embedded multigraph is stored as a loop-free edge list plus one cyclic
 dart order per vertex.  Edge ``e`` owns darts ``2e`` (leaving its first
 endpoint) and ``2e+1`` (leaving its second); ``d ^ 1`` reverses a dart.
-Faces are the orbits of ``d -> sigma[d ^ 1]`` and the Euler genus of the
-embedding follows from Euler's formula.  Only orientable rotation systems
-are supported.
+Everything derived from the rotation is a flat int list indexed by dart:
+``tail`` (the vertex a dart leaves), ``sigma`` (the next dart around that
+vertex) and ``face_of`` (the face holding the dart).  Faces are the
+orbits of ``d -> sigma[d ^ 1]``, listed in the order of their least
+darts, each walk starting at its least dart; the bags of the genus
+decomposition and its dual tree follow that order.  The Euler genus of
+the embedding follows from Euler's formula.  Only orientable rotation
+systems are supported.
+
+``triangulate`` rebuilds its result from face walks and hands the walks
+over as the result's faces instead of walking them again.
+``tree_cotree`` runs its primal and dual BFS searches on the same lists.
 
 Planar graphs are embedded by Brandes' left-right planarity test (U.
 Brandes, "The Left-Right Planarity Test", 2009), ported step by step
@@ -19,12 +28,14 @@ oracle.  The package itself imports no networkx.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import chain, compress
+from operator import not_
+from typing import Iterable, Optional, Sequence
 
-from .graphs import BfsTree, Graph, GraphInputError, _ints
+from .graphs import Graph, GraphInputError, _ints
 
 
 class EmbeddingError(ValueError):
@@ -40,77 +51,111 @@ class EmbedderSelfCheckError(EmbeddingError):
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    """Loop-free multigraph with a rotation system."""
+    """Loop-free multigraph with a rotation system.
+
+    ``tail``, ``sigma`` and ``face_of`` are int lists indexed by dart:
+    the vertex a dart leaves, the next dart around that vertex, and the
+    index in ``faces`` of the walk holding the dart.
+    """
 
     n: int
     edge_list: tuple[tuple[int, int], ...]
     rotation: tuple[tuple[int, ...], ...]
+    tail: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        expected: list[list[int]] = [[] for _ in range(self.n)]
+        n = self.n
         for e, (u, v) in enumerate(self.edge_list):
             if u == v:
                 raise EmbeddingError(f"loop at vertex {u} (edge {e})")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise EmbeddingError(f"edge {e}=({u},{v}) out of range")
-            expected[u].append(2 * e)
-            expected[v].append(2 * e + 1)
-        if len(self.rotation) != self.n:
+        tail = list(chain.from_iterable(self.edge_list))
+        object.__setattr__(self, "tail", tail)
+        if len(self.rotation) != n:
             raise EmbeddingError("rotation must list every vertex")
-        for v in range(self.n):
-            if sorted(self.rotation[v]) != sorted(expected[v]):
-                raise EmbeddingError(
-                    f"rotation at vertex {v} does not match its darts"
-                )
+        # Every dart must be listed once, at its tail: each dart's last
+        # lister is its tail, no dart is negative and there are 2m entries.
+        m2 = len(tail)
+        owner = [-1] * m2
+        try:
+            for v, darts in enumerate(self.rotation):
+                for d in darts:
+                    owner[d] = v
+        except IndexError:
+            owner = []
+        if (
+            owner != tail
+            or sum(map(len, self.rotation)) != m2
+            or min(chain.from_iterable(self.rotation), default=0) < 0
+        ):
+            bad = _first_unmatched_vertex(self.rotation, tail)
+            raise EmbeddingError(f"rotation at vertex {bad} does not match its darts")
 
     @property
     def m(self) -> int:
         return len(self.edge_list)
 
     def dart_tail(self, d: int) -> int:
-        return self.edge_list[d // 2][d & 1]
+        return self.tail[d]
 
     @cached_property
-    def sigma(self) -> dict[int, int]:
+    def sigma(self) -> list[int]:
         """Rotation successor of each dart around its tail vertex."""
-        succ: dict[int, int] = {}
+        succ = [0] * len(self.tail)
         for darts in self.rotation:
-            for i, d in enumerate(darts):
-                succ[d] = darts[(i + 1) % len(darts)]
+            if darts:
+                prev = darts[-1]
+                for d in darts:
+                    succ[prev] = d
+                    prev = d
         return succ
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Face boundary walks as dart cycles (orbits of sigma o alpha)."""
+        """Face boundary walks, the orbits of ``d -> sigma[d ^ 1]``, in
+        the order of their least darts, each starting at its least dart."""
         sigma = self.sigma
-        seen: set[int] = set()
+        seen = bytearray(len(sigma))
         out: list[tuple[int, ...]] = []
-        for start in range(2 * self.m):
-            if start in seen:
+        for start in range(len(sigma)):
+            if seen[start]:
                 continue
             walk = []
             d = start
-            while d not in seen:
-                seen.add(d)
+            while not seen[d]:
+                seen[d] = 1
                 walk.append(d)
                 d = sigma[d ^ 1]
             out.append(tuple(walk))
         return tuple(out)
 
     @cached_property
+    def face_of(self) -> list[int]:
+        """Index in ``faces`` of the walk holding each dart."""
+        face_of = [0] * len(self.tail)
+        for f, walk in enumerate(self.faces):
+            for d in walk:
+                face_of[d] = f
+        return face_of
+
+    @cached_property
     def euler_genus(self) -> int:
         """Euler genus 2 - (n - m + F) of a connected embedding.  The
         connectivity search walks the rotation system, so no ``Graph`` is
         built for an embedding that is only checked."""
-        reached = {0} if self.n else set()
-        stack = list(reached)
+        tail = self.tail
+        reached = bytearray(self.n)
+        stack = [0] if self.n else []
+        if stack:
+            reached[0] = 1
         while stack:
             for d in self.rotation[stack.pop()]:
-                w = self.dart_tail(d ^ 1)
-                if w not in reached:
-                    reached.add(w)
+                w = tail[d ^ 1]
+                if not reached[w]:
+                    reached[w] = 1
                     stack.append(w)
-        if not self.n or len(reached) != self.n:
+        if not self.n or 0 in reached:
             raise EmbeddingError("embedded graph must be connected")
         if self.m == 0:
             return 0
@@ -118,13 +163,6 @@ class EmbeddedGraph:
         if g < 0:
             raise EmbeddingError(f"negative genus {g}: invalid rotation system")
         return g
-
-    def face_of_dart(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, walk in enumerate(self.faces):
-            for d in walk:
-                out[d] = i
-        return out
 
     @cached_property
     def _graph(self) -> Graph:
@@ -136,69 +174,133 @@ class EmbeddedGraph:
         return self._graph
 
 
+def _first_unmatched_vertex(
+    rotation: Sequence[Sequence[int]], tail: list[int]
+) -> int:
+    """The least vertex whose rotation is not its set of darts: the first
+    to list a dart that is out of range, foreign or repeated, unless an
+    earlier vertex lists fewer darts than its degree."""
+    m2 = len(tail)
+    placed = bytearray(m2)
+    bad = len(rotation)
+    for v, darts in enumerate(rotation):
+        for d in darts:
+            if not 0 <= d < m2 or tail[d] != v or placed[d]:
+                break
+            placed[d] = 1
+        else:
+            continue
+        bad = v
+        break
+    deg = Counter(tail)
+    return next((v for v in range(bad) if len(rotation[v]) != deg[v]), bad)
+
+
 def _rotation_from_faces(
     n: int,
     edge_list: list[tuple[int, int]],
-    face_walks: list[list[int]],
+    face_walks: Sequence[Sequence[int]],
 ) -> EmbeddedGraph:
-    """Rebuild the rotation system from a complete set of face walks."""
-    phi: dict[int, int] = {}
-    for walk in face_walks:
-        for i, d in enumerate(walk):
-            phi[d] = walk[(i + 1) % len(walk)]
-    if len(phi) != 2 * len(edge_list):
+    """Rebuild the rotation system from a complete set of face walks, in
+    which each dart's head is the next dart's tail, and hand the walks
+    over as the result's ``faces``.
+
+    ``phi`` maps each dart to the next one on its walk and the rotation is
+    sigma = phi o alpha, where alpha is ``d -> d ^ 1``.  The faces of a
+    rotation are the orbits of sigma o alpha = phi o alpha o alpha = phi,
+    so they are exactly the given walks: each walk, started at its least
+    dart, in the order of those darts, is what ``faces`` would walk.  The
+    result's Euler genus therefore counts its true faces, and a caller
+    comparing it with another genus compares true genera.
+    """
+    m2 = 2 * len(edge_list)
+    phi = [-1] * m2
+    try:
+        for walk in face_walks:
+            prev = walk[-1]
+            for d in walk:
+                phi[prev] = d
+                prev = d
+    except IndexError:
+        phi = [-1]
+    # phi's values are the listed darts, so when 2m are listed a negative
+    # value is a negative dart or a slot no walk wrote
+    if sum(map(len, face_walks)) != m2 or min(phi, default=0) < 0:
         raise EmbeddingError("face walks do not cover every dart exactly once")
-    sigma = {d: phi[d ^ 1] for d in phi}
-    darts_at: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edge_list):
-        darts_at[u].append(2 * e)
-        darts_at[v].append(2 * e + 1)
+    sigma = [0] * m2
+    sigma[::2] = phi[1::2]
+    sigma[1::2] = phi[::2]
+    tail = list(chain.from_iterable(edge_list))
+    least = [-1] * n
+    for d in range(m2 - 1, -1, -1):
+        least[tail[d]] = d
     rotation: list[tuple[int, ...]] = []
-    for v in range(n):
-        if not darts_at[v]:
+    for start in least:
+        if start < 0:
             rotation.append(())
             continue
-        start = min(darts_at[v])
         cyc = [start]
         d = sigma[start]
         while d != start:
             cyc.append(d)
             d = sigma[d]
-        if len(cyc) != len(darts_at[v]):
-            raise EmbeddingError(
-                f"face walks induce a disconnected rotation at vertex {v}"
-            )
         rotation.append(tuple(cyc))
-    return EmbeddedGraph(n, tuple(edge_list), tuple(rotation))
-
-
-def _delete_edge(eg: EmbeddedGraph, edge_id: int) -> EmbeddedGraph:
-    """Remove one edge from the rotation system (always a valid
-    embedding; the genus never increases)."""
-    kept = [e for e in range(eg.m) if e != edge_id]
-    emap = {e: i for i, e in enumerate(kept)}
-    new_edges = tuple(eg.edge_list[e] for e in kept)
-    rotation = tuple(
-        tuple(2 * emap[d // 2] + (d & 1) for d in darts if d // 2 != edge_id)
-        for darts in eg.rotation
-    )
-    return EmbeddedGraph(eg.n, new_edges, rotation)
+    if sum(map(len, rotation)) != m2:
+        deg = Counter(tail)
+        v = next(v for v in range(n) if len(rotation[v]) != deg[v])
+        raise EmbeddingError(f"face walks induce a disconnected rotation at vertex {v}")
+    eg = EmbeddedGraph(n, tuple(edge_list), tuple(rotation))
+    faces = []
+    for walk in map(tuple, face_walks):
+        i = walk.index(min(walk))
+        faces.append(walk[i:] + walk[:i])
+    faces.sort()  # the least darts differ, so this sorts by them
+    eg.__dict__["sigma"] = sigma
+    eg.__dict__["faces"] = tuple(faces)
+    return eg
 
 
 def _drop_bigons(eg: EmbeddedGraph) -> EmbeddedGraph:
-    """Delete parallel edges bounding faces of length 2.
+    """Delete parallel edges bounding faces of length 2, keeping the
+    least edge of each class of edges joined by such faces.
 
-    The two boundary edges of such a face are parallel, so the
-    underlying simple graph is unchanged.
+    The two boundary edges of such a face are parallel, so the underlying
+    simple graph is unchanged.  Deleting edge y of a bigon {x, y} merges
+    x into the face on y's other side, so it makes a bigon only of x and
+    an edge that shares a bigon with y: deleting one edge at a time, the
+    larger of the first bigon each time, ends with the least edge of each
+    class, which is never the larger of a bigon.  Deletion keeps the edge
+    order, so one pass over the faces gives the same embedding.  A face of
+    length 2 that is left is bounded by a single edge.
     """
-    while True:
-        bigon = next((walk for walk in eg.faces if len(walk) == 2), None)
-        if bigon is None:
-            return eg
-        e1, e2 = bigon[0] // 2, bigon[1] // 2
-        if e1 == e2:
-            raise EmbeddingError("degenerate face bounded by a single edge")
-        eg = _delete_edge(eg, max(e1, e2))
+    bigons = [walk for walk in eg.faces if len(walk) == 2]
+    if not bigons:
+        return eg
+    least = list(range(eg.m))  # union-find; each class points at its least edge
+
+    def find(e: int) -> int:
+        while least[e] != e:
+            least[e] = least[least[e]]
+            e = least[e]
+        return e
+
+    for d1, d2 in bigons:
+        a, b = find(d1 >> 1), find(d2 >> 1)
+        least[max(a, b)] = min(a, b)
+    new_id = [-1] * eg.m
+    edge_list = []
+    for e, uv in enumerate(eg.edge_list):
+        if find(e) == e:
+            new_id[e] = len(edge_list)
+            edge_list.append(uv)
+    rotation = tuple(
+        tuple(2 * new_id[d >> 1] + (d & 1) for d in darts if new_id[d >> 1] >= 0)
+        for darts in eg.rotation
+    )
+    out = EmbeddedGraph(eg.n, tuple(edge_list), rotation)
+    if any(len(walk) == 2 for walk in out.faces):
+        raise EmbeddingError("degenerate face bounded by a single edge")
+    return out
 
 
 def triangulate(eg: EmbeddedGraph) -> EmbeddedGraph:
@@ -209,7 +311,12 @@ def triangulate(eg: EmbeddedGraph) -> EmbeddedGraph:
     introduced.  Faces of length >= 4 are fanned from the corner with
     minimum vertex id whose fan chords produce no loops.  An embedding
     whose faces are all triangles once bigons are dropped is returned as
-    it is.  A fan that changes the genus raises
+    it is.
+
+    The result is rebuilt from its face walks by ``_rotation_from_faces``,
+    which hands the walks over as its faces rather than walking them
+    again; they are its faces by construction, so the genus self-check
+    below compares true genera.  A fan that changes the genus raises
     ``EmbedderSelfCheckError``.
     """
     if eg.n < 3:
@@ -217,87 +324,106 @@ def triangulate(eg: EmbeddedGraph) -> EmbeddedGraph:
     eg = _drop_bigons(eg)
     if all(len(walk) == 3 for walk in eg.faces):
         return eg
+    tail = eg.tail
     edge_list = list(eg.edge_list)
-    new_walks: list[list[int]] = []
+    new_walks: list[tuple[int, ...]] = []
     for walk in eg.faces:
         k = len(walk)
-        verts = [eg.dart_tail(d) for d in walk]
         if k == 3:
-            new_walks.append(list(walk))
+            new_walks.append(walk)
             continue
         if k < 3:
             raise EmbeddingError(
                 f"face of length {k} cannot be triangulated without new vertices"
             )
-        corner = None
-        for r in sorted(range(k), key=lambda i: (verts[i], i)):
-            if all(verts[(r + j) % k] != verts[r] for j in range(2, k - 1)):
-                corner = r
-                break
-        if corner is None:
-            raise EmbeddingError("no loop-free fan corner on face walk")
-        rot_walk = [walk[(corner + j) % k] for j in range(k)]
-        rot_verts = [verts[(corner + j) % k] for j in range(k)]
-        apex = rot_verts[0]
-        chord_fwd: dict[int, int] = {}
-        for j in range(2, k - 1):
-            e = len(edge_list)
-            edge_list.append((apex, rot_verts[j]))
-            chord_fwd[j] = 2 * e
-        new_walks.append([rot_walk[0], rot_walk[1], chord_fwd[2] ^ 1])
+        # The apex is the first corner in (vertex, position) order whose
+        # chords make no loop.  Corner r's chords make one iff verts[r]
+        # recurs at offsets 2..k-2; its neighbours on the walk differ from
+        # it (no loops), so iff it occurs more than once.  So the least
+        # vertex is tried first, then the least vertex that occurs once.
+        verts = list(map(tail.__getitem__, walk))
+        apex = min(verts)
+        if verts.count(apex) > 1:
+            counts = Counter(verts)
+            apex = min((v for v, c in counts.items() if c == 1), default=None)
+            if apex is None:
+                raise EmbeddingError("no loop-free fan corner on face walk")
+        r = verts.index(apex)
+        w = walk[r:] + walk[:r]
+        # chord j = 2..k-2 joins the apex to corner j of w; the dart
+        # leaving the apex on chord j is c + 2(j - 2)
+        c = 2 * len(edge_list)
+        edge_list += [(apex, v) for v in (verts[r:] + verts[:r])[2:-1]]
+        new_walks.append((w[0], w[1], c + 1))
         for j in range(2, k - 2):
-            new_walks.append([chord_fwd[j], rot_walk[j], chord_fwd[j + 1] ^ 1])
-        new_walks.append([chord_fwd[k - 2], rot_walk[k - 2], rot_walk[k - 1]])
+            new_walks.append((c, w[j], c + 3))
+            c += 2
+        new_walks.append((c, w[k - 2], w[k - 1]))
     out = _rotation_from_faces(eg.n, edge_list, new_walks)
     if out.euler_genus != eg.euler_genus:
         raise EmbedderSelfCheckError("triangulation changed the genus")
     return out
 
 
-def multigraph_bfs(eg: EmbeddedGraph, roots: Iterable[int]) -> tuple[BfsTree, set[int]]:
-    """BFS forest over the multigraph; returns the tree and its edge ids.
-
-    Neighbours are scanned in ascending (vertex, edge id) order.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(eg.n)]
-    for e, (u, v) in enumerate(eg.edge_list):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    for lst in adj:
-        lst.sort()
-    roots = sorted(set(roots))
-    depth = {r: 0 for r in roots}
-    parent: dict[int, Optional[int]] = {r: None for r in roots}
-    tree_edges: set[int] = set()
-    queue = deque(roots)
-    while queue:
-        v = queue.popleft()
-        for w, e in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                tree_edges.add(e)
-                queue.append(w)
-    if len(depth) != eg.n:
-        missing = min(v for v in range(eg.n) if v not in depth)
-        raise GraphInputError(f"vertex {missing} unreachable from roots")
-    return BfsTree(frozenset(roots), parent, depth), tree_edges
-
-
 @dataclass(frozen=True)
 class TreeCotree:
     """Primal spanning tree (BFS from the root clique plus a star on it),
-    dual spanning tree and the g leftover dual edges."""
+    dual spanning tree and the g leftover dual edges.
 
-    primal_tree: BfsTree
+    ``parent`` and ``depth`` are lists indexed by vertex: depth is the
+    distance from the roots, the least root is its own parent and the
+    other roots' parent is the least root.  ``dual_parent`` is indexed by
+    face, -1 at the dual tree's root.
+    """
+
+    parent: list[int]
+    depth: list[int]
     primal_tree_edges: frozenset[int]
-    dual_edges: tuple[tuple[int, int, int], ...]  # (edge id, face1, face2)
+    dual_parent: list[int]
     dual_tree_edges: frozenset[int]
     extra_edges: tuple[int, ...]  # X, as primal edge ids
 
     @property
     def x_size(self) -> int:
         return len(self.extra_edges)
+
+
+def _bfs(
+    order: list[int],
+    darts_at: Sequence[Sequence[int]],
+    across: list[int],
+    skip: bytearray,
+) -> tuple[list[int], list[int]]:
+    """BFS forest from the nodes in ``order``, on vertices or on faces.
+
+    Node x's edges are its darts ``darts_at[x]``; dart d leads to node
+    ``across[d ^ 1]`` by edge d >> 1 unless ``skip`` marks that edge.
+    Each node's edges are taken as if sorted by (node reached, edge id):
+    new nodes are queued in ascending order, each by its least edge from
+    the node that reached it.  Appends to ``order``; returns the parent of
+    each node (-1 at a root) and the edge joining it to its parent.
+    """
+    k = len(darts_at)
+    parent, via = [-1] * k, [-1] * k
+    seen = bytearray(k)
+    for x in order:
+        seen[x] = 1
+    for x in order:
+        found = []
+        for d in darts_at[x]:
+            e = d >> 1
+            if skip[e]:
+                continue
+            y = across[d ^ 1]
+            if not seen[y]:
+                seen[y] = 1
+                parent[y], via[y] = x, e
+                found.append(y)
+            elif parent[y] == x and e < via[y]:
+                via[y] = e
+        found.sort()
+        order.extend(found)
+    return parent, via
 
 
 def tree_cotree(eg: EmbeddedGraph, roots: Iterable[int]) -> TreeCotree:
@@ -309,62 +435,57 @@ def tree_cotree(eg: EmbeddedGraph, roots: Iterable[int]) -> TreeCotree:
     edge id), so depth is the distance from K and every root path ends at
     the least root.  The split works for any spanning tree, since the
     edges off it always hold a dual spanning tree and ``genus`` more.
+    Both searches scan neighbours in ascending (neighbour, edge id) order.
     """
-    for walk in eg.faces:
+    faces = eg.faces
+    for walk in faces:
         if len(walk) != 3:
             raise EmbeddingError(
                 f"tree_cotree requires a triangulation; face of length {len(walk)}"
             )
-    forest, tree_edge_ids = multigraph_bfs(eg, roots)
-    root = min(forest.roots)
+    n, m, tail, rotation = eg.n, eg.m, eg.tail, eg.rotation
+    root_set = sorted(set(roots))
+    root = root_set[0]
+    order = list(root_set)
+    in_tree = bytearray(m)  # the primal tree's edges, then the dual tree's
+    parent, via = _bfs(order, rotation, tail, in_tree)
+    if len(order) != n:
+        missing = min(set(range(n)) - set(order))
+        raise GraphInputError(f"vertex {missing} unreachable from roots")
+    depth = [0] * n
+    for v in order[len(root_set):]:
+        depth[v] = depth[parent[v]] + 1
     star: dict[int, int] = {}
-    for e, (u, v) in enumerate(eg.edge_list):
-        other = v if u == root else u if v == root else None
-        if other in forest.roots:
-            star.setdefault(other, e)
-    if len(star) != len(forest.roots) - 1:
+    for d in rotation[root]:
+        w = tail[d ^ 1]
+        if depth[w] == 0 and d >> 1 < star.get(w, m):
+            star[w] = d >> 1
+    if len(star) != len(root_set) - 1:
         raise GraphInputError("root set is not a clique")
-    tree_edge_ids |= set(star.values())
-    primal_tree = BfsTree(
-        forest.roots, {**forest.parent, **dict.fromkeys(star, root)}, forest.depth
-    )
-    face_of = eg.face_of_dart()
-    dual_edges = tuple(
-        (e, face_of[2 * e], face_of[2 * e + 1])
-        for e in range(eg.m)
-        if e not in tree_edge_ids
-    )
-    # BFS spanning tree of the dual, rooted at the least face incident to
-    # the least root.
-    root_face = min(face_of[d] for d in eg.rotation[root])
-    dual_adj: dict[int, list[tuple[int, int]]] = {
-        f: [] for f in range(len(eg.faces))
-    }
-    for e, f1, f2 in dual_edges:
-        if f1 != f2:
-            dual_adj[f1].append((f2, e))
-            dual_adj[f2].append((f1, e))
-    for lst in dual_adj.values():
-        lst.sort()
-    seen = {root_face}
-    dual_tree: set[int] = set()
-    queue = deque([root_face])
-    while queue:
-        f = queue.popleft()
-        for f2, e in dual_adj[f]:
-            if f2 not in seen:
-                seen.add(f2)
-                dual_tree.add(e)
-                queue.append(f2)
-    if len(seen) != len(eg.faces):
+    for w, e in star.items():
+        parent[w], via[w] = root, e
+    parent[root] = root
+    tree_edges = via[:root] + via[root + 1 :]
+    for e in tree_edges:
+        in_tree[e] = 1
+
+    # BFS spanning tree of the dual over the edges off the primal tree,
+    # rooted at the least face incident to the least root.
+    face_of = eg.face_of
+    forder = [min(face_of[d] for d in rotation[root])]
+    fparent, fvia = _bfs(forder, faces, face_of, in_tree)
+    if len(forder) != len(faces):
         raise EmbeddingError("dual graph disconnected: invalid triangulation")
-    extra = tuple(sorted(e for e, _, _ in dual_edges if e not in dual_tree))
+    dual_tree = [fvia[f] for f in forder[1:]]
+    for e in dual_tree:
+        in_tree[e] = 1
     tc = TreeCotree(
-        primal_tree,
-        frozenset(tree_edge_ids),
-        dual_edges,
+        parent,
+        depth,
+        frozenset(tree_edges),
+        fparent,
         frozenset(dual_tree),
-        extra,
+        tuple(compress(range(m), map(not_, in_tree))),
     )
     if tc.x_size != eg.euler_genus:
         raise EmbeddingError(

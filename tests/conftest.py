@@ -34,6 +34,15 @@ def torus_pipeline(p: int, q: int):
     return _with_tracks(toroidal_grid(p, q))
 
 
+def root_path(parent, v):
+    """The vertices from v up to the root of a parent list in which the
+    root is its own parent."""
+    path = [v]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return frozenset(path)
+
+
 # random planar triangulations and toroidal grids
 embedded_graphs = st.one_of(
     st.builds(random_planar_triangulation, st.integers(3, 150), st.integers(0, 10**6)),

@@ -97,6 +97,20 @@ def test_verify_decomposition_reads_an_older_text():
     assert run(argv + ["--manifest", os.devnull]) == 0
 
 
+def test_decompose_embedded_drops_parallel_runs(tmp_path):
+    """The rotation-system fixture with runs of 2-4 parallel edges that
+    bound bigons decomposes, and the result verifies against its simple
+    graph, as the CI console-script jobs run it."""
+    fixtures = Path(__file__).parent / "fixtures"
+    rot, graph = fixtures / "parallel12_rot.txt", fixtures / "parallel12.txt"
+    eg = embedding.parse_rotation_system(rot.read_text())
+    assert eg.to_graph() == parse_graph(graph.read_text()) and eg.m > eg.to_graph().m
+    assert sum(len(f) == 2 for f in eg.faces) == 6
+    dec = tmp_path / "dec.txt"
+    assert run(["decompose", "--embedded", rot, "--out", dec, "--manifest", os.devnull]) == 0
+    assert run(["verify", "decomposition", dec, graph, "--manifest", os.devnull]) == 0
+
+
 def test_embedded_pipeline(tmp_path):
     rot = tmp_path / "torus.txt"
     assert run(["gen", "toroidal_grid", 4, "--rotation", "--out", rot]) == 0

@@ -60,7 +60,7 @@ from layersep.graphs import (
     separator_layer_widths,
 )
 from layersep.shadow import RichDecomposition, format_rich, parse_rich
-from tests.conftest import embedded_graphs, planar_pipeline, torus_pipeline
+from tests.conftest import embedded_graphs, planar_pipeline, root_path, torus_pipeline
 
 
 def _scan_validate_tree_decomposition(g, td):
@@ -446,7 +446,7 @@ def _explicit_genus_bags(eg, root):
     a frozenset root path per vertex."""
     tri = triangulate(eg)
     tc = tree_cotree(tri, sorted(set(root)))
-    paths = {v: tc.primal_tree.path_to_root(v) for v in range(tri.n)}
+    paths = {v: root_path(tc.parent, v) for v in range(tri.n)}
     q: set[int] = set()
     for e in tc.extra_edges:
         a, b = tri.edge_list[e]

@@ -25,6 +25,7 @@ from layersep.generators import (
 )
 from layersep.graphs import Graph, GraphInputError
 from layersep.layouts import format_track_layout, pipeline, track_layout_from_compute
+from tests.conftest import root_path
 
 
 def _nx_embed_planar(g: Graph) -> EmbeddedGraph:
@@ -265,10 +266,9 @@ def test_tree_cotree_sizes():
         assert tc.x_size == tri.euler_genus
         assert len(tc.primal_tree_edges) + len(tc.dual_tree_edges) + tc.x_size == m
         # the star joins every root to the least one, at depth 0
-        tree = tc.primal_tree
-        assert {v for v, d in tree.depth.items() if d == 0} == set(roots)
-        assert all(tree.parent[r] == roots[0] for r in roots[1:])
-        assert all(roots[0] in tree.path_to_root(v) for v in range(n))
+        assert {v for v, d in enumerate(tc.depth) if d == 0} == set(roots)
+        assert all(tc.parent[r] == roots[0] for r in roots[1:])
+        assert all(roots[0] in root_path(tc.parent, v) for v in range(n))
 
 
 def test_tree_cotree_rejects_non_clique_roots():

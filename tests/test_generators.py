@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from layersep.decomposition import exact_treewidth, validate_tree_decomposition
@@ -10,8 +12,10 @@ from layersep.generators import (
     random_planar_triangulation,
     random_tree,
     section2_family,
+    toroidal_grid,
     v8_graph,
 )
+from layersep.embedding import format_rotation_system
 from layersep.graphs import GraphInputError, validate_layering
 
 
@@ -99,3 +103,22 @@ def test_gen_seed_recorded():
     fx = gen("random_tree", 10, seed=42)
     assert fx.seed == 42
     assert fx.name == "random_tree"
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: toroidal_grid(3, 3), "9f0170d4937fecff"),
+        (lambda: toroidal_grid(3, 5), "2c8d50c44d7b255b"),
+        (lambda: toroidal_grid(12, 12), "06554cabfecc8d5c"),
+        (lambda: toroidal_grid(60, 60), "75a2dac00612c3eb"),
+        (lambda: random_planar_triangulation(30, 1), "c09df9e1bbde6620"),
+        (lambda: random_planar_triangulation(300, 1), "251be081daf7a0f9"),
+        (lambda: random_planar_triangulation(1200, 1), "720f86321e2b6280"),
+    ],
+)
+def test_generator_rotation_texts_pinned(build, digest):
+    """The rotation-system texts of the embedded generators, header genus
+    and rotation starts included."""
+    text = format_rotation_system(build())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
