@@ -141,9 +141,15 @@ def _decomposed(args, manifest: RunManifest):
 
 
 def _labelled(args, manifest: RunManifest):
-    """(G, decomposition result, labels) from ``layouts.pipeline``."""
+    """(G, decomposition result, labels) from ``layouts.pipeline``; the
+    recursion's node count and depth are recorded with the bounds."""
     g, res, labels, _ = pipeline(_load(args, manifest), _root_clique(args))
-    manifest.bounds.update(layered_width=res.ld.layered_width, genus=res.genus)
+    manifest.bounds.update(
+        layered_width=res.ld.layered_width,
+        genus=res.genus,
+        recursion_nodes=len(labels.nodes),
+        recursion_depth=labels.max_depth,
+    )
     return g, res, labels
 
 

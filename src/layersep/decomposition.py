@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +49,7 @@ class TreeDecomposition:
     the root-path bags of ``genus_layered_decomposition``, or the bags
     parsed from a text, held as each bag's change from its parent bag.
     Both index, iterate and compare equal alike; take ``tuple(bags)``
-    before tuple arithmetic.  Width, layered width, ``top_bag``,
+    before tuple arithmetic.  Width, layered width, ``top_rank``,
     validation and the text read the bags as ``deltas`` along ``forest``,
     so a lazy bag is never built for them.
     """
@@ -173,19 +173,34 @@ class TreeDecomposition:
         return jumps
 
     @cached_property
-    def top_bag(self) -> dict[int, int]:
-        """Each vertex's bag nearest the root.  A vertex's bags form a
-        subtree, so this is its bag of least preorder rank, the first bag
-        in preorder that adds it."""
-        _, order, tin = self.rooted
+    def top_rank(self) -> list[int]:
+        """Per vertex, the preorder rank in ``rooted`` of its top bag, the
+        bag nearest the root, or ``len(bags)`` for a vertex in no bag;
+        indexed from 0 up to the largest bag vertex.  A vertex's bags form
+        a subtree, so its top bag is the first bag in preorder that adds
+        it.  A negative bag vertex raises ``DecompositionError``."""
+        _, order, _ = self.rooted
         if isinstance(self.bags, _RootPathBags):
-            return self.bags.top_bag(order, tin)
+            return self.bags.top_rank(order)
         core, adds, _ = self.deltas
-        top = dict.fromkeys(core, order[0])
-        for x in order:
+        every = [*core, *itertools.chain.from_iterable(adds)]
+        if every and min(every) < 0:
+            raise DecompositionError(f"bag vertex {min(every)} is negative")
+        none = len(order)
+        rank = [none] * (max(every, default=-1) + 1)
+        for v in core:
+            rank[v] = 0
+        for r, x in enumerate(order):
             for v in adds[x]:
-                top.setdefault(v, x)
-        return top
+                if rank[v] == none:
+                    rank[v] = r
+        return rank
+
+    @property
+    def top_bag(self) -> dict[int, int]:
+        """Each vertex's bag nearest the root, read off ``top_rank``."""
+        order = self.rooted[1]
+        return {v: order[r] for v, r in enumerate(self.top_rank) if r < len(order)}
 
 
 @dataclass(frozen=True)
@@ -571,8 +586,8 @@ class _RootPathBags(_CoreBags):
                 best = max(best, c + in_core.get(i, 0))
         return best
 
-    def top_bag(self, order: list[int], tin: list[int]) -> dict[int, int]:
-        """``TreeDecomposition.top_bag`` in O(n log n + F).  A vertex v
+    def top_rank(self, order: list[int]) -> list[int]:
+        """``TreeDecomposition.top_rank`` in O(n log n + F).  A vertex v
         outside Q lies in the bags of the faces with a corner in its
         subtree, so its top bag has the least preorder rank among them;
         the ranks are pushed up the parent list, deepest vertices first.
@@ -590,9 +605,9 @@ class _RootPathBags(_CoreBags):
             p = parent[v]
             if least[v] < least[p]:
                 least[p] = least[v]
-        top = {v: order[r] for v, r in enumerate(least) if r < none}
-        top.update(dict.fromkeys(self.q, order[0]))
-        return top
+        for v in self.q:
+            least[v] = 0
+        return least
 
 
 def _preorder_intervals(parent: list[int]) -> tuple[list[int], list[int]]:
@@ -661,7 +676,7 @@ def genus_layered_decomposition(
     The bags are a lazy ``_RootPathBags`` sequence holding the BFS parent
     and depth lists, the face corners and Q once, in O(n + F + |Q|) words
     for F faces, rather than F frozensets that each copy Q.  Its width,
-    layered width, ``top_bag`` and text lines are derived without
+    layered width, ``top_rank`` and text lines are derived without
     building a bag.  A layered width above max(2g+3, |K|) is a fault of
     this construction and raises ``DecompositionSelfCheckError``; the check
     stops at the first bag that reaches the proved ceiling
@@ -881,12 +896,14 @@ def clique_sum_compose(
 # ---------------------------------------------------------------------------
 
 
-def _halving_bag(td: TreeDecomposition, sample: frozenset[int]) -> int:
+def _halving_bag(td: TreeDecomposition, sample: Collection[int]) -> int:
     """Bag whose removal leaves at most half the sample in every
-    component of G - B.
+    component of G - B; the sample is non-empty and has no negative
+    vertex.
 
-    Count each sample vertex at its top bag.  The answer is the deepest
-    bag whose subtree holds more than half of the counts: a component of
+    Count each sample vertex at its top bag, whose preorder rank
+    ``td.top_rank`` holds.  The answer is the deepest bag whose subtree
+    holds more than half of the counts: a component of
     G - B lies in one component of the bag tree minus B, a child subtree
     holds at most half of the counts, and the side above holds fewer
     than half.  A subtree is an interval of preorder ranks, so every
@@ -897,13 +914,15 @@ def _halving_bag(td: TreeDecomposition, sample: frozenset[int]) -> int:
     """
     parent, order, tin = td.rooted
     end = td.subtree_end
-    top = td.top_bag
+    rank = td.top_rank
+    none = len(order)
     try:
-        tins = sorted(tin[top[v]] for v in sample)
-    except KeyError as exc:
-        raise DecompositionError(
-            f"sample vertex {exc.args[0]} appears in no bag"
-        ) from None
+        tins = sorted(map(rank.__getitem__, sample))
+    except IndexError:
+        tins = [none]
+    if tins[-1] == none:
+        v = next(v for v in sample if v >= len(rank) or rank[v] == none)
+        raise DecompositionError(f"sample vertex {v} appears in no bag")
     total = len(tins)
 
     def heavy(x: int) -> bool:
@@ -921,24 +940,23 @@ def _halving_bag(td: TreeDecomposition, sample: frozenset[int]) -> int:
     return parent[x]
 
 
-def _balanced_sides(
-    comps: Sequence[frozenset[int]], weights: Sequence[int], total: int
-) -> tuple[frozenset[int], frozenset[int]]:
+def _balanced_sides(weights: Sequence[int], total: int) -> tuple[list[int], list[int]]:
     """Group components into two sides of at most 2/3 of a sample of
-    size ``total`` each.
+    size ``total`` each; returns the component indices on each side.
 
-    ``weights[i]`` is the sample count of ``comps[i]``, at most total/2,
-    and the weights sum to W <= total; ``comps`` come in order of least
-    vertex, which breaks weight ties.  Components go greedily (descending
-    weight) to the lighter side.  Let w be the last weight placed on the
-    final heavy side H: that side was the lighter one then, so
+    ``weights[i]`` is the sample count of component i, at most total/2,
+    and the weights sum to W <= total; the components come in order of
+    least vertex, which breaks weight ties.  Components go greedily
+    (descending weight) to the lighter side.  Let w be the last weight
+    placed on the final heavy side H: that side was the lighter one then, so
     H - w <= W - H, i.e. H <= (W + w)/2 <= 2/3 total when w <= total/3.
     If w > total/3, only the first two weights can exceed total/3, so w
     is the first or second weight and alone on its side: H = w <= total/2.
     """
     sides: tuple[list[int], list[int]] = ([], [])
     count = [0, 0]
-    for i in sorted(range(len(comps)), key=lambda i: (-weights[i], i)):
+    # a stable sort, so equal weights keep their order
+    for i in sorted(range(len(weights)), key=weights.__getitem__, reverse=True):
         s = 0 if count[0] <= count[1] else 1
         sides[s].append(i)
         count[s] += weights[i]
@@ -947,10 +965,7 @@ def _balanced_sides(
             f"side of weight {max(count)} exceeds 2/3 of {total}: "
             "a component outweighs half the sample"
         )
-    return (
-        frozenset().union(*(comps[i] for i in sides[0])),
-        frozenset().union(*(comps[i] for i in sides[1])),
-    )
+    return sides
 
 
 def separator_from_decomposition(
@@ -966,14 +981,18 @@ def separator_from_decomposition(
     sample = frozenset(sample)
     if not sample:
         raise GraphInputError("sample must be non-empty")
+    if min(sample) < 0:
+        raise DecompositionError(f"sample vertex {min(sample)} appears in no bag")
     idx = _halving_bag(td, sample)
     bag = td.bags[idx]
     comps = _components_within(g, frozenset(g.vertices()) - bag)
     weights = [len(c & sample) for c in comps]
     if any(2 * w > len(sample) for w in weights):
         raise DecompositionError("no halving bag found: invalid decomposition")
-    side1, side2 = _balanced_sides(comps, weights, len(sample))
-    return idx, Separation(bag | side1, bag | side2)
+    side1, side2 = (
+        bag.union(*(comps[i] for i in side)) for side in _balanced_sides(weights, len(sample))
+    )
+    return idx, Separation(side1, side2)
 
 
 def layered_separation(
@@ -1274,10 +1293,14 @@ def parse_decomposition(text: str) -> TreeDecomposition:
 
 class _TokenInts(dict):
     """``int(tok)`` per distinct token string, parsed on its first
-    lookup, so equal tokens share one ``int`` object."""
+    lookup, so equal tokens share one ``int`` object.  Vertices and bag
+    ids are never negative, so a negative token raises ``ValueError``."""
 
     def __missing__(self, tok: str) -> int:
-        v = self[tok] = int(tok)
+        v = int(tok)
+        if v < 0:
+            raise ValueError(f"negative token {tok!r}")
+        self[tok] = v
         return v
 
 

@@ -853,12 +853,7 @@ def parse_rotation_system(text: str) -> EmbeddedGraph:
         raise GraphInputError(
             f"expected {n} rotation lines, got {len(rotation_lines)}"
         )
-    edge_list: list[tuple[int, int]] = [(-1, -1)] * m
-    for ln in (lines[i] for i in filled[1 : 1 + m]):
-        e, u, v = _ints(ln, "edge line", 3)
-        if not 0 <= e < m or edge_list[e] != (-1, -1):
-            raise GraphInputError(f"bad or duplicate edge id in {ln!r}")
-        edge_list[e] = (u, v)
+    edge_list = _edge_block([lines[i] for i in filled[1 : 1 + m]])
     rotation: list[tuple[int, ...]] = []
     for v, ln in enumerate(rotation_lines):
         darts = []
@@ -883,6 +878,30 @@ def parse_rotation_system(text: str) -> EmbeddedGraph:
             f"declared genus {declared_g} != embedding genus {genus}"
         )
     return eg
+
+
+def _edge_block(lines: list[str]) -> list[tuple[int, int]]:
+    """The edge list of the edge lines ``e u v``, indexed by id.  Lines
+    of three integers with ids 0..m-1 in order, as the writer emits them,
+    are read with one ``map(int, ...)`` over the block; any other block
+    is read line by line, which raises ``GraphInputError`` naming the
+    first bad line."""
+    m = len(lines)
+    rows = list(map(str.split, lines))
+    if set(map(len, rows)) <= {3}:
+        try:
+            flat = list(map(int, chain.from_iterable(rows)))
+        except ValueError:
+            flat = []
+        if flat[0::3] == list(range(m)):
+            return list(zip(flat[1::3], flat[2::3]))
+    edge_list: list[tuple[int, int]] = [(-1, -1)] * m
+    for ln in lines:
+        e, u, v = _ints(ln, "edge line", 3)
+        if not 0 <= e < m or edge_list[e] != (-1, -1):
+            raise GraphInputError(f"bad or duplicate edge id in {ln!r}")
+        edge_list[e] = (u, v)
+    return edge_list
 
 
 def format_rotation_system(eg: EmbeddedGraph) -> str:

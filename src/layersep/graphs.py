@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, MutableSequence, Optional, Sequence
 
 
 class GraphInputError(ValueError):
@@ -97,22 +97,35 @@ class Graph:
 def _components_within(g: Graph, allowed: frozenset[int]) -> list[frozenset[int]]:
     """Components of G[allowed], in increasing order of their least
     vertex."""
-    seen: set[int] = set()
+    mark = bytearray(g.n)
+    for v in allowed:
+        mark[v] = 1
+    return [frozenset(c) for c in _stamped_components(g.adjacency, mark, 1, 2, sorted(allowed))]
+
+
+def _stamped_components(
+    adjacency: Sequence[Sequence[int]],
+    mark: MutableSequence[int],
+    cur: int,
+    done: int,
+    seeds: Iterable[int],
+) -> list[list[int]]:
+    """Components of the vertices v with ``mark[v] == cur``, found by a
+    search from each seed in turn that still carries ``cur``, so they come
+    in the order of their first seed; each vertex reached is re-marked
+    ``done``.  Lists a component in the order the search reaches it."""
     comps = []
-    for s in sorted(allowed):
-        if s in seen:
+    for s in seeds:
+        if mark[s] != cur:
             continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
+        mark[s] = done
+        comp = [s]
+        for v in comp:  # the list grows as the search reaches vertices
+            for w in adjacency[v]:
+                if mark[w] == cur:
+                    mark[w] = done
+                    comp.append(w)
+        comps.append(comp)
     return comps
 
 
@@ -339,10 +352,17 @@ def format_graph(g: Graph) -> str:
 
 def parse_layering(text: str) -> Layering:
     """Every line is a layer, a blank one an empty layer, so
-    ``parse_layering(format_layering(L)) == L`` for every layering."""
-    return Layering(tuple(
-        frozenset(_ints(ln.strip(), "layer line")) for ln in text.splitlines()
-    ))
+    ``parse_layering(format_layering(L)) == L`` for every layering.
+    A vertex listed in two layers raises ``GraphInputError``."""
+    layers = tuple(frozenset(_ints(ln.strip(), "layer line")) for ln in text.splitlines())
+    if sum(map(len, layers)) != len(frozenset().union(*layers)):
+        first: dict[int, int] = {}
+        for i, layer in enumerate(layers):
+            for v in sorted(layer):
+                j = first.setdefault(v, i)
+                if j != i:
+                    raise GraphInputError(f"vertex {v} in layers {j} and {i}")
+    return Layering(layers)
 
 
 def format_layering(layering: Layering) -> str:

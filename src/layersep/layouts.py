@@ -11,6 +11,7 @@ assign each edge the difference of its track indices.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -22,10 +23,11 @@ from .decomposition import (
     LayeredDecomposition,
     _balanced_sides,
     _halving_bag,
+    _RootPathBags,
     genus_layered_decomposition,
 )
 from .embedding import EmbeddedGraph
-from .graphs import Graph, GraphInputError, Layering, Report, _components_within, _ints
+from .graphs import Graph, GraphInputError, Layering, Report, _ints, _stamped_components
 
 
 class LayoutError(ValueError):
@@ -76,18 +78,31 @@ def compute_recursion(
     Mode "separation" groups them into two children of at most 2/3 of S
     each (depth grows like log base 3/2); mode "separator" recurses on
     every component, each at most half of S (depth grows like log base
-    2).  A call costs O(|S| log |S|): it never looks outside its sample.
+    2).
 
     Children are unions of components of G[S - B], so vertices sent to
     different children are non-adjacent.  Every edge therefore joins two
     vertices labelled at the same call or at an ancestor call and a
     descendant one, which is all the (layer, preorder rank) order within
     a track relies on; ``verify_track_layout`` checks the result.
+
+    Data layout: a sample is a sorted vertex list.  One mark list,
+    indexed by vertex and shared by every call, holds the id of the call
+    whose sample a vertex is in, -1 while that call waits on the stack,
+    and 0 once the vertex is labelled (and for Q).  A call stamps its
+    sample, takes the stamped vertices of B (for root-path bags, the walk
+    up from B's three corners plus the core, so no bag is built) and
+    finds the components of the rest by a search over ``g.adjacency``
+    that reads the stamps; a one-vertex sample is a leaf and skips both.
+    The halving bag sorts the sample's ranks in
+    ``TreeDecomposition.top_rank``.  Calls run from an explicit stack,
+    children popped in rank order.  Cost: a call takes O(|S| log |S|)
+    plus the degrees of S and the length of B's root paths; it never
+    looks outside its sample and B.
     """
     if mode not in ("separation", "separator"):
         raise GraphInputError(f"unknown recursion mode {mode!r}")
     q = frozenset(q)
-    rest = frozenset(g.vertices()) - q
     for i, layer in enumerate(ld_minus_q.layering.layers):
         if not layer <= layering.layers[i]:
             raise GraphInputError(
@@ -95,6 +110,8 @@ def compute_recursion(
             )
     ell2 = max(ld_minus_q.layered_width, 1)
     td = ld_minus_q.decomposition
+    bags = td.bags
+    n = g.n
 
     depth: dict[int, int] = {}
     label: dict[int, int] = {}
@@ -102,7 +119,7 @@ def compute_recursion(
     nodes: list[RecursionNode] = []
     layer_of = layering.layer_of
 
-    def assign_labels(vs: frozenset[int], d: int, cap: int) -> None:
+    def assign_labels(vs: Iterable[int], d: int, cap: int) -> None:
         per_layer: dict[int, list[int]] = {}
         for v in sorted(vs):
             per_layer.setdefault(layer_of[v], []).append(v)
@@ -125,41 +142,67 @@ def compute_recursion(
         assign_labels(q, 0, ell1)
 
     max_allowed_depth = 1 + (
-        math.log(max(g.n, 2)) / math.log(1.5 if mode == "separation" else 2.0)
+        math.log(max(n, 2)) / math.log(1.5 if mode == "separation" else 2.0)
     )
 
-    def rec(sample: frozenset[int], d: int, parent: Optional[int], rank: int) -> None:
-        if not sample:
-            return
+    rest = [v for v in range(n) if v not in q]
+    if not rest:
+        return ComputeLabels(depth, label, node_of, (), ell1, ell2, mode)
+    # a slot per vertex of G or of a bag: -1 waits in a sample not yet
+    # reached; 0 is labelled, in Q or outside G
+    mark = [0] * max(n, len(td.top_rank))
+    for v in rest:
+        mark[v] = -1
+    adjacency = g.adjacency
+    root_paths = isinstance(bags, _RootPathBags)
+    if root_paths:
+        core = [v for v in bags.core if mark[v]]
+    stack: list[tuple[list[int], int, Optional[int], int]] = [(rest, 1, None, 0)]
+    while stack:
+        sample, d, parent, rank = stack.pop()
         if d > max_allowed_depth + 1e-9:
             raise LayoutError(f"recursion depth {d} exceeds the sample-shrink bound")
-        bag = td.bags[_halving_bag(td, sample)]
-        mid = bag & sample
-        children = _components_within(g, sample - bag)
-        if mode == "separation":
-            children = list(
-                _balanced_sides(children, [len(c) for c in children], len(sample))
-            )
-        # balance: separation children hold <= 2/3 of the sample,
-        # separator children <= 1/2
-        for child in children:
-            if mode == "separation" and 3 * len(child) > 2 * len(sample):
-                raise LayoutError("separation child exceeds 2/3 of the sample")
-            if mode == "separator" and 2 * len(child) > len(sample):
-                raise LayoutError("separator child exceeds 1/2 of the sample")
         me = len(nodes)
-        nodes.append(RecursionNode(me, parent, rank, d, mid))
+        idx = _halving_bag(td, sample)
+        if len(sample) == 1:  # a leaf: B is the top bag of its one vertex
+            mid, children = sample, []
+            mark[sample[0]] = 0
+        else:
+            cur = me + 1
+            for v in sample:
+                mark[v] = cur
+            if root_paths:
+                mid = [v for v in bags.outside(idx) if mark[v] == cur]
+                mid += [v for v in core if mark[v] == cur]
+            else:
+                mid = [v for v in bags[idx] if mark[v] == cur]
+            for v in mid:
+                mark[v] = 0
+            comps = _stamped_components(adjacency, mark, cur, -1, sample)
+            # balance: separation children hold <= 2/3 of the sample,
+            # separator children <= 1/2
+            if mode == "separation":
+                children = [
+                    sorted(itertools.chain.from_iterable(comps[i] for i in side))
+                    for side in _balanced_sides(list(map(len, comps)), len(sample))
+                ]
+                if any(3 * len(child) > 2 * len(sample) for child in children):
+                    raise LayoutError("separation child exceeds 2/3 of the sample")
+            else:
+                children = [sorted(c) for c in comps]
+                if any(2 * len(child) > len(sample) for child in children):
+                    raise LayoutError("separator child exceeds 1/2 of the sample")
+        nodes.append(RecursionNode(me, parent, rank, d, frozenset(mid)))
         assign_labels(mid, d, ell2)
         for v in mid:
             node_of[v] = me
-        for i, child in enumerate(children):
-            rec(child, d + 1, me, i)
-
-    rec(rest, 1, None, 0)
-    del rec  # the closure refers to itself: break the cycle so its data is freed now
-    missing = rest - set(depth)
+        # popped in rank order, so node ids are preorder ranks
+        for i in range(len(children) - 1, -1, -1):
+            if children[i]:
+                stack.append((children[i], d + 1, me, i))
+    missing = len(mark) - mark.count(0)
     if missing:
-        raise LayoutError(f"recursion left {len(missing)} vertices unlabelled")
+        raise LayoutError(f"recursion left {missing} vertices unlabelled")
     return ComputeLabels(depth, label, node_of, tuple(nodes), ell1, ell2, mode)
 
 

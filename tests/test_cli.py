@@ -46,6 +46,18 @@ def test_gen_decompose_tracks_verify_chain(tmp_path):
     assert len(tl.tracks) >= 3
 
 
+def test_labelled_manifests_record_the_recursion(tmp_path):
+    graph = tmp_path / "g.txt"
+    assert run(["gen", "planar_triangulation", 40, "--out", graph]) == 0
+    _, _, labels, _ = layouts.pipeline(embedding.embed_planar(parse_graph(graph.read_text())))
+    for cmd in ("tracks", "queues", "nonrep", "draw3d"):
+        man = tmp_path / f"{cmd}.json"
+        assert run([cmd, graph, "--out", tmp_path / f"{cmd}.out", "--manifest", man]) == 0
+        bounds = json.loads(man.read_text())["bounds"]
+        assert bounds["recursion_nodes"] == len(labels.nodes) > 1
+        assert bounds["recursion_depth"] == labels.max_depth > 1
+
+
 def test_decompose_clique_root(tmp_path):
     # vertices 0, 1, 2 form the starting triangle of a stacked triangulation
     graph = tmp_path / "g.txt"
@@ -448,14 +460,14 @@ CLI_OUTPUTS = {
     "decompose p.txt --root 0,1,2 --out p.dec --manifest p.dec.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "separate p.txt --out p.sep --manifest p.sep.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "tracks p.txt --out p.tl --manifest p.tl.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "queues p.txt --out p.ql": "exit 0 stdout 6adc1b419eb2090f7e84ce39d9c3e7fd1944cf99c9d281a78531cced0a92e0f0",
+    "queues p.txt --out p.ql": "exit 0 stdout fc9426fdb48441eb51671e24a015fd7526fc390b27db254e0868ad0b00fd7efe",
     "nonrep p.txt --out p.col --manifest p.col.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
     "draw3d p.txt --svg p.svg --obj p.obj --out p.d --manifest p.d.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "decompose --embedded t.rot --root 0": "exit 0 stdout 887df519cdd05ccc2006691985d5673816701df14fe432db266985670e211387",
     "decompose --embedded t.rot --root 0,1 --out t.dec --manifest t.dec.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "separate --embedded t.rot --out t.sep --manifest t.sep.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "tracks --embedded t.rot --out t.tl --manifest t.tl.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "queues --embedded t.rot --out t.ql": "exit 0 stdout e900bdf4d6d49226a0695d0b457234bcb1c9ac970997c7b1f883b876b9f8ba9d",
+    "queues --embedded t.rot --out t.ql": "exit 0 stdout 7863777d17fad47516ee82088dc4fc6cd9d4ac9f8318dfa5c101a058471b7957",
     "nonrep --embedded t.rot --out t.col --manifest t.col.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
     "draw3d --embedded t.rot --svg t.svg --obj t.obj --out t.d --manifest t.d.json": "exit 0 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "verify tracks p.tl p.txt --k 3 --manifest p.verify-tracks.json": "exit 0 stdout 9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
@@ -475,9 +487,9 @@ CLI_OUTPUTS = {
     "verify shadow t.lay t.txt --k 3 --manifest t.verify-shadow.json": "exit 1 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "verify shadow t.lay t.txt --k 1 --manifest t.verify-shadow-1.json": "exit 1 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "p.col": "a4cd98617cc13e05f512d078326a15f7609aebb1d7dc80cab4c4ffe0a5f4fa49",
-    "p.col.json": "57ea625cb07b9649239dbb8fe656a223956bf37cca829e4b39c3c102e831cd73",
+    "p.col.json": "e70191c1bf0e53422a0810e282467e94ff2dd0c59cf83eac082ffebde077b125",
     "p.d": "38fd96b100ef2b4a022a402b78b2ba6386486471152d5f6135184d6925397a9d",
-    "p.d.json": "a88d663fee1c2100c7b36118cbfae6fa9d5b846675071d3305ee85a3ef4a8e35",
+    "p.d.json": "18f5a921495042e0ac23be6633c798b6dbb79e760681f609872cc4a6347a3d3f",
     "p.dec": "b99cf8a2ef60f995247fbddd6dd0ce6eef105469175c03120846c6f56772279b",
     "p.dec.json": "02ca74a384a18e1f9f80bdea88530ba2e00f08d7cd6c74ebb2a4d2f124d081d6",
     "p.gen.json": "2dfff6cf47f1e5407156e54d6f96459bd110bf7ca4f1d72ee9e5d788feaa5efc",
@@ -488,7 +500,7 @@ CLI_OUTPUTS = {
     "p.sep.json": "05a003932ad7c7be760ecbf38622010e83e04b6dfe07796dba714564ea7f9ad4",
     "p.svg": "8a85bc9dad56e655cf9f8048a52401e992b8ebfec5c6218354782bfceb8203bb",
     "p.tl": "4c03bbfba8c920e92f56ad435f294b25d29fdca44ce0176b643325dcc065d22a",
-    "p.tl.json": "f7957ca29a977fcc07528f0166baafd97167cd8e2ea5943cae098981608efeb6",
+    "p.tl.json": "350701def6ad44ec545f23127393024e24deed54464f94a0b0cb22af48addb7f",
     "p.txt": "3b6c6ac148315f3aa7610da564d26150d96c25c94f1bfeabfc1bb2782005ed80",
     "p.verify-decomposition.json": "32b43c1708a9c6e8953ed0dcc0e9b1fed17900b728e9fd275a37bb674bb3c2d0",
     "p.verify-drawing.json": "35dc4d9fb1d97839fb74111522cb16903f9f775054cb0c4ff5f3c1951f85d941",
@@ -499,9 +511,9 @@ CLI_OUTPUTS = {
     "p.verify-shadow.json": "08b7a56c5373ae1df98c2ac69714dfc7feb10d6a4c9728e0baa11703363ba73f",
     "p.verify-tracks.json": "7aa526051392ac1fbac5ce4b0ead6eec605174153373ec8e938cfc1555849510",
     "t.col": "18a1969a68b3c1c5f81851a5dfd921274be72670dd2c6a97c4c6e265e4ef5f92",
-    "t.col.json": "decfc92bcde8dc0ab384e89e96f74abb3d1362c20521eba2902115b460612061",
+    "t.col.json": "8ffc66ee14cc1ea2ea8349554147b834b20f8c65a0b1ec3ad842d9e7bc7b958b",
     "t.d": "4655f1125a0ab4f24024cb9c10bdfe6e81372f40b68722160d115fe3fdcc7be4",
-    "t.d.json": "f662506bb285888d31cfd091c203167de7854e75acb6b0c664836df77ca08433",
+    "t.d.json": "ec9d0ef86408331093ccf0fa3002339de29034be9bc6695ca02dde7a6cf07414",
     "t.dec": "76d9a17ebf7e73ca7c545504c644834c4215412206dfeb8f8c5e2b49343ecf90",
     "t.dec.json": "911cee074b05380ce6aa8bac6b870ce6fe4dcc2b139fbf5eddd2fed8d4d68baa",
     "t.gen.json": "82299a8c4d8851e8a4235b1afc257d37424dd03ea2dfb721a780851744b0d6a8",
@@ -513,7 +525,7 @@ CLI_OUTPUTS = {
     "t.sep.json": "440e2c1bf3cef2058d1cb92824ca1803ba33f22f1ca6c9b6bf065278b0085382",
     "t.svg": "dd73c4e4dedf1547162838a488cbf6ae74bc2d20c46c39ca9d4b41a949498822",
     "t.tl": "e92412598e121e770030779fb3c66be5acd1e107949b2c42860f4e8b291c3153",
-    "t.tl.json": "8b6df59239861fc98ab42210e9bbc7218b0617b59c586af1fab0fed62ffb990e",
+    "t.tl.json": "9cc746527c4d81b3a6f457ca938422931f72e80c253c6135dff908219aa3759f",
     "t.txt": "96a323e852e999b16c31458eb958bdce51247800425df2ca90f3215909bce31d",
     "t.verify-decomposition.json": "8e9a8ba084d7a7da62d531e1a876503b5ea189cf917f47d9b38441fa6b7ff070",
     "t.verify-drawing.json": "3fa436a6d6107cdcee25a01f12f68edd4e9c377ad7e704a3a46416ace9425a7b",

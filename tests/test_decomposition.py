@@ -974,17 +974,15 @@ def test_balanced_sides_greedy_within_two_thirds(weights, data):
     weight is at most half the total."""
     low = max(sum(weights), 2 * max(weights, default=0), 1)
     total = data.draw(st.integers(low, low + 40))
-    comps = [frozenset({i}) for i in range(len(weights))]
-    side1, side2 = _balanced_sides(comps, weights, total)
-    assert side1.isdisjoint(side2)
-    assert side1 | side2 == frozenset(range(len(weights)))
+    side1, side2 = _balanced_sides(weights, total)
+    assert sorted(side1 + side2) == list(range(len(weights)))
     for side in (side1, side2):
         assert 3 * sum(weights[i] for i in side) <= 2 * total
 
 
 def test_balanced_sides_rejects_component_over_half():
     with pytest.raises(DecompositionError):
-        _balanced_sides([frozenset({0}), frozenset({1})], [3, 1], 4)
+        _balanced_sides([3, 1], 4)
 
 
 def test_separator_rejects_empty_sample():
@@ -1081,6 +1079,30 @@ def test_disconnected_layered_decomposition_round_trips():
         back.decomposition.top_bag
 
 
+def test_parse_layered_decomposition_rejects_a_vertex_in_two_layers():
+    """A layer line copied below itself puts each of its vertices in two
+    layers; parsing names the least one and both layers."""
+    _, res, _, _ = planar_pipeline(30)
+    lines = format_layered_decomposition(res.ld).splitlines()
+    i = len(lines) - len(res.ld.layering) + 1  # layer 1
+    lines.insert(i + 1, lines[i])
+    v = min(res.ld.layering.layers[1])
+    with pytest.raises(GraphInputError, match=f"^vertex {v} in layers 1 and 2$"):
+        parse_layered_decomposition("\n".join(lines) + "\n")
+
+
+def test_negative_vertices_lie_in_no_bag():
+    """Vertices are never negative: a bag built in code that holds one has
+    no ``top_rank``, and a sample that holds one has no halving bag."""
+    td = TreeDecomposition((frozenset({-1, 0}),), frozenset())
+    with pytest.raises(DecompositionError, match="bag vertex -1 is negative"):
+        td.top_rank
+    g = Graph.from_edges(2, [(0, 1)])
+    td = TreeDecomposition((frozenset({0, 1}),), frozenset())
+    with pytest.raises(DecompositionError, match="sample vertex -1 appears in no bag"):
+        separator_from_decomposition(g, td, [-1, 0, 1])
+
+
 def test_format_decomposition_rejects_a_cyclic_bag_tree():
     td = TreeDecomposition(
         (frozenset({0}), frozenset({0}), frozenset({0})), frozenset({(0, 1), (1, 2), (0, 2)})
@@ -1108,6 +1130,8 @@ def test_format_decomposition_rejects_a_cyclic_bag_tree():
         ("bags 2\n0: 1\n1 < 0 - 1 + 2\n", "bad bag line"),
         ("bags 2\n0: 1\n1 < 0: 2\ntree\n0 1\n", "no parent fields"),
         ("bags 2\n0: 1\n1 < 0\n0 1\n", "expected 'tree' or the end"),
+        ("bags 2\n0: 1\n1 < 0: -1\n", "bad bag line"),
+        ("bags 1\ncore: -1\n0: 1\n", "bad core line"),
     ],
 )
 def test_parse_decomposition_rejects_bad_bag_lines(text, message):

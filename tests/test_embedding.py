@@ -307,6 +307,29 @@ def test_parse_rotation_names_the_bad_line(text, line):
         parse_rotation_system(text)
 
 
+_PATH3_ROTATIONS = "0\n0 1\n1\n"  # the path 0 - 1 - 2, edge 0 = (0, 1), edge 1 = (1, 2)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("0 0 1\n0 1 2\n", "bad or duplicate edge id in '0 1 2'"),
+    ("0 0 1\n2 1 2\n", "bad or duplicate edge id in '2 1 2'"),
+    ("0 0 1\n-1 1 2\n", "bad or duplicate edge id in '-1 1 2'"),
+    ("0 0\n1 1 1 2\n", "bad edge line '0 0'"),
+    ("0 0 1\n1 1 x\n", "bad edge line '1 1 x'"),
+])
+def test_parse_rotation_names_the_bad_edge_line(edges, message):
+    """The bulk read of the edge block falls back to the line by line one
+    for its message."""
+    with pytest.raises(GraphInputError, match=f"^{message}$"):
+        parse_rotation_system("3 2\n" + edges + _PATH3_ROTATIONS)
+
+
+def test_parse_rotation_reads_edge_lines_in_any_order():
+    ordered = parse_rotation_system("3 2 0\n0 0 1\n1 1 2\n" + _PATH3_ROTATIONS)
+    assert ordered.edge_list == ((0, 1), (1, 2))
+    assert parse_rotation_system("3 2 0\n1 1 2\n0 0 1\n" + _PATH3_ROTATIONS) == ordered
+
+
 def test_rotation_roundtrip_one_vertex():
     eg = EmbeddedGraph(1, (), ((),))
     text = format_rotation_system(eg)

@@ -7,6 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersep.decomposition import (
+    DecompositionError,
+    LayeredDecomposition,
+    TreeDecomposition,
+    _balanced_sides,
+    _halving_bag,
+    format_layered_decomposition,
+    genus_layered_decomposition,
+    parse_layered_decomposition,
+)
 from layersep.generators import (
     cycle_graph,
     path_graph,
@@ -14,11 +24,12 @@ from layersep.generators import (
     random_tree,
     toroidal_grid,
 )
-from layersep.graphs import Graph, GraphInputError, Report, bfs_layering
+from layersep.graphs import Graph, GraphInputError, Layering, Report, bfs_layering
 from layersep.layouts import (
     ComputeLabels,
     LayoutError,
     QueueLayout,
+    RecursionNode,
     TrackLayout,
     compute_recursion,
     format_queue_layout,
@@ -133,22 +144,24 @@ def test_verify_queue_layout_catches_nesting():
     assert verify_queue_layout(g, ql2).ok
 
 
-def test_tree_layout_small():
-    g = random_tree(30, seed=2)
+def _edge_bags(g: Graph) -> LayeredDecomposition:
+    """A tree is its own width-1 layered decomposition: a bag per edge,
+    each joined to the first earlier bag it meets."""
     layering, _ = bfs_layering(g, [0])
-    from layersep.decomposition import LayeredDecomposition, TreeDecomposition
-
-    # a tree is its own width-1 layered decomposition: bag per edge
     bags = tuple(frozenset(e) for e in sorted(g.edges))
-    adj: dict[frozenset, int] = {}
     tree_edges = []
     for i, b in enumerate(bags):
         for j in range(i):
             if bags[j] & b:
                 tree_edges.append((j, i))
                 break
-    td = TreeDecomposition(bags, tuple(tree_edges))
-    ld = LayeredDecomposition(td, layering)
+    return LayeredDecomposition(TreeDecomposition(bags, tuple(tree_edges)), layering)
+
+
+def test_tree_layout_small():
+    g = random_tree(30, seed=2)
+    ld = _edge_bags(g)
+    layering = ld.layering
     labels = compute_recursion(g, layering, ld, mode="separation")
     tl = track_layout_from_compute(g, layering, labels)
     assert verify_track_layout(g, tl).ok
@@ -388,3 +401,152 @@ def test_recursion_n3200_smoke():
     g, _, labels, tl = planar_pipeline(3200)
     assert verify_track_layout(g, tl).ok
     assert len(tl.tracks) <= track_bound(g.n, labels.ell1, labels.ell2)
+
+
+def _oracle_components(g: Graph, allowed: frozenset[int]) -> list[frozenset[int]]:
+    """Components of G[allowed] by set lookups, in order of least vertex."""
+    seen: set[int] = set()
+    comps = []
+    for s in sorted(allowed):
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        seen.add(s)
+        while stack:
+            v = stack.pop()
+            for w in g.adjacency[v]:
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _oracle_compute_recursion(g, layering, ld_minus_q, q=(), mode="separation") -> ComputeLabels:
+    """Oracle for ``compute_recursion``: the recursion on frozensets, each
+    call intersecting the whole halving bag with its sample and finding
+    the components of the rest by set lookups."""
+    q = frozenset(q)
+    rest = frozenset(g.vertices()) - q
+    ell2 = max(ld_minus_q.layered_width, 1)
+    td = ld_minus_q.decomposition
+    depth: dict[int, int] = {}
+    label: dict[int, int] = {}
+    node_of: dict[int, int] = {}
+    nodes: list[RecursionNode] = []
+    layer_of = layering.layer_of
+
+    def assign_labels(vs, d, cap):
+        per_layer: dict[int, list[int]] = {}
+        for v in sorted(vs):
+            per_layer.setdefault(layer_of[v], []).append(v)
+        for vlist in per_layer.values():
+            if len(vlist) > cap:
+                raise LayoutError(f"{len(vlist)} separator vertices in one layer exceeds {cap}")
+            for j, v in enumerate(vlist):
+                depth[v] = d
+                label[v] = j + 1
+
+    ell1 = 0
+    if q:
+        per_layer_q: dict[int, int] = {}
+        for v in q:
+            per_layer_q[layer_of[v]] = per_layer_q.get(layer_of[v], 0) + 1
+        ell1 = max(per_layer_q.values())
+        assign_labels(q, 0, ell1)
+    max_allowed_depth = 1 + math.log(max(g.n, 2)) / math.log(1.5 if mode == "separation" else 2.0)
+
+    def rec(sample, d, parent, rank):
+        if not sample:
+            return
+        if d > max_allowed_depth + 1e-9:
+            raise LayoutError(f"recursion depth {d} exceeds the sample-shrink bound")
+        bag = td.bags[_halving_bag(td, sample)]
+        mid = bag & sample
+        children = _oracle_components(g, sample - bag)
+        if mode == "separation":
+            sides = _balanced_sides([len(c) for c in children], len(sample))
+            children = [frozenset().union(*(children[i] for i in side)) for side in sides]
+        for child in children:
+            if mode == "separation" and 3 * len(child) > 2 * len(sample):
+                raise LayoutError("separation child exceeds 2/3 of the sample")
+            if mode == "separator" and 2 * len(child) > len(sample):
+                raise LayoutError("separator child exceeds 1/2 of the sample")
+        me = len(nodes)
+        nodes.append(RecursionNode(me, parent, rank, d, mid))
+        assign_labels(mid, d, ell2)
+        for v in mid:
+            node_of[v] = me
+        for i, child in enumerate(children):
+            rec(child, d + 1, me, i)
+
+    rec(rest, 1, None, 0)
+    missing = rest - set(depth)
+    if missing:
+        raise LayoutError(f"recursion left {len(missing)} vertices unlabelled")
+    return ComputeLabels(depth, label, node_of, tuple(nodes), ell1, ell2, mode)
+
+
+def _both_recursions(g, layering, ld, q=(), mode="separation"):
+    """(labels, oracle labels), or the messages of the errors both raise."""
+    out = []
+    for run in (compute_recursion, _oracle_compute_recursion):
+        try:
+            out.append(run(g, layering, ld, q, mode))
+        except (LayoutError, DecompositionError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    embedded_graphs,
+    st.sampled_from(["separation", "separator"]),
+    st.sampled_from(["root paths", "parsed", "explicit"]),
+)
+def test_compute_recursion_matches_frozenset_oracle(eg, mode, bags):
+    """Equal labels, nodes and separators on the root-path bags of the
+    genus decomposition, on the bags parsed back from its text and on the
+    same bags as a tuple of frozensets."""
+    g = eg.to_graph()
+    res = genus_layered_decomposition(eg, (0,))
+    ld = res.ld
+    if bags == "parsed":
+        ld = parse_layered_decomposition(format_layered_decomposition(ld))
+    elif bags == "explicit":
+        td = ld.decomposition
+        ld = LayeredDecomposition(TreeDecomposition(tuple(td.bags), td.tree_edges), ld.layering)
+    q = tuple(res.apex_paths)
+    labels, oracle = _both_recursions(g, ld.layering, ld, q, mode)
+    assert isinstance(labels, ComputeLabels) and labels == oracle
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 80), st.integers(0, 10**6), st.sampled_from(["separation", "separator"]))
+def test_compute_recursion_matches_oracle_on_edge_bags(n, seed, mode):
+    """Explicit tuple bags, one per tree edge, with no removed set."""
+    g = random_tree(n, seed)
+    ld = _edge_bags(g)
+    labels, oracle = _both_recursions(g, ld.layering, ld, (), mode)
+    assert isinstance(labels, ComputeLabels) and labels == oracle
+
+
+def test_compute_recursion_rejects_a_layer_over_the_cap():
+    """The per-layer cap is the decomposition's layered width, so only a
+    width that understates the bags can break it; one is planted."""
+    g = path_graph(3)
+    layering = Layering((frozenset(range(3)),))
+    ld = LayeredDecomposition(TreeDecomposition.single_bag(range(3)), layering)
+    ld.__dict__["layered_width"] = 2  # the cached width, understated
+    labels, oracle = _both_recursions(g, layering, ld)
+    assert labels == oracle == (LayoutError, "3 separator vertices in one layer exceeds 2")
+
+
+def test_compute_recursion_rejects_a_sample_vertex_in_no_bag():
+    g = path_graph(3)
+    layering = Layering((frozenset(range(3)),))
+    ld = LayeredDecomposition(TreeDecomposition.single_bag((0, 1)), layering)
+    labels, oracle = _both_recursions(g, layering, ld)
+    assert labels == oracle == (DecompositionError, "sample vertex 2 appears in no bag")
