@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,30 +41,171 @@ class DecompositionSelfCheckError(DecompositionError):
     internal fault, not invalid input."""
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Bags indexed 0..b-1 joined by a tree on the bag indices.
+def _tree_lists(b: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Each of ``b`` bags' neighbours over the given edges, ascending."""
+    adj: list[list[int]] = [[] for _ in range(b)]
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    return [sorted(a) for a in adj]
 
-    ``bags`` is a tuple of frozensets, or a lazy ``_CoreBags`` sequence:
-    the root-path bags of ``genus_layered_decomposition``, or the bags
-    parsed from a text, held as each bag's change from its parent bag.
-    Both index, iterate and compare equal alike; take ``tuple(bags)``
-    before tuple arithmetic.  Width, layered width, ``top_rank``,
-    validation and the text read the bags as ``deltas`` along ``forest``,
-    so a lazy bag is never built for them.
+
+def _preorder(parent: list[int], stack: list[int]) -> list[int]:
+    """Preorder of the trees of a parent list (a root is -1 or its own
+    parent) from the roots in ``stack``, the last first, each vertex's
+    children pushed in ascending order.  On a tree this is the search
+    ``_bag_forest`` makes, since every neighbour but the parent is new."""
+    kids: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0 and p != v:
+            kids[p].append(v)
+    order: list[int] = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(kids[v])
+    return order
+
+
+def _bag_forest(b: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """(parent, preorder) of a depth-first search of the bag graph from
+    bag 0, then from the least bag not yet reached, neighbours pushed in
+    ascending order; parent -1 marks each search's root.  A disconnected
+    graph gives a spanning forest, one with a cycle a spanning tree."""
+    adj = _tree_lists(b, edges)
+    parent = [-2] * b  # -2: not reached yet
+    order: list[int] = []
+    for r in range(b):
+        if parent[r] != -2:
+            continue
+        parent[r] = -1
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y in adj[x]:
+                if parent[y] == -2:
+                    parent[y] = x
+                    stack.append(y)
+    return parent, order
+
+
+class TreeDecomposition:
+    """Bags indexed 0..b-1 joined by a forest on the bag indices.
+
+    One value, whoever made it: ``forest``, the bag forest as (parent,
+    preorder) lists of ``_bag_forest``'s search; the ``core``, the
+    vertices in every bag; and ``deltas``, each bag's change from its
+    parent.  Width, layered width, ``top_rank``, validation and the text
+    read the bags through these, and ``bags`` indexes and compares equal
+    like the tuple of the bags.  The producers differ only in how they
+    first fill these fields, each on first use:
+
+    - ``TreeDecomposition(bags, tree_edges)`` keeps the bags and edges it
+      is given and searches the edges once; edges that are not a forest
+      are reported by validation and refused by the text;
+    - the text parser hands over the forest, core and deltas it checked,
+      ``tree_edges`` is read off ``parent`` and every bag is built on the
+      first read of one;
+    - ``genus_layered_decomposition`` holds root paths (``_RootPaths``)
+      and turns their dual tree over at bag 0.  They give bag x less the
+      core (``outside``), the top ranks and the layer ceiling cheaply and
+      the deltas on demand; each bag is built on its read and kept by no
+      one.
     """
 
-    bags: Sequence[frozenset[int]]
-    tree_edges: frozenset[tuple[int, int]]
+    def __init__(self, bags: Iterable[AbstractSet[int]], tree_edges: Iterable[tuple[int, int]]):
+        self.__dict__.update(bags=tuple(bags), tree_edges=frozenset(tree_edges), _paths=None)
+
+    @classmethod
+    def _of(cls, core, forest=None, deltas=None, paths=None) -> "TreeDecomposition":
+        """From the core, with the forest and (adds, drops) or root paths."""
+        td = cls.__new__(cls)
+        td.__dict__.update(core=core, _paths=paths, _non_forest=None)
+        if forest is not None:
+            td.__dict__.update(forest=forest, deltas=(core, *deltas))
+        return td
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TreeDecomposition is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeDecomposition):
+            return NotImplemented
+        return self.tree_edges == other.tree_edges and self.bags == other.bags
+
+    def __hash__(self) -> int:
+        return hash(self.tree_edges)
 
     @staticmethod
     def single_bag(vs: Iterable[int]) -> "TreeDecomposition":
-        return TreeDecomposition((frozenset(vs),), frozenset())
+        return TreeDecomposition((frozenset(vs),), ())
+
+    def __getattr__(self, name: str) -> "_BagView":
+        """``bags`` when none are held: a fresh view, so it forms no cycle."""
+        if name != "bags":
+            raise AttributeError(name)
+        return _BagView(self)
+
+    @cached_property
+    def _built(self) -> tuple[frozenset[int], ...]:
+        """Every parsed bag, built along the forest from ``deltas`` on the
+        first read of one; from then on ``bags`` is this tuple."""
+        core, adds, drops = self.deltas
+        parent, order = self.forest
+        rests: list[frozenset[int]] = [frozenset()] * len(order)
+        for x in order:
+            p = parent[x]
+            rest = rests[p] if p >= 0 else frozenset()
+            if drops[x]:
+                rest = rest.difference(drops[x])
+            if adds[x]:
+                rest = rest.union(adds[x])
+            rests[x] = rest
+        self.__dict__["bags"] = tuple(map(core.union, rests)) if core else tuple(rests)
+        return self.bags
+
+    @cached_property
+    def forest(self) -> tuple[list[int], list[int]]:
+        """(parent, preorder) of ``_bag_forest``'s search of the given
+        edges or of the root paths' dual tree; the parser sets it."""
+        if self._paths is not None:  # a tree: the path from bag 0 to its root turns over
+            dual = self._paths.dual_parent
+            parent, x, up = dual.copy(), 0, -1
+            while x >= 0:
+                parent[x], up, x = up, x, dual[x]
+            return parent, _preorder(parent, [0])
+        b, edges = len(self.bags), self.tree_edges
+        ends = sorted(itertools.chain.from_iterable(edges))
+        if ends and not 0 <= ends[0] <= ends[-1] < b:
+            raise DecompositionError(f"a tree edge joins no two of the {b} bags")
+        return _bag_forest(b, edges)
+
+    @cached_property
+    def tree_edges(self) -> frozenset[tuple[int, int]]:
+        """(lesser, greater) per bag and its parent; the public
+        constructor keeps the edges it was given."""
+        return frozenset((min(x, p), max(x, p)) for x, p in enumerate(self.forest[0]) if p >= 0)
+
+    @cached_property
+    def _non_forest(self) -> frozenset[tuple[int, int]] | None:
+        """The given edges if they are not a forest, else None."""
+        parent = self.forest[0]
+        return None if len(self.tree_edges) == len(parent) - parent.count(-1) else self.tree_edges
+
+    @cached_property
+    def core(self) -> frozenset[int]:
+        """The vertices in every bag."""
+        bags = self.bags
+        return frozenset(bags[0]).intersection(*bags[1:]) if bags else frozenset()
+
+    def outside(self, x: int) -> AbstractSet[int]:
+        """Bag x less the core; root paths walk up from the bag's corners
+        rather than build it."""
+        return self._paths.outside(x) if self._paths else self.bags[x] - self.core
 
     @property
     def width(self) -> int:
-        if isinstance(self.bags, tuple):
-            return max(map(len, self.bags), default=0) - 1
         core, adds, drops = self.deltas
         parent, order = self.forest
         size = [0] * len(order)
@@ -74,93 +215,31 @@ class TreeDecomposition:
         return len(core) + max(size, default=0) - 1
 
     @cached_property
-    def tree_adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
-        for x, y in self.tree_edges:
-            adj[x].append(y)
-            adj[y].append(x)
-        for lst in adj.values():
-            lst.sort()
-        return adj
-
-    @cached_property
-    def forest(self) -> tuple[list[int], list[int]]:
-        """(parent, preorder) of a depth-first search of the bag tree from
-        bag 0, then from the least bag not yet reached, neighbours taken
-        in ascending order; parent -1 marks each search's root.  A
-        disconnected tree gives a spanning forest, one with a cycle a
-        spanning tree.  Bags parsed with their tree hand theirs over."""
-        bags = self.bags
-        if isinstance(bags, _DeltaBags) and bags.tree_edges is self.tree_edges:
-            return bags.parent, bags.order
-        b = len(bags)
-        adj = self.tree_adjacency
-        parent = [-1] * b
-        order: list[int] = []
-        seen = [False] * b
-        for r in range(b):
-            if seen[r]:
-                continue
-            seen[r] = True
-            stack = [r]
-            while stack:
-                x = stack.pop()
-                order.append(x)
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        parent[y] = x
-                        stack.append(y)
-        return parent, order
-
-    @cached_property
-    def rooted(self) -> tuple[list[int], list[int], list[int]]:
-        """(parent, preorder, tin) with the tree rooted at bag 0."""
+    def rooted(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(parent, preorder, tin, end) with the tree rooted at bag 0: bag
+        y lies in the subtree of x iff tin[x] <= tin[y] < end[x]."""
         parent, order = self.forest
         if parent.count(-1) > 1:
             raise DecompositionError("decomposition tree is disconnected")
-        tin = [0] * len(order)
-        for r, x in enumerate(order):
-            tin[x] = r
-        return parent, order, tin
+        return parent, order, *_intervals(parent, order)
 
     @cached_property
     def deltas(self) -> tuple[frozenset[int], Sequence[Sequence[int]], Sequence[Sequence[int]]]:
         """(core, adds, drops): the vertices in every bag and, per bag,
         the vertices it adds to and drops from its parent's bag in
-        ``forest``; a root adds its bag less the core.  Parsed bags hold
-        exactly these when their parents are ``forest``'s, root-path bags
-        derive them in O(change) (``_RootPathBags.deltas``), and other
-        bags are compared with their parents' bags."""
-        bags = self.bags
+        ``forest``; a root adds its bag less the core.  Explicit bags are
+        compared with their parents' bags."""
         parent, order = self.forest
-        if isinstance(bags, _DeltaBags) and parent is bags.parent:
-            return bags.core, bags.adds, bags.drops
-        if isinstance(bags, _RootPathBags):
-            return bags.core, *bags.deltas(parent, order)
-        full = tuple(bags)
-        core = full[0].intersection(*full[1:]) if full else frozenset()
-        adds: list[AbstractSet[int]] = [frozenset()] * len(full)
-        drops: list[AbstractSet[int]] = [frozenset()] * len(full)
+        core = self.core
+        if self._paths is not None:
+            return core, *self._paths.deltas(parent, order)
+        bags = self.bags
+        adds: list[AbstractSet[int]] = [frozenset()] * len(bags)
+        drops: list[AbstractSet[int]] = [frozenset()] * len(bags)
         for x in order:
-            p = parent[x]
-            if p < 0:
-                adds[x] = full[x] - core
-            else:
-                adds[x] = full[x] - full[p]
-                drops[x] = full[p] - full[x]
+            up = bags[parent[x]] if parent[x] >= 0 else core
+            adds[x], drops[x] = bags[x] - up, up - bags[x]
         return core, adds, drops
-
-    @cached_property
-    def subtree_end(self) -> list[int]:
-        """Preorder rank just past each bag's subtree: bag y lies in the
-        subtree of x iff tin[x] <= tin[y] < subtree_end[x]."""
-        parent, order, tin = self.rooted
-        size = [1] * len(order)
-        for x in reversed(order):
-            if parent[x] >= 0:
-                size[parent[x]] += size[x]
-        return [t + k for t, k in zip(tin, size)]
 
     @cached_property
     def ancestor_jumps(self) -> list[list[int]]:
@@ -178,10 +257,12 @@ class TreeDecomposition:
         bag nearest the root, or ``len(bags)`` for a vertex in no bag;
         indexed from 0 up to the largest bag vertex.  A vertex's bags form
         a subtree, so its top bag is the first bag in preorder that adds
-        it.  A negative bag vertex raises ``DecompositionError``."""
-        _, order, _ = self.rooted
-        if isinstance(self.bags, _RootPathBags):
-            return self.bags.top_rank(order)
+        it; root paths find it without the deltas
+        (``_RootPaths.top_rank``).  A negative bag vertex raises
+        ``DecompositionError``."""
+        order = self.rooted[1]
+        if self._paths is not None:
+            return self._paths.top_rank(order)
         core, adds, _ = self.deltas
         every = [*core, *itertools.chain.from_iterable(adds)]
         if every and min(every) < 0:
@@ -203,6 +284,31 @@ class TreeDecomposition:
         return {v: order[r] for v, r in enumerate(self.top_rank) if r < len(order)}
 
 
+class _BagView(Sequence):
+    """The bags of a parsed text or of root paths, indexed and equal like
+    their tuple; ``len`` builds no bag.  A parsed bag is read off
+    ``_built``, a root-path bag built from ``outside(x)`` on its read."""
+
+    __slots__ = ("_td",)
+
+    def __init__(self, td: TreeDecomposition) -> None:
+        self._td = td
+
+    def __len__(self) -> int:
+        paths = self._td._paths
+        return len(paths.dual_parent) if paths else len(self._td.forest[0])
+
+    def __getitem__(self, x: int) -> frozenset[int]:
+        td = self._td
+        x = range(len(self))[x]
+        return td.core.union(td._paths.outside(x)) if td._paths else td._built[x]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class LayeredDecomposition:
     """A tree decomposition together with the layering realising its
@@ -214,25 +320,33 @@ class LayeredDecomposition:
     @cached_property
     def layered_width(self) -> int:
         """Most vertices of one bag in one layer.  The core, the vertices
-        common to every bag, is counted per layer once; then one search
-        of the bag tree keeps the count of the bag it is at per layer,
-        changing it by each bag's ``deltas``.  Root-path bags under their
-        proved ceiling (``_RootPathBags.layer_ceiling``) are instead
-        counted bag by bag up to the first that reaches it.  A bag
-        vertex that no layer holds raises ``GraphInputError``."""
-        bags = self.decomposition.bags
+        common to every bag, is counted per layer once.  Under the ceiling
+        root paths prove (``_RootPaths.layer_ceiling``), each bag's rest is
+        counted bag by bag up to the first that reaches it; otherwise one
+        search of the bag tree keeps the count of the bag it is at per
+        layer, changing it by each bag's ``deltas``.  A bag vertex that no
+        layer holds raises ``GraphInputError``."""
+        td = self.decomposition
         layer_of = self.layering.layer_of
-        if isinstance(bags, _RootPathBags):
-            ceiling = bags.layer_ceiling(layer_of)
-            if ceiling is not None:
-                return bags.ceiling_width(layer_of, ceiling)
-        core, adds, drops = self.decomposition.deltas
-        parent, order = self.decomposition.forest
         count = [0] * len(self.layering)
         try:
-            for v in core:
+            for v in td.core:
                 count[layer_of[v]] += 1
             best = max(count, default=0)
+            ceiling = td._paths and td._paths.layer_ceiling(layer_of)
+            if ceiling is not None:
+                for f in range(len(td.bags)):
+                    if best >= ceiling:
+                        break
+                    counts: dict[int, int] = {}
+                    for v in td.outside(f):
+                        i = layer_of[v]
+                        counts[i] = counts.get(i, 0) + 1
+                    for i, c in counts.items():
+                        best = max(best, c + count[i])
+                return best
+            _, adds, drops = td.deltas
+            parent, order = td.forest
             path: list[int] = []
             for x in order:
                 p = parent[x]
@@ -287,12 +401,12 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     # tree shape: connected and acyclic on bag indices
     if b == 0:
         return Report.of(["decomposition has no bags"])
-    if len(td.tree_edges) != b - 1:
-        violations.append(
-            f"tree has {len(td.tree_edges)} edges for {b} bags"
-        )
     parent, order = td.forest
-    if parent.count(-1) > 1:
+    roots = parent.count(-1)
+    edges = b - roots if td._non_forest is None else len(td._non_forest)
+    if edges != b - 1:
+        violations.append(f"tree has {edges} edges for {b} bags")
+    if roots > 1:
         violations.append("decomposition tree is disconnected")
         return Report.of(violations)
     core, adds, drops = td.deltas
@@ -343,11 +457,11 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
             covered = u in top and v in top and (u, v) not in missed
         if not covered:
             violations.append(f"edge ({u},{v}) covered by no bag")
+    adj = _tree_lists(b, td.tree_edges) if where else []
     for v in g.vertices():
         if v not in top:
             violations.append(f"vertex {v} in no bag")
         elif v in where:
-            adj = td.tree_adjacency
             nodes = where[v]
             nodeset = set(nodes)
             comp = {nodes[0]}
@@ -363,80 +477,13 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     return Report.of(violations)
 
 
-class _CoreBags(Sequence):
-    """A lazy bag sequence that holds the core, the vertices common to
-    every bag, once.  It compares equal to the tuple of its bags."""
-
-    __slots__ = ("core",)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _CoreBags)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
-class _DeltaBags(_CoreBags):
-    """The bags of a decomposition text: the core and, per bag, its
-    parent in the bag forest (-1 for a root) and the vertices it adds to
-    and drops from the parent's bag; a root adds its bag less the core.
-    Each root is the least bag of its tree, so ``order``, the forest's
-    preorder, is the search ``TreeDecomposition.forest`` makes.  The
-    first bag read builds every bag once and keeps them."""
-
-    __slots__ = ("parent", "order", "adds", "drops", "tree_edges", "_bags")
-
-    def __init__(
-        self,
-        core: frozenset[int],
-        parent: list[int],
-        order: list[int],
-        adds: list[AbstractSet[int] | tuple[int, ...]],
-        drops: list[AbstractSet[int] | tuple[int, ...]],
-    ) -> None:
-        self.core = core
-        self.parent = parent
-        self.order = order
-        self.adds = adds
-        self.drops = drops
-        self.tree_edges = frozenset(
-            (p, x) if p < x else (x, p) for x, p in enumerate(parent) if p >= 0
-        )
-        self._bags: tuple[frozenset[int], ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.parent)
-
-    def _built(self) -> tuple[frozenset[int], ...]:
-        parent, adds, drops = self.parent, self.adds, self.drops
-        rests: list[frozenset[int]] = [frozenset()] * len(parent)
-        for x in self.order:
-            p = parent[x]
-            rest = rests[p] if p >= 0 else frozenset()
-            if drops[x]:
-                rest = rest.difference(drops[x])
-            if adds[x]:
-                rest = rest.union(adds[x])
-            rests[x] = rest
-        self._bags = tuple(map(self.core.union, rests)) if self.core else tuple(rests)
-        return self._bags
-
-    def __getitem__(self, i: int) -> frozenset[int]:
-        return (self._bags or self._built())[i]
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return iter(self._bags or self._built())
-
-
 # ---------------------------------------------------------------------------
 # Genus-driven layered decomposition (tree-cotree bags).
 # ---------------------------------------------------------------------------
 
 
-class _RootPathBags(_CoreBags):
-    """The bags of ``genus_layered_decomposition``, stored as root paths.
+class _RootPaths:
+    """The bags of ``genus_layered_decomposition``, held as root paths.
 
     Bag f is Q | P(x) | P(y) | P(z) for the corners x, y, z of face f,
     where P(v) is the path from v to the root in the primal BFS tree.
@@ -450,27 +497,19 @@ class _RootPathBags(_CoreBags):
     (``deltas``).
     """
 
-    __slots__ = ("_parent", "_depth", "_corners", "_rank", "_end", "q")
+    __slots__ = ("_parent", "_depth", "_corners", "_rank", "_end", "q", "core", "dual_parent")
 
-    def __init__(
-        self, parent: list[int], depth: list[int], corners: list[int], q: frozenset[int]
-    ) -> None:
+    def __init__(self, parent: list[int], depth: list[int], corners: list[int],
+                 q: frozenset[int], dual_parent: list[int]) -> None:
         self._parent = parent  # the root is its own parent
         self._depth = depth
         self._corners = corners  # face f's corners at 3f, 3f+1, 3f+2
-        self._rank, self._end = _preorder_intervals(parent)
+        self.dual_parent = dual_parent  # the bag tree, -1 at its root
+        roots = [v for v, p in enumerate(parent) if p == v]
+        self._rank, self._end = _intervals(parent, _preorder(parent, roots))
         self.q = q
         self.core = q  # the walks of _common_beyond_q stop at Q
         self.core = q.union(self._common_beyond_q())
-
-    def __len__(self) -> int:
-        return len(self._corners) // 3
-
-    def __getitem__(self, f: int) -> frozenset[int]:
-        return self.core.union(self.outside(range(len(self))[f]))
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return map(self.core.union, map(self.outside, range(len(self))))
 
     def outside(self, f: int) -> set[int]:
         """The vertices of bag f outside the core.  The core and every
@@ -566,26 +605,6 @@ class _RootPathBags(_CoreBags):
             ceiling = max(ceiling, 3 + max(in_q.values(), default=0))
         return ceiling
 
-    def ceiling_width(self, layer_of: dict[int, int], ceiling: int) -> int:
-        """``LayeredDecomposition.layered_width`` when ``ceiling`` bounds
-        every bag's count in a layer: the core's count per layer plus each
-        bag's rest, bag by bag, stopping at the first bag reaching it."""
-        in_core: dict[int, int] = {}
-        for v in self.core:
-            i = layer_of[v]
-            in_core[i] = in_core.get(i, 0) + 1
-        best = max(in_core.values(), default=0)
-        for f in range(len(self)):
-            if best >= ceiling:
-                break
-            counts: dict[int, int] = {}
-            for v in self.outside(f):
-                i = layer_of[v]
-                counts[i] = counts.get(i, 0) + 1
-            for i, c in counts.items():
-                best = max(best, c + in_core.get(i, 0))
-        return best
-
     def top_rank(self, order: list[int]) -> list[int]:
         """``TreeDecomposition.top_rank`` in O(n log n + F).  A vertex v
         outside Q lies in the bags of the faces with a corner in its
@@ -593,7 +612,7 @@ class _RootPathBags(_CoreBags):
         the ranks are pushed up the parent list, deepest vertices first.
         Q lies in every bag, so its top bag is the root bag."""
         parent, corners = self._parent, self._corners
-        none = len(self)
+        none = len(order)
         least = [none] * len(parent)
         for r in range(none - 1, -1, -1):
             f = 3 * order[r]
@@ -610,27 +629,16 @@ class _RootPathBags(_CoreBags):
         return least
 
 
-def _preorder_intervals(parent: list[int]) -> tuple[list[int], list[int]]:
-    """(rank, end) of a forest given by its parent list, each root its
-    own parent: the preorder rank of each vertex and the rank just past
-    its subtree, so u lies in v's subtree iff rank[v] <= rank[u] < end[v]."""
-    n = len(parent)
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
-        if p != v:
-            kids[p].append(v)
-    order: list[int] = []
-    stack = [v for v, p in enumerate(parent) if p == v]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(kids[v])
-    rank = [0] * n
+def _intervals(parent: list[int], order: list[int]) -> tuple[list[int], list[int]]:
+    """(rank, end) of a forest given by its parent list (a root is -1 or
+    its own parent) and a preorder: each vertex's rank and the rank just
+    past its subtree, so u lies in v's subtree iff rank[v] <= rank[u] < end[v]."""
+    rank = [0] * len(order)
     for r, v in enumerate(order):
         rank[v] = r
-    size = [1] * n
+    size = [1] * len(order)
     for v in reversed(order):
-        if parent[v] != v:
+        if 0 <= parent[v] != v:
             size[parent[v]] += size[v]
     return rank, [r + k for r, k in zip(rank, size)]
 
@@ -673,14 +681,14 @@ def genus_layered_decomposition(
     at most |K| in layer 0; Q - K has at most 2g vertices per layer, and
     without it a bag has at most 3 per layer when |K| <= 3.
 
-    The bags are a lazy ``_RootPathBags`` sequence holding the BFS parent
-    and depth lists, the face corners and Q once, in O(n + F + |Q|) words
-    for F faces, rather than F frozensets that each copy Q.  Its width,
-    layered width, ``top_rank`` and text lines are derived without
-    building a bag.  A layered width above max(2g+3, |K|) is a fault of
-    this construction and raises ``DecompositionSelfCheckError``; the check
-    stops at the first bag that reaches the proved ceiling
-    (``_RootPathBags.layer_ceiling``).
+    The bags are root paths (``_RootPaths``): the BFS parent and depth
+    lists, the face corners and Q once, in O(n + F + |Q|) words for F
+    faces, rather than F frozensets that each copy Q; the bag forest is
+    the dual tree.  Width, layered width, ``top_rank`` and text lines are
+    derived without building a bag.  A layered width above max(2g+3, |K|)
+    is a fault of this construction and raises
+    ``DecompositionSelfCheckError``; the check stops at the first bag
+    that reaches the proved ceiling (``_RootPaths.layer_ceiling``).
     """
     clique = tuple(sorted(set(root_clique)))
     if not clique:
@@ -712,12 +720,10 @@ def genus_layered_decomposition(
                 v = parent[v]
 
     corners = list(map(tri.tail.__getitem__, itertools.chain.from_iterable(tri.faces)))
-    bags = _RootPathBags(parent, depth, corners, frozenset(q))
-    tree_edges = frozenset(
-        (p, f) if p < f else (f, p) for f, p in enumerate(tc.dual_parent) if p >= 0
-    )
+    paths = _RootPaths(parent, depth, corners, frozenset(q), tc.dual_parent)
+    td = TreeDecomposition._of(paths.core, paths=paths)
     layering = Layering(tuple(frozenset(layer) for layer in layer_sets))
-    ld = LayeredDecomposition(TreeDecomposition(bags, tree_edges), layering)
+    ld = LayeredDecomposition(td, layering)
     cap = max(2 * g + 3, len(clique))
     if ld.layered_width > cap:
         raise DecompositionSelfCheckError(
@@ -912,8 +918,7 @@ def _halving_bag(td: TreeDecomposition, sample: Collection[int]) -> int:
     deepest one.  A call costs O(|S| log |S|) on top of the
     decomposition's cached tables, independent of the number of bags.
     """
-    parent, order, tin = td.rooted
-    end = td.subtree_end
+    parent, order, tin, end = td.rooted
     rank = td.top_rank
     none = len(order)
     try:
@@ -941,17 +946,18 @@ def _halving_bag(td: TreeDecomposition, sample: Collection[int]) -> int:
 
 
 def _balanced_sides(weights: Sequence[int], total: int) -> tuple[list[int], list[int]]:
-    """Group components into two sides of at most 2/3 of a sample of
-    size ``total`` each; returns the component indices on each side.
+    """Group components into two sides; returns the component indices on
+    each side.  The callers check the sides they need.
 
-    ``weights[i]`` is the sample count of component i, at most total/2,
-    and the weights sum to W <= total; the components come in order of
-    least vertex, which breaks weight ties.  Components go greedily
-    (descending weight) to the lighter side.  Let w be the last weight
-    placed on the final heavy side H: that side was the lighter one then, so
-    H - w <= W - H, i.e. H <= (W + w)/2 <= 2/3 total when w <= total/3.
-    If w > total/3, only the first two weights can exceed total/3, so w
-    is the first or second weight and alone on its side: H = w <= total/2.
+    ``weights[i]`` is the sample count of component i, and the weights
+    sum to W <= ``total``; the components come in order of least vertex,
+    which breaks weight ties.  Components go greedily (descending weight)
+    to the lighter side.  If every weight is at most total/2, each side
+    holds at most 2/3 total: let w be the last weight placed on the final
+    heavy side H; that side was the lighter one then, so H - w <= W - H,
+    i.e. H <= (W + w)/2 <= 2/3 total when w <= total/3.  If w > total/3,
+    only the first two weights can exceed total/3, so w is the first or
+    second weight and alone on its side: H = w <= total/2.
     """
     sides: tuple[list[int], list[int]] = ([], [])
     count = [0, 0]
@@ -960,11 +966,6 @@ def _balanced_sides(weights: Sequence[int], total: int) -> tuple[list[int], list
         s = 0 if count[0] <= count[1] else 1
         sides[s].append(i)
         count[s] += weights[i]
-    if 3 * max(count) > 2 * total:
-        raise DecompositionError(
-            f"side of weight {max(count)} exceeds 2/3 of {total}: "
-            "a component outweighs half the sample"
-        )
     return sides
 
 
@@ -1244,12 +1245,14 @@ def exact_treewidth(g: Graph) -> int:
 #                            it adds to bag p's and drops from it, either
 #                            part left out when empty;
 #   "x < p: v1 v2 ..."       the same bag listed, written when shorter.
-# The parent fields are the tree: bag 0 roots its component, the least bag
-# roots any other, and each parent is the neighbour towards the root.  The
-# layered variant appends the layering block.  Older texts list every bag
-# on an "x: ..." line and end the decomposition with "tree" and the tree
-# edges as "x y" lines (B - 1 of them in a layered text); they still parse,
-# with or without a core line.
+# The text is the decomposition's value: the parent fields are its bag
+# forest (bag 0 roots its tree, the least bag roots any other, and each
+# parent is the neighbour towards the root) and the "+" and "-" parts are
+# its deltas, so the parser hands the forest, core and deltas over as read
+# and builds no bag.  The layered variant appends the layering block.
+# Older texts list every bag on an "x: ..." line and end the decomposition
+# with "tree" and the tree edges as "x y" lines (B - 1 of them in a layered
+# text); they still parse, with or without a core line, as explicit bags.
 # ---------------------------------------------------------------------------
 
 
@@ -1257,12 +1260,11 @@ def format_decomposition(td: TreeDecomposition) -> str:
     """The text of ``td``, a function of its value: root-path, parsed and
     explicit bags of equal value give equal text.  A bag tree with a cycle
     has no parent fields and raises ``DecompositionError``."""
-    b = len(td.bags)
-    parent, order = td.forest
-    if len(td.tree_edges) != b - parent.count(-1):
+    if td._non_forest is not None:
         raise DecompositionError("the bag tree has a cycle and cannot be written")
+    parent, order = td.forest
+    b = len(order)
     core, adds, drops = td.deltas
-    bags = td.bags
     token = _TokenStrs().__getitem__
     lines = [f"bags {b}"] + [""] * b
     if core:
@@ -1275,8 +1277,7 @@ def format_decomposition(td: TreeDecomposition) -> str:
             line = f"{x}: " + " ".join(map(token, sorted(a)))
         elif size[x] < len(a) + len(d) + bool(a) + bool(d):
             # listing the bag is shorter, so the bag is small
-            rest = bags.outside(x) if isinstance(bags, _RootPathBags) else bags[x] - core
-            line = f"{x} < {p}: " + " ".join(map(token, sorted(rest)))
+            line = f"{x} < {p}: " + " ".join(map(token, sorted(td.outside(x))))
         else:
             line = f"{x} < {p}"
             if a:
@@ -1317,9 +1318,9 @@ def _is_core_line(line: str) -> bool:
 
 
 def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
-    """The bags as ``_DeltaBags``, checked and made exact by
-    ``_resolve_deltas``; the tree from the parent fields, or from the
-    tree block of an older text.  Every token is parsed once
+    """The forest, core and deltas of the parent fields, checked and
+    made exact by ``_resolve_deltas``; an older text's tree block gives
+    explicit bags and edges instead.  Every token is parsed once
     (``_TokenInts``)."""
     lines = [ln for ln in (s.strip() for s in raw) if ln]
     b = _bag_count(lines[0] if lines else "")
@@ -1365,9 +1366,9 @@ def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
         raise GraphInputError(f"expected 'tree' or the end after the bag list, got {tail[0]!r}")
     if tail and parent.count(-1) < b:
         raise GraphInputError("a text with a tree block has no parent fields")
-    bags = _resolve_deltas(core, parent, adds, drops, body)
+    core, order = _resolve_deltas(core, parent, adds, drops, body)
     if not tail:
-        return TreeDecomposition(bags, bags.tree_edges)
+        return TreeDecomposition._of(core, (parent, order), (adds, drops))
     edges = set()
     for ln in tail[1:]:
         try:
@@ -1377,7 +1378,7 @@ def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
         if not (0 <= x < b and 0 <= y < b) or x == y:
             raise GraphInputError(f"bad tree edge {ln!r}")
         edges.add((x, y) if x < y else (y, x))
-    return TreeDecomposition(bags, frozenset(edges))
+    return TreeDecomposition(map(core.union, adds), edges)
 
 
 def _resolve_deltas(
@@ -1386,15 +1387,16 @@ def _resolve_deltas(
     adds: list,
     drops: list,
     lines: list[str],
-) -> "_DeltaBags":
-    """The bags of parsed bag lines, checked in one search of the forest
-    the parent fields give, with the bag it is at held as one running
-    set.  A line that adds a vertex its parent's bag holds, drops one it
-    lacks, names one twice or repeats a core vertex, parents that close a
-    cycle, and a root that is not the least bag of its component raise
-    ``GraphInputError``.  A listed bag (``drops`` None) becomes its
-    change from its parent, and any vertex in every bag moves into the
-    core, so the value alone fixes the fields."""
+) -> tuple[frozenset[int], list[int]]:
+    """The core and the preorder (``_bag_forest``'s) of parsed bag lines,
+    checked in one search of the forest the parent fields give, with the
+    bag it is at held as one running set.  A line that adds a vertex its
+    parent's bag holds, drops one it lacks, names one twice or repeats a
+    core vertex, parents that close a cycle, and a root that is not the
+    least bag of its component raise ``GraphInputError``.  A listed bag
+    (``drops`` None) becomes its change from its parent in place, and any
+    vertex in every bag moves into the core, so the value alone fixes
+    the fields."""
     b = len(parent)
     chain = itertools.chain.from_iterable
     if core and not (core.isdisjoint(chain(adds)) and core.isdisjoint(chain(filter(None, drops)))):
@@ -1453,7 +1455,7 @@ def _resolve_deltas(
         core = core.union(common)
         for r in roots:
             adds[r] = tuple(v for v in adds[r] if v not in common)
-    return _DeltaBags(core, parent, order, adds, drops)
+    return core, order
 
 
 def _bag_count(header: str) -> int:

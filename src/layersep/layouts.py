@@ -23,7 +23,6 @@ from .decomposition import (
     LayeredDecomposition,
     _balanced_sides,
     _halving_bag,
-    _RootPathBags,
     genus_layered_decomposition,
 )
 from .embedding import EmbeddedGraph
@@ -90,8 +89,8 @@ def compute_recursion(
     indexed by vertex and shared by every call, holds the id of the call
     whose sample a vertex is in, -1 while that call waits on the stack,
     and 0 once the vertex is labelled (and for Q).  A call stamps its
-    sample, takes the stamped vertices of B (for root-path bags, the walk
-    up from B's three corners plus the core, so no bag is built) and
+    sample, takes the stamped vertices of B (``outside`` plus the core,
+    so root paths walk up from B's three corners and build no bag) and
     finds the components of the rest by a search over ``g.adjacency``
     that reads the stamps; a one-vertex sample is a leaf and skips both.
     The halving bag sorts the sample's ranks in
@@ -110,7 +109,6 @@ def compute_recursion(
             )
     ell2 = max(ld_minus_q.layered_width, 1)
     td = ld_minus_q.decomposition
-    bags = td.bags
     n = g.n
 
     depth: dict[int, int] = {}
@@ -154,9 +152,7 @@ def compute_recursion(
     for v in rest:
         mark[v] = -1
     adjacency = g.adjacency
-    root_paths = isinstance(bags, _RootPathBags)
-    if root_paths:
-        core = [v for v in bags.core if mark[v]]
+    core = [v for v in td.core if mark[v]]
     stack: list[tuple[list[int], int, Optional[int], int]] = [(rest, 1, None, 0)]
     while stack:
         sample, d, parent, rank = stack.pop()
@@ -171,11 +167,8 @@ def compute_recursion(
             cur = me + 1
             for v in sample:
                 mark[v] = cur
-            if root_paths:
-                mid = [v for v in bags.outside(idx) if mark[v] == cur]
-                mid += [v for v in core if mark[v] == cur]
-            else:
-                mid = [v for v in bags[idx] if mark[v] == cur]
+            mid = [v for v in td.outside(idx) if mark[v] == cur]
+            mid += [v for v in core if mark[v] == cur]
             for v in mid:
                 mark[v] = 0
             comps = _stamped_components(adjacency, mark, cur, -1, sample)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
-from .decomposition import TreeDecomposition, validate_tree_decomposition
+from .decomposition import TreeDecomposition, _tree_lists, validate_tree_decomposition
 from .graphs import (
     Graph,
     GraphInputError,
@@ -107,7 +107,7 @@ def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
     holds every bag not checked since its adjacency last changed.
     """
     bags = list(td.bags)
-    adj = {i: set(ns) for i, ns in td.tree_adjacency.items()}
+    adj = list(map(set, _tree_lists(len(bags), td.tree_edges)))
     alive = set(range(len(bags)))
     todo = list(range(len(bags)))  # sorted, hence a heap
     while todo:
@@ -180,11 +180,12 @@ def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     # root the tree at the least bag containing r
     alpha = next(i for i, bag in enumerate(td.bags) if r in bag)
     b = len(td.bags)
+    adj = _tree_lists(b, td.tree_edges)
     parent = [-1] * b
     order = [alpha]
     seen = {alpha}
     for x in order:
-        for y in td.tree_adjacency[x]:
+        for y in adj[x]:
             if y not in seen:
                 seen.add(y)
                 parent[y] = x

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from layersep.decomposition import (
     DecompositionError,
     LayeredDecomposition,
-    _DeltaBags,
-    _RootPathBags,
+    _BagView,
+    _RootPaths,
     _balanced_sides,
     TreeDecomposition,
     bound_report,
@@ -63,6 +63,15 @@ from layersep.shadow import RichDecomposition, format_rich, parse_rich
 from tests.conftest import embedded_graphs, planar_pipeline, root_path, torus_pipeline
 
 
+def _tree_adjacency(td):
+    """Each bag's neighbours over ``td.tree_edges``, ascending."""
+    adj = {i: [] for i in range(len(td.bags))}
+    for x, y in td.tree_edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    return {i: sorted(ns) for i, ns in adj.items()}
+
+
 def _scan_validate_tree_decomposition(g, td):
     """Oracle for ``validate_tree_decomposition``: list each vertex's bags,
     test edge coverage by scanning them and subtree connectivity by a
@@ -75,7 +84,7 @@ def _scan_validate_tree_decomposition(g, td):
         violations.append(f"tree has {len(td.tree_edges)} edges for {b} bags")
     seen = {0}
     stack = [0]
-    adj = td.tree_adjacency
+    adj = _tree_adjacency(td)
     while stack:
         x = stack.pop()
         for y in adj[x]:
@@ -125,7 +134,7 @@ def _rest_validate_tree_decomposition(g, td):
         return Report.of(["decomposition has no bags"])
     if len(td.tree_edges) != b - 1:
         violations.append(f"tree has {len(td.tree_edges)} edges for {b} bags")
-    adj = td.tree_adjacency
+    adj = _tree_adjacency(td)
     parent, order, seen, stack = [-1] * b, [], {0}, [0]
     while stack:
         x = stack.pop()
@@ -186,7 +195,7 @@ def _rest_validate_tree_decomposition(g, td):
 
 def _rest_top_bag(td):
     """Oracle: each vertex's first bag in preorder, every bag scanned."""
-    _, order, _ = td.rooted
+    order = td.rooted[1]
     top = {}
     for x in order:
         for v in td.bags[x]:
@@ -501,7 +510,7 @@ def test_root_path_bag_lines_match_explicit_lines(eg, root):
     """The spliced bag lines equal the lines of the explicit bags byte for
     byte, with Q empty (planar) and Q non-empty (tori)."""
     res = genus_layered_decomposition(eg, root)
-    assert bool(res.ld.decomposition.bags.q) == (res.genus > 0)
+    assert bool(res.ld.decomposition._paths.q) == (res.genus > 0)
     explicit = LayeredDecomposition(
         TreeDecomposition(_explicit_genus_bags(eg, root), res.ld.decomposition.tree_edges),
         res.ld.layering,
@@ -835,7 +844,7 @@ def test_decomposition_text_round_trips(ld):
     assert ("\ncore: " in text) == bool(core) and "tree" not in text
     back = parse_decomposition(text)
     assert back == td and format_decomposition(back) == text
-    assert isinstance(back.bags, _DeltaBags) and back.bags.core == core
+    assert back.core == td.core == core
     back_ld = parse_layered_decomposition(layered)
     assert back_ld == ld and format_layered_decomposition(back_ld) == layered
     assert back_ld.layered_width == ld.layered_width == _scan_layered_width(ld)
@@ -894,8 +903,8 @@ def test_parsed_core_bags_check_like_explicit_bags(eg):
     ld = parse_layered_decomposition(format_layered_decomposition(res.ld))
     td = ld.decomposition
     explicit = tuple(res.ld.decomposition.bags)
-    assert isinstance(td.bags, _DeltaBags) and td.bags == explicit
-    assert td.bags.core == res.ld.decomposition.bags.core == frozenset.intersection(*explicit)
+    assert td.bags == explicit
+    assert td.core == res.ld.decomposition.core == frozenset.intersection(*explicit)
     flat = TreeDecomposition(explicit, td.tree_edges)
     last = g.n - 1
     for h in (
@@ -922,7 +931,7 @@ def test_parsed_core_bags_retain_under_half_of_explicit_parse():
     core = frozenset.intersection(*bags)
     _, rest_bytes = _retained_bytes(lambda: (core - {-1}, tuple(bag - core for bag in bags)))
     _, flat_bytes = _retained_bytes(lambda: tuple(bag - {-1} for bag in bags))
-    assert parsed == res.ld.decomposition and parsed.bags.core == core
+    assert parsed == res.ld.decomposition and parsed.core == core
     assert rest_bytes < flat_bytes / 2, (rest_bytes, flat_bytes)
     assert delta_bytes < rest_bytes / 3, (delta_bytes, rest_bytes)
 
@@ -935,12 +944,12 @@ def test_layered_width_ceiling_holds_only_under_its_premise(eg):
     applies and bounds the scan; on a layering from another vertex the
     premise fails and every bag is counted."""
     res = genus_layered_decomposition(eg, (0,))
-    bags = res.ld.decomposition.bags
-    ceiling = bags.layer_ceiling(res.ld.layering.layer_of)
+    paths = res.ld.decomposition._paths
+    ceiling = paths.layer_ceiling(res.ld.layering.layer_of)
     assert ceiling is not None and res.ld.layered_width == _scan_layered_width(res.ld) <= ceiling
     g = eg.to_graph()
     other = LayeredDecomposition(res.ld.decomposition, bfs_layering(g, [g.n - 1])[0])
-    assert bags.layer_ceiling(other.layering.layer_of) is None
+    assert paths.layer_ceiling(other.layering.layer_of) is None
     assert other.layered_width == _scan_layered_width(other)
 
 
@@ -960,11 +969,55 @@ def test_layered_width_ceiling_counts_a_large_root_clique():
     the face opposite the least root has all of K in its bag: the
     ceiling is |K|."""
     corners = [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3]
-    bags = _RootPathBags([0, 0, 0, 0], [0, 0, 0, 0], corners, frozenset())
-    td = TreeDecomposition(bags, frozenset({(0, 1), (0, 2), (0, 3)}))
+    paths = _RootPaths([0, 0, 0, 0], [0, 0, 0, 0], corners, frozenset(), [-1, 0, 0, 0])
+    td = TreeDecomposition._of(paths.core, paths=paths)
+    assert td.tree_edges == {(0, 1), (0, 2), (0, 3)}
     ld = LayeredDecomposition(td, Layering((frozenset(range(4)),)))
-    assert bags.layer_ceiling(ld.layering.layer_of) == 4
+    assert td._paths.layer_ceiling(ld.layering.layer_of) == 4
     assert ld.layered_width == _scan_layered_width(ld) == 4
+
+
+@pytest.mark.parametrize(
+    "eg", [toroidal_grid(8, 8), random_planar_triangulation(200, seed=1)], ids=["torus", "planar"]
+)
+def test_construction_recursion_and_separation_build_no_deltas_and_no_bag_list(eg, monkeypatch):
+    """The genus construction, the labelling recursion and a layered
+    separation read root paths only through ``outside``, the top ranks
+    and the layer ceiling: they never derive the deltas and never build
+    every bag."""
+    from layersep.layouts import pipeline
+
+    def refuse(*args):
+        raise AssertionError("root-path deltas or every bag were built")
+
+    monkeypatch.setattr(_RootPaths, "deltas", refuse)
+    monkeypatch.setattr(_BagView, "__iter__", refuse)
+    g, res, labels, _ = pipeline(eg)
+    assert len(labels.depth) == g.n
+    sep = layered_separation(g, res.ld, g.vertices())
+    assert validate_separation(g, sep, g.vertices(), layering=res.ld.layering).ok
+
+
+@pytest.mark.parametrize(
+    "eg, root",
+    [
+        (random_planar_triangulation(60, seed=4), (0,)),
+        (random_planar_triangulation(60, seed=4), (0, 1)),
+        (random_planar_triangulation(60, seed=4), (0, 1, 2)),
+        (toroidal_grid(6, 7), (0,)),
+        (toroidal_grid(6, 7), (0, 1)),
+        (toroidal_grid(5, 3), (0, 1, 2)),
+    ],
+)
+def test_genus_forest_is_the_search_over_its_tree_edges(eg, root):
+    """The forest read off the dual tree's parent list, turned over at
+    bag 0, is the one the public constructor's search finds over the
+    same tree's edges."""
+    td = genus_layered_decomposition(eg, root).ld.decomposition
+    dual_parent = tree_cotree(triangulate(eg), root).dual_parent
+    edges = frozenset((min(f, p), max(f, p)) for f, p in enumerate(dual_parent) if p >= 0)
+    assert td.tree_edges == edges
+    assert td.forest == TreeDecomposition(tuple(td.bags), edges).forest
 
 
 @settings(max_examples=300, deadline=None)
@@ -980,9 +1033,18 @@ def test_balanced_sides_greedy_within_two_thirds(weights, data):
         assert 3 * sum(weights[i] for i in side) <= 2 * total
 
 
-def test_balanced_sides_rejects_component_over_half():
-    with pytest.raises(DecompositionError):
-        _balanced_sides([3, 1], 4)
+def test_recursion_reports_a_bad_halving_bag_as_a_layout_error():
+    """On the path 0-1-2-3 with bags {0}, {3}, {1}, {2} on the bag path
+    0-1-2-3, the halving bag of the whole sample leaves a component of
+    weight 3: the recursion's own 2/3 check, a construction failure,
+    reports it, not the grouping."""
+    from layersep.layouts import LayoutError, compute_recursion
+
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    td = TreeDecomposition(tuple(map(frozenset, ([0], [3], [1], [2]))), [(0, 1), (1, 2), (2, 3)])
+    layering = Layering((frozenset(range(4)),))
+    with pytest.raises(LayoutError, match="separation child exceeds 2/3 of the sample"):
+        compute_recursion(g, layering, LayeredDecomposition(td, layering))
 
 
 def test_separator_rejects_empty_sample():

@@ -403,7 +403,10 @@ def _contract_redundant_restart(td: TreeDecomposition) -> TreeDecomposition:
     """Oracle for ``_contract_redundant``: rescan every bag from the least
     after each contraction."""
     bags = list(td.bags)
-    adj = {i: set(ns) for i, ns in td.tree_adjacency.items()}
+    adj = {i: set() for i in range(len(bags))}
+    for x, y in td.tree_edges:
+        adj[x].add(y)
+        adj[y].add(x)
     alive = set(range(len(bags)))
     changed = True
     while changed:
