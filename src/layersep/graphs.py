@@ -2,6 +2,13 @@
 
 Vertices are dense integers ``0..n-1``.  All types are immutable values;
 operations are pure functions.
+
+``parse_graph`` reads the edge block of a graph text with one
+``map(int, ...)`` and checks count, range, loops and repeated edges in
+bulk.  Edge lines already ascending, as ``format_graph`` writes them,
+become the graph's ``sorted_edges`` as they are; lines in another order
+or written ``v u`` are normalised.  A text that fails a check is read
+again line by line, only to name its first bad line.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
+from operator import eq, lt
 from typing import Iterable, MutableSequence, Optional, Sequence
 
 
@@ -334,6 +343,52 @@ def _ints(ln: str, what: str, count: Optional[int] = None) -> list[int]:
 
 
 def parse_graph(text: str) -> Graph:
+    """Read the header ``n m`` and m edge lines ``u v``; blank lines are
+    skipped.  The edge block is read with one ``map(int, ...)`` and
+    checked in bulk: count, range, loops and repeats.  Lines already
+    ascending with ``u < v``, as ``format_graph`` writes them, are handed
+    over as the graph's ``sorted_edges``; other orders are normalised.
+    Any text that is not a simple graph with exactly m distinct edges
+    falls back to ``_parse_graph_lines``, which raises
+    ``GraphInputError`` naming the first bad line."""
+    tokens = text.split()
+    try:
+        n, m = int(tokens[0]), int(tokens[1])
+        flat = list(map(int, tokens))
+    except (IndexError, ValueError):
+        return _parse_graph_lines(text)
+    # every line blank or two tokens, and 2m + 2 of them: the header and
+    # m edge lines
+    if (
+        len(flat) != 2 * m + 2
+        or not set(map(len, map(str.split, text.splitlines()))) <= {0, 2}
+        or n < 0
+    ):
+        return _parse_graph_lines(text)
+    ends = flat[2:]
+    us, vs = ends[0::2], ends[1::2]
+    if all(map(lt, us, vs)):  # no loop, no reversed line
+        edges = list(zip(us, vs))
+        ascending = all(map(lt, edges, islice(edges, 1, None)))
+    else:
+        edges = list(zip(map(min, us, vs), map(max, us, vs)))
+        ascending = False
+    edge_set = frozenset(edges)
+    if (
+        len(edge_set) != m
+        or (m and (min(ends) < 0 or max(ends) >= n))
+        or (not ascending and any(map(eq, us, vs)))
+    ):
+        return _parse_graph_lines(text)
+    g = Graph(n, edge_set)
+    if ascending:
+        g.__dict__["sorted_edges"] = tuple(edges)
+    return g
+
+
+def _parse_graph_lines(text: str) -> Graph:
+    """``parse_graph`` line by line: raises ``GraphInputError`` naming
+    the first bad line, a repeated edge included."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise GraphInputError("empty graph file")
@@ -341,7 +396,15 @@ def parse_graph(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise GraphInputError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = [tuple(_ints(ln, "edge line", 2)) for ln in lines[1:]]
-    return Graph.from_edges(n, edges)
+    g = Graph.from_edges(n, edges)
+    if g.m != m:
+        seen: set[tuple[int, int]] = set()
+        for ln, (u, v) in zip(lines[1:], edges):
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise GraphInputError(f"repeated edge in edge line {ln!r}")
+            seen.add(key)
+    return g
 
 
 def format_graph(g: Graph) -> str:

@@ -364,9 +364,12 @@ def queue_from_tracks(g: Graph, tl: TrackLayout) -> QueueLayout:
 
 
 def verify_queue_layout(g: Graph, ql: QueueLayout) -> Report:
-    """Independent check: order covers V(G), every edge is assigned, and
-    no two same-queue edges nest, i.e. strictly invert their positions;
-    the tests keep the pairwise check as its oracle."""
+    """Independent check: order covers V(G), every edge is assigned, only
+    edges are assigned, and no two same-queue edges nest, i.e. strictly
+    invert their positions; the tests keep the pairwise check as its
+    oracle.  A pair that is not an edge is reported, since it would lift
+    ``queue_count``; the keys are looked at only when there are more of
+    them than assigned edges."""
     violations: list[str] = []
     if sorted(ql.order) != list(g.vertices()):
         violations.append("order is not a permutation of the vertex set")
@@ -379,6 +382,10 @@ def verify_queue_layout(g: Graph, ql: QueueLayout) -> Report:
             continue
         l, r = sorted((pos[e[0]], pos[e[1]]))
         by_queue.setdefault(ql.queue_of[e], []).append((l, r))
+    if len(ql.queue_of) > g.m - len(violations):  # a key is not an edge
+        for e, qi in sorted(ql.queue_of.items()):
+            if e not in g.edges:
+                violations.append(f"pair {e} is not an edge but is assigned to queue {qi}")
     for qi, spans in by_queue.items():
         for a, b in _strict_inversions((l, r, k) for k, (l, r) in enumerate(spans)):
             violations.append(
@@ -441,4 +448,12 @@ def parse_queue_layout(text: str) -> QueueLayout:
     for ln in lines[1:]:
         u, v, qi = _ints(ln, "queue line", 3)
         queue_of[(min(u, v), max(u, v))] = qi
+    if len(queue_of) != len(lines) - 1:  # name the line of the repeat
+        seen: set[tuple[int, int]] = set()
+        for ln in lines[1:]:
+            u, v, _ = _ints(ln, "queue line", 3)
+            e = (min(u, v), max(u, v))
+            if e in seen:
+                raise GraphInputError(f"edge {e} assigned twice, again in {ln!r}")
+            seen.add(e)
     return QueueLayout(order, queue_of)

@@ -1,14 +1,19 @@
-"""The flat-list embedding core against the dict-based core it replaced.
+"""The flat-list embedding core against the dict-based core it replaced,
+and the left-right embedder against its stepwise port.
 
 ``DictEmbedding`` derives ``sigma``, the faces and the Euler genus with
 dicts and sets, and the functions below it are the earlier
 ``_rotation_from_faces``, the bigon loop that rebuilt the embedding once
 per bigon, ``triangulate`` and ``tree_cotree``, kept here as oracles:
 the flat core must return the same values in the same order and raise
-the same errors.
+the same errors.  ``_stepwise_lr_rotation`` is the left-right test as it
+was ported from networkx, one helper per method; ``_lr_rotation``, with
+the helpers inlined and its lists preallocated, must return the same
+rotations, or ``None`` for the same graphs.
 """
 
 from collections import deque
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -18,15 +23,22 @@ from layersep.embedding import (
     EmbeddedGraph,
     EmbeddingError,
     _drop_bigons,
+    _lr_rotation,
     _rotation_from_faces,
     embed_planar,
     tree_cotree,
     triangulate,
 )
 from layersep.generators import random_planar_triangulation, toroidal_grid
-from layersep.graphs import GraphInputError
+from layersep.graphs import Graph, GraphInputError
 from tests.conftest import embedded_graphs
-from tests.test_embedding import spanning_subgraphs
+from tests.test_embedding import (
+    kuratowski_glued,
+    outerplanar_graphs,
+    sparse_gnm,
+    spanning_subgraphs,
+    triangulations,
+)
 
 
 class DictEmbedding:
@@ -334,7 +346,7 @@ def mutants(draw, eg):
         edges[e] = (edges[e][0], edges[e][0])
     elif kind == "edge":
         e = draw(st.integers(0, len(edges) - 1))
-        edges[e] = (edges[e][0], n + draw(st.integers(0, 2)))
+        edges[e] = (edges[e][0], draw(st.sampled_from([n, n + 2, -1, -3])))
     elif kind == "lines":
         rotation = rotation[:-1] if draw(st.booleans()) else rotation + [[]]
     elif kind == "extra":
@@ -349,6 +361,19 @@ def test_flat_core_errors_match_dict_oracle(eg, data):
     flat = _outcome(lambda: _flat_core(EmbeddedGraph(n, edges, rotation)))
     oracle = _outcome(lambda: _dict_core(DictEmbedding(n, edges, rotation)))
     assert flat == oracle
+
+
+@pytest.mark.parametrize("edges, rotation, message", [
+    # dart 0 leaves vertex -1 and no vertex lists it; vertex 0 lists
+    # dart 1 twice, so there are 2m entries, none negative
+    (((-1, 0),), ((1, 1), ()), "edge 0=(-1,0) out of range"),
+    (((0, 1), (1, 1)), ((0,), (1, 2, 3)), "loop at vertex 1 (edge 1)"),
+    (((0, 1),), ((0,), (1,), ()), "rotation must list every vertex"),
+])
+def test_embedded_graph_names_the_first_fault_like_the_oracle(edges, rotation, message):
+    expected = (EmbeddingError, message)
+    assert _outcome(lambda: EmbeddedGraph(2, edges, rotation)) == expected
+    assert _outcome(lambda: DictEmbedding(2, edges, rotation)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -486,3 +511,347 @@ def test_bigon_bounded_by_one_edge_raises_like_the_oracle(copies):
     expected = (EmbeddingError, "degenerate face bounded by a single edge")
     assert _outcome(lambda: triangulate(eg)) == expected
     assert _outcome(lambda: _dict_triangulate(DictEmbedding(5, edges, rotation))) == expected
+
+
+def _stepwise_lr_rotation(g: Graph) -> Optional[list[list[int]]]:
+    """Oracle for ``_lr_rotation``: Brandes' left-right planarity test
+    ported from networkx's ``LRPlanarity`` one helper per method, with
+    oriented edges numbered in orientation order and a half-edge list
+    translated to darts at the end.
+
+    Returns each vertex's darts in clockwise order, starting at its
+    leftmost neighbour, or ``None`` when ``g`` is not planar.  Edge
+    ``k`` is ``g.sorted_edges[k]``, with darts as in ``EmbeddedGraph``,
+    and neighbours are scanned in the ascending order of
+    ``g.adjacency``: the adjacency networkx's ``LRPlanarity`` copies
+    from a graph built from the sorted edge list.  This is
+    ``LRPlanarity`` (iterative variant) step by step on flat int lists,
+    so it returns the rotations ``check_planarity`` returns for that
+    graph: the same DFS orientation, stable sorts by nesting depth
+    before the test and after ``sign``, the same half-edge insertion
+    rules and the same leftmost neighbour at every vertex.  Oriented
+    edges are ids in orientation order (``tail``/``head``/``und``); a
+    conflict pair is a list ``[left.low, left.high, right.low,
+    right.high]`` with -1 for "no edge", and stack bottoms are compared
+    by identity.
+    """
+    n = g.n
+    if n > 2 and g.m > 3 * n - 6:
+        return None
+    adj = g.adjacency
+    adj_k: list[list[int]] = [[] for _ in range(n)]  # undirected edge ids
+    for k, (u, v) in enumerate(g.sorted_edges):
+        adj_k[u].append(k)
+        adj_k[v].append(k)
+
+    # Orientation DFS: heights, lowpoints and nesting depths.
+    height = [-1] * n
+    parent_edge = [-1] * n
+    tail: list[int] = []
+    head: list[int] = []
+    und: list[int] = []  # undirected id of each oriented edge
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    nesting: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]  # oriented edges by tail
+    oriented = bytearray(g.m)
+    ind = [0] * n
+    resume = [-1] * n  # tree edge to finish when its tail is popped again
+    roots: list[int] = []
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            nbrs, ks = adj[v], adj_k[v]
+            i, d = ind[v], resume[v]
+            while i < len(nbrs):
+                if d < 0:
+                    if oriented[ks[i]]:
+                        i += 1
+                        continue
+                    oriented[ks[i]] = 1
+                    w = nbrs[i]
+                    d = len(head)
+                    tail.append(v)
+                    head.append(w)
+                    und.append(ks[i])
+                    out[v].append(d)
+                    lowpt.append(hv)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    if height[w] < 0:  # tree edge
+                        parent_edge[w] = d
+                        height[w] = hv + 1
+                        ind[v], resume[v] = i, d
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[d] = height[w]  # back edge
+                lp = lowpt[d]
+                nesting[d] = 2 * lp + (lowpt2[d] < hv)
+                if e >= 0:
+                    le = lowpt[e]
+                    if lp < le:
+                        lowpt2[e] = min(le, lowpt2[d])
+                        lowpt[e] = lp
+                    elif lp > le:
+                        lowpt2[e] = min(lowpt2[e], lp)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[d])
+                i += 1
+                d = -1
+
+    # Testing: build the stack of conflict pairs and the side references.
+    m = len(head)
+    ordered = [sorted(o, key=nesting.__getitem__) for o in out]
+    ref = [-1] * (m + 1)  # ref[-1] absorbs networkx's writes to ref[None]
+    side = [1] * m
+    lowpt_edge = [-1] * m
+    stack_bottom: list[Optional[list[int]]] = [None] * m
+    S: list[list[int]] = []
+
+    def conflicting(low: int, high: int, b: int) -> bool:
+        return (low >= 0 or high >= 0) and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P = [-1, -1, -1, -1]
+        bottom = stack_bottom[ei]
+        # merge return edges of ei into P.right
+        while True:
+            Q = S.pop()
+            if Q[0] >= 0 or Q[1] >= 0:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] >= 0 or Q[1] >= 0:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:  # merge
+                if P[2] < 0 and P[3] < 0:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
+                break
+        # merge conflicting return edges of earlier siblings into P.left
+        while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+            Q = S.pop()
+            if conflicting(Q[2], Q[3], ei):
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if conflicting(Q[2], Q[3], ei):
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] >= 0:
+                P[2] = Q[2]
+            if P[0] < 0 and P[1] < 0:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] >= 0 or P[1] >= 0 or P[2] >= 0 or P[3] >= 0:
+            S.append(P)
+        return True
+
+    def lowest(P: list[int]) -> int:
+        if P[0] < 0 and P[1] < 0:
+            return lowpt[P[2]]
+        if P[2] < 0 and P[3] < 0:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        hu = height[u]
+        # drop entire conflict pairs returning to u
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] >= 0:
+                side[P[0]] = -1
+        if S:  # one more conflict pair to consider
+            P = S.pop()
+            while P[1] >= 0 and head[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] < 0 and P[0] >= 0:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = -1
+            while P[3] >= 0 and head[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] < 0 and P[2] >= 0:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = -1
+            S.append(P)
+        # side of e is side of a highest return edge
+        if lowpt[e] < hu:
+            hl, hr = S[-1][1], S[-1][3]
+            if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    ind = [0] * n
+    resume = [-1] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            adjv = ordered[v]
+            i, resuming = ind[v], resume[v] >= 0
+            while i < len(adjv):
+                ei = adjv[i]
+                if not resuming:
+                    stack_bottom[ei] = S[-1] if S else None
+                    w = head[ei]
+                    if parent_edge[w] == ei:  # tree edge
+                        ind[v], resume[v] = i, ei
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei  # back edge
+                    S.append([-1, -1, ei, ei])
+                if lowpt[ei] < hv:  # integrate new return edges
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                i += 1
+                resuming = False
+            else:
+                if e >= 0:
+                    remove_back_edges(e)
+
+    # Resolve relative sides (``sign``) in networkx's DiGraph edge order.
+    for v in range(n):
+        for d in out[v]:
+            chain = []
+            x = d
+            while ref[x] >= 0:
+                chain.append(x)
+                ref[x], x = -1, ref[x]
+            s = side[x]
+            for y in reversed(chain):
+                s = side[y] = side[y] * s
+            nesting[d] *= s
+    ordered = [sorted(o, key=nesting.__getitem__) for o in out]
+
+    # Half-edge 2d sits at tail[d], 2d+1 at head[d]; cw/ccw link each
+    # vertex's half-edges into a cycle; leftmost[v] starts the rotation.
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    leftmost = [-1] * n
+
+    def insert_cw_of(ref_h: int, h: int) -> None:
+        nxt = cw[ref_h]
+        cw[h], ccw[h] = nxt, ref_h
+        ccw[nxt] = cw[ref_h] = h
+
+    def insert_ccw_of(ref_h: int, h: int) -> None:
+        prv = ccw[ref_h]
+        cw[h], ccw[h] = ref_h, prv
+        cw[prv] = ccw[ref_h] = h
+
+    for v in range(n):
+        prev = -1
+        for d in ordered[v]:
+            h = 2 * d
+            if prev < 0:
+                cw[h] = ccw[h] = leftmost[v] = h
+            else:
+                insert_cw_of(prev, h)
+            prev = h
+
+    # Complete the embedding (``dfs_embedding``).
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            adjv = ordered[v]
+            i = ind[v]
+            while i < len(adjv):
+                ei = adjv[i]
+                i += 1
+                w = head[ei]
+                h = 2 * ei + 1
+                if parent_edge[w] == ei:  # tree edge: v becomes w's leftmost
+                    if leftmost[w] < 0:
+                        cw[h] = ccw[h] = h
+                    else:
+                        insert_ccw_of(leftmost[w], h)
+                    leftmost[w] = h
+                    left_ref[v] = right_ref[v] = 2 * ei
+                    ind[v] = i
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[ei] == 1:
+                    insert_cw_of(right_ref[w], h)
+                else:
+                    if left_ref[w] == leftmost[w]:
+                        leftmost[w] = h
+                    insert_ccw_of(left_ref[w], h)
+                    left_ref[w] = h
+
+    rotation: list[list[int]] = []
+    for v in range(n):
+        darts = []
+        h0 = h = leftmost[v]
+        while h >= 0:
+            d = h >> 1
+            w = tail[d] if h & 1 else head[d]
+            darts.append(2 * und[d] + (v > w))
+            h = cw[h]
+            if h == h0:
+                break
+        rotation.append(darts)
+    return rotation
+
+
+@st.composite
+def gnm_graphs(draw):
+    """G(n, m) for any m, most of them non-planar once m is large."""
+    n = draw(st.integers(1, 25))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rnd = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, rnd.sample(pairs, draw(st.integers(0, len(pairs)))))
+
+
+@st.composite
+def disconnected_graphs(draw):
+    """Two to four graphs side by side, their vertices interleaved."""
+    parts = draw(st.lists(st.one_of(spanning_subgraphs(), sparse_gnm(), outerplanar_graphs()),
+                          min_size=2, max_size=4))
+    n = sum(p.n for p in parts)
+    perm = list(range(n))
+    draw(st.randoms(use_true_random=False)).shuffle(perm)
+    edges, base = [], 0
+    for p in parts:
+        edges += [(perm[base + u], perm[base + v]) for u, v in p.edges]
+        base += p.n
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(triangulations(), spanning_subgraphs(), outerplanar_graphs(), sparse_gnm(),
+                 gnm_graphs(), kuratowski_glued(), disconnected_graphs(),
+                 st.builds(lambda p, q: toroidal_grid(p, q).to_graph(),
+                           st.integers(3, 9), st.integers(3, 9))))
+def test_lr_rotation_matches_the_stepwise_port(g):
+    assert _lr_rotation(g) == _stepwise_lr_rotation(g)
+
+
+def test_lr_rotation_matches_the_stepwise_port_on_large_triangulations():
+    for n, seed in ((1200, 1), (2500, 7)):
+        g = random_planar_triangulation(n, seed).to_graph()
+        assert _lr_rotation(g) == _stepwise_lr_rotation(g)

@@ -10,6 +10,7 @@ from layersep.graphs import (
     GraphInputError,
     Layering,
     Separation,
+    _ints,
     bfs_layering,
     format_graph,
     format_layering,
@@ -153,6 +154,131 @@ def test_parse_graph_rejects_garbage():
         parse_graph("not a graph")
     with pytest.raises(GraphInputError):
         parse_graph("2 1\n0 5\n")
+
+
+def _per_line_parse_graph(text: str) -> Graph:
+    """Oracle for ``parse_graph``: the per-line read it replaced, which
+    merges a repeated edge silently."""
+    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    if not lines:
+        raise GraphInputError("empty graph file")
+    n, m = _ints(lines[0], "header line", 2)
+    if len(lines) - 1 != m:
+        raise GraphInputError(f"expected {m} edge lines, got {len(lines) - 1}")
+    edges = [tuple(_ints(ln, "edge line", 2)) for ln in lines[1:]]
+    return Graph.from_edges(n, edges)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph file"),
+    ("3\n", "bad header line '3'"),
+    ("3 2\n0 1\n", "expected 2 edge lines, got 1"),
+    ("3 2\n0 1\n1 x\n", "bad edge line '1 x'"),
+    ("3 2\n0 1\n1 2 0\n", "bad edge line '1 2 0'"),
+    ("-1 0\n", "vertex count must be non-negative"),
+    ("3 2\n0 1\n2 2\n", "self-loop at vertex 2"),
+    ("3 2\n0 1\n1 3\n", "edge (1,3) out of range for n=3"),
+    ("3 2\n0 1\n-1 2\n", "edge (-1,2) out of range for n=3"),
+])
+def test_parse_graph_names_the_bad_line_like_the_per_line_read(text, message):
+    assert _outcome(parse_graph, text) == _outcome(_per_line_parse_graph, text) == message
+
+
+def test_parse_graph_rejects_a_repeated_edge():
+    # the per-line read merged the two lines into one edge under a
+    # header that declares two
+    assert _per_line_parse_graph("2 2\n0 1\n1 0\n").m == 1
+    with pytest.raises(GraphInputError, match="'1 0'"):
+        parse_graph("2 2\n0 1\n1 0\n")
+    with pytest.raises(GraphInputError, match="'2  4'"):
+        parse_graph("5 3\n2 4\n0 1\n2  4\n")
+
+
+def test_parse_graph_hands_over_ascending_lines_as_sorted_edges():
+    g = random_graph(30, 60, seed=4)
+    text = format_graph(g)
+    assert parse_graph(text).__dict__["sorted_edges"] == g.sorted_edges
+    lines = text.splitlines()
+    shuffled = "\n".join(lines[:1] + [" ".join(ln.split()[::-1]) for ln in lines[:0:-1]])
+    back = parse_graph(shuffled)
+    assert "sorted_edges" not in back.__dict__
+    assert back == g and back.sorted_edges == g.sorted_edges
+
+
+@st.composite
+def graph_texts(draw):
+    """A graph's text as ``format_graph`` writes it, and the graph."""
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = Graph.from_edges(n, edges)
+    return format_graph(g), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_texts())
+def test_graph_text_round_trips(case):
+    text, g = case
+    back = parse_graph(text)
+    assert back == g and back.sorted_edges == g.sorted_edges == tuple(sorted(g.edges))
+    assert format_graph(back) == text
+
+
+@st.composite
+def graph_text_mutants(draw):
+    """A graph text with one token changed, a line deleted, repeated,
+    reversed, moved or written over another edge line, or a blank line or
+    a token added."""
+    text, _ = draw(graph_texts())
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["token", "delete", "repeat", "reverse", "move", "copy", "blank", "extra"]))
+    if kind == "token":
+        toks = lines[i].split()
+        j = draw(st.integers(0, len(toks) - 1))
+        toks[j] = draw(st.sampled_from(["-1", "x", "1.5", "", "00", "+2"])
+                       | st.integers(-2, 16).map(str))
+        lines[i] = " ".join(toks)
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(draw(st.integers(1, len(lines))), lines[i])
+    elif kind == "reverse":
+        lines[i] = " ".join(lines[i].split()[::-1])
+    elif kind == "move":
+        if i:
+            lines.insert(draw(st.integers(1, len(lines))), lines.pop(i))
+    elif kind == "copy":
+        if i:
+            lines[draw(st.integers(1, len(lines) - 1))] = lines[i]
+    elif kind == "blank":
+        lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+    else:
+        lines[i] += " " + str(draw(st.integers(0, 9)))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_text_mutants())
+def test_graph_text_mutations_raise_or_read_like_the_oracle(text):
+    """Every text either raises ``GraphInputError`` or reads as the
+    per-line oracle's graph, with its edges in ascending order; a text the
+    oracle reads is refused only for a repeated edge."""
+    got = _outcome(parse_graph, text)
+    want = _outcome(_per_line_parse_graph, text)
+    if isinstance(got, Graph):
+        assert got == want and got.sorted_edges == tuple(sorted(got.edges))
+    elif isinstance(want, Graph):
+        assert "repeated edge" in got and want.m < int(text.split()[1])
+    else:
+        assert got == want
 
 
 @settings(max_examples=40, deadline=None)

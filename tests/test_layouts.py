@@ -186,6 +186,28 @@ def test_parse_track_layout_rejects_garbage():
         parse_track_layout("junk\n")
 
 
+def test_verify_queue_layout_rejects_a_pair_that_is_not_an_edge():
+    g = path_graph(3)
+    text = "order: 0 1 2\n0 1 0\n1 2 0\n"
+    assert verify_queue_layout(g, parse_queue_layout(text)).ok
+    ql = parse_queue_layout(text + "0 2 7\n")
+    assert ql.queue_count == 2
+    rep = verify_queue_layout(g, ql)
+    assert rep.violations == ("pair (0, 2) is not an edge but is assigned to queue 7",)
+    assert rep == _pairwise_verify_queue_layout(g, ql)
+    # one edge left out and a non-edge in its place: both are reported
+    ql = QueueLayout((0, 1, 2), {(0, 1): 0, (0, 2): 0})
+    assert verify_queue_layout(g, ql).violations == (
+        "edge (1, 2) assigned to no queue",
+        "pair (0, 2) is not an edge but is assigned to queue 0",
+    )
+
+
+def test_parse_queue_layout_rejects_an_edge_assigned_twice():
+    with pytest.raises(GraphInputError, match="'1 0 4'"):
+        parse_queue_layout("order: 0 1\n0 1 0\n1 0 4\n")
+
+
 def test_parse_queue_layout_names_a_bad_order_line():
     with pytest.raises(GraphInputError, match="'order: 0 x'"):
         parse_queue_layout("order: 0 x\n")
@@ -246,6 +268,9 @@ def _pairwise_verify_queue_layout(g: Graph, ql: QueueLayout) -> Report:
             continue
         l, r = sorted((pos[e[0]], pos[e[1]]))
         by_queue.setdefault(ql.queue_of[e], []).append((l, r))
+    for e, qi in sorted(ql.queue_of.items()):
+        if not g.has_edge(*e) or e[0] > e[1]:
+            violations.append(f"pair {e} is not an edge but is assigned to queue {qi}")
     for qi, spans in by_queue.items():
         for a in range(len(spans)):
             la, ra = spans[a]
