@@ -15,7 +15,8 @@ planar embedder), 3 a construction failure, which is one of
 - ``DecompositionSelfCheckError``: the genus decomposition broke its
   layered width bound 2g+3;
 - ``LayoutError``: the labelling recursion broke one of its invariants,
-  or a track layout built here was turned into queues and was not one.
+  or a track layout built here was turned into queues or a drawing and
+  was not one.
 """
 
 from __future__ import annotations
@@ -287,6 +288,7 @@ def cmd_draw3d(args) -> int:
     g, res, labels = _labelled(args, manifest)
     tl = track_layout_from_compute(g, res.ld.layering, labels)
     d = draw_from_tracks(g, tl, seed=args.seed)
+    manifest.parameters["trials"] = d.trials
     vr = volume_report(d, g, track_count=len(tl.tracks))
     manifest.bounds["tracks"] = len(tl.tracks)
     manifest.bounds["volume"] = vr.volume

@@ -15,10 +15,11 @@ their heights over the crossing point, hands collinear and vertical
 chord pairs to the exact predicates and skips every other chord pair.
 For K chords over N columns the orientations cost a few operations on
 integers of at most 16*K bits per column (``_orientations``; wider once
-coordinates span more than 90), then each chord pair whose lines cross
-costs a few steps and each crossing chord pair one height comparison
-per segment (a hash join when both chords carry several).  The tests
-keep the O(m^2 + m*n) pairwise scan as the oracle
+coordinates span more than 90).  Then each chord pair whose lines cross
+costs two list reads and a product, its candidates read off a byte of a
+bitset at a time, and each crossing chord pair one height comparison
+per segment, made inline (a hash join when both chords carry several).
+The tests keep the O(m^2 + m*n) pairwise scan as the oracle
 (``tests/test_drawing3d.py``); the two give the same report, order
 included.
 """
@@ -29,7 +30,7 @@ import math
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -37,7 +38,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphInputError, Report, _ints
-from .layouts import TrackLayout, _strict_inversions, verify_track_layout
+from .layouts import LayoutError, TrackLayout, _strict_inversions, verify_track_layout
 
 
 class DrawingError(ValueError):
@@ -50,9 +51,12 @@ _MAX_TRIALS = 200  # seeded placements ``draw_from_tracks`` tries
 
 @dataclass(frozen=True)
 class GridDrawing3D:
-    """Integer grid positions per vertex."""
+    """Integer grid positions per vertex.  ``trials`` is how many seeded
+    placements ``draw_from_tracks`` checked to find it, None for a drawing
+    from elsewhere; equality ignores it."""
 
     position: dict[int, Point]
+    trials: Optional[int] = field(default=None, compare=False)
 
     @cached_property
     def bounding_box(self) -> tuple[int, int, int]:
@@ -89,12 +93,14 @@ def draw_from_tracks(g: Graph, tl: TrackLayout, seed: int = 0) -> GridDrawing3D:
     the tie-break and the track-to-column assignment are reshuffled
     (seeded, deterministic) until the exact verifier passes, at most
     ``_MAX_TRIALS`` times.  A trial is rejected at its first violation
-    and accepted only when every check ran to the end without one.  The
-    box is p x p x n, so volume <= 4 t^2 n.
+    and accepted only when every check ran to the end without one; the
+    drawing records how many trials that took.  The box is p x p x n, so
+    volume <= 4 t^2 n.  Raises ``LayoutError`` when ``tl`` is not a track
+    layout of g: the layouts drawn here are built, not read.
     """
     rep = verify_track_layout(g, tl)
     if not rep.ok:
-        raise GraphInputError(f"input track layout invalid: {rep.violations[0]}")
+        raise LayoutError(f"input track layout invalid: {rep.violations[0]}")
     import random
 
     t = max(len(tl.tracks), 1)
@@ -115,7 +121,7 @@ def draw_from_tracks(g: Graph, tl: TrackLayout, seed: int = 0) -> GridDrawing3D:
         for z, (_, _, v, x) in enumerate(items):
             position[v] = (x, (x * x) % p, z)
         if next(_drawing_violations(g, position, in_order=False), None) is None:
-            return GridDrawing3D(position)
+            return GridDrawing3D(position, trials=trial + 1)
     raise DrawingError(
         f"no crossing-free placement found in {_MAX_TRIALS} seeded trials"
     )
@@ -265,14 +271,17 @@ def _segment_hits(
     rows, the heights over the crossing point are (o3*zb - o4*za) /
     (o3 - o4) on c1 and (o1*zb - o2*za) / (o1 - o2) on c2, and o1 - o2 =
     o4 - o3, so a segment of c1 and one of c2 meet iff o3*zb - o4*za =
-    o2*za' - o1*zb' (their four ends are coplanar).  A chord with one
-    segment compares that key directly; two chords with several are
-    joined on a hash of it (``_crossing_join``).
+    o2*za' - o1*zb' (their four ends are coplanar).  When either chord
+    has one segment, its key is compared with each of the other's; when
+    both have several, the keys are joined on a hash.  All of it runs in
+    the loop over candidates, with no call per chord pair.
 
     Cost: N times a few operations on K*w-bit integers for the rows, w
     the field width (at most 16 bits while coordinates span at most 90),
-    kept as K*N fields of w bits; per chord one step per later candidate;
-    per crossing chord pair O(1) per segment; s log s per chord of s
+    read as lists while they hold at most ``_LIST_ROWS`` entries and as
+    arrays of w-bit fields beyond; per chord one step per later
+    candidate, found a byte at a time through ``_BIT_OFFSETS``; per
+    crossing chord pair O(1) per segment; s log s per chord of s
     segments; plus the exact predicates on the degenerate pairs.  That
     is O(m^2 + m*n) in the worst case, when every vertex has its own xy
     point.
@@ -329,34 +338,52 @@ def _segment_hits(
         yield from inside(ids, at[r])
 
     rows, left, right, on = _orientations(points, ends)
+    if len(points) * len(ends) <= _LIST_ROWS:
+        rows = [row if isinstance(row, list) else row.tolist() for row in rows]
 
     # the line of every chord in split[c] strictly separates the ends of c
     split = [(left[p] & right[q]) | (right[p] & left[q]) for p, q in ends]
     end_rows = [(rows[p], rows[q]) for p, q in ends]
     for c1, (at_p1, at_q1) in enumerate(end_rows):
         s1 = segs[c1]
-        single = len(s1) == 1
-        if single:
+        if len(s1) == 1:
             ((za1, zb1, i1),) = s1
         else:
+            i1 = -1
             yield from _chord_inversions(s1)
-        rest = split[c1] >> c1 + 1
-        while rest:  # the chords c2 > c1 in split[c1]
-            low = rest & -rest
-            rest ^= low
-            c2 = c1 + low.bit_length()
-            at_p2, at_q2 = end_rows[c2]
-            o1, o2 = at_p2[c1], at_q2[c1]
-            if o1 * o2 >= 0:
-                continue  # the line of c1 does not separate the ends of c2
-            o3, o4 = at_p1[c2], at_q1[c2]
-            if not single:
-                yield from _crossing_join(s1, segs[c2], o1, o2, o3, o4)
-                continue
-            key = o3 * zb1 - o4 * za1
-            for za, zb, j in segs[c2]:
-                if o2 * za - o1 * zb == key:
-                    yield (min(i1, j), 0, max(i1, j))
+        base = c1 + 1
+        rest = split[c1] >> base
+        # the chords c2 > c1 in split[c1], a byte of candidates at a time
+        for byte in rest.to_bytes((rest.bit_length() + 7) >> 3, "little"):
+            for off in _BIT_OFFSETS[byte]:
+                c2 = base + off
+                at_p2, at_q2 = end_rows[c2]
+                o1 = at_p2[c1]
+                o2 = at_q2[c1]
+                if o1 * o2 >= 0:
+                    continue  # the line of c1 does not separate the ends of c2
+                o3 = at_p1[c2]
+                o4 = at_q1[c2]
+                s2 = segs[c2]
+                if i1 >= 0:  # one segment on c1: compare its key with c2's
+                    key = o3 * zb1 - o4 * za1
+                    for za, zb, j in s2:
+                        if o2 * za - o1 * zb == key:
+                            yield (i1, 0, j) if i1 < j else (j, 0, i1)
+                elif len(s2) == 1:  # one segment on c2: compare its key with c1's
+                    ((za, zb, j),) = s2
+                    key = o2 * za - o1 * zb
+                    for za, zb, i in s1:
+                        if o3 * zb - o4 * za == key:
+                            yield (i, 0, j) if i < j else (j, 0, i)
+                else:  # several on both: join the keys
+                    keys: dict[int, list[int]] = {}
+                    for za, zb, i in s1:
+                        keys.setdefault(o3 * zb - o4 * za, []).append(i)
+                    for za, zb, j in s2:
+                        for i in keys.get(o2 * za - o1 * zb, ()):
+                            yield (i, 0, j) if i < j else (j, 0, i)
+            base += 8
         p1, q1 = ends[c1]
         for k in _ones((on[p1] & on[q1]) >> (c1 + 1)):  # collinear chords
             yield from exact(
@@ -377,6 +404,11 @@ def _segment_hits(
             yield from exact(ids, vertical.get(r, ()))
 
 
+# Per byte value, the offsets of its set bits, ascending.
+_BIT_OFFSETS = [tuple(b for b in range(8) if x >> b & 1) for x in range(256)]
+# Orientation tables of at most this many entries are read as list rows,
+# which index faster than arrays but take about ten times the memory.
+_LIST_ROWS = 1 << 18
 # Per byte, "1" iff its top bit is set, and "1" iff it is clear.
 _TOP_SET = b"0" * 128 + b"1" * 128
 _TOP_CLEAR = b"1" * 128 + b"0" * 128
@@ -470,37 +502,16 @@ def _orientations(
     return rows, left, right, on
 
 
-def _crossing_join(
-    s1: list[tuple[int, int, int]],
-    s2: list[tuple[int, int, int]],
-    o1: int, o2: int, o3: int, o4: int,
-) -> Iterator[tuple[int, int, int]]:
-    """Pairs of segments on two properly crossing chords that meet: those
-    with equal keys o3*zb - o4*za on the first and o2*za - o1*zb on the
-    second (see ``_segment_hits``).  A second chord with one segment is
-    compared with each of the first's; else the keys are hash-joined."""
-    if len(s2) == 1:
-        ((za, zb, j),) = s2
-        key = o2 * za - o1 * zb
-        for za, zb, i in s1:
-            if o3 * zb - o4 * za == key:
-                yield (min(i, j), 0, max(i, j))
-        return
-    keys: dict[int, list[int]] = {}
-    for za, zb, i in s1:
-        keys.setdefault(o3 * zb - o4 * za, []).append(i)
-    for za, zb, j in s2:
-        for i in keys.get(o2 * za - o1 * zb, ()):
-            yield (min(i, j), 0, max(i, j))
-
-
 def _chord_inversions(
     segs: list[tuple[int, int, int]]
 ) -> Iterator[tuple[int, int, int]]:
     """Pairs of segments on one non-vertical chord that meet: segments
     between the same two vertical lines meet inside iff their heights
-    strictly swap order, or everywhere iff they are identical."""
+    strictly swap order, or everywhere iff they are identical.  Sorted,
+    neither happens when the heights at the second end strictly rise."""
     segs.sort()
+    if all(a[1] < b[1] for a, b in zip(segs, segs[1:])):
+        return
     for _, same in groupby(segs, key=itemgetter(0, 1)):
         ids = [i for *_, i in same]  # ascending
         yield from ((i, 0, j) for k, i in enumerate(ids) for j in ids[k + 1 :])

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import layersep
-from layersep import cli, decomposition, embedding, layouts
+from layersep import cli, decomposition, drawing3d, embedding, layouts
 from layersep.cli import main
 from layersep.decomposition import parse_layered_decomposition
 from layersep.drawing3d import DrawingError, draw_from_tracks, format_drawing, parse_drawing
@@ -489,7 +489,7 @@ CLI_OUTPUTS = {
     "p.col": "a4cd98617cc13e05f512d078326a15f7609aebb1d7dc80cab4c4ffe0a5f4fa49",
     "p.col.json": "e70191c1bf0e53422a0810e282467e94ff2dd0c59cf83eac082ffebde077b125",
     "p.d": "38fd96b100ef2b4a022a402b78b2ba6386486471152d5f6135184d6925397a9d",
-    "p.d.json": "18f5a921495042e0ac23be6633c798b6dbb79e760681f609872cc4a6347a3d3f",
+    "p.d.json": "a6ab18f54b3740aa0d8857523fd6db0cccdae158306b16769c8a022aa4ac1c7e",
     "p.dec": "b99cf8a2ef60f995247fbddd6dd0ce6eef105469175c03120846c6f56772279b",
     "p.dec.json": "02ca74a384a18e1f9f80bdea88530ba2e00f08d7cd6c74ebb2a4d2f124d081d6",
     "p.gen.json": "2dfff6cf47f1e5407156e54d6f96459bd110bf7ca4f1d72ee9e5d788feaa5efc",
@@ -513,7 +513,7 @@ CLI_OUTPUTS = {
     "t.col": "18a1969a68b3c1c5f81851a5dfd921274be72670dd2c6a97c4c6e265e4ef5f92",
     "t.col.json": "8ffc66ee14cc1ea2ea8349554147b834b20f8c65a0b1ec3ad842d9e7bc7b958b",
     "t.d": "4655f1125a0ab4f24024cb9c10bdfe6e81372f40b68722160d115fe3fdcc7be4",
-    "t.d.json": "ec9d0ef86408331093ccf0fa3002339de29034be9bc6695ca02dde7a6cf07414",
+    "t.d.json": "702257ec46841a813f30b8c561f44da060b1a6ede9496430137fc60864440b77",
     "t.dec": "76d9a17ebf7e73ca7c545504c644834c4215412206dfeb8f8c5e2b49343ecf90",
     "t.dec.json": "911cee074b05380ce6aa8bac6b870ce6fe4dcc2b139fbf5eddd2fed8d4d68baa",
     "t.gen.json": "82299a8c4d8851e8a4235b1afc257d37424dd03ea2dfb721a780851744b0d6a8",
@@ -572,6 +572,41 @@ def test_layout_error_exit_code(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(["tracks", graph]) == cli.EXIT_CONSTRUCTION == 3
     assert capsys.readouterr().err == "error: recursion left 2 vertices unlabelled\n"
+
+
+def test_draw3d_bad_track_layout_exits_three(tmp_path, monkeypatch, capsys):
+    """A track layout built here that is not one is a construction fault,
+    as for queues, not invalid input."""
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 10, "--out", graph])
+    build = cli.track_layout_from_compute
+
+    def drop_vertex_zero(*args):
+        tl = build(*args)
+        return layouts.TrackLayout(tuple(tuple(v for v in t if v != 0) for t in tl.tracks))
+
+    monkeypatch.setattr(cli, "track_layout_from_compute", drop_vertex_zero)
+    capsys.readouterr()
+    assert run(["draw3d", graph, "--out", tmp_path / "d.txt"]) == cli.EXIT_CONSTRUCTION == 3
+    assert capsys.readouterr().err.startswith("error: input track layout invalid: ")
+    assert not (tmp_path / "d.txt").exists()
+
+
+def test_draw3d_manifest_records_its_trials(tmp_path, monkeypatch):
+    graph = tmp_path / "g.txt"
+    run(["gen", "planar_triangulation", 30, "--out", graph])
+    trials = []
+    real = drawing3d._drawing_violations
+
+    def counted(g, pos, in_order=True):
+        if not in_order:  # the draw loop's check of one trial
+            trials.append(pos)
+        return real(g, pos, in_order)
+
+    monkeypatch.setattr(drawing3d, "_drawing_violations", counted)
+    man = tmp_path / "d.json"
+    assert run(["draw3d", graph, "--out", tmp_path / "d.txt", "--manifest", man]) == 0
+    assert json.loads(man.read_text())["parameters"]["trials"] == len(trials) > 0
 
 
 def test_nonrep_uncoloured_vertex_exits_one(tmp_path, monkeypatch, capsys):
