@@ -90,11 +90,20 @@ class Graph:
     def induced(self, vs: Sequence[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on ``vs`` with dense relabelling.
 
-        Returns the new graph and the old->new vertex map.
+        Returns the new graph and the old->new vertex map.  Reads the
+        adjacency of ``vs`` only, so splitting G into c parts costs
+        O(n + m) in all, not O(c m).
         """
         order = sorted(set(vs))
         to_new = {v: i for i, v in enumerate(order)}
-        edges = [(to_new[u], to_new[v]) for u, v in self.subgraph_edges(order)]
+        adj = self.adjacency
+        edges = [
+            (i, to_new[w])
+            for i, v in enumerate(order)
+            if 0 <= v < self.n
+            for w in adj[v]
+            if v < w and w in to_new
+        ]
         return Graph.from_edges(len(order), edges), to_new
 
     def components(self) -> list[frozenset[int]]:

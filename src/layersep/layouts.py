@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Optional
 
 from .decomposition import (
@@ -437,6 +438,11 @@ def format_queue_layout(ql: QueueLayout) -> str:
 
 
 def parse_queue_layout(text: str) -> QueueLayout:
+    """Read the order line, then one line ``u v queue`` per edge; blank
+    lines are skipped.  The queue block is read with one ``map(int, ...)``
+    and checked in bulk: three tokens a line and no edge twice.  A block
+    that fails goes to ``_parse_queue_lines``, which raises
+    ``GraphInputError`` naming the bad or repeated line."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("order:"):
         raise GraphInputError("queue layout must start with an order line")
@@ -444,16 +450,32 @@ def parse_queue_layout(text: str) -> QueueLayout:
         order = tuple(map(int, lines[0].split(":", 1)[1].split()))
     except ValueError as exc:
         raise GraphInputError(f"bad order line {lines[0]!r}") from exc
+    body = lines[1:]
+    try:
+        flat = list(map(int, " ".join(body).split()))
+    except ValueError:
+        flat = []
+    if len(flat) == 3 * len(body) and set(map(len, map(str.split, body))) <= {3}:
+        us, vs = flat[0::3], flat[1::3]
+        if all(map(lt, us, vs)):  # as ``format_queue_layout`` writes them
+            edges = zip(us, vs)
+        else:
+            edges = zip(map(min, us, vs), map(max, us, vs))
+        queue_of = dict(zip(edges, flat[2::3]))
+        if len(queue_of) == len(body):
+            return QueueLayout(order, queue_of)
+    return QueueLayout(order, _parse_queue_lines(body))
+
+
+def _parse_queue_lines(body: list[str]) -> dict[tuple[int, int], int]:
+    """``parse_queue_layout``'s queue block line by line: raises
+    ``GraphInputError`` naming the first bad line, or else the first line
+    that assigns an edge a second time."""
+    rows = [_ints(ln, "queue line", 3) for ln in body]
     queue_of: dict[tuple[int, int], int] = {}
-    for ln in lines[1:]:
-        u, v, qi = _ints(ln, "queue line", 3)
-        queue_of[(min(u, v), max(u, v))] = qi
-    if len(queue_of) != len(lines) - 1:  # name the line of the repeat
-        seen: set[tuple[int, int]] = set()
-        for ln in lines[1:]:
-            u, v, _ = _ints(ln, "queue line", 3)
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                raise GraphInputError(f"edge {e} assigned twice, again in {ln!r}")
-            seen.add(e)
-    return QueueLayout(order, queue_of)
+    for ln, (u, v, qi) in zip(body, rows):
+        e = (min(u, v), max(u, v))
+        if e in queue_of:
+            raise GraphInputError(f"edge {e} assigned twice, again in {ln!r}")
+        queue_of[e] = qi
+    return queue_of

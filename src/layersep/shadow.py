@@ -8,11 +8,16 @@ and nonrepetitive colourings compose level by level: each level costs a
 factor 3c^(s+1) in tracks, and in colours the layer-pattern symbol
 count (4 when the four-symbol word is found).
 
-The recursion is planned once per (G, rd): a tree of pieces, each split
-into its components or into the layers of its shadow layering.  The plan
-is held by ``rd`` (O(total piece size), freed with it) and shared by
-``rich_shadow_layering`` and both recursive drivers, which fold it with
-their own bag solver and composition.
+The recursion is planned once per (G, rd): a tree of pieces.  A
+disconnected piece is split into its components at every richness, a
+piece of at most one vertex or a connected 0-rich piece is a leaf, and
+every other piece is split into the layers of its shadow layering.  A
+bag solver therefore only ever sees a connected 0-rich piece or a piece
+of at most one vertex; both drivers default to the built-in leaf, one
+track and one colour per vertex.  The plan is held by ``rd`` (O(total
+piece size), freed with it) and shared by ``rich_shadow_layering`` and
+both recursive drivers, which fold it with their leaf solver and their
+composition.
 """
 
 from __future__ import annotations
@@ -511,19 +516,30 @@ def _compose_tracks(
 
 @dataclass(frozen=True)
 class _Artifact:
-    """How the shadow recursion handles one kind of artifact: ``relabel``
-    maps a piece's result back to the parent's vertex ids (``to_old[j]``
-    is the parent's id of the piece's vertex j), ``merge`` joins
-    the results of disjoint components, and ``compose(g, layering, parts,
-    k)`` joins per-layer results across one shadow level of a k-rich
-    decomposition."""
+    """How the shadow recursion handles one kind of artifact: ``leaf``
+    solves a leaf of the plan, ``relabel`` maps a piece's result back to
+    the parent's vertex ids (``to_old[j]`` is the parent's id of the
+    piece's vertex j), ``merge`` joins the results of disjoint
+    components, and ``compose(g, layering, parts, k)`` joins per-layer
+    results across one shadow level of a k-rich decomposition.
 
+    The built-in leaf puts each vertex on a track of its own, in
+    ascending order, and gives vertex v colour v.  That is valid for any
+    graph: no edge lies inside a track, no two edges join the same pair
+    of one-vertex tracks (so no X-crossing), and distinct colours repeat
+    on no path.  Leaves are connected, so ``merge`` and ``relabel`` then
+    put the i-th vertex of every component of a 0-rich piece on track i
+    with colour i; the track count is the largest component, which lies
+    in one bag."""
+
+    leaf: Callable[[Graph], Any]
     relabel: Callable[[Any, Sequence[int]], Any]
     merge: Callable[[Sequence[Any]], Any]
     compose: Callable[[Graph, Layering, Sequence[Any], int], Any]
 
 
 _TRACKS = _Artifact(
+    leaf=lambda g: TrackLayout(tuple((v,) for v in g.vertices())),
     relabel=lambda tl, to_old: TrackLayout(
         tuple(tuple(to_old[j] for j in tr) for tr in tl.tracks)
     ),
@@ -532,6 +548,7 @@ _TRACKS = _Artifact(
 )
 
 _COLOURS = _Artifact(
+    leaf=lambda g: Colouring({v: v for v in g.vertices()}),
     relabel=lambda c, to_old: Colouring({to_old[j]: col for j, col in c.colour.items()}),
     merge=lambda parts: Colouring({v: col for p in parts for v, col in p.colour.items()}),
     compose=lambda g, layering, parts, k: shadow_nonrep_compose(
@@ -544,10 +561,12 @@ _COLOURS = _Artifact(
 class _Piece:
     """A node of the shadow recursion's plan: a piece G of richness k and
     its ``parts``, each ``(to_old, child)`` where ``to_old[j]`` is the id
-    in G of the child's vertex j.  With no layering the parts are G's
-    components, or there are none and G is a leaf for the solver (k == 0
-    or n <= 1); otherwise G is connected and the parts are the layers of
-    its shadow layering, one richness lower."""
+    in G of the child's vertex j.  With no layering the parts are the
+    components of a disconnected G, at any richness, or there are none
+    and G is a leaf: a piece of at most one vertex or a connected 0-rich
+    one, the only pieces a bag solver sees.  With a layering, G is
+    connected and the parts are the layers of its shadow layering, one
+    richness lower."""
 
     g: Graph
     k: int
@@ -556,20 +575,27 @@ class _Piece:
 
 
 def _build_plan(g: Graph, rd: RichDecomposition) -> _Piece:
-    """Split G into components, give each connected piece a
-    shadow-complete layering and recurse on every layer; every check of
-    ``rich_shadow_layering`` runs once per connected piece."""
+    """Split a disconnected G into its components, at every richness; a
+    piece of at most one vertex or a connected 0-rich piece is a leaf;
+    any other piece gets a shadow-complete layering, and the recursion
+    goes on in every layer.  A component of a 0-rich piece becomes a leaf
+    directly, with no restricted decomposition, and every check of
+    ``rich_shadow_layering`` runs once per layered piece."""
     k = rd.richness
-    if k == 0 or g.n <= 1:
+    if g.n <= 1:
         return _Piece(g, k)
 
     def on(part: frozenset[int], part_rd: RichDecomposition) -> tuple:
         sub_g, to_new = g.induced(sorted(part))
+        if k == 0:  # a component of a 0-rich piece
+            return tuple(to_new), _Piece(sub_g, 0)
         return tuple(to_new), _build_plan(sub_g, _restrict_rd(part_rd, part, to_new))
 
     comps = g.components()
     if len(comps) > 1:
         return _Piece(g, k, None, tuple(on(comp, rd) for comp in comps))
+    if k == 0:
+        return _Piece(g, k)
     sl = rich_shadow_layering(g, rd)
     return _Piece(g, k, sl.layering, tuple(
         on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)
@@ -594,20 +620,24 @@ def _fold(plan: _Piece, solve: Callable[[Graph], Any], art: _Artifact) -> Any:
 
 
 def recursive_track_driver(
-    g: Graph, rd: RichDecomposition, bag_solver: TrackSolver
+    g: Graph, rd: RichDecomposition, bag_solver: TrackSolver = _TRACKS.leaf
 ) -> TrackLayout:
     """Track layout by the shadow recursion, folded over the plan shared
     with ``rich_shadow_layering`` and the colouring driver: each level
-    multiplies the track count by at most ``shadow_track_bound``'s factor."""
+    multiplies the track count by at most ``shadow_track_bound``'s factor.
+    ``bag_solver`` lays out each leaf, a connected 0-rich piece or a
+    piece of at most one vertex; it defaults to one track per vertex."""
     return _fold(_plan(g, rd), bag_solver, _TRACKS)
 
 
 def recursive_nonrep_driver(
-    g: Graph, rd: RichDecomposition, bag_solver: ColourSolver
+    g: Graph, rd: RichDecomposition, bag_solver: ColourSolver = _COLOURS.leaf
 ) -> Colouring:
     """Nonrepetitive colouring by the shadow recursion, folded over the
     plan shared with ``rich_shadow_layering`` and the track driver: each
-    level multiplies the palette by the layer-pattern symbol count."""
+    level multiplies the palette by the layer-pattern symbol count.
+    ``bag_solver`` colours each leaf, a connected 0-rich piece or a piece
+    of at most one vertex; it defaults to colour v for vertex v."""
     return _fold(_plan(g, rd), bag_solver, _COLOURS)
 
 

@@ -14,7 +14,7 @@ from layersep.generators import (
 from layersep.graphs import Graph
 from layersep.layouts import TrackLayout, pipeline, track_layout_from_compute
 from layersep.nonrep import Colouring, nonrep_from_compute
-from layersep.shadow import _COLOURS, _TRACKS, RichDecomposition
+from layersep.shadow import RichDecomposition
 
 
 def _with_tracks(eg):
@@ -50,8 +50,35 @@ embedded_graphs = st.one_of(
 )
 
 
+def changed_text(data, text: str, tokens) -> str:
+    """``text`` with one change drawn from ``data``: a token replaced by
+    one of ``tokens`` or dropped, or a line dropped, repeated, swapped
+    with another or added from ``tokens``.  ``text`` has a line."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    change = data.draw(st.sampled_from(("token", "drop_token", "drop_line", "copy_line",
+                                        "swap_lines", "new_line")))
+    words = lines[i].split()
+    if change == "token" and words:
+        words[data.draw(st.integers(0, len(words) - 1))] = data.draw(st.sampled_from(tokens))
+        lines[i] = " ".join(words)
+    elif change == "drop_token" and words:
+        del words[data.draw(st.integers(0, len(words) - 1))]
+        lines[i] = " ".join(words)
+    elif change == "drop_line":
+        del lines[i]
+    elif change == "copy_line":
+        lines.insert(i, lines[i])
+    elif change == "swap_lines":
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[k] = lines[k], lines[i]
+    else:
+        lines.insert(i, " ".join(data.draw(st.lists(st.sampled_from(tokens), max_size=5))))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
-# Rich decompositions and bag solvers for the shadow drivers.
+# Rich decompositions and planar leaf solvers for the shadow drivers.
 # ---------------------------------------------------------------------------
 
 
@@ -89,52 +116,13 @@ def planar_torso(blocks: int = 4, n: int = 12, seed0: int = 0):
     return g, RichDecomposition(td)
 
 
-def _per_component(g: Graph, art, solve_connected):
-    """Run a solver for connected planar graphs on each component of G."""
-    parts = []
-    for comp in sorted(g.components(), key=min):
-        sub, to_new = g.induced(sorted(comp))
-        parts.append(art.relabel(solve_connected(sub), {j: v for v, j in to_new.items()}))
-    return art.merge(parts)
-
-
-def _planar_tracks(g: Graph) -> TrackLayout:
+def planar_track_solver(g: Graph) -> TrackLayout:
+    """Tracks of the planar pipeline, as a leaf solver for the shadow
+    drivers: their leaves are connected, so it needs no component split."""
     _, res, labels, _ = pipeline(embed_planar(g))
     return track_layout_from_compute(g, res.ld.layering, labels)
 
 
-def _planar_colours(g: Graph) -> Colouring:
+def planar_colour_solver(g: Graph) -> Colouring:
     _, res, labels, _ = pipeline(embed_planar(g))
     return nonrep_from_compute(g, res.ld.layering, labels)
-
-
-def planar_track_solver(g: Graph) -> TrackLayout:
-    if g.n <= 1:
-        return TrackLayout(tuple((v,) for v in g.vertices()))
-    return _per_component(g, _TRACKS, _planar_tracks)
-
-
-def planar_colour_solver(g: Graph) -> Colouring:
-    if g.n <= 1:
-        return Colouring({v: 0 for v in g.vertices()})
-    return _per_component(g, _COLOURS, _planar_colours)
-
-
-def clique_track_solver(g: Graph) -> TrackLayout:
-    """0-rich pieces are disjoint cliques: i-th vertex of each clique on
-    track i; components stay contiguous so no crossings arise."""
-    comps = sorted(g.components(), key=min)
-    width = max((len(c) for c in comps), default=1)
-    tracks: list[list[int]] = [[] for _ in range(width)]
-    for comp in comps:
-        for i, v in enumerate(sorted(comp)):
-            tracks[i].append(v)
-    return TrackLayout(tuple(tuple(t) for t in tracks))
-
-
-def clique_colour_solver(g: Graph) -> Colouring:
-    colour = {}
-    for comp in sorted(g.components(), key=min):
-        for i, v in enumerate(sorted(comp)):
-            colour[v] = i
-    return Colouring(colour)

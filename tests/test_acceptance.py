@@ -53,8 +53,6 @@ from layersep.shadow import (
 )
 from tests.conftest import (
     chordal_fixture,
-    clique_colour_solver,
-    clique_track_solver,
     planar_colour_solver,
     planar_pipeline,
     planar_torso,
@@ -281,9 +279,10 @@ def _colour_bound(layering, parts, k, out):
 
 def test_criterion_9_recursive_drivers():
     ok = True
+    leaf = (_TRACKS.leaf, _COLOURS.leaf)
     cases = [
-        (chordal_fixture(40, 3, 3), clique_track_solver, clique_colour_solver),
-        (chordal_fixture(70, 4, 4), clique_track_solver, clique_colour_solver),
+        (chordal_fixture(40, 3, 3), *leaf),
+        (chordal_fixture(70, 4, 4), *leaf),
         (planar_torso(), planar_track_solver, planar_colour_solver),
     ]
     for (g, rd), tsolver, csolver in cases:

@@ -60,7 +60,7 @@ from layersep.graphs import (
     separator_layer_widths,
 )
 from layersep.shadow import RichDecomposition, format_rich, parse_rich
-from tests.conftest import embedded_graphs, planar_pipeline, root_path, torus_pipeline
+from tests.conftest import changed_text, embedded_graphs, planar_pipeline, root_path, torus_pipeline
 
 
 def _tree_adjacency(td):
@@ -1306,30 +1306,11 @@ def test_decomposition_text_mutations_raise_or_check_like_the_oracle(ld, data):
     raises ``GraphInputError`` or parses to a value that validation,
     width, layered width and ``top_bag`` judge as the oracles do on its
     explicit bags; no other exception escapes."""
-    lines = format_layered_decomposition(ld).splitlines()
-    if not lines:
+    text = format_layered_decomposition(ld)
+    if not text:
         return
-    i = data.draw(st.integers(0, len(lines) - 1))
-    change = data.draw(st.sampled_from(("token", "drop_token", "drop_line", "copy_line",
-                                        "swap_lines", "new_line")))
-    words = lines[i].split()
-    if change == "token" and words:
-        words[data.draw(st.integers(0, len(words) - 1))] = data.draw(st.sampled_from(_TOKENS))
-        lines[i] = " ".join(words)
-    elif change == "drop_token" and words:
-        del words[data.draw(st.integers(0, len(words) - 1))]
-        lines[i] = " ".join(words)
-    elif change == "drop_line":
-        del lines[i]
-    elif change == "copy_line":
-        lines.insert(i, lines[i])
-    elif change == "swap_lines":
-        k = data.draw(st.integers(0, len(lines) - 1))
-        lines[i], lines[k] = lines[k], lines[i]
-    else:
-        lines.insert(i, " ".join(data.draw(st.lists(st.sampled_from(_TOKENS), max_size=5))))
     try:
-        back = parse_layered_decomposition("\n".join(lines) + "\n")
+        back = parse_layered_decomposition(changed_text(data, text, _TOKENS))
     except GraphInputError:
         return
     td = back.decomposition

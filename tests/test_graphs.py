@@ -55,6 +55,17 @@ def test_induced_relabels():
     assert not sub.has_edge(to_new[1], to_new[3])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 40), st.integers(0, 10**6), st.sets(st.integers(-2, 15)))
+def test_induced_keeps_the_edges_inside_the_part(n, m, seed, vs):
+    # the part's adjacency gives the edges the whole edge scan gives;
+    # ids outside 0..n-1 become isolated vertices
+    g = random_graph(n, min(m, n * (n - 1) // 2), seed)
+    sub, to_new = g.induced(sorted(vs))
+    assert list(to_new) == sorted(vs) and sub.n == len(vs)
+    assert sub.edges == {(to_new[u], to_new[v]) for u, v in g.subgraph_edges(vs)}
+
+
 def test_components():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
     comps = sorted(g.components(), key=min)

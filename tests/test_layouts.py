@@ -32,6 +32,7 @@ from layersep.layouts import (
     RecursionNode,
     TrackLayout,
     compute_recursion,
+    _parse_queue_lines,
     format_queue_layout,
     format_track_layout,
     parse_queue_layout,
@@ -43,7 +44,7 @@ from layersep.layouts import (
     verify_queue_layout,
     verify_track_layout,
 )
-from tests.conftest import embedded_graphs, planar_pipeline, torus_pipeline
+from tests.conftest import changed_text, embedded_graphs, planar_pipeline, torus_pipeline
 
 
 def test_compute_recursion_separation_mode():
@@ -211,6 +212,72 @@ def test_parse_queue_layout_rejects_an_edge_assigned_twice():
 def test_parse_queue_layout_names_a_bad_order_line():
     with pytest.raises(GraphInputError, match="'order: 0 x'"):
         parse_queue_layout("order: 0 x\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("order: 0 1 2\n0 1\n1 2 0 0\n", "bad queue line '0 1'"),  # 3 tokens a line on average
+    ("order: 0 1 2\n0 1 0\n1 2\n", "bad queue line '1 2'"),
+    ("order: 0 1\n0 1 x\n", "bad queue line '0 1 x'"),
+    ("order: 0 1 2\n0 1 0\n1 0 4\n1 x 0\n", "bad queue line '1 x 0'"),  # before the repeat
+    ("order: 0 1 2\n1 2 0\n0 1 1\n2 1 0\n", "edge (1, 2) assigned twice, again in '2 1 0'"),
+])
+def test_parse_queue_layout_names_the_bad_line(text, message):
+    with pytest.raises(GraphInputError) as err:
+        parse_queue_layout(text)
+    assert str(err.value) == message
+    assert _outcome(_per_line_parse_queue_layout, text) == message
+
+
+@st.composite
+def queue_layouts(draw):
+    """A graph on at most 12 vertices and a queue layout of it, valid or
+    not: a vertex order and a queue in 0..3 for each edge."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    order = tuple(draw(st.permutations(range(n))))
+    queues = draw(st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges)))
+    return Graph.from_edges(n, edges), QueueLayout(order, dict(zip(edges, queues)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(queue_layouts())
+def test_queue_layout_text_round_trips(case):
+    _, ql = case
+    assert parse_queue_layout(format_queue_layout(ql)) == ql
+
+
+def _per_line_parse_queue_layout(text):
+    """Oracle for ``parse_queue_layout``: its order line, then every
+    queue line through the per-line pass."""
+    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    head = parse_queue_layout(lines[0] if lines else "")
+    return QueueLayout(head.order, _parse_queue_lines(lines[1:]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphInputError as exc:
+        return str(exc)
+
+
+_QUEUE_TOKENS = ("0", "1", "3", "11", "12", "-1", "00", "+2", "1.5", "x", "order:", ":", "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(queue_layouts(), st.data())
+def test_queue_text_mutations_raise_or_verify_like_the_oracle(case, data):
+    """Every single-token or single-line change of a queue text either
+    raises the per-line oracle's ``GraphInputError`` or reads as the
+    oracle reads it, to a layout that the verifier judges as the pairwise
+    check does; no other exception escapes."""
+    g, ql = case
+    text = changed_text(data, format_queue_layout(ql), _QUEUE_TOKENS)
+    got = _outcome(parse_queue_layout, text)
+    assert got == _outcome(_per_line_parse_queue_layout, text)
+    if isinstance(got, QueueLayout):
+        assert verify_queue_layout(g, got) == _pairwise_verify_queue_layout(g, got)
 
 
 def _pairwise_verify_track_layout(g: Graph, tl: TrackLayout) -> Report:

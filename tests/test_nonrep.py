@@ -33,7 +33,7 @@ from layersep.nonrep import (
     verify_proper,
 )
 from layersep.shadow import recursive_nonrep_driver
-from tests.conftest import chordal_fixture, clique_colour_solver, planar_pipeline, torus_pipeline
+from tests.conftest import chordal_fixture, planar_pipeline, torus_pipeline
 
 
 def _enumerated_walks_ok(seq):
@@ -377,7 +377,7 @@ def test_verify_nonrepetitive_matches_dfs_oracle_near_valid_shadow(n, seed, chan
     # ties and hubs; recolouring up to three vertices with colours
     # already in use may create squares
     g, rd = chordal_fixture(n, 4, seed)
-    colour = dict(recursive_nonrep_driver(g, rd, clique_colour_solver).colour)
+    colour = dict(recursive_nonrep_driver(g, rd).colour)
     palette = sorted(set(colour.values()))
     for v, pick in changes:
         colour[v % n] = palette[pick % len(palette)]

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from layersep.generators import (
 )
 from layersep.graphs import Graph, GraphInputError, Layering, format_layering, parse_layering
 from layersep.layouts import TrackLayout, format_track_layout, verify_track_layout
-from layersep.nonrep import Colouring, format_colouring, verify_nonrepetitive, verify_proper
+from layersep.nonrep import format_colouring, verify_nonrepetitive, verify_proper
 from layersep.shadow import (
     _COLOURS,
     _TRACKS,
@@ -36,9 +38,8 @@ from layersep.shadow import (
     verify_shadow_complete,
 )
 from tests.conftest import (
+    changed_text,
     chordal_fixture,
-    clique_colour_solver,
-    clique_track_solver,
     planar_colour_solver,
     planar_torso,
     planar_track_solver,
@@ -54,14 +55,6 @@ def edge_bag_rd(g: Graph) -> RichDecomposition:
         hit = next((j for j in range(i) if bags[j] & b), 0)
         edges.append((hit, i))
     return RichDecomposition(TreeDecomposition(bags, tuple(edges)))
-
-
-def rainbow_tracks(g: Graph) -> TrackLayout:
-    return TrackLayout(tuple((v,) for v in g.vertices()))
-
-
-def rainbow_colours(g: Graph) -> Colouring:
-    return Colouring({v: v for v in g.vertices()})
 
 
 def test_tree_edge_bags_one_rich():
@@ -163,7 +156,7 @@ def test_shadow_track_compose_tree():
 def test_shadow_track_compose_single_layer_identity():
     g = complete_graph(3)
     layering = Layering.from_sets([{0, 1, 2}])
-    inner = rainbow_tracks(g)
+    inner = _TRACKS.leaf(g)
     tl = shadow_track_compose(g, layering, [inner], s=1)
     assert tl.tracks == inner.tracks
 
@@ -178,14 +171,14 @@ def test_recursive_track_driver_chordal():
     for n, k in ((30, 3), (80, 4)):
         g, td = random_chordal_with_decomposition(n, seed=2 * n, max_clique=k)
         rd = RichDecomposition(td)
-        tl = recursive_track_driver(g, rd, rainbow_tracks)
+        tl = recursive_track_driver(g, rd)
         assert verify_track_layout(g, tl).ok
 
 
 def test_recursive_nonrep_driver_chordal():
     g, td = random_chordal_with_decomposition(40, seed=11, max_clique=3)
     rd = RichDecomposition(td)
-    c = recursive_nonrep_driver(g, rd, rainbow_colours)
+    c = recursive_nonrep_driver(g, rd)
     assert verify_proper(g, c).ok
     assert verify_nonrepetitive(g, c, max_path=g.n) is None
 
@@ -206,9 +199,44 @@ def test_rich_shadow_layering_rejects_disconnected_graph():
 
 def test_recursive_drivers_disconnected():
     g, rd = _twin_trees()
-    tl = recursive_track_driver(g, rd, rainbow_tracks)
+    tl = recursive_track_driver(g, rd)
     assert verify_track_layout(g, tl).ok
-    c = recursive_nonrep_driver(g, rd, rainbow_colours)
+    c = recursive_nonrep_driver(g, rd)
+    assert verify_proper(g, c).ok
+    assert verify_nonrepetitive(g, c, max_path=g.n) is None
+
+
+def _disjoint_cliques():
+    """Cliques of sizes 1 to 5 on shuffled ids, one bag each, the bags on
+    a path: a 0-rich decomposition of a disconnected graph."""
+    ids = random.Random(0).sample(range(15), 15)
+    bags, edges = [], []
+    for size in range(1, 6):
+        clique, ids = ids[:size], ids[size:]
+        bags.append(frozenset(clique))
+        edges.extend(combinations(clique, 2))
+    td = TreeDecomposition(tuple(bags), tuple((i, i + 1) for i in range(4)))
+    return Graph.from_edges(15, edges), RichDecomposition(td)
+
+
+def test_built_in_leaf_on_disjoint_cliques(monkeypatch):
+    # a component of a 0-rich piece is a leaf at once, with no restricted
+    # decomposition, and the built-in leaf puts the i-th vertex of every
+    # clique on track i with colour i
+    g, rd = _disjoint_cliques()
+    assert rd.richness == 0 and len(g.components()) == 5
+    restricted = []
+    real = shadow._restrict_rd
+    monkeypatch.setattr(shadow, "_restrict_rd", lambda *a: restricted.append(1) or real(*a))
+    tl = recursive_track_driver(g, rd)
+    c = recursive_nonrep_driver(g, rd)
+    assert not restricted
+    cliques = sorted(sorted(bag) for bag in rd.decomposition.bags)
+    assert tl.tracks == tuple(
+        tuple(cl[i] for cl in cliques if i < len(cl)) for i in range(5)
+    )
+    assert c.colour == {v: i for cl in cliques for i, v in enumerate(cl)}
+    assert verify_track_layout(g, tl).ok
     assert verify_proper(g, c).ok
     assert verify_nonrepetitive(g, c, max_path=g.n) is None
 
@@ -216,44 +244,50 @@ def test_recursive_drivers_disconnected():
 def test_recursive_drivers_output_pinned():
     # both drivers are deterministic, so their formatted outputs are fixed;
     # a change that alters them on purpose re-pins these digests
-    clique = (clique_track_solver, clique_colour_solver)
+    leaf = ((), ())  # no solver: the drivers' built-in leaf
+    planar = ((planar_track_solver,), (planar_colour_solver,))
     cases = [
-        (chordal_fixture(30, 3, 60), clique, "437c3297c1facf7a", "c8dc9d290a7ad80c"),
-        (chordal_fixture(40, 3, 3), clique, "c74e0a280c9b3fa8", "b64d73959cb2a7a1"),
-        (chordal_fixture(40, 3, 11), clique, "7b9a96504e3065f4", "c75b5383b0431daa"),
-        (chordal_fixture(60, 4, 60), clique, "97b732f09cf6de2b", "0d36bd7c0c97d6bc"),
-        (chordal_fixture(70, 4, 4), clique, "445994f42c105339", "5fa5001a1ab2b5bf"),
-        (chordal_fixture(80, 4, 160), clique, "b255270704cbd95f", "83941406505903a9"),
-        (chordal_fixture(80, 4, 2), clique, "d8cf3434dce0c7c5", "c8944293cd54bf46"),
-        (planar_torso(), (planar_track_solver, planar_colour_solver),
-         "aa418c2780674495", "59805177257fd86e"),
-        (_twin_trees(), (rainbow_tracks, rainbow_colours),
-         "0657627d8bfaf8ed", "f0562153b4b2ed09"),
+        (chordal_fixture(30, 3, 60), leaf, "437c3297c1facf7a", "c8dc9d290a7ad80c"),
+        (chordal_fixture(40, 3, 3), leaf, "c74e0a280c9b3fa8", "b64d73959cb2a7a1"),
+        (chordal_fixture(40, 3, 11), leaf, "7b9a96504e3065f4", "c75b5383b0431daa"),
+        (chordal_fixture(60, 4, 60), leaf, "97b732f09cf6de2b", "0d36bd7c0c97d6bc"),
+        (chordal_fixture(70, 4, 4), leaf, "445994f42c105339", "5fa5001a1ab2b5bf"),
+        (chordal_fixture(80, 4, 160), leaf, "b255270704cbd95f", "83941406505903a9"),
+        (chordal_fixture(80, 4, 2), leaf, "d8cf3434dce0c7c5", "c8944293cd54bf46"),
+        (planar_torso(), planar, "aa418c2780674495", "59805177257fd86e"),
+        (_twin_trees(), leaf, "f22b6003c8ce6ccd", "5b070b7182ab53e8"),
     ]
-    for (g, rd), (tsolver, csolver), tdigest, cdigest in cases:
-        tracks = format_track_layout(recursive_track_driver(g, rd, tsolver))
-        colours = format_colouring(recursive_nonrep_driver(g, rd, csolver))
+    for (g, rd), (targs, cargs), tdigest, cdigest in cases:
+        tracks = format_track_layout(recursive_track_driver(g, rd, *targs))
+        colours = format_colouring(recursive_nonrep_driver(g, rd, *cargs))
         assert hashlib.sha256(tracks.encode()).hexdigest()[:16] == tdigest
         assert hashlib.sha256(colours.encode()).hexdigest()[:16] == cdigest
 
 
 def _shadow_recursion(g, rd, solve, art):
-    """Oracle for the planned recursion: split G into components, give
-    each connected piece a shadow-complete layering whose layers are one
-    richness lower, recurse on every layer and compose, planning and
-    solving as it goes.  0-rich pieces go to the solver."""
+    """Oracle for the planned recursion: split a disconnected G into its
+    components at every richness, solve a piece of at most one vertex or
+    a connected 0-rich piece, give any other piece a shadow-complete
+    layering whose layers are one richness lower, recurse on every layer
+    and compose, planning and solving as it goes.  A component of a
+    0-rich piece goes to the solver directly."""
     k = rd.richness
-    if k == 0 or g.n <= 1:
+    if g.n <= 1:
         return solve(g)
 
     def on(part, part_rd):
         sub_g, to_new = g.induced(sorted(part))
-        sub = _shadow_recursion(sub_g, _restrict_rd(part_rd, part, to_new), solve, art)
+        if k == 0:
+            sub = solve(sub_g)
+        else:
+            sub = _shadow_recursion(sub_g, _restrict_rd(part_rd, part, to_new), solve, art)
         return art.relabel(sub, {j: v for v, j in to_new.items()})
 
     comps = sorted(g.components(), key=min)
     if len(comps) > 1:
         return art.merge([on(comp, rd) for comp in comps])
+    if k == 0:
+        return solve(g)
     sl = rich_shadow_layering(g, rd)
     parts = [on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)]
     return art.compose(g, sl.layering, parts, k)
@@ -268,17 +302,20 @@ def _recording(solver, seen):
 
 
 def _oracle_cases():
+    """(G, rd, (track args, colour args)) for the drivers; no args runs
+    their built-in leaf."""
+    leaf = ((), ())
     cases = []
     for seed in range(12):
         k = 1 + seed % 3  # richness at most k
         g, td = random_chordal_with_decomposition(10 + 5 * seed, seed=seed, max_clique=k + 1)
-        cases.append((g, RichDecomposition(td), rainbow_tracks, rainbow_colours))
-        cases.append((g, RichDecomposition(td), clique_track_solver, clique_colour_solver))
+        cases.append((g, RichDecomposition(td), leaf))
     for seed in range(4):
         g = random_tree(6 + 7 * seed, seed=seed)
-        cases.append((g, edge_bag_rd(g), rainbow_tracks, rainbow_colours))
-    cases.append((*_twin_trees(), rainbow_tracks, rainbow_colours))
-    cases.append((*planar_torso(), planar_track_solver, planar_colour_solver))
+        cases.append((g, edge_bag_rd(g), leaf))
+    cases.append((*_twin_trees(), leaf))
+    cases.append((*_disjoint_cliques(), leaf))
+    cases.append((*planar_torso(), ((planar_track_solver,), (planar_colour_solver,))))
     return cases
 
 
@@ -286,8 +323,9 @@ def test_planned_recursion_matches_oracle():
     # every text equals the interleaved recursion's, in either call order,
     # and the solver sees the same leaves in the same order
     richness = set()
-    for g, rd, tsolver, csolver in _oracle_cases():
+    for g, rd, (targs, cargs) in _oracle_cases():
         richness.add(rd.richness)
+        (tsolver,), (csolver,) = targs or (_TRACKS.leaf,), cargs or (_COLOURS.leaf,)
         td = rd.decomposition
         oracle_rd = RichDecomposition(td)
         t_leaves, c_leaves = [], []
@@ -312,11 +350,11 @@ def test_planned_recursion_matches_oracle():
         assert seen == c_leaves
 
         second = RichDecomposition(td)
-        assert format_colouring(recursive_nonrep_driver(g, second, csolver)) == want_c
-        assert format_track_layout(recursive_track_driver(g, second, tsolver)) == want_t
+        assert format_colouring(recursive_nonrep_driver(g, second, *cargs)) == want_c
+        assert format_track_layout(recursive_track_driver(g, second, *targs)) == want_t
         if connected:
             assert format_layering(rich_shadow_layering(g, second).layering) == want_l
-    assert {1, 2, 3} <= richness
+    assert {0, 1, 2, 3} <= richness
 
 
 def _compose_nodes(plan) -> int:
@@ -333,8 +371,8 @@ def test_layerings_built_once_per_shadow_level(monkeypatch):
         if len(g.components()) == 1:
             rich_shadow_layering(g, rd)
             assert len(builds) == 1
-        recursive_track_driver(g, rd, rainbow_tracks)
-        recursive_nonrep_driver(g, rd, rainbow_colours)
+        recursive_track_driver(g, rd)
+        recursive_nonrep_driver(g, rd)
         if len(g.components()) == 1:
             rich_shadow_layering(g, rd)
         levels = _compose_nodes(_plan(g, rd))
@@ -353,8 +391,8 @@ def test_failed_layering_is_not_memoised(monkeypatch):
     monkeypatch.setattr(shadow, "validate_rich", lambda *a: checks.append(1) or real(*a))
     calls = [
         lambda: rich_shadow_layering(g, rd),
-        lambda: recursive_track_driver(g, rd, rainbow_tracks),
-        lambda: recursive_nonrep_driver(g, rd, rainbow_colours),
+        lambda: recursive_track_driver(g, rd),
+        lambda: recursive_nonrep_driver(g, rd),
     ]
     for round_ in range(2):
         for i, call in enumerate(calls):
@@ -397,6 +435,52 @@ def test_parse_rich_rejects_understated_richness():
 def test_parse_rich_rejects_missing_header(text):
     with pytest.raises(GraphInputError):
         parse_rich(text)
+
+
+@st.composite
+def rich_cases(draw):
+    """A chordal graph on at most 20 vertices with a rich decomposition
+    of richness up to 3, or a tree with its edge bags."""
+    n, seed = draw(st.integers(1, 20)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        g = random_tree(n, seed=seed)
+        return g, edge_bag_rd(g)
+    g, td = random_chordal_with_decomposition(n, seed=seed, max_clique=draw(st.integers(2, 4)))
+    return g, RichDecomposition(td)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rich_cases())
+def test_rich_text_round_trips(case):
+    _, rd = case
+    assert parse_rich(format_rich(rd)) == rd
+
+
+_RICH_TOKENS = ("0", "1", "3", "19", "20", "-1", "x", "rich", "bags", "core:", "<", "+", "-",
+                ":", "tree", "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(rich_cases(), st.data())
+def test_rich_text_mutations_raise_or_validate_like_explicit_bags(case, data):
+    """Every single-token or single-line change of a rich text either
+    raises ``GraphInputError`` or parses to a decomposition no richer
+    than its header, which ``validate_rich`` judges as it judges the
+    same bags and tree edges given explicitly; no other exception
+    escapes."""
+    g, rd = case
+    text = changed_text(data, format_rich(rd), _RICH_TOKENS)
+    try:
+        back = parse_rich(text)
+    except GraphInputError:
+        return
+    header = next(ln for ln in text.splitlines() if ln.strip())
+    assert back.richness <= int(header.split()[1])
+    td = back.decomposition
+    explicit = RichDecomposition(TreeDecomposition(tuple(td.bags), td.tree_edges))
+    assert back == explicit
+    for k in (None, back.richness, 0):
+        assert validate_rich(g, back, k) == validate_rich(g, explicit, k)
 
 
 def _contract_redundant_restart(td: TreeDecomposition) -> TreeDecomposition:
