@@ -33,16 +33,12 @@ from .embedding import (
     triangulate,
 )
 from .decomposition import (
-    BoundReport,
     DecompositionError,
     DecompositionSelfCheckError,
     GenusDecompositionResult,
     LayeredDecomposition,
     TreeDecomposition,
-    bound_report,
     clique_sum_compose,
-    decomposition_separation_oracle,
-    exact_treewidth,
     format_decomposition,
     format_layered_decomposition,
     genus_layered_decomposition,
@@ -52,7 +48,6 @@ from .decomposition import (
     parse_layered_decomposition,
     planar_good_provider,
     separator_from_decomposition,
-    small_good_provider,
     treedec_from_separations,
     validate_tree_decomposition,
 )

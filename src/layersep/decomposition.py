@@ -4,8 +4,7 @@ Implements the genus-driven layered decomposition (tree-cotree bags), the
 clique-sum composition of good decompositions, balanced-separator
 extraction from a decomposition, the converse recursion building a
 decomposition from a separation oracle, the sqrt(kn) treewidth
-construction, closed-form bound reports and an exact treewidth oracle
-for small graphs.
+construction and the decomposition text.
 """
 
 from __future__ import annotations
@@ -50,20 +49,42 @@ def _tree_lists(b: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return [sorted(a) for a in adj]
 
 
-def _preorder(parent: list[int], stack: list[int]) -> list[int]:
-    """Preorder of the trees of a parent list (a root is -1 or its own
-    parent) from the roots in ``stack``, the last first, each vertex's
-    children pushed in ascending order.  On a tree this is the search
-    ``_bag_forest`` makes, since every neighbour but the parent is new."""
-    kids: list[list[int]] = [[] for _ in parent]
+def _child_links(parent: list[int]) -> tuple[list[int], list[int]]:
+    """(first, after) of the forest of a parent list (a root is -1 or its
+    own parent): each vertex's greatest child, and the next lesser child
+    of its parent; -1 where there is none.  Two flat lists, not a list of
+    children per vertex."""
+    first = [-1] * len(parent)
+    after = [-1] * len(parent)
     for v, p in enumerate(parent):
         if p >= 0 and p != v:
-            kids[p].append(v)
+            after[v], first[p] = first[p], v
+    return first, after
+
+
+def _preorder(
+    parent: list[int], stack: list[int], links: tuple[list[int], list[int]] | None = None
+) -> list[int]:
+    """Preorder of the trees of a parent list (a root is -1 or its own
+    parent) from the roots in ``stack``, the last first, each vertex's
+    children from the greatest down (``_child_links``, made here unless
+    given).  That is a depth-first search pushing children in ascending
+    order, so on a tree it is the search ``_bag_forest`` makes, since
+    every neighbour but the parent is new."""
+    first, after = links or _child_links(parent)
     order: list[int] = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(kids[v])
+    for r in reversed(stack):
+        x = r
+        while True:
+            order.append(x)
+            if first[x] >= 0:
+                x = first[x]
+                continue
+            while after[x] < 0 and x != r:  # up to the next subtree to search
+                x = parent[x]
+            if x == r:
+                break
+            x = after[x]
     return order
 
 
@@ -504,7 +525,7 @@ class _RootPaths:
         self._parent = parent  # the root is its own parent
         self._depth = depth
         self._corners = corners  # face f's corners at 3f, 3f+1, 3f+2
-        self.dual_parent = dual_parent  # the bag tree, -1 at its root
+        self.dual_parent = dual_parent  # the bag tree, -1 at its root; joined faces share an edge
         roots = [v for v, p in enumerate(parent) if p == v]
         self._rank, self._end = _intervals(parent, _preorder(parent, roots))
         self.q = q
@@ -527,29 +548,16 @@ class _RootPaths:
     def deltas(
         self, parent: list[int], order: list[int]
     ) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
-        """``TreeDecomposition.deltas`` along a forest of these bags, in
-        O(F + sum of changes).  A root adds its rest.  Bag x adds the
-        vertices of bag x outside its parent bag p: the walk up from each
-        corner of x that is not one of p's, up to the core, a vertex above
-        a corner of p (a preorder interval holds that corner's rank) or a
-        vertex already collected.  It drops the converse."""
+        """``TreeDecomposition.deltas`` along the dual tree turned over at
+        any face, in O(F + sum of changes).  A root adds its rest.  Faces
+        joined in the dual tree share the ends of an edge, which are two
+        distinct corners since the embedding has no loops.  So bag x adds
+        the walk up from the corner of x that its parent bag p lacks, up
+        to the core or to a vertex above a corner of p (a preorder
+        interval holds that corner's rank), and drops the converse; if the
+        faces share all three corners, each walk stops at once."""
         vparent, core, rank, end, corners = self._parent, self.core, self._rank, self._end, self._corners
-
-        def beyond(src: list[int], dst: list[int]) -> list[int]:
-            a, b, c = dst
-            ra, rb, rc = rank[a], rank[b], rank[c]
-            walked: list[int] = []
-            for v in src:
-                if v == a or v == b or v == c:
-                    continue
-                while v not in core:
-                    r, e = rank[v], end[v]
-                    if r <= ra < e or r <= rb < e or r <= rc < e or v in walked:
-                        break
-                    walked.append(v)
-                    v = vparent[v]
-            return walked
-
+        fc = list(zip(corners[0::3], corners[1::3], corners[2::3]))
         adds: list[Sequence[int]] = [()] * len(order)
         drops: list[Sequence[int]] = [()] * len(order)
         for x in order:
@@ -557,9 +565,27 @@ class _RootPaths:
             if p < 0:
                 adds[x] = tuple(self.outside(x))
                 continue
-            own, other = corners[3 * x : 3 * x + 3], corners[3 * p : 3 * p + 3]
-            adds[x] = beyond(own, other)
-            drops[x] = beyond(other, own)
+            own, other = fc[x], fc[p]
+            a, b, c = own
+            d, e, f = other
+            ra, rb, rc = rank[d], rank[e], rank[f]
+            v, walked = a if a not in other else b if b not in other else c, []
+            while v not in core:
+                r, s = rank[v], end[v]
+                if r <= ra < s or r <= rb < s or r <= rc < s:
+                    break
+                walked.append(v)
+                v = vparent[v]
+            adds[x] = walked or ()  # the shared empty tuple, not an empty list per bag
+            ra, rb, rc = rank[a], rank[b], rank[c]
+            v, walked = d if d not in own else e if e not in own else f, []
+            while v not in core:
+                r, s = rank[v], end[v]
+                if r <= ra < s or r <= rb < s or r <= rc < s:
+                    break
+                walked.append(v)
+                v = vparent[v]
+            drops[x] = walked or ()
         return adds, drops
 
     def _common_beyond_q(self) -> list[int]:
@@ -750,57 +776,6 @@ def planar_good_provider(g: Graph) -> GoodProvider:
     def provider(clique: tuple[int, ...]) -> LayeredDecomposition:
         root = clique if clique else (0,)
         return genus_layered_decomposition(eg, root).ld
-
-    return provider
-
-
-def _treedec_from_elimination(g: Graph, order: Sequence[int]) -> TreeDecomposition:
-    """Clique-tree style decomposition from an elimination ordering."""
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = {v: set(g.adjacency[v]) for v in g.vertices()}
-    bags: list[frozenset[int]] = []
-    bag_of: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    for v in order:
-        higher = {w for w in nbrs[v] if pos[w] > pos[v]}
-        bags.append(frozenset({v} | higher))
-        bag_of[v] = len(bags) - 1
-        for a in higher:
-            nbrs[a] |= higher - {a}
-            nbrs[a].discard(v)
-    for v in order:
-        higher = [w for w in bags[bag_of[v]] if pos[w] > pos[v]]
-        if higher:
-            nxt = min(higher, key=lambda w: pos[w])
-            edges.append((bag_of[v], bag_of[nxt]))
-    return TreeDecomposition(tuple(bags), frozenset(edges))
-
-
-def small_good_provider(g: Graph, ell: int) -> GoodProvider:
-    """Search-based ell-good provider for tiny graphs (n <= 9).
-
-    BFS-layers the graph from the requested clique and searches
-    elimination orderings for a tree decomposition of layered width at
-    most ell with respect to that layering.
-    """
-    if g.n > 9:
-        raise GraphInputError("search provider only supports n <= 9")
-
-    def provider(clique: tuple[int, ...]) -> LayeredDecomposition:
-        root = tuple(sorted(set(clique))) if clique else (0,)
-        if not g.is_clique(root):
-            raise GraphInputError("requested root set is not a clique")
-        if len(root) > ell:
-            raise GraphInputError(f"clique larger than ell={ell}")
-        layering = bfs_layering(g, root)[0]
-        for order in itertools.permutations(g.vertices()):
-            td = _treedec_from_elimination(g, order)
-            ld = LayeredDecomposition(td, layering)
-            if ld.layered_width <= ell:
-                return ld
-        raise DecompositionError(
-            f"no layered-width-{ell} decomposition found for the given root"
-        )
 
     return provider
 
@@ -1063,20 +1038,6 @@ def treedec_from_separations(
     return TreeDecomposition(tuple(bags), frozenset(tree_edges))
 
 
-def decomposition_separation_oracle(
-    g: Graph, td: TreeDecomposition
-) -> SeparationOracle:
-    """Separation oracle backed by separator_from_decomposition."""
-
-    def oracle(sample: frozenset[int]) -> Separation:
-        if not sample:
-            sample = frozenset([0])
-        _, sep = separator_from_decomposition(g, td, sample)
-        return sep
-
-    return oracle
-
-
 # ---------------------------------------------------------------------------
 # sqrt(kn) treewidth from layered width (residue-class deletion).
 # ---------------------------------------------------------------------------
@@ -1134,109 +1095,6 @@ def norin_treewidth(g: Graph, ld: LayeredDecomposition) -> TreeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form bound report.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    m: int
-    ell: int
-    diameter: int
-    radius: int
-    edge_bound: int  # (3*ell - 1) * n
-    edge_bound_ok: bool
-    tw_bound_diameter: int  # ell*(d+1) - 1
-    tw_bound_diameter_sep: int  # 4*ell*(d+1) - 1 (strict bound realised)
-    norin_bound: float  # 2*sqrt(ell*n)
-
-    def local_treewidth(self, r: int) -> int:
-        return self.ell * (2 * r + 1) - 1
-
-
-def _eccentricities(g: Graph) -> list[int]:
-    out = []
-    for v in g.vertices():
-        _, tree = bfs_layering(g, [v])
-        out.append(max(tree.depth.values()))
-    return out
-
-
-def bound_report(g: Graph, ld: LayeredDecomposition) -> BoundReport:
-    """All closed-form bounds implied by layered width ell."""
-    ell = max(ld.layered_width, 1)
-    ecc = _eccentricities(g) if g.n else [0]
-    d = max(ecc)
-    radius = min(ecc)
-    edge_bound = (3 * ell - 1) * g.n
-    return BoundReport(
-        n=g.n,
-        m=g.m,
-        ell=ell,
-        diameter=d,
-        radius=radius,
-        edge_bound=edge_bound,
-        edge_bound_ok=g.m <= edge_bound,
-        tw_bound_diameter=ell * (d + 1) - 1,
-        tw_bound_diameter_sep=4 * ell * (d + 1) - 1,
-        norin_bound=2 * math.sqrt(ell * g.n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exact treewidth (elimination-ordering DP over vertex subsets).
-# ---------------------------------------------------------------------------
-
-
-def exact_treewidth(g: Graph) -> int:
-    """Exact treewidth for n <= 16 by dynamic programming over the
-    subsets of eliminated vertices."""
-    n = g.n
-    if n > 16:
-        raise GraphInputError("exact treewidth oracle limited to n <= 16")
-    if n == 0:
-        return -1
-    nb = [0] * n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
-    full = (1 << n) - 1
-    dp = [n] * (full + 1)
-    dp[0] = 0
-    for s in range(1, full + 1):
-        best = n
-        rem = s
-        while rem:
-            b = rem & (-rem)
-            rem ^= b
-            v = b.bit_length() - 1
-            prev = dp[s ^ b]
-            if prev >= best:
-                continue
-            # degree of v when eliminated after s^b: neighbours of the
-            # component of v inside (s^b) | {v}
-            inside = s ^ b
-            reach = b
-            frontier = b
-            acc = 0
-            while frontier:
-                w = frontier & (-frontier)
-                frontier ^= w
-                nw = nb[w.bit_length() - 1]
-                acc |= nw
-                add = nw & inside & ~reach
-                reach |= add
-                frontier |= add
-            deg = (acc & ~inside & ~b).bit_count()
-            cost = prev if prev >= deg else deg
-            if cost < best:
-                best = cost
-        dp[s] = best
-    return dp[full]
-
-
-# ---------------------------------------------------------------------------
 # Text format: "bags B", the core line "core: v1 v2 ..." (the vertices in
 # every bag, sorted; left out when there are none), then one line per bag
 # in id order, each about the bag less the core:
@@ -1259,126 +1117,231 @@ def exact_treewidth(g: Graph) -> int:
 def format_decomposition(td: TreeDecomposition) -> str:
     """The text of ``td``, a function of its value: root-path, parsed and
     explicit bags of equal value give equal text.  A bag tree with a cycle
-    has no parent fields and raises ``DecompositionError``."""
+    has no parent fields and raises ``DecompositionError``.  Vertices are
+    written from one string table, and a part of one vertex, the common
+    case, without a sort or a join."""
     if td._non_forest is not None:
         raise DecompositionError("the bag tree has a cycle and cannot be written")
     parent, order = td.forest
     b = len(order)
     core, adds, drops = td.deltas
-    token = _TokenStrs().__getitem__
+    if td._paths is not None:  # root paths hold the vertices 0..n-1
+        tok: Sequence[str] | dict[int, str] = list(map(str, range(len(td._paths._parent))))
+    else:
+        vs = core.union(*adds)  # a bag's vertex is in the core or added at its top bag
+        tok = dict(zip(vs, map(str, vs)))
+
+    def joined(part: Iterable[int]) -> str:
+        return " ".join(map(tok.__getitem__, sorted(part)))
+
     lines = [f"bags {b}"] + [""] * b
     if core:
-        lines[0] += "\ncore: " + " ".join(map(token, sorted(core)))
+        lines[0] += "\ncore: " + joined(core)
     size = [0] * b  # of each bag less the core
     for x in order:
         p, a, d = parent[x], adds[x], drops[x]
-        size[x] = len(a) + (size[p] - len(d) if p >= 0 else 0)
+        na, nd = len(a), len(d)
         if p < 0:
-            line = f"{x}: " + " ".join(map(token, sorted(a)))
-        elif size[x] < len(a) + len(d) + bool(a) + bool(d):
+            size[x] = na
+            lines[x + 1] = f"{x}: " + joined(a)
+            continue
+        k = size[x] = size[p] + na - nd
+        if k < na + nd + (na > 0) + (nd > 0):
             # listing the bag is shorter, so the bag is small
-            line = f"{x} < {p}: " + " ".join(map(token, sorted(td.outside(x))))
+            line = f"{x} < {p}: " + joined(td.outside(x))
+        elif na == 0 and nd == 1:  # the commonest line
+            (v,) = d
+            line = f"{x} < {p} - {tok[v]}"
         else:
             line = f"{x} < {p}"
-            if a:
-                line += " + " + " ".join(map(token, sorted(a)))
-            if d:
-                line += " - " + " ".join(map(token, sorted(d)))
+            if na == 1:
+                (v,) = a
+                line += f" + {tok[v]}"
+            elif na:
+                line += " + " + joined(a)
+            if nd == 1:
+                (v,) = d
+                line += f" - {tok[v]}"
+            elif nd:
+                line += " - " + joined(d)
         lines[x + 1] = line
     return "\n".join(lines) + "\n"
 
 
 def parse_decomposition(text: str) -> TreeDecomposition:
-    return _decomposition_from_lines(text.splitlines())
+    return _read_decomposition(text.splitlines(), layered=False)[0]
 
 
 class _TokenInts(dict):
-    """``int(tok)`` per distinct token string, parsed on its first
-    lookup, so equal tokens share one ``int`` object.  Vertices and bag
-    ids are never negative, so a negative token raises ``ValueError``."""
+    """``int(tok)`` per distinct unsigned decimal token, parsed on its
+    first lookup, so equal tokens share one ``int`` object; any other
+    token raises ``ValueError``.  ``lenient`` reads the others as ``int``
+    does, but vertices and bag ids are never negative, so a negative
+    token still raises ``ValueError``."""
 
     def __missing__(self, tok: str) -> int:
-        v = int(tok)
-        if v < 0:
-            raise ValueError(f"negative token {tok!r}")
-        self[tok] = v
+        if not tok.isdigit():
+            raise ValueError(f"signed or non-decimal token {tok!r}")
+        v = self[tok] = int(tok)
         return v
 
-
-class _TokenStrs(dict):
-    """``str(v)`` per distinct vertex, made on its first lookup."""
-
-    def __missing__(self, v: int) -> str:
-        tok = self[v] = str(v)
-        return tok
+    def lenient(self, tok: str) -> int:
+        try:
+            return self[tok]
+        except ValueError:
+            v = int(tok)
+            if v < 0:
+                raise ValueError(f"negative token {tok!r}") from None
+            return v
 
 
 def _is_core_line(line: str) -> bool:
     return line.partition(":")[0].strip() == "core"
 
 
-def _decomposition_from_lines(raw: Iterable[str]) -> TreeDecomposition:
-    """The forest, core and deltas of the parent fields, checked and
-    made exact by ``_resolve_deltas``; an older text's tree block gives
-    explicit bags and edges instead.  Every token is parsed once
-    (``_TokenInts``)."""
-    lines = [ln for ln in (s.strip() for s in raw) if ln]
-    b = _bag_count(lines[0] if lines else "")
-    ints = _TokenInts().__getitem__
+def _filled(lines: list[str], i: int) -> int:
+    """The index of the first non-blank line from ``i``, or ``len(lines)``."""
+    while i < len(lines) and not lines[i].strip():
+        i += 1
+    return i
+
+
+def _read_decomposition(lines: list[str], layered: bool) -> tuple[TreeDecomposition, int]:
+    """The decomposition that ``lines`` start with, and the index of the
+    line after it.  Blank lines are skipped.  Every bag line is split
+    once; a line as ``format_decomposition`` writes it is read in place
+    and any other goes to ``_bag_fields``, which reads it or raises
+    ``GraphInputError`` naming it.  The forest, core and deltas are then
+    checked and made exact by ``_resolve_deltas``; an older text's tree
+    block gives explicit bags and edges instead.  Every vertex token is
+    parsed once (``_TokenInts``).  In a layered text the decomposition
+    ends after its bag lines or, in an older text, after "tree" and B - 1
+    edge lines; every line after it, blank or not, is a layer."""
+    n = len(lines)
+    i = _filled(lines, 0)
+    b = _bag_count(lines[i] if i < n else "")
+    ints = _TokenInts()
     core: frozenset[int] = frozenset()
-    start = 1
-    if b and len(lines) > 1 and _is_core_line(lines[1]):
+    i += 1
+    if b and (j := _filled(lines, i)) < n and _is_core_line(lines[j]):
         try:
-            core = frozenset(map(ints, lines[1].partition(":")[2].split()))
+            core = frozenset(map(ints.lenient, lines[j].partition(":")[2].split()))
         except ValueError as exc:
-            raise GraphInputError(f"bad core line {lines[1]!r}") from exc
-        start = 2
-    if len(lines) < start + b:
+            raise GraphInputError(f"bad core line {lines[j].strip()!r}") from exc
+        i = j + 1
+    if n - i < b:
         raise GraphInputError("truncated decomposition")
-    body, tail = lines[start : start + b], lines[start + b :]
+    ids = list(map(str, range(b)))
+    core_ints, ints = ints, _TokenInts(zip(ids, range(b)))  # the bag ids, and most vertices
+    ints.update(core_ints)
+    get, lenient = ints.__getitem__, ints.lenient
     parent = [-1] * b
     adds: list[AbstractSet[int] | tuple[int, ...]] = [()] * b
-    drops: list[AbstractSet[int] | tuple[int, ...] | None] = [None] * b  # None: listed
-    for x, ln in enumerate(body):
-        head, listed, vs = ln.partition(":")
-        if not listed:
-            head, _, dropped = ln.partition("-")
-            head, _, vs = head.partition("+")
-        bag_id, child, up = head.partition("<")
-        has_parent = bool(child) or not listed
-        try:
-            given = int(bag_id)
-            if listed:
-                adds[x] = frozenset(map(ints, vs.split()))
-            else:
-                adds[x] = tuple(map(ints, vs.split()))
-                drops[x] = tuple(map(ints, dropped.split()))
-            if has_parent:
-                parent[x] = int(up)
-        except ValueError as exc:
-            what = "misplaced core" if head.strip() == "core" else "bad bag"
-            raise GraphInputError(f"{what} line {ln!r}") from exc
-        if given != x:
-            raise GraphInputError(f"bag ids must be consecutive, got {bag_id.strip()!r}")
-        if has_parent and not (0 <= parent[x] < b and parent[x] != x):
-            raise GraphInputError(f"bad parent in bag line {ln!r}")
+    drops: list[AbstractSet[int] | tuple[int, ...] | None] = [()] * b  # None: listed
+    k = i
+    try:
+        for x in range(b):
+            w = lines[k].split()
+            while not w:
+                k += 1
+                w = lines[k].split()
+            k += 1
+            # "x < p - d", "x < p + a1 a2 - d1 d2" or "x < p: v1 v2" in place;
+            # a token that is not an unsigned decimal raises ValueError
+            try:
+                if w[1] != "<" or w[0] != ids[x]:
+                    raise ValueError
+                up = w[2]
+                if up[-1] == ":":
+                    p = get(up[:-1])
+                    adds[x], drops[x] = frozenset(map(get, w[3:])), None
+                else:
+                    p = get(up)
+                    m = len(w)
+                    if m == 5 and w[3] == "-":
+                        drops[x] = (get(w[4]),)
+                    elif m == 7 and w[3] == "+" and w[5] == "-":
+                        adds[x], drops[x] = (get(w[4]),), (get(w[6]),)
+                    elif m > 3:
+                        j = 3
+                        if w[3] == "+":
+                            j = w.index("-") if "-" in w else m
+                            adds[x] = tuple(map(get, w[4:j]))
+                        if j < m:
+                            if w[j] != "-":
+                                raise ValueError
+                            drops[x] = tuple(map(get, w[j + 1 :]))
+                if p >= b or p == x:
+                    raise ValueError
+                parent[x] = p
+            except (ValueError, IndexError):
+                parent[x], adds[x], drops[x] = _bag_fields(lines[k - 1], x, b, lenient)
+    except (IndexError, GraphInputError):
+        if sum(1 for ln in lines[i:] if ln.strip()) < b:
+            raise GraphInputError("truncated decomposition") from None
+        raise
+    body = lines[i:k] if k - i == b else [ln for ln in lines[i:k] if ln.strip()]
+    cut = k
+    if not layered:
+        tail = [s for s in map(str.strip, lines[k:]) if s]
+    elif (j := _filled(lines, k)) < n and lines[j].strip() == "tree":
+        tail = ["tree"]
+        cut = j + 1
+        while len(tail) < max(b, 1) and (j := _filled(lines, cut)) < n:
+            tail.append(lines[j].strip())
+            cut = j + 1
+        if len(tail) < max(b, 1):
+            cut = n
+    else:
+        tail = []
     if tail and tail[0] != "tree":
         raise GraphInputError(f"expected 'tree' or the end after the bag list, got {tail[0]!r}")
     if tail and parent.count(-1) < b:
         raise GraphInputError("a text with a tree block has no parent fields")
     core, order = _resolve_deltas(core, parent, adds, drops, body)
     if not tail:
-        return TreeDecomposition._of(core, (parent, order), (adds, drops))
+        return TreeDecomposition._of(core, (parent, order), (adds, drops)), cut
     edges = set()
     for ln in tail[1:]:
         try:
-            x, y = map(ints, ln.split())
+            x, y = map(lenient, ln.split())
         except ValueError:
             x = y = -1
         if not (0 <= x < b and 0 <= y < b) or x == y:
             raise GraphInputError(f"bad tree edge {ln!r}")
         edges.add((x, y) if x < y else (y, x))
-    return TreeDecomposition(map(core.union, adds), edges)
+    return TreeDecomposition(map(core.union, adds), edges), cut
+
+
+def _bag_fields(line: str, x: int, b: int, get: Callable[[str], int]) -> tuple[int, object, object]:
+    """Bag line x as (parent, adds, drops), the drops None for a listed
+    bag and the parent -1 for a root, by the partition rules of the
+    format: a line with a ":" lists its bag, any other is a change ("-"
+    before "+"); a bad line raises ``GraphInputError`` naming it."""
+    ln = line.strip()
+    head, listed, vs = ln.partition(":")
+    if not listed:
+        head, _, dropped = ln.partition("-")
+        head, _, vs = head.partition("+")
+    bag_id, child, up = head.partition("<")
+    has_parent = bool(child) or not listed
+    p = -1
+    try:
+        given = int(bag_id)
+        if listed:
+            a, d = frozenset(map(get, vs.split())), None
+        else:
+            a, d = tuple(map(get, vs.split())), tuple(map(get, dropped.split()))
+        if has_parent:
+            p = int(up)
+    except ValueError as exc:
+        what = "misplaced core" if head.strip() == "core" else "bad bag"
+        raise GraphInputError(f"{what} line {ln!r}") from exc
+    if given != x:
+        raise GraphInputError(f"bag ids must be consecutive, got {bag_id.strip()!r}")
+    if has_parent and not (0 <= p < b and p != x):
+        raise GraphInputError(f"bad parent in bag line {ln!r}")
+    return p, a, d
 
 
 def _resolve_deltas(
@@ -1389,58 +1352,65 @@ def _resolve_deltas(
     lines: list[str],
 ) -> tuple[frozenset[int], list[int]]:
     """The core and the preorder (``_bag_forest``'s) of parsed bag lines,
-    checked in one search of the forest the parent fields give, with the
-    bag it is at held as one running set.  A line that adds a vertex its
-    parent's bag holds, drops one it lacks, names one twice or repeats a
-    core vertex, parents that close a cycle, and a root that is not the
-    least bag of its component raise ``GraphInputError``.  A listed bag
-    (``drops`` None) becomes its change from its parent in place, and any
-    vertex in every bag moves into the core, so the value alone fixes
-    the fields."""
+    checked along the preorder: each line's change is checked against its
+    parent's bag, held as one running set.  The preorder takes a bag's
+    greatest child right after the bag, so the set is the parent's bag
+    there; a bag with more children keeps a copy for the others, and no
+    change is ever undone.  A line that adds a vertex its parent's bag
+    holds, drops one it lacks, names one twice or repeats a core vertex,
+    parents that close a cycle, and a root that is not the least bag of
+    its component raise ``GraphInputError``.  A listed bag (``drops``
+    None) becomes its change from its parent in place, and any vertex in
+    every bag moves into the core, so the value alone fixes the fields."""
     b = len(parent)
+
+    def line(x: int) -> str:
+        return lines[x].strip()
+
     chain = itertools.chain.from_iterable
     if core and not (core.isdisjoint(chain(adds)) and core.isdisjoint(chain(filter(None, drops)))):
         x = next(x for x in range(b) if not core.isdisjoint((*adds[x], *(drops[x] or ()))))
-        raise GraphInputError(f"bag line {lines[x]!r} repeats a core vertex")
-    kids: list[list[int]] = [[] for _ in range(b)]
-    roots = []
-    for x, p in enumerate(parent):
-        (roots if p < 0 else kids[p]).append(x)
-    order: list[int] = []
-    bag: set[int] = set()  # the rest of the bag on top of path
-    path: list[int] = []
-    for r in roots:
-        start = len(order)
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(kids[x])
-            p = parent[x]
-            while path and path[-1] != p:
-                y = path.pop()
-                bag.difference_update(adds[y])
-                bag.update(drops[y])
-            path.append(x)
-            a, d = adds[x], drops[x]
-            if d is None:
-                adds[x], drops[x] = a.difference(bag), bag.difference(a)
-                bag.difference_update(drops[x])
-                bag.update(adds[x])
-                continue
+        raise GraphInputError(f"bag line {line(x)!r} repeats a core vertex")
+    links = first, after = _child_links(parent)
+    roots = [x for x, p in enumerate(parent) if p < 0]
+    order = _preorder(parent, roots[::-1], links)
+    kept: dict[int, set[int]] = {}  # the bags of bags with children still to check
+
+    def least_is_root(i: int, j: int) -> None:  # the tree at order[i:j]
+        if (least := min(order[i:j])) != order[i]:
+            raise GraphInputError(f"bag {order[i]} is a root, but bag {least} is in its tree")
+
+    start = 0
+    for i, x in enumerate(order):
+        p = parent[x]
+        if p < 0:
+            if i:
+                least_is_root(start, i)
+            start = i
+            bag: set[int] = set()  # the bag of x less the core, once its line is read
+        elif first[p] != x:
+            bag = set(kept[p]) if after[x] >= 0 else kept.pop(p)
+        a, d = adds[x], drops[x]
+        if d is None:
+            adds[x], drops[x] = a, d = a.difference(bag), bag.difference(a)
+            bag.difference_update(d)
+            bag.update(a)
+        else:
             k = len(bag)
             if d:
                 bag.difference_update(d)
                 if len(bag) + len(d) != k:
-                    raise GraphInputError(f"bag line {lines[x]!r} drops a vertex bag {p} lacks")
+                    raise GraphInputError(f"bag line {line(x)!r} drops a vertex bag {p} lacks")
                 k -= len(d)
             if a:
                 bag.update(a)
                 if len(bag) != k + len(a) or d and not bag.isdisjoint(d):
-                    raise GraphInputError(f"bag line {lines[x]!r} adds a vertex bag {p} holds")
-        least = min(order[start:])
-        if least != r:
-            raise GraphInputError(f"bag {r} is a root, but bag {least} is in its tree")
+                    raise GraphInputError(f"bag line {line(x)!r} adds a vertex bag {p} holds")
+        c = first[x]
+        if c >= 0 and after[c] >= 0:
+            kept[x] = bag.copy()
+    if order:
+        least_is_root(start, len(order))
     if len(order) < b:
         stuck = min(set(range(b)).difference(order))
         raise GraphInputError(f"bag parents form a cycle through bag {stuck}")
@@ -1478,18 +1448,8 @@ def format_layered_decomposition(ld: LayeredDecomposition) -> str:
 
 
 def parse_layered_decomposition(text: str) -> LayeredDecomposition:
-    from .graphs import parse_layering
+    from .graphs import _layering_of_lines
 
     lines = text.splitlines()
-    # the decomposition is the header, the core line if B > 0 and line 2
-    # is one, and B bag lines, then in an older text "tree" and B - 1 tree
-    # edge lines; every line after it, blank or not, is a layer
-    filled = [i for i, ln in enumerate(lines) if ln.strip()]
-    b = _bag_count(lines[filled[0]] if filled else "")
-    end = 1 + (b > 0 and len(filled) > 1 and _is_core_line(lines[filled[1]])) + b
-    if len(filled) > end and lines[filled[end]].strip() == "tree":
-        end += 1 + max(b - 1, 0)
-    cut = filled[end - 1] + 1 if len(filled) >= end else len(lines)
-    td = _decomposition_from_lines(itertools.islice(lines, cut))
-    layering = parse_layering("".join(ln + "\n" for ln in lines[cut:]))
-    return LayeredDecomposition(td, layering)
+    td, cut = _read_decomposition(lines, layered=True)
+    return LayeredDecomposition(td, _layering_of_lines(lines[cut:]))

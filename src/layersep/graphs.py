@@ -426,7 +426,12 @@ def parse_layering(text: str) -> Layering:
     """Every line is a layer, a blank one an empty layer, so
     ``parse_layering(format_layering(L)) == L`` for every layering.
     A vertex listed in two layers raises ``GraphInputError``."""
-    layers = tuple(frozenset(_ints(ln.strip(), "layer line")) for ln in text.splitlines())
+    return _layering_of_lines(text.splitlines())
+
+
+def _layering_of_lines(lines: list[str]) -> Layering:
+    """``parse_layering`` of the text of these lines."""
+    layers = tuple(frozenset(_ints(ln.strip(), "layer line")) for ln in lines)
     if sum(map(len, layers)) != len(frozenset().union(*layers)):
         first: dict[int, int] = {}
         for i, layer in enumerate(layers):

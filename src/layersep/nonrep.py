@@ -280,11 +280,12 @@ def shadow_nonrep_compose(
 
 def verify_proper(g: Graph, c: Colouring) -> Report:
     """Check that exactly the vertices of G are coloured and that no edge
-    is monochromatic."""
+    is monochromatic; an edge with an uncoloured end has no colour."""
+    colour = c.colour
     violations = [
-        f"edge ({u},{v}) monochromatic in colour {c.colour[u]}"
+        f"edge ({u},{v}) monochromatic in colour {colour[u]}"
         for u, v in g.sorted_edges
-        if c.colour.get(u) == c.colour.get(v)
+        if u in colour and colour[u] == colour.get(v)
     ]
     for v in g.vertices():
         if v not in c.colour:

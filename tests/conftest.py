@@ -11,7 +11,7 @@ from layersep.generators import (
     random_planar_triangulation,
     toroidal_grid,
 )
-from layersep.graphs import Graph
+from layersep.graphs import Graph, GraphInputError
 from layersep.layouts import TrackLayout, pipeline, track_layout_from_compute
 from layersep.nonrep import Colouring, nonrep_from_compute
 from layersep.shadow import RichDecomposition
@@ -48,6 +48,24 @@ embedded_graphs = st.one_of(
     st.builds(random_planar_triangulation, st.integers(3, 150), st.integers(0, 10**6)),
     st.builds(toroidal_grid, st.integers(3, 9), st.integers(3, 9)),
 )
+
+
+@st.composite
+def small_graphs(draw, most: int = 12):
+    """A simple graph on 1..``most`` vertices with any edge set."""
+    n = draw(st.integers(1, most))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+def read_or_reject(read, judge, text: str):
+    """``judge(read(text))``, or None if reading or judging raises
+    ``GraphInputError``; any other exception escapes."""
+    try:
+        return judge(read(text))
+    except GraphInputError:
+        return None
 
 
 def changed_text(data, text: str, tokens) -> str:

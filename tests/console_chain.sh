@@ -74,4 +74,9 @@ for f in t t_perm; do
 done
 cmp t.dec t_perm.dec
 cmp t.tl t_perm.tl
+# a large decomposition text (about 6000 bag lines) is written, read back
+# and verified
+layersep gen planar_triangulation 3000 --out g3000.txt --manifest gen3000.json
+layersep decompose g3000.txt --out dec3000.txt --manifest decompose3000.json
+layersep verify decomposition dec3000.txt g3000.txt --manifest verify_dec3000.json
 echo "console chain passed"

@@ -1,0 +1,184 @@
+"""Brute-force searches and closed-form reports, kept as test oracles.
+
+An exact treewidth by dynamic programming over vertex subsets, a
+layered-width search over elimination orderings for tiny graphs (a good
+provider for clique-sums), a separation oracle backed by a decomposition
+for Reed's converse, and the closed-form bounds implied by a layered
+width.  They are exponential or quadratic, so the library does not ship
+them; the tests check its constructions against them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+from layersep.decomposition import (
+    DecompositionError,
+    GoodProvider,
+    LayeredDecomposition,
+    SeparationOracle,
+    TreeDecomposition,
+    separator_from_decomposition,
+)
+from layersep.graphs import Graph, GraphInputError, Separation, bfs_layering
+
+
+def _treedec_from_elimination(g: Graph, order: Sequence[int]) -> TreeDecomposition:
+    """Clique-tree style decomposition from an elimination ordering."""
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = {v: set(g.adjacency[v]) for v in g.vertices()}
+    bags: list[frozenset[int]] = []
+    bag_of: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    for v in order:
+        higher = {w for w in nbrs[v] if pos[w] > pos[v]}
+        bags.append(frozenset({v} | higher))
+        bag_of[v] = len(bags) - 1
+        for a in higher:
+            nbrs[a] |= higher - {a}
+            nbrs[a].discard(v)
+    for v in order:
+        higher = [w for w in bags[bag_of[v]] if pos[w] > pos[v]]
+        if higher:
+            nxt = min(higher, key=lambda w: pos[w])
+            edges.append((bag_of[v], bag_of[nxt]))
+    return TreeDecomposition(tuple(bags), frozenset(edges))
+
+
+def small_good_provider(g: Graph, ell: int) -> GoodProvider:
+    """Search-based ell-good provider for tiny graphs (n <= 9).
+
+    BFS-layers the graph from the requested clique and searches
+    elimination orderings for a tree decomposition of layered width at
+    most ell with respect to that layering.
+    """
+    if g.n > 9:
+        raise GraphInputError("search provider only supports n <= 9")
+
+    def provider(clique: tuple[int, ...]) -> LayeredDecomposition:
+        root = tuple(sorted(set(clique))) if clique else (0,)
+        if not g.is_clique(root):
+            raise GraphInputError("requested root set is not a clique")
+        if len(root) > ell:
+            raise GraphInputError(f"clique larger than ell={ell}")
+        layering = bfs_layering(g, root)[0]
+        for order in itertools.permutations(g.vertices()):
+            td = _treedec_from_elimination(g, order)
+            ld = LayeredDecomposition(td, layering)
+            if ld.layered_width <= ell:
+                return ld
+        raise DecompositionError(
+            f"no layered-width-{ell} decomposition found for the given root"
+        )
+
+    return provider
+
+
+def decomposition_separation_oracle(
+    g: Graph, td: TreeDecomposition
+) -> SeparationOracle:
+    """Separation oracle backed by separator_from_decomposition."""
+
+    def oracle(sample: frozenset[int]) -> Separation:
+        if not sample:
+            sample = frozenset([0])
+        _, sep = separator_from_decomposition(g, td, sample)
+        return sep
+
+    return oracle
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    n: int
+    m: int
+    ell: int
+    diameter: int
+    radius: int
+    edge_bound: int  # (3*ell - 1) * n
+    edge_bound_ok: bool
+    tw_bound_diameter: int  # ell*(d+1) - 1
+    tw_bound_diameter_sep: int  # 4*ell*(d+1) - 1 (strict bound realised)
+    norin_bound: float  # 2*sqrt(ell*n)
+
+    def local_treewidth(self, r: int) -> int:
+        return self.ell * (2 * r + 1) - 1
+
+
+def _eccentricities(g: Graph) -> list[int]:
+    out = []
+    for v in g.vertices():
+        _, tree = bfs_layering(g, [v])
+        out.append(max(tree.depth.values()))
+    return out
+
+
+def bound_report(g: Graph, ld: LayeredDecomposition) -> BoundReport:
+    """All closed-form bounds implied by layered width ell."""
+    ell = max(ld.layered_width, 1)
+    ecc = _eccentricities(g) if g.n else [0]
+    d = max(ecc)
+    radius = min(ecc)
+    edge_bound = (3 * ell - 1) * g.n
+    return BoundReport(
+        n=g.n,
+        m=g.m,
+        ell=ell,
+        diameter=d,
+        radius=radius,
+        edge_bound=edge_bound,
+        edge_bound_ok=g.m <= edge_bound,
+        tw_bound_diameter=ell * (d + 1) - 1,
+        tw_bound_diameter_sep=4 * ell * (d + 1) - 1,
+        norin_bound=2 * math.sqrt(ell * g.n),
+    )
+
+
+def exact_treewidth(g: Graph) -> int:
+    """Exact treewidth for n <= 16 by dynamic programming over the
+    subsets of eliminated vertices."""
+    n = g.n
+    if n > 16:
+        raise GraphInputError("exact treewidth oracle limited to n <= 16")
+    if n == 0:
+        return -1
+    nb = [0] * n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    full = (1 << n) - 1
+    dp = [n] * (full + 1)
+    dp[0] = 0
+    for s in range(1, full + 1):
+        best = n
+        rem = s
+        while rem:
+            b = rem & (-rem)
+            rem ^= b
+            v = b.bit_length() - 1
+            prev = dp[s ^ b]
+            if prev >= best:
+                continue
+            # degree of v when eliminated after s^b: neighbours of the
+            # component of v inside (s^b) | {v}
+            inside = s ^ b
+            reach = b
+            frontier = b
+            acc = 0
+            while frontier:
+                w = frontier & (-frontier)
+                frontier ^= w
+                nw = nb[w.bit_length() - 1]
+                acc |= nw
+                add = nw & inside & ~reach
+                reach |= add
+                frontier |= add
+            deg = (acc & ~inside & ~b).bit_count()
+            cost = prev if prev >= deg else deg
+            if cost < best:
+                best = cost
+        dp[s] = best
+    return dp[full]

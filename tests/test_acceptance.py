@@ -8,12 +8,10 @@ from fractions import Fraction
 from layersep.decomposition import (
     TreeDecomposition,
     clique_sum_compose,
-    exact_treewidth,
     genus_layered_decomposition,
     layered_separation,
     norin_treewidth,
     separator_from_decomposition,
-    small_good_provider,
     validate_tree_decomposition,
 )
 from layersep.drawing3d import draw_from_tracks, verify_drawing
@@ -59,6 +57,7 @@ from tests.conftest import (
     planar_track_solver,
     torus_pipeline,
 )
+from tests.oracles import exact_treewidth, small_good_provider
 
 PLANAR_NS = (10, 30, 60, 120, 200)
 TORUS_PQS = ((3, 3), (4, 6), (5, 8), (8, 8))

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,12 +15,11 @@ from layersep.decomposition import (
     LayeredDecomposition,
     _BagView,
     _RootPaths,
+    _bag_count,
     _balanced_sides,
+    _is_core_line,
     TreeDecomposition,
-    bound_report,
     clique_sum_compose,
-    decomposition_separation_oracle,
-    exact_treewidth,
     format_decomposition,
     format_layered_decomposition,
     genus_layered_decomposition,
@@ -29,7 +29,6 @@ from layersep.decomposition import (
     parse_layered_decomposition,
     planar_good_provider,
     separator_from_decomposition,
-    small_good_provider,
     treedec_from_separations,
     validate_tree_decomposition,
 )
@@ -61,6 +60,12 @@ from layersep.graphs import (
 )
 from layersep.shadow import RichDecomposition, format_rich, parse_rich
 from tests.conftest import changed_text, embedded_graphs, planar_pipeline, root_path, torus_pipeline
+from tests.oracles import (
+    bound_report,
+    decomposition_separation_oracle,
+    exact_treewidth,
+    small_good_provider,
+)
 
 
 def _tree_adjacency(td):
@@ -493,6 +498,25 @@ def test_root_path_bags_match_explicit_oracle(eg, data):
     sample = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
     sep = layered_separation(g, res.ld, sample)
     assert sep == layered_separation(g, explicit, sample)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_graphs, st.data())
+def test_root_path_deltas_are_the_explicit_bag_differences(eg, data):
+    """Each bag's change from its parent, one walk per side, is the
+    difference of the explicit bags, with no vertex twice, from roots of
+    one, two and three vertices."""
+    g = eg.to_graph()
+    u, v = data.draw(st.sampled_from(sorted(g.edges)))
+    common = sorted(set(g.adjacency[u]) & set(g.adjacency[v]))
+    root = data.draw(st.sampled_from([[u], [u, v]] + [[u, v, w] for w in common[:1]]))
+    td = genus_layered_decomposition(eg, root).ld.decomposition
+    explicit = TreeDecomposition(_explicit_genus_bags(eg, root), td.tree_edges)
+    core, adds, drops = td.deltas
+    assert explicit.forest == td.forest and core == explicit.core
+    for got, want in zip((adds, drops), explicit.deltas[1:]):
+        assert list(map(frozenset, got)) == list(want)
+        assert sum(map(len, got)) == sum(map(len, want))
 
 
 @pytest.mark.parametrize(
@@ -1327,3 +1351,206 @@ def test_decomposition_text_mutations_raise_or_check_like_the_oracle(ld, data):
             assert back.layered_width == _scan_layered_width(back)
     if td.bags and len(td.tree_edges) == len(td.bags) - 1:
         assert td.top_bag == _rest_top_bag(explicit)
+
+
+# ---------------------------------------------------------------------------
+# The per-line reader as an oracle for the bulk reader.
+# ---------------------------------------------------------------------------
+
+
+def _per_line_parse_decomposition(text):
+    """Oracle for ``parse_decomposition``: every line stripped, blank
+    ones dropped, and each bag line partitioned on its own; the deltas
+    are checked in one search of the forest with one running set."""
+    return _per_line_decomposition(text.splitlines())
+
+
+def _per_line_parse_layered_decomposition(text):
+    """Oracle for ``parse_layered_decomposition``: the decomposition is
+    the header, the core line if B > 0 and line 2 is one, and B bag
+    lines, then in an older text "tree" and B - 1 tree edge lines; every
+    line after it, blank or not, is a layer."""
+    lines = text.splitlines()
+    filled = [i for i, ln in enumerate(lines) if ln.strip()]
+    b = _bag_count(lines[filled[0]] if filled else "")
+    end = 1 + (b > 0 and len(filled) > 1 and _is_core_line(lines[filled[1]])) + b
+    if len(filled) > end and lines[filled[end]].strip() == "tree":
+        end += 1 + max(b - 1, 0)
+    cut = filled[end - 1] + 1 if len(filled) >= end else len(lines)
+    td = _per_line_decomposition(lines[:cut])
+    return LayeredDecomposition(td, parse_layering("".join(ln + "\n" for ln in lines[cut:])))
+
+
+class _PerLineTokenInts(dict):
+    """``int(tok)`` per distinct token, parsed on its first lookup; a
+    negative token raises ``ValueError``."""
+
+    def __missing__(self, tok):
+        v = int(tok)
+        if v < 0:
+            raise ValueError(f"negative token {tok!r}")
+        self[tok] = v
+        return v
+
+
+def _per_line_decomposition(raw):
+    lines = [ln for ln in (s.strip() for s in raw) if ln]
+    b = _bag_count(lines[0] if lines else "")
+    ints = _PerLineTokenInts().__getitem__
+    core = frozenset()
+    start = 1
+    if b and len(lines) > 1 and _is_core_line(lines[1]):
+        try:
+            core = frozenset(map(ints, lines[1].partition(":")[2].split()))
+        except ValueError as exc:
+            raise GraphInputError(f"bad core line {lines[1]!r}") from exc
+        start = 2
+    if len(lines) < start + b:
+        raise GraphInputError("truncated decomposition")
+    body, tail = lines[start : start + b], lines[start + b :]
+    parent = [-1] * b
+    adds = [()] * b
+    drops = [None] * b  # None: listed
+    for x, ln in enumerate(body):
+        head, listed, vs = ln.partition(":")
+        if not listed:
+            head, _, dropped = ln.partition("-")
+            head, _, vs = head.partition("+")
+        bag_id, child, up = head.partition("<")
+        has_parent = bool(child) or not listed
+        try:
+            given = int(bag_id)
+            if listed:
+                adds[x] = frozenset(map(ints, vs.split()))
+            else:
+                adds[x] = tuple(map(ints, vs.split()))
+                drops[x] = tuple(map(ints, dropped.split()))
+            if has_parent:
+                parent[x] = int(up)
+        except ValueError as exc:
+            what = "misplaced core" if head.strip() == "core" else "bad bag"
+            raise GraphInputError(f"{what} line {ln!r}") from exc
+        if given != x:
+            raise GraphInputError(f"bag ids must be consecutive, got {bag_id.strip()!r}")
+        if has_parent and not (0 <= parent[x] < b and parent[x] != x):
+            raise GraphInputError(f"bad parent in bag line {ln!r}")
+    if tail and tail[0] != "tree":
+        raise GraphInputError(f"expected 'tree' or the end after the bag list, got {tail[0]!r}")
+    if tail and parent.count(-1) < b:
+        raise GraphInputError("a text with a tree block has no parent fields")
+    core, order = _per_line_resolve_deltas(core, parent, adds, drops, body)
+    if not tail:
+        return TreeDecomposition._of(core, (parent, order), (adds, drops))
+    edges = set()
+    for ln in tail[1:]:
+        try:
+            x, y = map(ints, ln.split())
+        except ValueError:
+            x = y = -1
+        if not (0 <= x < b and 0 <= y < b) or x == y:
+            raise GraphInputError(f"bad tree edge {ln!r}")
+        edges.add((x, y) if x < y else (y, x))
+    return TreeDecomposition(map(core.union, adds), edges)
+
+
+def _per_line_resolve_deltas(core, parent, adds, drops, lines):
+    b = len(parent)
+    chain = itertools.chain.from_iterable
+    if core and not (core.isdisjoint(chain(adds)) and core.isdisjoint(chain(filter(None, drops)))):
+        x = next(x for x in range(b) if not core.isdisjoint((*adds[x], *(drops[x] or ()))))
+        raise GraphInputError(f"bag line {lines[x]!r} repeats a core vertex")
+    kids = [[] for _ in range(b)]
+    roots = []
+    for x, p in enumerate(parent):
+        (roots if p < 0 else kids[p]).append(x)
+    order = []
+    bag = set()  # the rest of the bag on top of path
+    path = []
+    for r in roots:
+        start = len(order)
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            stack.extend(kids[x])
+            p = parent[x]
+            while path and path[-1] != p:
+                y = path.pop()
+                bag.difference_update(adds[y])
+                bag.update(drops[y])
+            path.append(x)
+            a, d = adds[x], drops[x]
+            if d is None:
+                adds[x], drops[x] = a.difference(bag), bag.difference(a)
+                bag.difference_update(drops[x])
+                bag.update(adds[x])
+                continue
+            k = len(bag)
+            if d:
+                bag.difference_update(d)
+                if len(bag) + len(d) != k:
+                    raise GraphInputError(f"bag line {lines[x]!r} drops a vertex bag {p} lacks")
+                k -= len(d)
+            if a:
+                bag.update(a)
+                if len(bag) != k + len(a) or d and not bag.isdisjoint(d):
+                    raise GraphInputError(f"bag line {lines[x]!r} adds a vertex bag {p} holds")
+        least = min(order[start:])
+        if least != r:
+            raise GraphInputError(f"bag {r} is a root, but bag {least} is in its tree")
+    if len(order) < b:
+        stuck = min(set(range(b)).difference(order))
+        raise GraphInputError(f"bag parents form a cycle through bag {stuck}")
+    common = set(adds[roots[0]]) if roots else set()
+    for r in roots[1:]:
+        common.intersection_update(adds[r])
+    for d in drops:
+        if not common:
+            break
+        common.difference_update(d)
+    if common:
+        core = core.union(common)
+        for r in roots:
+            adds[r] = tuple(v for v in adds[r] if v not in common)
+    return core, order
+
+
+def _read_outcome(parse, text):
+    """The error message, or the value with its forest, core and deltas."""
+    try:
+        value = parse(text)
+    except GraphInputError as exc:
+        return str(exc)
+    td = value.decomposition if isinstance(value, LayeredDecomposition) else value
+    return value, td.forest, td.core, td.deltas
+
+
+@st.composite
+def _decomposition_texts(draw):
+    """Layered texts: of ``_bag_trees``, of the genus decompositions of
+    planar graphs and tori (with a core line), in the older tree-block
+    form with or without a core line, and the fixtures."""
+    kind = draw(st.sampled_from(("bag_trees", "genus", "older", "fixture")))
+    if kind == "fixture":
+        return (FIXTURES / draw(st.sampled_from(("planar30.dec", "torus6.dec", "chordal40.dec")))).read_text()
+    if kind == "genus":
+        return format_layered_decomposition(genus_layered_decomposition(draw(embedded_graphs), (0,)).ld)
+    ld = draw(_bag_trees())
+    if kind == "bag_trees":
+        return format_layered_decomposition(ld)
+    return _old_text(ld.decomposition, core=draw(st.booleans())) + format_layering(ld.layering)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_decomposition_texts(), st.booleans(), st.data())
+def test_bulk_reader_matches_the_per_line_oracle(text, change, data):
+    """The bulk reader returns the per-line oracle's value, with equal
+    forest, core and deltas, or raises its ``GraphInputError`` message,
+    on every text and every single-token or single-line change of one;
+    no other exception escapes."""
+    if change:
+        text = changed_text(data, text, _TOKENS)
+    assert _read_outcome(parse_decomposition, text) == _read_outcome(_per_line_parse_decomposition, text)
+    assert _read_outcome(parse_layered_decomposition, text) == _read_outcome(
+        _per_line_parse_layered_decomposition, text
+    )

@@ -24,9 +24,9 @@ from layersep.drawing3d import (
     volume_report,
 )
 from layersep.generators import Lcg, complete_graph, cycle_graph, path_graph
-from layersep.graphs import Graph
+from layersep.graphs import Graph, Report
 from layersep.layouts import LayoutError, TrackLayout
-from tests.conftest import planar_pipeline, torus_pipeline
+from tests.conftest import changed_text, planar_pipeline, read_or_reject, small_graphs, torus_pipeline
 
 
 def segments_intersect_fraction(p1, p2, q1, q2) -> bool:
@@ -443,3 +443,26 @@ def test_verify_drawing_reads_array_rows_like_list_rows(which):
     with mock.patch.object(drawing3d, "_LIST_ROWS", 0):
         for p in placements:
             assert_matches_oracle(g, p)
+
+
+_DRAWING_TOKENS = ("0", "1", "-3", "12", "-1", "00", "+2", "1.5", "x", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_graphs(),
+    st.dictionaries(st.integers(0, 13), st.tuples(*[st.integers(-3, 5)] * 3), max_size=14),
+    st.data(),
+)
+def test_drawing_text_changes_raise_or_verify(g, position, data):
+    """A drawing of any vertices, points shared or not, round-trips; every
+    single-token or single-line change of its text raises
+    ``GraphInputError`` or reads to a drawing the verifier judges; no
+    other exception escapes."""
+    d = GridDrawing3D(position)
+    text = format_drawing(d)
+    assert parse_drawing(text) == d
+    if position:
+        changed = changed_text(data, text, _DRAWING_TOKENS)
+        got = read_or_reject(parse_drawing, lambda dr: verify_drawing(g, dr), changed)
+        assert got is None or isinstance(got, Report)

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from layersep.decomposition import exact_treewidth, validate_tree_decomposition
+from layersep.decomposition import validate_tree_decomposition
 from layersep.generators import (
     Lcg,
     gen,
@@ -17,6 +17,7 @@ from layersep.generators import (
 )
 from layersep.embedding import format_rotation_system
 from layersep.graphs import GraphInputError, validate_layering
+from tests.oracles import exact_treewidth
 
 
 def test_lcg_deterministic():

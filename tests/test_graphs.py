@@ -9,6 +9,7 @@ from layersep.graphs import (
     Graph,
     GraphInputError,
     Layering,
+    Report,
     Separation,
     _ints,
     bfs_layering,
@@ -20,6 +21,7 @@ from layersep.graphs import (
     validate_layering,
     validate_separation,
 )
+from tests.conftest import changed_text, read_or_reject, small_graphs
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
@@ -152,6 +154,23 @@ def test_layering_text_round_trips(layering):
     text = format_layering(layering)
     assert parse_layering(text) == layering
     assert format_layering(parse_layering(text)) == text
+
+
+_LAYER_TOKENS = ("0", "1", "7", "12", "-1", "00", "+2", "1.5", "x", ":", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), layerings(), st.data())
+def test_layering_text_changes_raise_or_validate(g, layering, data):
+    """Every single-token or single-line change of a layering text raises
+    ``GraphInputError`` or reads to a layering ``validate_layering``
+    judges; no other exception escapes."""
+    text = format_layering(layering)
+    assert parse_layering(text) == layering
+    if text:
+        changed = changed_text(data, text, _LAYER_TOKENS)
+        got = read_or_reject(parse_layering, lambda lay: validate_layering(g, lay), changed)
+        assert got is None or isinstance(got, Report)
 
 
 def test_parse_layering_rejects_garbage():

@@ -44,7 +44,14 @@ from layersep.layouts import (
     verify_queue_layout,
     verify_track_layout,
 )
-from tests.conftest import changed_text, embedded_graphs, planar_pipeline, torus_pipeline
+from tests.conftest import (
+    changed_text,
+    embedded_graphs,
+    planar_pipeline,
+    read_or_reject,
+    small_graphs,
+    torus_pipeline,
+)
 
 
 def test_compute_recursion_separation_mode():
@@ -278,6 +285,29 @@ def test_queue_text_mutations_raise_or_verify_like_the_oracle(case, data):
     assert got == _outcome(_per_line_parse_queue_layout, text)
     if isinstance(got, QueueLayout):
         assert verify_queue_layout(g, got) == _pairwise_verify_queue_layout(g, got)
+
+
+_TRACK_TOKENS = ("0", "1", "3", "11", "12", "-1", "00", "+2", "1.5", "x", "3:", ":", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_graphs(),
+    st.lists(st.lists(st.integers(0, 13), max_size=6).map(tuple), max_size=5),
+    st.data(),
+)
+def test_track_text_changes_raise_or_verify(g, tracks, data):
+    """A track layout, any vertex on any number of tracks, round-trips;
+    every single-token or single-line change of its text raises
+    ``GraphInputError`` or reads to a layout the verifier judges; no
+    other exception escapes."""
+    tl = TrackLayout(tuple(tracks))
+    text = format_track_layout(tl)
+    assert parse_track_layout(text) == tl
+    if tracks:
+        changed = changed_text(data, text, _TRACK_TOKENS)
+        got = read_or_reject(parse_track_layout, lambda t: verify_track_layout(g, t), changed)
+        assert got is None or isinstance(got, Report)
 
 
 def _pairwise_verify_track_layout(g: Graph, tl: TrackLayout) -> Report:

@@ -13,7 +13,7 @@ from layersep.generators import (
     random_planar_triangulation,
     random_tree,
 )
-from layersep.graphs import Graph, GraphInputError, bfs_layering
+from layersep.graphs import Graph, GraphInputError, Report, bfs_layering
 from layersep.layouts import pipeline
 from layersep.nonrep import (
     _SEARCH_WALK_CAP,
@@ -33,7 +33,14 @@ from layersep.nonrep import (
     verify_proper,
 )
 from layersep.shadow import recursive_nonrep_driver
-from tests.conftest import chordal_fixture, planar_pipeline, torus_pipeline
+from tests.conftest import (
+    changed_text,
+    chordal_fixture,
+    planar_pipeline,
+    read_or_reject,
+    small_graphs,
+    torus_pipeline,
+)
 
 
 def _enumerated_walks_ok(seq):
@@ -480,3 +487,48 @@ def test_colouring_format_roundtrip():
     assert parse_colouring(format_colouring(c, bound=42.0)).colour == c.colour
     with pytest.raises(GraphInputError):
         parse_colouring("no header\n")
+
+
+def _judge_colouring(g, c):
+    """The verdict of ``layersep verify nonrep``: a proper colouring, then
+    no square on a path of up to ``default_max_path`` vertices."""
+    proper = verify_proper(g, c)
+    if not proper.ok:
+        return proper
+    hit = verify_nonrepetitive(g, c, default_max_path(g.n))
+    return Report.of(() if hit is None else (f"repetitive path: {hit}",))
+
+
+_COLOUR_TOKENS = ("0", "1", "5", "12", "-1", "00", "+2", "1.5", "x", "palette", "bound", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_graphs(),
+    st.dictionaries(st.integers(0, 13), st.integers(0, 5), max_size=14),
+    st.data(),
+)
+def test_colouring_text_changes_raise_or_verify(g, colour, data):
+    """A colouring of any vertices round-trips; every single-token or
+    single-line change of its text raises ``GraphInputError`` or reads to
+    a colouring the verifiers judge; no other exception escapes."""
+    c = Colouring(colour)
+    text = format_colouring(c)
+    assert parse_colouring(text) == c
+    changed = changed_text(data, text, _COLOUR_TOKENS)
+    got = read_or_reject(parse_colouring, lambda col: _judge_colouring(g, col), changed)
+    assert got is None or isinstance(got, Report)
+
+
+def test_verify_proper_reports_an_edge_of_uncoloured_ends_as_uncoloured():
+    """An edge with no coloured end is not monochromatic: its ends are
+    reported uncoloured, and the verifier does not fail on them."""
+    g = Graph.from_edges(3, [(0, 1)])
+    assert verify_proper(g, Colouring({})).violations == (
+        "vertex 0 uncoloured",
+        "vertex 1 uncoloured",
+        "vertex 2 uncoloured",
+    )
+    assert verify_proper(g, Colouring({0: 1, 1: 1, 2: 0})).violations == (
+        "edge (0,1) monochromatic in colour 1",
+    )
