@@ -88,6 +88,25 @@ def _preorder(
     return order
 
 
+def _walk(parent: list[int], order: list[int], links: tuple[list[int], list[int]], start):
+    """Each bag x of the preorder of the child ``links`` with its parent's
+    running state, a ``set`` or a count ``list``, for the caller to change
+    into x's in place: the object left at the parent for the child visited
+    next, a copy for each later sibling, ``start.copy()`` at a root.  No
+    change is ever undone."""
+    first, after = links
+    kept: dict = {}  # the states of bags with children still to visit
+    for x in order:  # a root first
+        p = parent[x]
+        if p < 0:
+            state = start.copy()
+        elif first[p] != x:
+            state = kept[p].copy() if after[x] >= 0 else kept.pop(p)
+        yield x, state
+        if first[x] >= 0 and after[first[x]] >= 0:
+            kept[x] = state.copy()
+
+
 def _bag_forest(b: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
     """(parent, preorder) of a depth-first search of the bag graph from
     bag 0, then from the least bag not yet reached, neighbours pushed in
@@ -173,17 +192,12 @@ class TreeDecomposition:
         """Every parsed bag, built along the forest from ``deltas`` on the
         first read of one; from then on ``bags`` is this tuple."""
         core, adds, drops = self.deltas
-        parent, order = self.forest
-        rests: list[frozenset[int]] = [frozenset()] * len(order)
-        for x in order:
-            p = parent[x]
-            rest = rests[p] if p >= 0 else frozenset()
-            if drops[x]:
-                rest = rest.difference(drops[x])
-            if adds[x]:
-                rest = rest.union(adds[x])
-            rests[x] = rest
-        self.__dict__["bags"] = tuple(map(core.union, rests)) if core else tuple(rests)
+        bags = [core] * len(adds)
+        for x, rest in _walk(*self.forest, self._links, set()):
+            rest.difference_update(drops[x])
+            rest.update(adds[x])
+            bags[x] = core.union(rest)
+        self.__dict__["bags"] = tuple(bags)
         return self.bags
 
     @cached_property
@@ -195,12 +209,18 @@ class TreeDecomposition:
             parent, x, up = dual.copy(), 0, -1
             while x >= 0:
                 parent[x], up, x = up, x, dual[x]
-            return parent, _preorder(parent, [0])
+            links = self.__dict__["_links"] = _child_links(parent)
+            return parent, _preorder(parent, [0], links)
         b, edges = len(self.bags), self.tree_edges
         ends = sorted(itertools.chain.from_iterable(edges))
         if ends and not 0 <= ends[0] <= ends[-1] < b:
             raise DecompositionError(f"a tree edge joins no two of the {b} bags")
         return _bag_forest(b, edges)
+
+    @cached_property
+    def _links(self) -> tuple[list[int], list[int]]:
+        """``_child_links`` of ``forest``, kept by root paths and the parser."""
+        return _child_links(self.forest[0])
 
     @cached_property
     def tree_edges(self) -> frozenset[tuple[int, int]]:
@@ -227,13 +247,16 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        core, adds, drops = self.deltas
+        return len(self.core) + max(self._rest_sizes()) - 1
+
+    def _rest_sizes(self) -> list[int]:
+        """Each bag's size less the core, and a 0 last for a root's parent -1."""
+        _, adds, drops = self.deltas
         parent, order = self.forest
-        size = [0] * len(order)
+        size = [0] * (len(order) + 1)
         for x in order:
-            p = parent[x]
-            size[x] = (size[p] if p >= 0 else 0) + len(adds[x]) - len(drops[x])
-        return len(core) + max(size, default=0) - 1
+            size[x] = size[parent[x]] + len(adds[x]) - len(drops[x])
+        return size
 
     @cached_property
     def rooted(self) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -343,9 +366,10 @@ class LayeredDecomposition:
         """Most vertices of one bag in one layer.  The core, the vertices
         common to every bag, is counted per layer once.  Under the ceiling
         root paths prove (``_RootPaths.layer_ceiling``), each bag's rest is
-        counted bag by bag up to the first that reaches it; otherwise one
-        search of the bag tree keeps the count of the bag it is at per
-        layer, changing it by each bag's ``deltas``.  A bag vertex that no
+        counted bag by bag up to the first that reaches it; otherwise the
+        per-layer counts of the bag at hand are handed down the bag forest
+        (``_walk``), changed by each bag's ``deltas`` and copied at bags
+        with several children rather than undone.  A bag vertex that no
         layer holds raises ``GraphInputError``."""
         td = self.decomposition
         layer_of = self.layering.layer_of
@@ -367,24 +391,14 @@ class LayeredDecomposition:
                         best = max(best, c + count[i])
                 return best
             _, adds, drops = td.deltas
-            parent, order = td.forest
-            path: list[int] = []
-            for x in order:
-                p = parent[x]
-                while path and path[-1] != p:
-                    y = path.pop()
-                    for v in adds[y]:
-                        count[layer_of[v]] -= 1
-                    for v in drops[y]:
-                        count[layer_of[v]] += 1
+            for x, at in _walk(*td.forest, td._links, count):
                 for v in drops[x]:
-                    count[layer_of[v]] -= 1
+                    at[layer_of[v]] -= 1
                 for v in adds[x]:
                     i = layer_of[v]
-                    c = count[i] = count[i] + 1
+                    c = at[i] = at[i] + 1
                     if c > best:
                         best = c
-                path.append(x)
         except KeyError as exc:
             raise GraphInputError(f"bag vertex {exc.args[0]} lies in no layer") from None
         return best
@@ -411,9 +425,10 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     common bag lies below both tops, and then the top read later in
     preorder holds the other end.  So one pass over the bags in preorder
     decides a valid decomposition in O(sum of changes + m): a bag's new
-    vertices are the ones its ``deltas`` add, the bag itself is one set
-    changed by each bag's deltas on the way down and back on the way up,
-    and each edge is checked in the top bag of the end read last.  Only
+    vertices are the ones its ``deltas`` add, the bag itself is a running
+    set handed down the forest (``_walk``), changed by each bag's deltas
+    and copied at bags with several children rather than undone, and each
+    edge is checked in the top bag of the end read last.  Only
     vertices new in several bags are looked up bag by bag, against the
     tree edges as given.
     """
@@ -436,14 +451,7 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Report:
     spread: set[int] = set()  # vertices new in more than one bag
     missed: set[tuple[int, int]] = set()  # edges the later top bag misses
     stray = dict.fromkeys((v for v in core if not 0 <= v < g.n), 0)  # least bag holding v
-    rest: set[int] = set()  # the bag at x less the core
-    path: list[int] = []  # the bags from the root to x
-    for x in order:
-        while path and path[-1] != parent[x]:
-            y = path.pop()
-            rest.difference_update(adds[y])
-            rest.update(drops[y])
-        path.append(x)
+    for x, rest in _walk(parent, order, td._links, set()):  # rest: the bag at x less the core
         rest.difference_update(drops[x])
         rest.update(adds[x])
         new = adds[x] if parent[x] >= 0 else core.union(adds[x])
@@ -727,7 +735,7 @@ def genus_layered_decomposition(
     g = eg.euler_genus
 
     if eg.n < 3:
-        layering, _ = bfs_layering(base, clique)
+        layering = bfs_layering(base, clique)
         ld = LayeredDecomposition(TreeDecomposition.single_bag(range(eg.n)), layering)
         return GenusDecompositionResult(ld, frozenset(), g, clique)
 
@@ -1137,16 +1145,14 @@ def format_decomposition(td: TreeDecomposition) -> str:
     lines = [f"bags {b}"] + [""] * b
     if core:
         lines[0] += "\ncore: " + joined(core)
-    size = [0] * b  # of each bag less the core
+    size = td._rest_sizes()
     for x in order:
         p, a, d = parent[x], adds[x], drops[x]
-        na, nd = len(a), len(d)
         if p < 0:
-            size[x] = na
             lines[x + 1] = f"{x}: " + joined(a)
             continue
-        k = size[x] = size[p] + na - nd
-        if k < na + nd + (na > 0) + (nd > 0):
+        na, nd = len(a), len(d)
+        if size[x] < na + nd + (na > 0) + (nd > 0):
             # listing the bag is shorter, so the bag is small
             line = f"{x} < {p}: " + joined(td.outside(x))
         elif na == 0 and nd == 1:  # the commonest line
@@ -1206,17 +1212,17 @@ def _filled(lines: list[str], i: int) -> int:
     return i
 
 
-def _read_decomposition(lines: list[str], layered: bool) -> tuple[TreeDecomposition, int]:
-    """The decomposition that ``lines`` start with, and the index of the
-    line after it.  Blank lines are skipped.  Every bag line is split
-    once; a line as ``format_decomposition`` writes it is read in place
-    and any other goes to ``_bag_fields``, which reads it or raises
-    ``GraphInputError`` naming it.  The forest, core and deltas are then
-    checked and made exact by ``_resolve_deltas``; an older text's tree
-    block gives explicit bags and edges instead.  Every vertex token is
-    parsed once (``_TokenInts``).  In a layered text the decomposition
-    ends after its bag lines or, in an older text, after "tree" and B - 1
-    edge lines; every line after it, blank or not, is a layer."""
+def _read_decomposition(lines: list[str], layered: bool) -> tuple[TreeDecomposition, int, _TokenInts]:
+    """The decomposition that ``lines`` start with, the index of the line
+    after it and its token table (``_TokenInts``), which parses every
+    vertex token once, a layer's too.  Blank lines are skipped.  Every bag
+    line is split once; a line as ``format_decomposition`` writes it is
+    read in place and any other goes to ``_bag_fields``, which reads it or
+    raises ``GraphInputError`` naming it.  The forest, core and deltas are
+    then checked and made exact by ``_resolve_deltas``; an older text's
+    tree block gives explicit bags and edges instead.  In a layered text
+    the decomposition ends after its bag lines or, in an older text, after
+    "tree" and B - 1 edge lines; every line after it, blank or not, is a layer."""
     n = len(lines)
     i = _filled(lines, 0)
     b = _bag_count(lines[i] if i < n else "")
@@ -1298,9 +1304,11 @@ def _read_decomposition(lines: list[str], layered: bool) -> tuple[TreeDecomposit
         raise GraphInputError(f"expected 'tree' or the end after the bag list, got {tail[0]!r}")
     if tail and parent.count(-1) < b:
         raise GraphInputError("a text with a tree block has no parent fields")
-    core, order = _resolve_deltas(core, parent, adds, drops, body)
+    core, order, links = _resolve_deltas(core, parent, adds, drops, body)
     if not tail:
-        return TreeDecomposition._of(core, (parent, order), (adds, drops)), cut
+        td = TreeDecomposition._of(core, (parent, order), (adds, drops))
+        td.__dict__["_links"] = links
+        return td, cut, ints
     edges = set()
     for ln in tail[1:]:
         try:
@@ -1310,7 +1318,7 @@ def _read_decomposition(lines: list[str], layered: bool) -> tuple[TreeDecomposit
         if not (0 <= x < b and 0 <= y < b) or x == y:
             raise GraphInputError(f"bad tree edge {ln!r}")
         edges.add((x, y) if x < y else (y, x))
-    return TreeDecomposition(map(core.union, adds), edges), cut
+    return TreeDecomposition(map(core.union, adds), edges), cut, ints
 
 
 def _bag_fields(line: str, x: int, b: int, get: Callable[[str], int]) -> tuple[int, object, object]:
@@ -1350,18 +1358,17 @@ def _resolve_deltas(
     adds: list,
     drops: list,
     lines: list[str],
-) -> tuple[frozenset[int], list[int]]:
-    """The core and the preorder (``_bag_forest``'s) of parsed bag lines,
-    checked along the preorder: each line's change is checked against its
-    parent's bag, held as one running set.  The preorder takes a bag's
-    greatest child right after the bag, so the set is the parent's bag
-    there; a bag with more children keeps a copy for the others, and no
-    change is ever undone.  A line that adds a vertex its parent's bag
-    holds, drops one it lacks, names one twice or repeats a core vertex,
-    parents that close a cycle, and a root that is not the least bag of
-    its component raise ``GraphInputError``.  A listed bag (``drops``
-    None) becomes its change from its parent in place, and any vertex in
-    every bag moves into the core, so the value alone fixes the fields."""
+) -> tuple[frozenset[int], list[int], tuple[list[int], list[int]]]:
+    """The core, the preorder (``_bag_forest``'s) and the child links of
+    parsed bag lines, checked along the preorder: each line's change is
+    checked against its parent's bag, the running set ``_walk`` hands
+    down, copied at bags with several children rather than undone.  A
+    line that adds a vertex its parent's bag holds, drops one it lacks,
+    names one twice or repeats a core vertex, parents that close a cycle,
+    and a root that is not the least bag of its component raise
+    ``GraphInputError``.  A listed bag (``drops`` None) becomes its change
+    from its parent in place, and any vertex in every bag moves into the
+    core, so the value alone fixes the fields."""
     b = len(parent)
 
     def line(x: int) -> str:
@@ -1371,25 +1378,20 @@ def _resolve_deltas(
     if core and not (core.isdisjoint(chain(adds)) and core.isdisjoint(chain(filter(None, drops)))):
         x = next(x for x in range(b) if not core.isdisjoint((*adds[x], *(drops[x] or ()))))
         raise GraphInputError(f"bag line {line(x)!r} repeats a core vertex")
-    links = first, after = _child_links(parent)
+    links = _child_links(parent)
     roots = [x for x, p in enumerate(parent) if p < 0]
     order = _preorder(parent, roots[::-1], links)
-    kept: dict[int, set[int]] = {}  # the bags of bags with children still to check
 
     def least_is_root(i: int, j: int) -> None:  # the tree at order[i:j]
         if (least := min(order[i:j])) != order[i]:
             raise GraphInputError(f"bag {order[i]} is a root, but bag {least} is in its tree")
 
     start = 0
-    for i, x in enumerate(order):
+    for i, (x, bag) in enumerate(_walk(parent, order, links, set())):  # bag: x's less the core
         p = parent[x]
-        if p < 0:
-            if i:
-                least_is_root(start, i)
+        if p < 0 and i:
+            least_is_root(start, i)
             start = i
-            bag: set[int] = set()  # the bag of x less the core, once its line is read
-        elif first[p] != x:
-            bag = set(kept[p]) if after[x] >= 0 else kept.pop(p)
         a, d = adds[x], drops[x]
         if d is None:
             adds[x], drops[x] = a, d = a.difference(bag), bag.difference(a)
@@ -1406,9 +1408,6 @@ def _resolve_deltas(
                 bag.update(a)
                 if len(bag) != k + len(a) or d and not bag.isdisjoint(d):
                     raise GraphInputError(f"bag line {line(x)!r} adds a vertex bag {p} holds")
-        c = first[x]
-        if c >= 0 and after[c] >= 0:
-            kept[x] = bag.copy()
     if order:
         least_is_root(start, len(order))
     if len(order) < b:
@@ -1425,7 +1424,7 @@ def _resolve_deltas(
         core = core.union(common)
         for r in roots:
             adds[r] = tuple(v for v in adds[r] if v not in common)
-    return core, order
+    return core, order, links
 
 
 def _bag_count(header: str) -> int:
@@ -1451,5 +1450,5 @@ def parse_layered_decomposition(text: str) -> LayeredDecomposition:
     from .graphs import _layering_of_lines
 
     lines = text.splitlines()
-    td, cut = _read_decomposition(lines, layered=True)
-    return LayeredDecomposition(td, _layering_of_lines(lines[cut:]))
+    td, cut, ints = _read_decomposition(lines, layered=True)
+    return LayeredDecomposition(td, _layering_of_lines(lines[cut:], ints.__getitem__))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from operator import eq, lt
-from typing import Iterable, MutableSequence, Optional, Sequence
+from typing import Callable, Iterable, MutableSequence, Optional, Sequence
 
 
 class GraphInputError(ValueError):
@@ -176,24 +176,6 @@ class Layering:
 
 
 @dataclass(frozen=True)
-class BfsTree:
-    """BFS forest from a root set: parent pointers and exact distances."""
-
-    roots: frozenset[int]
-    parent: dict[int, Optional[int]]
-    depth: dict[int, int]
-
-    def path_to_root(self, v: int) -> frozenset[int]:
-        """Vertex set of the path from ``v`` up to its root."""
-        path = []
-        cur: Optional[int] = v
-        while cur is not None:
-            path.append(cur)
-            cur = self.parent[cur]
-        return frozenset(path)
-
-
-@dataclass(frozen=True)
 class Separation:
     """Pair of vertex sets covering V(G) with no edge between the strict
     sides."""
@@ -228,12 +210,9 @@ class Report:
         return Report(tuple(violations))
 
 
-def bfs_layering(g: Graph, roots: Iterable[int]) -> tuple[Layering, BfsTree]:
+def bfs_layering(g: Graph, roots: Iterable[int]) -> Layering:
     """BFS layering from a root set; layer ``i`` holds the vertices at
-    distance ``i`` from the roots.
-
-    Neighbours are scanned in ascending id order, so parents are
-    deterministic.  Raises if some vertex is unreachable.
+    distance ``i`` from the roots.  Raises if some vertex is unreachable.
     """
     roots = sorted(set(roots))
     if not roots:
@@ -242,24 +221,20 @@ def bfs_layering(g: Graph, roots: Iterable[int]) -> tuple[Layering, BfsTree]:
         if not 0 <= r < g.n:
             raise GraphInputError(f"root {r} out of range")
     depth: dict[int, int] = {r: 0 for r in roots}
-    parent: dict[int, Optional[int]] = {r: None for r in roots}
     queue = deque(roots)
     while queue:
         v = queue.popleft()
         for w in g.adjacency[v]:
             if w not in depth:
                 depth[w] = depth[v] + 1
-                parent[w] = v
                 queue.append(w)
     if len(depth) != g.n:
         missing = min(v for v in g.vertices() if v not in depth)
         raise GraphInputError(f"vertex {missing} unreachable from roots")
-    t = max(depth.values()) if depth else 0
-    layers: list[set[int]] = [set() for _ in range(t + 1)]
+    layers: list[set[int]] = [set() for _ in range(max(depth.values()) + 1)]
     for v, d in depth.items():
         layers[d].add(v)
-    layering = Layering.from_sets(layers)
-    return layering, BfsTree(frozenset(roots), parent, depth)
+    return Layering.from_sets(layers)
 
 
 def validate_layering(g: Graph, layering: Layering) -> Report:
@@ -429,9 +404,15 @@ def parse_layering(text: str) -> Layering:
     return _layering_of_lines(text.splitlines())
 
 
-def _layering_of_lines(lines: list[str]) -> Layering:
-    """``parse_layering`` of the text of these lines."""
-    layers = tuple(frozenset(_ints(ln.strip(), "layer line")) for ln in lines)
+def _layering_of_lines(lines: list[str], get: Callable[[str], int] = int) -> Layering:
+    """``parse_layering`` of the text of these lines, each token read by
+    ``get``; a line with a token ``get`` refuses is read with ``int``."""
+    layers = []
+    for ln in lines:
+        try:
+            layers.append(frozenset(map(get, ln.split())))
+        except ValueError:
+            layers.append(frozenset(_ints(ln.strip(), "layer line")))
     if sum(map(len, layers)) != len(frozenset().union(*layers)):
         first: dict[int, int] = {}
         for i, layer in enumerate(layers):
@@ -439,7 +420,7 @@ def _layering_of_lines(lines: list[str]) -> Layering:
                 j = first.setdefault(v, i)
                 if j != i:
                     raise GraphInputError(f"vertex {v} in layers {j} and {i}")
-    return Layering(layers)
+    return Layering(tuple(layers))
 
 
 def format_layering(layering: Layering) -> str:

@@ -385,19 +385,25 @@ def verify_nonrepetitive(
     hits: list[tuple[int, tuple[int, ...]]] = []
     base = end = 0
 
-    def grow(x: int, y: int, i: int) -> None:
-        """Record and extend the pair path xs/ys, whose i-th pair is (x, y)."""
+    def close(x: int, y: int) -> None:
+        """Record the pair path xs/ys, whose last but one pair is (x, y),
+        and its squares one pair longer: the last x must be an end."""
+        if level[x] == end:
+            hits.append((cap - 1, (*xs, *ys)))
+        for x2 in adj[x]:
+            if level[x2] == end and not used[x2]:
+                c2 = col[x2]
+                for y2 in adj[y]:
+                    if col[y2] == c2 and not used[y2] and y2 != x2:
+                        hits.append((cap, (*xs, x2, *ys, y2)))
+
+    def grow(x: int, y: int, i: int):
+        """Record and extend the pair path xs/ys, whose i-th pair is
+        (x, y), i < cap - 1.  Each longer pair below the last but one is
+        yielded for the caller to grow, and resumed once it is grown, so
+        the search runs from an explicit stack, not one call per pair."""
         if level[x] == end:
             hits.append((i, (*xs, *ys)))
-        if i == cap - 1:
-            # the last x must be an end: no need to recurse
-            for x2 in adj[x]:
-                if level[x2] == end and not used[x2]:
-                    c2 = col[x2]
-                    for y2 in adj[y]:
-                        if col[y2] == c2 and not used[y2] and y2 != x2:
-                            hits.append((cap, (*xs, x2, *ys, y2)))
-            return
         top = base + cap - i
         for x2 in adj[x]:
             if used[x2] or not base < level[x2] <= top:
@@ -409,7 +415,10 @@ def verify_nonrepetitive(
                 if col[y2] == c2 and not used[y2]:
                     used[y2] = True
                     ys.append(y2)
-                    grow(x2, y2, i + 1)
+                    if i + 1 == cap - 1:
+                        close(x2, y2)
+                    else:
+                        yield x2, y2, i + 1
                     ys.pop()
                     used[y2] = False
             xs.pop()
@@ -449,12 +458,17 @@ def verify_nonrepetitive(
         for x1 in cands:
             used[x1] = True
             xs.append(x1)
-            grow(x1, y1, 1)
+            stack = [grow(x1, y1, 1)]
+            while stack:
+                for pair in stack[-1]:
+                    stack.append(grow(*pair))
+                    break
+                else:
+                    stack.pop()
             xs.pop()
             used[x1] = False
         ys.pop()
         used[y1] = False
-    del grow  # break the closure's reference cycle
     if not hits:
         return None
     least = min(h for h, _ in hits)

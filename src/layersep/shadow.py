@@ -179,7 +179,7 @@ def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
                 edges.add((bs[i], bs[j]))
     gp = Graph.from_edges(g.n, edges)
     r = 0
-    layering, _ = bfs_layering(gp, [r])
+    layering = bfs_layering(gp, [r])
     layer_of = layering.layer_of
 
     # root the tree at the least bag containing r

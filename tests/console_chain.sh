@@ -60,6 +60,9 @@ layersep verify queues torus30_ql.txt torus30.txt --manifest torus30_verify_queu
 layersep verify decomposition "$fixtures/planar30.dec" "$fixtures/planar30.txt" --manifest old_verify_dec.json
 # an explicit decomposition (not from the genus construction) verifies
 layersep verify decomposition "$fixtures/chordal40.dec" "$fixtures/chordal40.txt"
+# an older text with a core line, of a graph on the torus
+layersep gen toroidal_grid 6 --out torus6.txt
+layersep verify decomposition "$fixtures/torus6.dec" torus6.txt
 # runs of 2-4 parallel edges bounding bigons, dropped in one pass
 layersep decompose --embedded "$fixtures/parallel12_rot.txt" --out parallel_dec.txt --manifest parallel_decompose.json
 layersep verify decomposition parallel_dec.txt "$fixtures/parallel12.txt" --manifest parallel_verify_dec.json

@@ -64,7 +64,7 @@ def small_good_provider(g: Graph, ell: int) -> GoodProvider:
             raise GraphInputError("requested root set is not a clique")
         if len(root) > ell:
             raise GraphInputError(f"clique larger than ell={ell}")
-        layering = bfs_layering(g, root)[0]
+        layering = bfs_layering(g, root)
         for order in itertools.permutations(g.vertices()):
             td = _treedec_from_elimination(g, order)
             ld = LayeredDecomposition(td, layering)
@@ -109,11 +109,7 @@ class BoundReport:
 
 
 def _eccentricities(g: Graph) -> list[int]:
-    out = []
-    for v in g.vertices():
-        _, tree = bfs_layering(g, [v])
-        out.append(max(tree.depth.values()))
-    return out
+    return [len(bfs_layering(g, [v])) - 1 for v in g.vertices()]
 
 
 def bound_report(g: Graph, ld: LayeredDecomposition) -> BoundReport:

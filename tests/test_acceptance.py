@@ -196,7 +196,7 @@ def test_criterion_7_nonrepetitive():
     tree = random_tree(40, seed=0)
     from layersep.graphs import bfs_layering
 
-    layering, _ = bfs_layering(tree, [0])
+    layering = bfs_layering(tree, [0])
     bags = tuple(frozenset(e) for e in sorted(tree.edges))
     td = TreeDecomposition(
         bags,

@@ -18,6 +18,7 @@ from layersep.decomposition import (
     _bag_count,
     _balanced_sides,
     _is_core_line,
+    _walk,
     TreeDecomposition,
     clique_sum_compose,
     format_decomposition,
@@ -802,6 +803,20 @@ def test_parse_decomposition_parses_each_token_once():
             parse_decomposition(text)
         with pytest.raises(GraphInputError, match=repr(line)):
             parse_layered_decomposition(text + "0 1\n")
+    # the layer lines share the bag lines' table; a line with a signed
+    # token is read as int reads it, and the messages are the layering's
+    text = "bags 3\n0: 300 301\n1: 301 302\n2: 302 300\n"
+    ld = parse_layered_decomposition(text + "300 301\n302\n+303\n")
+    assert ld.layering.layers == tuple(map(frozenset, ({300, 301}, {302}, {303})))
+    in_bags = {id(v) for bag in ld.decomposition.bags for v in bag}
+    assert in_bags == {id(v) for layer in ld.layering.layers for v in layer if v != 303}
+    for layers, message in (
+        ("300 3x\n302\n", "bad layer line '300 3x'"),
+        ("300 -\n302\n", "bad layer line '300 -'"),
+        ("300 301\n302 300\n", "vertex 300 in layers 0 and 1"),
+    ):
+        with pytest.raises(GraphInputError, match=message):
+            parse_layered_decomposition(text + layers)
 
 
 def test_layered_decomposition_roundtrip_keeps_empty_layers():
@@ -883,6 +898,57 @@ def test_decomposition_text_round_trips(ld):
             assert parse_layered_decomposition(old + format_layering(ld.layering)) == ld
     if td.bags and tree:
         assert back.top_bag == td.top_bag == _rest_top_bag(td)
+
+
+def _check_walk(td):
+    """``_walk`` hands each bag, once, its parent's state: a set that,
+    changed by the bag's deltas, is the bag less the core, and a list of
+    the bags above it.  Each bag also leaves a marker, a negative number
+    no later bag removes, in the set, so a bag that saw a sibling's
+    change would hold that sibling's marker."""
+    core, adds, drops = td.deltas
+    parent = td.forest[0]
+
+    def above(x):
+        return [] if parent[x] < 0 else [*above(parent[x]), parent[x]]
+
+    seen = []
+    for (x, state), (y, path) in zip(
+        _walk(*td.forest, td._links, set()), _walk(*td.forest, td._links, [])
+    ):
+        assert x == y and path == above(x)
+        p = parent[x]
+        assert state == (td.bags[p] - core if p >= 0 else set()) | {-1 - a for a in path}
+        state.difference_update(drops[x])
+        state.update(adds[x])
+        assert {v for v in state if v >= 0} == td.bags[x] - core
+        state.add(-1 - x)
+        path.append(x)
+        seen.append(x)
+    assert sorted(seen) == list(range(len(td.bags)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bag_trees())
+def test_walk_hands_each_bag_its_parents_bag(ld):
+    td = ld.decomposition
+    _check_walk(td)
+    if td._non_forest is None:
+        _check_walk(parse_decomposition(format_decomposition(td)))
+
+
+def test_walk_on_several_trees_and_a_bag_of_four_children():
+    bags = tuple(map(frozenset, ({0, 1, 2, 3}, {0, 4}, {1, 5}, {2, 6}, {3, 7}, {8, 9}, {9, 10}, {11})))
+    td = TreeDecomposition(bags, {(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)})
+    parent = td.forest[0]
+    assert parent.count(-1) == 3 and parent.count(0) == 4
+    _check_walk(td)
+    _check_walk(parse_decomposition(format_decomposition(td)))
+    # root paths: the dual tree of a triangulation branches
+    for eg in (toroidal_grid(5, 6), random_planar_triangulation(60, seed=2)):
+        td = genus_layered_decomposition(eg, (0,)).ld.decomposition
+        assert td._paths is not None and max(map(td.forest[0].count, range(len(td.bags)))) >= 2
+        _check_walk(td)
 
 
 def test_parse_decomposition_moves_common_vertices_into_the_core():
@@ -972,7 +1038,7 @@ def test_layered_width_ceiling_holds_only_under_its_premise(eg):
     ceiling = paths.layer_ceiling(res.ld.layering.layer_of)
     assert ceiling is not None and res.ld.layered_width == _scan_layered_width(res.ld) <= ceiling
     g = eg.to_graph()
-    other = LayeredDecomposition(res.ld.decomposition, bfs_layering(g, [g.n - 1])[0])
+    other = LayeredDecomposition(res.ld.decomposition, bfs_layering(g, [g.n - 1]))
     assert paths.layer_ceiling(other.layering.layer_of) is None
     assert other.layered_width == _scan_layered_width(other)
 
@@ -1083,7 +1149,7 @@ def test_separator_rejects_empty_sample():
 @given(st.integers(4, 16), st.integers(0, 4))
 def test_tree_has_width_one_pipeline(n, seed):
     g = random_tree(n, seed)
-    layering, _ = bfs_layering(g, [0])
+    layering = bfs_layering(g, [0])
     td = TreeDecomposition(
         tuple(frozenset(e) for e in sorted(g.edges)),
         tuple((i, i + 1) for i in range(len(g.edges) - 1)),
@@ -1121,7 +1187,7 @@ def test_older_texts_parse_like_their_new_texts():
     built = {
         "planar30.dec": genus_layered_decomposition(embed_planar(planar), (0,)).ld,
         "torus6.dec": genus_layered_decomposition(toroidal_grid(6, 6), (0,)).ld,
-        "chordal40.dec": LayeredDecomposition(td, bfs_layering(chordal, [0])[0]),
+        "chordal40.dec": LayeredDecomposition(td, bfs_layering(chordal, [0])),
     }
     for name, ld in built.items():
         text = (FIXTURES / name).read_text()
@@ -1316,7 +1382,7 @@ def test_root_path_deltas_along_any_tree(eg):
     assert validate_tree_decomposition(g, lazy) == _rest_validate_tree_decomposition(g, explicit)
     assert lazy.width == explicit.width and lazy.top_bag == _rest_top_bag(explicit)
     # a layering from the last vertex breaks the ceiling's premise
-    ld = LayeredDecomposition(lazy, bfs_layering(g, [g.n - 1])[0])
+    ld = LayeredDecomposition(lazy, bfs_layering(g, [g.n - 1]))
     assert ld.layered_width == _scan_layered_width(ld)
 
 

@@ -76,7 +76,7 @@ def test_components():
 
 def test_bfs_layering_path():
     g = path_graph(5)
-    layering, tree = bfs_layering(g, [0])
+    layering = bfs_layering(g, [0])
     assert layering.layers == (
         frozenset({0}),
         frozenset({1}),
@@ -84,7 +84,6 @@ def test_bfs_layering_path():
         frozenset({3}),
         frozenset({4}),
     )
-    assert tree.path_to_root(4) == frozenset({0, 1, 2, 3, 4})
 
 
 def test_bfs_layering_unreachable():
@@ -117,7 +116,7 @@ def test_validate_separation_balance_and_edges():
 
 def test_separator_layer_widths():
     g = path_graph(5)
-    layering, _ = bfs_layering(g, [0])
+    layering = bfs_layering(g, [0])
     s = Separation(frozenset({0, 1, 2}), frozenset({2, 3, 4}))
     assert separator_layer_widths(s, layering) == {2: 1}
 
@@ -130,7 +129,7 @@ def test_graph_format_roundtrip():
 
 def test_layering_format_roundtrip():
     g = grid_graph(3, 3)
-    layering, _ = bfs_layering(g, [0])
+    layering = bfs_layering(g, [0])
     assert parse_layering(format_layering(layering)) == layering
     gappy = Layering((frozenset({0}), frozenset(), frozenset({2})))
     assert parse_layering(format_layering(gappy)) == gappy
@@ -315,7 +314,7 @@ def test_graph_text_mutations_raise_or_read_like_the_oracle(text):
 @given(st.integers(2, 30), st.integers(0, 5))
 def test_bfs_layering_valid_on_random_trees(n, seed):
     g = random_tree(n, seed)
-    layering, _ = bfs_layering(g, [0])
+    layering = bfs_layering(g, [0])
     assert validate_layering(g, layering).ok
     # every edge joins consecutive layers in a tree BFS
     lo = layering.layer_of
@@ -328,5 +327,5 @@ def test_layering_covers_vertices(n, seed):
     g = random_graph(n, min(n, 2 * n - 3), seed)
     comp = sorted(g.components(), key=min)[0]
     sub, _ = g.induced(sorted(comp))
-    layering, _ = bfs_layering(sub, [0])
+    layering = bfs_layering(sub, [0])
     assert set().union(*layering.layers) == set(range(sub.n))

@@ -155,7 +155,7 @@ def test_verify_queue_layout_catches_nesting():
 def _edge_bags(g: Graph) -> LayeredDecomposition:
     """A tree is its own width-1 layered decomposition: a bag per edge,
     each joined to the first earlier bag it meets."""
-    layering, _ = bfs_layering(g, [0])
+    layering = bfs_layering(g, [0])
     bags = tuple(frozenset(e) for e in sorted(g.edges))
     tree_edges = []
     for i, b in enumerate(bags):

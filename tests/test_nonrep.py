@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -280,7 +281,7 @@ def test_nonrep_planar_exhaustive_small():
 
 def test_nonrep_sparse_exhaustive_n40():
     g = random_tree(40, seed=9)
-    layering, _ = bfs_layering(g, [0])
+    layering = bfs_layering(g, [0])
     from layersep.decomposition import LayeredDecomposition, TreeDecomposition
     from layersep.layouts import compute_recursion
 
@@ -438,6 +439,27 @@ def test_square_spanning_a_long_path(k):
     for max_path in (2 * k, 2 * k + 1, 2 * k + 4):
         assert verify_nonrepetitive(g, c, max_path) == tuple(g.vertices())
     assert verify_nonrepetitive(g, c, 2 * k - 1) is None
+
+
+def test_deep_square_search_keeps_an_explicit_stack():
+    # s s, for the square-free word s of length 201, has no square of
+    # half-length <= 2, so the search grows pair paths about 200 pairs
+    # deep; it must not take a call per pair, which a recursion limit a
+    # little above this test's own depth would stop
+    k = 201
+    g = path_graph(2 * k)
+    c = Colouring(dict(enumerate([_ternary_squarefree(i) for i in range(k)] * 2)))
+    expected = _dfs_squares(g, c, 2 * k)
+    assert expected is not None and len(expected) > 4
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        assert verify_nonrepetitive(g, c, 2 * k) == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_square_around_a_cycle_is_simple():
