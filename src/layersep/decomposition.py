@@ -1080,10 +1080,7 @@ def norin_treewidth(g: Graph, ld: LayeredDecomposition) -> TreeDecomposition:
     for comp in _components_within(g, frozenset(g.vertices()) - w):
         sub = ld.restricted_to(comp)
         offset = len(bags)
-        nonempty = False
-        for bag in sub.decomposition.bags:
-            bags.append(bag | w)
-            nonempty = nonempty or bool(bag)
+        bags.extend(bag | w for bag in sub.decomposition.bags)
         tree_edges.extend(
             (x + offset, y + offset) for x, y in sub.decomposition.tree_edges
         )

@@ -18,6 +18,14 @@ track and one colour per vertex.  The plan is held by ``rd`` (O(total
 piece size), freed with it) and shared by ``rich_shadow_layering`` and
 both recursive drivers, which fold it with their leaf solver and their
 composition.
+
+Each level is built in one pass: the layering files every bag under the
+layer of its fresh part as it walks the tree, so a layer's decomposition
+holds only the bags that meet it, and a disconnected piece's
+decomposition is split among all its components at once.  A leaf's
+vertices are numbered 0..s-1, so equal leaves are equal graphs (every
+K_s of a chordal graph is one leaf), and a fold solves each distinct
+leaf graph once: a leaf solver must be a function of its graph.
 """
 
 from __future__ import annotations
@@ -148,8 +156,8 @@ def rich_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
 
     BFS-layers the bag-completed graph from the minimum-id vertex; each
     bag then spans two consecutive layers, layer indices are
-    non-decreasing down the tree (property checked), and restricting the
-    bags of the subtree reaching layer i to that layer gives a
+    non-decreasing down the tree (property checked), and the bags whose
+    fresh part lies in layer i, restricted to that layer, give a
     (k-1)-rich decomposition of the layer.
 
     The layering is built once per (G, rd) and held by ``rd``; for a
@@ -158,13 +166,36 @@ def rich_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     return _memoised("layering", g, rd, _build_shadow_layering)
 
 
-def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
+def _build_shadow_layering(
+    g: Graph, rd: RichDecomposition, comps: Optional[list[frozenset[int]]] = None
+) -> ShadowLayering:
+    """The layering of ``rich_shadow_layering``, built in one pass over
+    the contracted bags; ``comps`` are G's components if the caller has
+    searched them.
+
+    The walk files each bag x under the layer ``ell[x]`` of its fresh
+    part (its vertices not in its parent bag).  A vertex v of bag x is
+    fresh in the topmost bag y holding v, an ancestor of x, or v is the
+    root r; since layer indices do not decrease down the tree, v lies in
+    layer ``ell[y] <= ell[x]``.  So a bag meets no layer after its own,
+    and among the bags filed under layers up to i only those filed under
+    i meet layer i.  Layer i's decomposition is those bags in preorder,
+    each restricted to layer i, each joined to its parent bag when that
+    is filed under i too.  A bag whose parent lies in an earlier layer
+    hangs under the layer's first bag f instead.  The two share no
+    vertex: f comes first in preorder, so the tree path from the bag to
+    f leaves through its parent, which meets no later layer, and the
+    bags holding a vertex form a subtree.  So the new edges break no
+    vertex's subtree and meet in the empty clique, and the decomposition
+    is valid and as rich as the one over every bag filed up to layer i,
+    whose other bags are empty in layer i.
+    """
     if g.n == 0:
         raise GraphInputError("graph must be non-empty")
     rep = validate_rich(g, rd)
     if not rep.ok:
         raise ShadowError(f"input decomposition invalid: {rep.violations[0]}")
-    c = len(g.components())
+    c = len(g.components() if comps is None else comps)
     if c > 1:
         raise ShadowError(f"graph has {c} components; a shadow layering needs one")
     k = max(rd.richness, 1)
@@ -181,6 +212,7 @@ def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     r = 0
     layering = bfs_layering(gp, [r])
     layer_of = layering.layer_of
+    layers = layering.layers
 
     # root the tree at the least bag containing r
     alpha = next(i for i, bag in enumerate(td.bags) if r in bag)
@@ -198,8 +230,10 @@ def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     if len(order) != b:
         raise ShadowError("decomposition tree is disconnected")
 
-    # first-appearance part of each bag and its layer index
+    # first-appearance part of each bag and its layer index; each bag
+    # is filed under that layer, in preorder
     ell = [0] * b
+    filed: list[list[int]] = [[] for _ in layers]
     for x in order:
         if x == alpha:
             fresh = td.bags[x] - {r}
@@ -213,21 +247,19 @@ def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
         ell[x] = levels.pop() if levels else 0
         if x != alpha and ell[x] < ell[parent[x]]:
             raise ShadowError("layer index decreased down the tree")
+        filed[ell[x]].append(x)
 
     per_layer: list[RichDecomposition] = []
     per_layer.append(
         RichDecomposition(TreeDecomposition.single_bag({r}))
     )
-    for i in range(1, len(layering)):
-        nodes = [x for x in order if ell[x] <= i]
+    for i in range(1, len(layers)):
+        nodes = filed[i]
         idx = {x: j for j, x in enumerate(nodes)}
-        bags = tuple(td.bags[x] & layering.layers[i] for x in nodes)
-        tedges = frozenset(
-            (min(idx[x], idx[parent[x]]), max(idx[x], idx[parent[x]]))
-            for x in nodes
-            if x != alpha and parent[x] in idx
-        )
-        sub = RichDecomposition(TreeDecomposition(bags, tedges))
+        sub = RichDecomposition(TreeDecomposition(
+            tuple(td.bags[x] & layers[i] for x in nodes),
+            frozenset((idx.get(parent[x], 0), j) for j, x in enumerate(nodes) if j),
+        ))
         if sub.richness > k - 1:
             raise ShadowError(
                 f"layer {i} decomposition is {sub.richness}-rich, wanted {k - 1}"
@@ -237,9 +269,15 @@ def _build_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
 
 
 def validate_shadow_layering(g: Graph, rd: RichDecomposition, sl: ShadowLayering) -> Report:
-    """Containment and per-layer validity of a shadow layering."""
+    """Containment and per-layer validity of a shadow layering.  A
+    per-layer bag is looked up only among the parent bags that hold its
+    least vertex."""
     violations: list[str] = []
     parent_bags = rd.decomposition.bags
+    holding: dict[int, list[frozenset[int]]] = {}
+    for pb in parent_bags:
+        for v in pb:
+            holding.setdefault(v, []).append(pb)
     for i, sub in enumerate(sl.per_layer):
         layer = sl.layering.layers[i]
         gi, to_new = g.induced(sorted(layer))
@@ -251,7 +289,7 @@ def validate_shadow_layering(g: Graph, rd: RichDecomposition, sl: ShadowLayering
             rep = validate_tree_decomposition(gi, mapped)
             violations.extend(f"layer {i}: {v}" for v in rep.violations)
         for j, bag in enumerate(sub.decomposition.bags):
-            if bag and not any(bag <= pb for pb in parent_bags):
+            if bag and not any(bag <= pb for pb in holding.get(min(bag), ())):
                 violations.append(f"layer {i} bag {j} not contained in any parent bag")
     return Report.of(violations)
 
@@ -466,26 +504,6 @@ TrackSolver = Callable[[Graph], TrackLayout]
 ColourSolver = Callable[[Graph], Colouring]
 
 
-def _restrict_rd(
-    rd: RichDecomposition, part: frozenset[int], to_new: dict[int, int]
-) -> RichDecomposition:
-    """Restriction to a piece, relabelled by ``to_new``: the bags that
-    meet the piece, in their order, and the tree edges between them.  The
-    bags meeting a connected piece form a subtree, so the result is a
-    tree decomposition of that piece."""
-    td = rd.decomposition
-    kept = [x for x, bag in enumerate(td.bags) if not bag.isdisjoint(part)]
-    idx = {x: i for i, x in enumerate(kept)}
-    return RichDecomposition(
-        TreeDecomposition(
-            tuple(frozenset(to_new[v] for v in td.bags[x] & part) for x in kept),
-            frozenset(
-                (idx[x], idx[y]) for x, y in td.tree_edges if x in idx and y in idx
-            ),
-        )
-    )
-
-
 def _merge_component_tracks(parts: Sequence[TrackLayout]) -> TrackLayout:
     """Concatenate per-component layouts track by track.  Components are
     edge-disjoint, and each occupies a contiguous block on every track,
@@ -530,7 +548,11 @@ class _Artifact:
     on no path.  Leaves are connected, so ``merge`` and ``relabel`` then
     put the i-th vertex of every component of a 0-rich piece on track i
     with colour i; the track count is the largest component, which lies
-    in one bag."""
+    in one bag.
+
+    A leaf solver, the built-in one or a caller's, must be a function of
+    its graph: a fold solves each distinct leaf graph once, and every
+    leaf with that graph shares the result."""
 
     leaf: Callable[[Graph], Any]
     relabel: Callable[[Any, Sequence[int]], Any]
@@ -561,12 +583,12 @@ _COLOURS = _Artifact(
 class _Piece:
     """A node of the shadow recursion's plan: a piece G of richness k and
     its ``parts``, each ``(to_old, child)`` where ``to_old[j]`` is the id
-    in G of the child's vertex j.  With no layering the parts are the
-    components of a disconnected G, at any richness, or there are none
-    and G is a leaf: a piece of at most one vertex or a connected 0-rich
-    one, the only pieces a bag solver sees.  With a layering, G is
-    connected and the parts are the layers of its shadow layering, one
-    richness lower."""
+    in G of the child's vertex j, so a child's vertices keep the order of
+    their ids in G.  With no layering the parts are the components of a
+    disconnected G, at any richness, or there are none and G is a leaf:
+    a piece of at most one vertex or a connected 0-rich one, the only
+    pieces a bag solver sees.  With a layering, G is connected and the
+    parts are the layers of its shadow layering, one richness lower."""
 
     g: Graph
     k: int
@@ -574,32 +596,111 @@ class _Piece:
     parts: tuple[tuple[tuple[int, ...], _Piece], ...] = ()
 
 
+_ONE = Graph(1, frozenset())  # the graph of every one-vertex part
+
+
+def _split_decomposition(
+    td: TreeDecomposition, part_of: Sequence[int], to_new: Sequence[int], count: int
+) -> list[tuple[list[frozenset[int]], list[tuple[int, int]]]]:
+    """The restrictions of ``td`` to ``count`` disjoint parts of G, in one
+    pass: each bag is filed, relabelled by ``to_new``, under every part
+    it meets (``part_of[v]`` for each of its vertices), and a part keeps
+    a tree edge when both of its bags were filed under it.  A part's
+    bags keep their order.  The bags meeting a connected part form a
+    subtree, so each component gets a tree decomposition of itself.
+    Vertices outside G are dropped."""
+    n = len(part_of)
+    out: list[tuple[list[frozenset[int]], list[tuple[int, int]]]] = [
+        ([], []) for _ in range(count)
+    ]
+    filed: list[dict[int, int]] = []  # per bag: part -> the bag's index there
+    for bag in td.bags:
+        if bag and (min(bag) < 0 or max(bag) >= n):
+            bag = [v for v in bag if 0 <= v < n]
+        here: dict[int, list[int]] = {}
+        for v in bag:
+            here.setdefault(part_of[v], []).append(to_new[v])
+        at = {}
+        for p, vs in here.items():
+            bags = out[p][0]
+            at[p] = len(bags)
+            bags.append(frozenset(vs))
+        filed.append(at)
+    for x, y in td.tree_edges:
+        fx, fy = filed[x], filed[y]
+        for p in fx.keys() & fy.keys():
+            out[p][1].append((fx[p], fy[p]))
+    return out
+
+
+def _split(
+    g: Graph,
+    rd: RichDecomposition,
+    parts: Sequence[Sequence[int]],
+    per_layer: Optional[Sequence[RichDecomposition]] = None,
+) -> tuple[tuple[tuple[int, ...], _Piece], ...]:
+    """The ``(to_old, child)`` pairs of G split into ascending ``parts``
+    that partition it: the layers of G's shadow layering, with their
+    ``per_layer`` decompositions, or G's components, among which ``rd``
+    is split in one pass.  The induced graphs come from one pass over
+    G's edges, and every one-vertex part shares ``_ONE``.  A component of
+    a 0-rich G is a leaf at once, with no restricted decomposition."""
+    k = rd.richness
+    part_of = [0] * g.n
+    to_new = [0] * g.n
+    for p, part in enumerate(parts):
+        for j, v in enumerate(part):
+            part_of[v] = p
+            to_new[v] = j
+    edges: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for u, v in g.edges:
+        if part_of[u] == part_of[v]:
+            edges[part_of[u]].append((to_new[u], to_new[v]))
+    if per_layer is not None:
+        decomps = [(sub.decomposition.bags, sub.decomposition.tree_edges) for sub in per_layer]
+    elif k:
+        decomps = _split_decomposition(rd.decomposition, part_of, to_new, len(parts))
+    else:
+        decomps = None
+    out = []
+    for p, part in enumerate(parts):
+        if decomps is None:
+            child = _Piece(_ONE if len(part) == 1 else Graph(len(part), frozenset(edges[p])), 0)
+        elif len(part) == 1:  # all its bags are {0}: 1-rich if it has two
+            child = _Piece(_ONE, min(len(decomps[p][1]), 1))
+        else:
+            bags, tree_edges = decomps[p]
+            if per_layer is not None:
+                bags = [frozenset([to_new[v] for v in bag]) for bag in bags]
+            child = _build_plan(
+                Graph(len(part), frozenset(edges[p])),
+                RichDecomposition(TreeDecomposition(bags, tree_edges)),
+            )
+        out.append((tuple(part), child))
+    return tuple(out)
+
+
 def _build_plan(g: Graph, rd: RichDecomposition) -> _Piece:
     """Split a disconnected G into its components, at every richness; a
     piece of at most one vertex or a connected 0-rich piece is a leaf;
     any other piece gets a shadow-complete layering, and the recursion
-    goes on in every layer.  A component of a 0-rich piece becomes a leaf
-    directly, with no restricted decomposition, and every check of
-    ``rich_shadow_layering`` runs once per layered piece."""
+    goes on in every layer.  Each split takes one pass: the layering
+    files every bag under its layer, and a disconnected piece's
+    decomposition is split among all its components at once
+    (``_split_decomposition``).  A connected piece's components are
+    searched once, for the split and for the layering's check, and every
+    check of ``rich_shadow_layering`` runs once per layered piece."""
     k = rd.richness
     if g.n <= 1:
         return _Piece(g, k)
-
-    def on(part: frozenset[int], part_rd: RichDecomposition) -> tuple:
-        sub_g, to_new = g.induced(sorted(part))
-        if k == 0:  # a component of a 0-rich piece
-            return tuple(to_new), _Piece(sub_g, 0)
-        return tuple(to_new), _build_plan(sub_g, _restrict_rd(part_rd, part, to_new))
-
     comps = g.components()
     if len(comps) > 1:
-        return _Piece(g, k, None, tuple(on(comp, rd) for comp in comps))
+        return _Piece(g, k, None, _split(g, rd, [sorted(c) for c in comps]))
     if k == 0:
         return _Piece(g, k)
-    sl = rich_shadow_layering(g, rd)
-    return _Piece(g, k, sl.layering, tuple(
-        on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)
-    ))
+    sl = _memoised("layering", g, rd, lambda g, rd: _build_shadow_layering(g, rd, comps))
+    layers = [sorted(layer) for layer in sl.layering.layers]
+    return _Piece(g, k, sl.layering, _split(g, rd, layers, sl.per_layer))
 
 
 def _plan(g: Graph, rd: RichDecomposition) -> _Piece:
@@ -609,14 +710,23 @@ def _plan(g: Graph, rd: RichDecomposition) -> _Piece:
 
 
 def _fold(plan: _Piece, solve: Callable[[Graph], Any], art: _Artifact) -> Any:
-    """One artifact from a plan: ``solve`` runs on the leaves depth first,
-    and each node relabels its parts' results and merges or composes them."""
-    if not plan.parts:
-        return solve(plan.g)
-    parts = [art.relabel(_fold(child, solve, art), to_old) for to_old, child in plan.parts]
-    if plan.layering is None:
-        return art.merge(parts)
-    return art.compose(plan.g, plan.layering, parts, plan.k)
+    """One artifact from a plan, depth first.  ``solve`` runs once per
+    distinct leaf graph, in the order the leaves are first met, and
+    every leaf with that graph shares its result.  Each node relabels
+    its parts' results and merges or composes them."""
+    solved: dict[Graph, Any] = {}
+
+    def fold(piece: _Piece) -> Any:
+        if not piece.parts:
+            if piece.g not in solved:
+                solved[piece.g] = solve(piece.g)
+            return solved[piece.g]
+        parts = [art.relabel(fold(child), to_old) for to_old, child in piece.parts]
+        if piece.layering is None:
+            return art.merge(parts)
+        return art.compose(piece.g, piece.layering, parts, piece.k)
+
+    return fold(plan)
 
 
 def recursive_track_driver(
@@ -626,7 +736,10 @@ def recursive_track_driver(
     with ``rich_shadow_layering`` and the colouring driver: each level
     multiplies the track count by at most ``shadow_track_bound``'s factor.
     ``bag_solver`` lays out each leaf, a connected 0-rich piece or a
-    piece of at most one vertex; it defaults to one track per vertex."""
+    piece of at most one vertex on vertices 0..s-1; it defaults to one
+    track per vertex.  It must be a function of its graph: each distinct
+    leaf graph is solved once per call, and equal leaves share the
+    layout."""
     return _fold(_plan(g, rd), bag_solver, _TRACKS)
 
 
@@ -637,7 +750,9 @@ def recursive_nonrep_driver(
     plan shared with ``rich_shadow_layering`` and the track driver: each
     level multiplies the palette by the layer-pattern symbol count.
     ``bag_solver`` colours each leaf, a connected 0-rich piece or a piece
-    of at most one vertex; it defaults to colour v for vertex v."""
+    of at most one vertex on vertices 0..s-1; it defaults to colour v for
+    vertex v.  It must be a function of its graph: each distinct leaf
+    graph is solved once per call, and equal leaves share the colouring."""
     return _fold(_plan(g, rd), bag_solver, _COLOURS)
 
 

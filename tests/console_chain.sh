@@ -82,4 +82,14 @@ cmp t.tl t_perm.tl
 layersep gen planar_triangulation 3000 --out g3000.txt --manifest gen3000.json
 layersep decompose g3000.txt --out dec3000.txt --manifest decompose3000.json
 layersep verify decomposition dec3000.txt g3000.txt --manifest verify_dec3000.json
+# the shadow layering of chordal30.rich's graph (tests/fixtures/chordal30.shadow)
+# passes at its richness, 3, and fails a shadow bound of 1 (exit 1)
+layersep gen random_chordal 30 --seed 5 --out c30.txt
+test "$(layersep verify shadow "$fixtures/chordal30.shadow" c30.txt --k 3 --manifest shadow_verify.json)" = pass
+if layersep verify shadow "$fixtures/chordal30.shadow" c30.txt --k 1 --manifest shadow_verify1.json 2> shadow1.err; then
+  echo "shadow bound 1 accepted"; exit 1
+else
+  test $? -eq 1
+fi
+grep -qx "shadow of a layer-2 component has 2 > 1 vertices" shadow1.err
 echo "console chain passed"

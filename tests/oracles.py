@@ -6,6 +6,10 @@ provider for clique-sums), a separation oracle backed by a decomposition
 for Reed's converse, and the closed-form bounds implied by a layered
 width.  They are exponential or quadratic, so the library does not ship
 them; the tests check its constructions against them.
+
+The shadow recursion's old plan is kept here too: per-layer
+decompositions that rescan every bag up to their layer, a restriction
+that scans every bag once per part, and the plan built on both.
 """
 
 from __future__ import annotations
@@ -23,7 +27,16 @@ from layersep.decomposition import (
     TreeDecomposition,
     separator_from_decomposition,
 )
+from layersep.decomposition import _tree_lists
 from layersep.graphs import Graph, GraphInputError, Separation, bfs_layering
+from layersep.shadow import (
+    RichDecomposition,
+    ShadowError,
+    ShadowLayering,
+    _contract_redundant,
+    _Piece,
+    validate_rich,
+)
 
 
 def _treedec_from_elimination(g: Graph, order: Sequence[int]) -> TreeDecomposition:
@@ -178,3 +191,119 @@ def exact_treewidth(g: Graph) -> int:
                 best = cost
         dp[s] = best
     return dp[full]
+
+
+# ---------------------------------------------------------------------------
+# The shadow recursion's plan by rescans.
+# ---------------------------------------------------------------------------
+
+
+def shadow_layering_by_rescan(g: Graph, rd: RichDecomposition) -> ShadowLayering:
+    """``rich_shadow_layering`` with layer i's decomposition made from
+    every contracted bag whose fresh part lies in a layer up to i, in
+    preorder, each restricted to layer i and joined to its parent bag;
+    all but the bags filed under layer i are empty there."""
+    if g.n == 0:
+        raise GraphInputError("graph must be non-empty")
+    rep = validate_rich(g, rd)
+    if not rep.ok:
+        raise ShadowError(f"input decomposition invalid: {rep.violations[0]}")
+    c = len(g.components())
+    if c > 1:
+        raise ShadowError(f"graph has {c} components; a shadow layering needs one")
+    k = max(rd.richness, 1)
+    td = _contract_redundant(rd.decomposition)
+    edges = set(g.edges)
+    for bag in td.bags:
+        edges.update(itertools.combinations(sorted(bag), 2))
+    r = 0
+    layering = bfs_layering(Graph.from_edges(g.n, edges), [r])
+    layer_of = layering.layer_of
+    alpha = next(i for i, bag in enumerate(td.bags) if r in bag)
+    b = len(td.bags)
+    adj = _tree_lists(b, td.tree_edges)
+    parent = [-1] * b
+    order = [alpha]
+    seen = {alpha}
+    for x in order:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                order.append(y)
+    if len(order) != b:
+        raise ShadowError("decomposition tree is disconnected")
+    ell = [0] * b
+    for x in order:
+        if x == alpha:
+            fresh = td.bags[x] - {r}
+        else:
+            fresh = td.bags[x] - td.bags[parent[x]]
+            if not fresh:
+                raise ShadowError("redundant tree edge survived contraction")
+        levels = {layer_of[v] for v in fresh}
+        if len(levels) > 1:
+            raise ShadowError(f"fresh part of bag {x} spans several layers")
+        ell[x] = levels.pop() if levels else 0
+        if x != alpha and ell[x] < ell[parent[x]]:
+            raise ShadowError("layer index decreased down the tree")
+    per_layer = [RichDecomposition(TreeDecomposition.single_bag({r}))]
+    for i in range(1, len(layering)):
+        nodes = [x for x in order if ell[x] <= i]
+        idx = {x: j for j, x in enumerate(nodes)}
+        bags = tuple(td.bags[x] & layering.layers[i] for x in nodes)
+        tedges = frozenset(
+            (min(idx[x], idx[parent[x]]), max(idx[x], idx[parent[x]]))
+            for x in nodes
+            if x != alpha and parent[x] in idx
+        )
+        sub = RichDecomposition(TreeDecomposition(bags, tedges))
+        if sub.richness > k - 1:
+            raise ShadowError(
+                f"layer {i} decomposition is {sub.richness}-rich, wanted {k - 1}"
+            )
+        per_layer.append(sub)
+    return ShadowLayering(layering, tuple(per_layer))
+
+
+def _restrict_rd(
+    rd: RichDecomposition, part: frozenset[int], to_new: dict[int, int]
+) -> RichDecomposition:
+    """Restriction to a piece, relabelled by ``to_new``: the bags that
+    meet the piece, in their order, and the tree edges between them,
+    found by a scan of every bag and tree edge."""
+    td = rd.decomposition
+    kept = [x for x, bag in enumerate(td.bags) if not bag.isdisjoint(part)]
+    idx = {x: i for i, x in enumerate(kept)}
+    return RichDecomposition(
+        TreeDecomposition(
+            tuple(frozenset(to_new[v] for v in td.bags[x] & part) for x in kept),
+            frozenset(
+                (idx[x], idx[y]) for x, y in td.tree_edges if x in idx and y in idx
+            ),
+        )
+    )
+
+
+def plan_by_rescan(g: Graph, rd: RichDecomposition) -> _Piece:
+    """The shadow recursion's plan from ``shadow_layering_by_rescan`` and
+    ``_restrict_rd``, one induced graph per part."""
+    k = rd.richness
+    if g.n <= 1:
+        return _Piece(g, k)
+
+    def on(part: frozenset[int], part_rd: RichDecomposition) -> tuple:
+        sub_g, to_new = g.induced(sorted(part))
+        if k == 0:
+            return tuple(to_new), _Piece(sub_g, 0)
+        return tuple(to_new), plan_by_rescan(sub_g, _restrict_rd(part_rd, part, to_new))
+
+    comps = g.components()
+    if len(comps) > 1:
+        return _Piece(g, k, None, tuple(on(comp, rd) for comp in comps))
+    if k == 0:
+        return _Piece(g, k)
+    sl = shadow_layering_by_rescan(g, rd)
+    return _Piece(g, k, sl.layering, tuple(
+        on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)
+    ))

@@ -1,21 +1,31 @@
 import hashlib
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersep import shadow
-from layersep.decomposition import TreeDecomposition
+from layersep.decomposition import TreeDecomposition, validate_tree_decomposition
 from layersep.generators import (
     complete_graph,
     cycle_graph,
+    gen,
     path_graph,
     random_chordal_with_decomposition,
     random_tree,
 )
-from layersep.graphs import Graph, GraphInputError, Layering, format_layering, parse_layering
+from layersep.graphs import (
+    Graph,
+    GraphInputError,
+    Layering,
+    Report,
+    format_graph,
+    format_layering,
+    parse_layering,
+)
 from layersep.layouts import TrackLayout, format_track_layout, verify_track_layout
 from layersep.nonrep import format_colouring, verify_nonrepetitive, verify_proper
 from layersep.shadow import (
@@ -25,7 +35,6 @@ from layersep.shadow import (
     ShadowError,
     _contract_redundant,
     _plan,
-    _restrict_rd,
     format_rich,
     parse_rich,
     recursive_nonrep_driver,
@@ -44,6 +53,7 @@ from tests.conftest import (
     planar_torso,
     planar_track_solver,
 )
+from tests.oracles import _restrict_rd, plan_by_rescan, shadow_layering_by_rescan
 
 
 def edge_bag_rd(g: Graph) -> RichDecomposition:
@@ -226,8 +236,10 @@ def test_built_in_leaf_on_disjoint_cliques(monkeypatch):
     g, rd = _disjoint_cliques()
     assert rd.richness == 0 and len(g.components()) == 5
     restricted = []
-    real = shadow._restrict_rd
-    monkeypatch.setattr(shadow, "_restrict_rd", lambda *a: restricted.append(1) or real(*a))
+    real = shadow._split_decomposition
+    monkeypatch.setattr(
+        shadow, "_split_decomposition", lambda *a: restricted.append(1) or real(*a)
+    )
     tl = recursive_track_driver(g, rd)
     c = recursive_nonrep_driver(g, rd)
     assert not restricted
@@ -343,11 +355,11 @@ def test_planned_recursion_matches_oracle():
         seen: list = []
         assert format_track_layout(
             recursive_track_driver(g, first, _recording(tsolver, seen))) == want_t
-        assert seen == t_leaves
+        assert seen == list(dict.fromkeys(t_leaves))
         seen = []
         assert format_colouring(
             recursive_nonrep_driver(g, first, _recording(csolver, seen))) == want_c
-        assert seen == c_leaves
+        assert seen == list(dict.fromkeys(c_leaves))
 
         second = RichDecomposition(td)
         assert format_colouring(recursive_nonrep_driver(g, second, *cargs)) == want_c
@@ -355,6 +367,50 @@ def test_planned_recursion_matches_oracle():
         if connected:
             assert format_layering(rich_shadow_layering(g, second).layering) == want_l
     assert {0, 1, 2, 3} <= richness
+
+
+def _solved_once(g, rd):
+    """The leaf graphs each driver hands its solver, (tracks, colours),
+    after checking that each distinct leaf is solved once, in the order
+    the per-leaf oracle first meets it, and that both texts equal the
+    oracle's; also the oracle's leaf count."""
+    calls, count = [], 0
+    for art, driver, fmt in ((_TRACKS, recursive_track_driver, format_track_layout),
+                             (_COLOURS, recursive_nonrep_driver, format_colouring)):
+        leaves, seen = [], []
+        want = fmt(_shadow_recursion(g, RichDecomposition(rd.decomposition),
+                                     _recording(art.leaf, leaves), art))
+        assert fmt(driver(g, RichDecomposition(rd.decomposition),
+                          _recording(art.leaf, seen))) == want
+        assert seen == list(dict.fromkeys(leaves))
+        calls.append(seen)
+        count = len(leaves)
+    return calls, count
+
+
+def test_leaf_solved_once_per_clique_size():
+    g, rd = _disjoint_cliques()
+    calls, count = _solved_once(g, rd)
+    sizes = [len(bag) for bag in sorted(rd.decomposition.bags, key=min)]
+    assert count == 5
+    assert calls == [[complete_graph(s) for s in sizes]] * 2
+
+
+def test_disjoint_edges_solved_once_per_driver():
+    g = Graph.from_edges(8000, [(2 * i, 2 * i + 1) for i in range(4000)])
+    rd = RichDecomposition(TreeDecomposition(
+        tuple(frozenset(e) for e in sorted(g.edges)), tuple((i, i + 1) for i in range(3999))
+    ))
+    calls, count = _solved_once(g, rd)
+    assert rd.richness == 0 and count == 4000
+    assert calls == [[complete_graph(2)]] * 2
+
+
+def test_chordal_leaves_solved_once_each():
+    # every K_s of a chordal graph is one leaf graph
+    calls, count = _solved_once(*chordal_fixture(300, 4, 11))
+    assert count == 246
+    assert calls == [[complete_graph(1), complete_graph(2), complete_graph(3)]] * 2
 
 
 def _compose_nodes(plan) -> int:
@@ -548,3 +604,152 @@ def nested_bag_trees(draw):
 @given(nested_bag_trees())
 def test_contract_redundant_matches_restart_scan(td):
     assert _contract_redundant(td) == _contract_redundant_restart(td)
+
+
+# ---------------------------------------------------------------------------
+# One pass per level against the rescans it replaced (tests/oracles.py).
+# ---------------------------------------------------------------------------
+
+
+def _same_plan(new, old):
+    assert (new.g, new.k, new.layering) == (old.g, old.k, old.layering)
+    assert [to_old for to_old, _ in new.parts] == [to_old for to_old, _ in old.parts]
+    for (_, a), (_, b) in zip(new.parts, old.parts):
+        _same_plan(a, b)
+
+
+def _check_levels(g, rd):
+    """Compare the one-pass layering of every layered piece the plan
+    reaches from (G, rd) with the rescan's: the same layering, and per
+    layer no empty bag, the rescan's non-empty bags in order and the
+    same richness."""
+    comps = g.components()
+    if g.n <= 1 or rd.richness == 0:
+        return
+    if len(comps) > 1:
+        pieces = [(comp, rd) for comp in comps]
+    else:
+        sl, old = rich_shadow_layering(g, rd), shadow_layering_by_rescan(g, rd)
+        assert sl.layering == old.layering
+        for new_sub, old_sub in zip(sl.per_layer, old.per_layer, strict=True):
+            bags = new_sub.decomposition.bags
+            assert all(bags)
+            assert list(bags) == [bag for bag in old_sub.decomposition.bags if bag]
+            assert new_sub.richness == old_sub.richness
+        assert validate_shadow_layering(g, rd, sl).ok
+        pieces = list(zip(sl.layering.layers, sl.per_layer))
+    for part, part_rd in pieces:
+        sub_g, to_new = g.induced(sorted(part))
+        _check_levels(sub_g, _restrict_rd(part_rd, part, to_new))
+
+
+def _paired_paths():
+    """Two disjoint paths whose two bags each meet both, so both
+    components keep the one tree edge; the bags meet in a non-clique."""
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    td = TreeDecomposition((frozenset({0, 1, 3, 4}), frozenset({1, 2, 4, 5})), ((0, 1),))
+    return g, RichDecomposition(td)
+
+
+def _level_cases():
+    cases = [chordal_fixture(n, k, seed) for n, k, seed in ((40, 3, 3), (80, 4, 2), (300, 4, 11))]
+    for seed in range(3):
+        g = random_tree(10 + 9 * seed, seed=seed)
+        cases.append((g, edge_bag_rd(g)))
+    return cases + [_twin_trees(), _disjoint_cliques(), planar_torso(), _paired_paths()]
+
+
+def _check_one_pass(g, rd):
+    _same_plan(_plan(g, RichDecomposition(rd.decomposition)),
+               plan_by_rescan(g, RichDecomposition(rd.decomposition)))
+    _check_levels(g, RichDecomposition(rd.decomposition))
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_one_pass_plan_matches_rescans(case):
+    _check_one_pass(*_level_cases()[case])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rich_cases())
+def test_one_pass_plan_matches_rescans_on_generated_inputs(case):
+    _check_one_pass(*case)
+
+
+def _containment_by_scan(g, rd, sl) -> Report:
+    """Oracle for ``validate_shadow_layering``: every per-layer bag is
+    compared with every parent bag."""
+    violations: list[str] = []
+    parent_bags = rd.decomposition.bags
+    for i, sub in enumerate(sl.per_layer):
+        layer = sl.layering.layers[i]
+        gi, to_new = g.induced(sorted(layer))
+        mapped = TreeDecomposition(
+            tuple(frozenset(to_new[v] for v in bag) for bag in sub.decomposition.bags),
+            sub.decomposition.tree_edges,
+        )
+        if layer:
+            rep = validate_tree_decomposition(gi, mapped)
+            violations.extend(f"layer {i}: {v}" for v in rep.violations)
+        for j, bag in enumerate(sub.decomposition.bags):
+            if bag and not any(bag <= pb for pb in parent_bags):
+                violations.append(f"layer {i} bag {j} not contained in any parent bag")
+    return Report.of(violations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rich_cases(), st.data())
+def test_shadow_containment_matches_scan(case, data):
+    # as built, and with one per-layer bag grown by a vertex of its layer
+    # so that it may fit no parent bag
+    g, rd = case
+    if len(g.components()) > 1 or not rd.decomposition.bags:  # a lone vertex has no edge bag
+        return
+    sl = rich_shadow_layering(g, rd)
+    assert validate_shadow_layering(g, rd, sl) == _containment_by_scan(g, rd, sl) == Report()
+    i = data.draw(st.integers(0, len(sl.per_layer) - 1))
+    td = sl.per_layer[i].decomposition
+    j = data.draw(st.integers(0, len(td.bags) - 1))
+    w = data.draw(st.sampled_from(sorted(sl.layering.layers[i])))
+    bags = list(td.bags)
+    bags[j] = bags[j] | {w}
+    per_layer = list(sl.per_layer)
+    per_layer[i] = RichDecomposition(TreeDecomposition(bags, td.tree_edges))
+    mutated = shadow.ShadowLayering(sl.layering, tuple(per_layer))
+    rep = validate_shadow_layering(g, rd, mutated)
+    assert rep == _containment_by_scan(g, rd, mutated)
+    fits = any(bags[j] <= pb for pb in rd.decomposition.bags)
+    assert (f"layer {i} bag {j} not contained in any parent bag" in rep.violations) != fits
+
+
+def test_shadow_containment_reports_a_bag_fitting_no_parent_bag():
+    g, rd = chordal_fixture(40, 3, 3)
+    sl = rich_shadow_layering(g, rd)
+    i = 2
+    td = sl.per_layer[i].decomposition
+    w = next(w for w in sorted(sl.layering.layers[i])
+             if not any(td.bags[0] | {w} <= pb for pb in rd.decomposition.bags))
+    bags = (td.bags[0] | {w},) + tuple(td.bags[1:])
+    per_layer = list(sl.per_layer)
+    per_layer[i] = RichDecomposition(TreeDecomposition(bags, td.tree_edges))
+    mutated = shadow.ShadowLayering(sl.layering, tuple(per_layer))
+    rep = validate_shadow_layering(g, rd, mutated)
+    assert f"layer {i} bag 0 not contained in any parent bag" in rep.violations
+    assert rep == _containment_by_scan(g, rd, mutated)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_chordal30_shadow_fixture_is_the_library_layering():
+    # tests/console_chain.sh verifies this fixture against the graph that
+    # `layersep gen random_chordal 30 --seed 5` writes, the graph of
+    # chordal30.rich
+    g = gen("random_chordal", 30, 5).graph
+    assert format_graph(g) == format_graph(random_chordal_with_decomposition(30, 5)[0])
+    rd = parse_rich((FIXTURES / "chordal30.rich").read_text())
+    text = format_layering(rich_shadow_layering(g, rd).layering)
+    assert (FIXTURES / "chordal30.shadow").read_text() == text
+    assert verify_shadow_complete(g, parse_layering(text), 3).ok
+    rep = verify_shadow_complete(g, parse_layering(text), 1)
+    assert rep.violations[0] == "shadow of a layer-2 component has 2 > 1 vertices"
