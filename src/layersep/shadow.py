@@ -43,7 +43,6 @@ from .graphs import (
     Layering,
     Report,
     _components_within,
-    bfs_layering,
     validate_layering,
 )
 from .layouts import TrackLayout
@@ -88,13 +87,18 @@ def _memoised(kind: str, g: Graph, rd: RichDecomposition, build: Callable) -> An
 
 def validate_rich(g: Graph, rd: RichDecomposition, k: Optional[int] = None) -> Report:
     """Check the decomposition plus the clique condition on every tree
-    edge intersection."""
+    edge intersection, each computed once; an intersection of at most
+    one vertex is a clique, and a larger one is tested pair by pair
+    against G's edges."""
     violations = list(validate_tree_decomposition(g, rd.decomposition).violations)
     td = rd.decomposition
+    bags, edges = td.bags, g.edges
     for x, y in sorted(td.tree_edges):
-        inter = td.bags[x] & td.bags[y]
-        if not g.is_clique(inter):
-            violations.append(f"bags {x},{y} intersect in a non-clique")
+        inter = bags[x] & bags[y]
+        if len(inter) > 1:
+            vs = sorted(inter)
+            if not all((u, w) in edges for i, u in enumerate(vs) for w in vs[i + 1 :]):
+                violations.append(f"bags {x},{y} intersect in a non-clique")
         if k is not None and len(inter) > k:
             violations.append(
                 f"bags {x},{y} intersect in {len(inter)} > {k} vertices"
@@ -117,9 +121,14 @@ def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
     Each step merges the least bag x that has a neighbour y with
     bags[x] <= bags[y] into the least such y.  Bags never change, so
     whether a bag can merge changes only with its adjacency: a min-heap
-    holds every bag not checked since its adjacency last changed.
+    holds every bag not checked since its adjacency last changed.  When
+    no tree edge joins nested bags nothing merges, and ``td`` itself is
+    returned.
     """
-    bags = list(td.bags)
+    bags = td.bags
+    if not any(bags[x] <= bags[y] or bags[y] <= bags[x] for x, y in td.tree_edges):
+        return td
+    bags = list(bags)
     adj = list(map(set, _tree_lists(len(bags), td.tree_edges)))
     alive = set(range(len(bags)))
     todo = list(range(len(bags)))  # sorted, hence a heap
@@ -154,11 +163,14 @@ def rich_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     """Shadow-complete layering of a connected G from a k-rich
     decomposition; a disconnected G raises ``ShadowError``.
 
-    BFS-layers the bag-completed graph from the minimum-id vertex; each
-    bag then spans two consecutive layers, layer indices are
-    non-decreasing down the tree (property checked), and the bags whose
-    fresh part lies in layer i, restricted to that layer, give a
-    (k-1)-rich decomposition of the layer.
+    Layer i holds the vertices at distance i from vertex 0 in the
+    bag-completed graph (G plus a clique on every bag, once the tree
+    edges joining nested bags are contracted), found by a BFS over the
+    bags without building that graph.  Each bag then spans
+    two consecutive layers, layer indices are non-decreasing down the
+    tree (property checked), and the bags whose fresh part lies in layer
+    i, restricted to that layer, give a (k-1)-rich decomposition of the
+    layer.
 
     The layering is built once per (G, rd) and held by ``rd``; for a
     connected G the recursive drivers' plan reuses it as its top level.
@@ -172,6 +184,16 @@ def _build_shadow_layering(
     """The layering of ``rich_shadow_layering``, built in one pass over
     the contracted bags; ``comps`` are G's components if the caller has
     searched them.
+
+    The BFS walks an index from each vertex to the bags holding it.  The
+    decomposition is valid, so every edge of G lies in a bag and the
+    bag-completed graph is the union of the bags' cliques.  A bag is
+    expanded once, when the first of its vertices leaves the queue: that
+    vertex is at the bag's least distance d, so every vertex of the bag
+    not yet reached is at d + 1, and when a later vertex of the bag
+    leaves the queue its bag neighbours are all reached.  So the
+    distances are those of the bag-completed graph, with no pair of bag
+    vertices ever listed.
 
     The walk files each bag x under the layer ``ell[x]`` of its fresh
     part (its vertices not in its parent bag).  A vertex v of bag x is
@@ -200,29 +222,52 @@ def _build_shadow_layering(
         raise ShadowError(f"graph has {c} components; a shadow layering needs one")
     k = max(rd.richness, 1)
     td = _contract_redundant(rd.decomposition)
+    bags = td.bags
+    b = len(bags)
 
-    # bag-completed graph
-    edges = set(g.edges)
-    for bag in td.bags:
-        bs = sorted(bag)
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                edges.add((bs[i], bs[j]))
-    gp = Graph.from_edges(g.n, edges)
+    # the bags holding v are held[first[v]:first[v + 1]], ascending
+    first = [0] * (g.n + 1)
+    for bag in bags:
+        for v in bag:
+            first[v] += 1
+    total = 0
+    for v in range(g.n + 1):
+        total += first[v]
+        first[v] = total
+    held = [0] * total
+    for x in range(b - 1, -1, -1):
+        for v in bags[x]:
+            first[v] -= 1
+            held[first[v]] = x
+    # BFS of the bag-completed graph
     r = 0
-    layering = bfs_layering(gp, [r])
-    layer_of = layering.layer_of
-    layers = layering.layers
+    layer_of = [-1] * g.n
+    layer_of[r] = 0
+    queue = [r]
+    expanded = bytearray(b)
+    for v in queue:  # the list grows as the search reaches vertices
+        d = layer_of[v] + 1
+        for x in held[first[v] : first[v + 1]]:
+            if not expanded[x]:
+                expanded[x] = 1
+                for w in bags[x]:
+                    if layer_of[w] < 0:
+                        layer_of[w] = d
+                        queue.append(w)
+    found: list[list[int]] = [[] for _ in range(layer_of[queue[-1]] + 1)]
+    for v in queue:
+        found[layer_of[v]].append(v)
+    layers = tuple(map(frozenset, found))
+    layering = Layering(layers)
 
     # root the tree at the least bag containing r
-    alpha = next(i for i, bag in enumerate(td.bags) if r in bag)
-    b = len(td.bags)
-    adj = _tree_lists(b, td.tree_edges)
+    alpha = held[first[r]]
+    tree = _tree_lists(b, td.tree_edges)
     parent = [-1] * b
     order = [alpha]
     seen = {alpha}
     for x in order:
-        for y in adj[x]:
+        for y in tree[x]:
             if y not in seen:
                 seen.add(y)
                 parent[y] = x
@@ -236,9 +281,9 @@ def _build_shadow_layering(
     filed: list[list[int]] = [[] for _ in layers]
     for x in order:
         if x == alpha:
-            fresh = td.bags[x] - {r}
+            fresh = bags[x] - {r}
         else:
-            fresh = td.bags[x] - td.bags[parent[x]]
+            fresh = bags[x] - bags[parent[x]]
             if not fresh:
                 raise ShadowError("redundant tree edge survived contraction")
         levels = {layer_of[v] for v in fresh}
@@ -257,7 +302,7 @@ def _build_shadow_layering(
         nodes = filed[i]
         idx = {x: j for j, x in enumerate(nodes)}
         sub = RichDecomposition(TreeDecomposition(
-            tuple(td.bags[x] & layers[i] for x in nodes),
+            tuple(bags[x] & layers[i] for x in nodes),
             frozenset((idx.get(parent[x], 0), j) for j, x in enumerate(nodes) if j),
         ))
         if sub.richness > k - 1:
@@ -298,31 +343,58 @@ def verify_shadow_complete(g: Graph, layering: Layering, k: int) -> Report:
     """The input must be a layering of G (a partition of V(G) whose edges
     join the same or consecutive layers); then for every suffix
     component, its neighbourhood in the previous layer must be a clique
-    of size at most k."""
+    of size at most k.
+
+    The layers are added from the last to the first into one union-find
+    whose roots are their components' least vertices, so the suffix
+    components come in O((n + m) log n) in all.  Only the
+    layer-i vertices of a suffix component can have neighbours in layer
+    i - 1, so its shadow is read off them; a component with none has an
+    empty shadow, which fails only a negative k.  Violations come layer by
+    layer, components in increasing order of their least vertex."""
     rep = validate_layering(g, layering)
     if not rep.ok:
         return rep
-    violations: list[str] = []
     layers = layering.layers
-    t = len(layers)
-    for i in range(1, t):
-        suffix = frozenset().union(*layers[i:]) if layers[i:] else frozenset()
-        for comp in _components_within(g, suffix):
-            shadow = {
-                w
-                for v in comp
-                for w in g.adjacency[v]
-                if w in layers[i - 1]
-            }
+    layer_of = [0] * g.n
+    for i, layer in enumerate(layers):
+        for v in layer:
+            layer_of[v] = i
+    adj = g.adjacency
+    root = list(g.vertices())  # union-find; a root is its component's least vertex
+    live: set[int] = set()  # the roots of the suffix added so far
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    found: list[list[str]] = []
+    for i in range(len(layers) - 1, 0, -1):
+        live.update(layers[i])
+        for v in layers[i]:
+            for w in adj[v]:
+                if layer_of[w] >= i:
+                    a, b = sorted((find(v), find(w)))
+                    if a != b:
+                        root[b] = a
+                        live.discard(b)
+        shadows: dict[int, set[int]] = {} if k >= 0 else {a: set() for a in live}
+        for v in layers[i]:
+            shadows.setdefault(find(v), set()).update(
+                w for w in adj[v] if layer_of[w] == i - 1
+            )
+        here = []
+        for a in sorted(shadows):
+            shadow = shadows[a]
             if len(shadow) > k:
-                violations.append(
+                here.append(
                     f"shadow of a layer-{i} component has {len(shadow)} > {k} vertices"
                 )
             if not g.is_clique(sorted(shadow)):
-                violations.append(
-                    f"shadow of a layer-{i} component is not a clique"
-                )
-    return Report.of(violations)
+                here.append(f"shadow of a layer-{i} component is not a clique")
+        found.append(here)
+    return Report.of(v for here in reversed(found) for v in here)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +716,8 @@ def _split(
     ``per_layer`` decompositions, or G's components, among which ``rd``
     is split in one pass.  The induced graphs come from one pass over
     G's edges, and every one-vertex part shares ``_ONE``.  A component of
-    a 0-rich G is a leaf at once, with no restricted decomposition."""
+    a 0-rich G is a leaf at once, with no restricted decomposition, and a
+    layer's decomposition keeps the richness the layering computed."""
     k = rd.richness
     part_of = [0] * g.n
     to_new = [0] * g.n
@@ -670,12 +743,15 @@ def _split(
             child = _Piece(_ONE, min(len(decomps[p][1]), 1))
         else:
             bags, tree_edges = decomps[p]
-            if per_layer is not None:
-                bags = [frozenset([to_new[v] for v in bag]) for bag in bags]
-            child = _build_plan(
-                Graph(len(part), frozenset(edges[p])),
-                RichDecomposition(TreeDecomposition(bags, tree_edges)),
-            )
+            if per_layer is None:
+                part_rd = RichDecomposition(TreeDecomposition(bags, tree_edges))
+            else:
+                part_rd = RichDecomposition(TreeDecomposition(
+                    [frozenset([to_new[v] for v in bag]) for bag in bags], tree_edges
+                ))
+                # relabelling keeps the intersections' sizes, so the richness
+                part_rd.__dict__["richness"] = per_layer[p].richness
+            child = _build_plan(Graph(len(part), frozenset(edges[p])), part_rd)
         out.append((tuple(part), child))
     return tuple(out)
 

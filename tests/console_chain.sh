@@ -92,4 +92,10 @@ else
   test $? -eq 1
 fi
 grep -qx "shadow of a layer-2 component has 2 > 1 vertices" shadow1.err
+# a long path's layering by distance from vertex 0 is shadow complete at
+# k = 1; the check is near-linear, where a rescan of every suffix would
+# be quadratic in the 20,000 layers
+layersep gen path 20000 --out p20000.txt
+seq 0 19999 > p20000_layers.txt
+test "$(timeout 30 layersep verify shadow p20000_layers.txt p20000.txt --k 1 --manifest p20000_verify.json)" = pass
 echo "console chain passed"

@@ -9,7 +9,11 @@ them; the tests check its constructions against them.
 
 The shadow recursion's old plan is kept here too: per-layer
 decompositions that rescan every bag up to their layer, a restriction
-that scans every bag once per part, and the plan built on both.
+that scans every bag once per part, and the plan built on both.  So are
+the plain checks they replaced: a contraction that rescans every bag
+after each merge, the richness check pair by pair, a BFS of the
+bag-completed graph and a shadow check that searches the components of
+every suffix again.  None of them calls the code it is an oracle for.
 """
 
 from __future__ import annotations
@@ -26,17 +30,20 @@ from layersep.decomposition import (
     SeparationOracle,
     TreeDecomposition,
     separator_from_decomposition,
+    validate_tree_decomposition,
 )
 from layersep.decomposition import _tree_lists
-from layersep.graphs import Graph, GraphInputError, Separation, bfs_layering
-from layersep.shadow import (
-    RichDecomposition,
-    ShadowError,
-    ShadowLayering,
-    _contract_redundant,
-    _Piece,
-    validate_rich,
+from layersep.graphs import (
+    Graph,
+    GraphInputError,
+    Layering,
+    Report,
+    Separation,
+    _components_within,
+    bfs_layering,
+    validate_layering,
 )
+from layersep.shadow import RichDecomposition, ShadowError, ShadowLayering, _Piece
 
 
 def _treedec_from_elimination(g: Graph, order: Sequence[int]) -> TreeDecomposition:
@@ -198,6 +205,80 @@ def exact_treewidth(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _contract_redundant_restart(td: TreeDecomposition) -> TreeDecomposition:
+    """Oracle for ``_contract_redundant``: rescan every bag from the least
+    after each contraction."""
+    bags = list(td.bags)
+    adj = {i: set() for i in range(len(bags))}
+    for x, y in td.tree_edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    alive = set(range(len(bags)))
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(alive):
+            for y in sorted(adj[x]):
+                if bags[x] <= bags[y]:
+                    # merge x into y
+                    for z in adj[x]:
+                        if z != y:
+                            adj[z].discard(x)
+                            adj[z].add(y)
+                            adj[y].add(z)
+                    adj[y].discard(x)
+                    alive.discard(x)
+                    adj[x] = set()
+                    changed = True
+                    break
+            if changed:
+                break
+    order = sorted(alive)
+    remap = {old: i for i, old in enumerate(order)}
+    edges = set()
+    for x in order:
+        for y in adj[x]:
+            edges.add((min(remap[x], remap[y]), max(remap[x], remap[y])))
+    return TreeDecomposition(tuple(bags[x] for x in order), frozenset(edges))
+
+
+def validate_rich_pairwise(g: Graph, rd: RichDecomposition, k: int | None = None) -> Report:
+    """Oracle for ``validate_rich``: the decomposition's own check, then
+    every pair of every tree edge's intersection looked up in G."""
+    violations = list(validate_tree_decomposition(g, rd.decomposition).violations)
+    td = rd.decomposition
+    for x, y in sorted(td.tree_edges):
+        inter = td.bags[x] & td.bags[y]
+        if not all(g.has_edge(u, v) for u, v in itertools.combinations(inter, 2)):
+            violations.append(f"bags {x},{y} intersect in a non-clique")
+        if k is not None and len(inter) > k:
+            violations.append(f"bags {x},{y} intersect in {len(inter)} > {k} vertices")
+    return Report.of(violations)
+
+
+def shadow_complete_by_rescan(g: Graph, layering: Layering, k: int) -> Report:
+    """Oracle for ``verify_shadow_complete``: for every layer i, the
+    components of the union of layers i onwards are searched again, and
+    each one's neighbourhood in layer i - 1 is checked."""
+    rep = validate_layering(g, layering)
+    if not rep.ok:
+        return rep
+    violations: list[str] = []
+    layers = layering.layers
+    for i in range(1, len(layers)):
+        suffix = frozenset().union(*layers[i:])
+        for comp in _components_within(g, suffix):
+            shadow = {w for v in comp for w in g.adjacency[v] if w in layers[i - 1]}
+            if len(shadow) > k:
+                violations.append(
+                    f"shadow of a layer-{i} component has {len(shadow)} > {k} vertices"
+                )
+            if not g.is_clique(sorted(shadow)):
+                violations.append(f"shadow of a layer-{i} component is not a clique")
+    return Report.of(violations)
+
+
+
 def shadow_layering_by_rescan(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     """``rich_shadow_layering`` with layer i's decomposition made from
     every contracted bag whose fresh part lies in a layer up to i, in
@@ -205,14 +286,14 @@ def shadow_layering_by_rescan(g: Graph, rd: RichDecomposition) -> ShadowLayering
     all but the bags filed under layer i are empty there."""
     if g.n == 0:
         raise GraphInputError("graph must be non-empty")
-    rep = validate_rich(g, rd)
+    rep = validate_rich_pairwise(g, rd)
     if not rep.ok:
         raise ShadowError(f"input decomposition invalid: {rep.violations[0]}")
     c = len(g.components())
     if c > 1:
         raise ShadowError(f"graph has {c} components; a shadow layering needs one")
     k = max(rd.richness, 1)
-    td = _contract_redundant(rd.decomposition)
+    td = _contract_redundant_restart(rd.decomposition)
     edges = set(g.edges)
     for bag in td.bags:
         edges.update(itertools.combinations(sorted(bag), 2))

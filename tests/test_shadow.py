@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layersep import shadow
+from layersep import graphs, shadow
 from layersep.decomposition import TreeDecomposition, validate_tree_decomposition
 from layersep.generators import (
     complete_graph,
@@ -22,6 +22,7 @@ from layersep.graphs import (
     GraphInputError,
     Layering,
     Report,
+    bfs_layering,
     format_graph,
     format_layering,
     parse_layering,
@@ -53,7 +54,14 @@ from tests.conftest import (
     planar_torso,
     planar_track_solver,
 )
-from tests.oracles import _restrict_rd, plan_by_rescan, shadow_layering_by_rescan
+from tests.oracles import (
+    _contract_redundant_restart,
+    _restrict_rd,
+    plan_by_rescan,
+    shadow_complete_by_rescan,
+    shadow_layering_by_rescan,
+    validate_rich_pairwise,
+)
 
 
 def edge_bag_rd(g: Graph) -> RichDecomposition:
@@ -134,6 +142,88 @@ def test_verify_shadow_complete_requires_a_layering():
     outside = verify_shadow_complete(g, parse_layering("0 99\n1\n2\n3\n"), k=1)
     assert not outside.ok
     assert any("99" in v for v in outside.violations)
+
+
+def _shadow_check_cases():
+    """(G, layering, k) with passing and failing reports: C4's BFS
+    layering, paths and trees at k too small, and chordal shadow
+    layerings at their richness and below."""
+    c4 = cycle_graph(4)
+    cases = [(c4, Layering.from_sets([{0}, {1, 3}, {2}]), k) for k in (0, 1, 2)]
+    cases += [(path_graph(6), Layering.from_sets([{i} for i in range(6)]), k) for k in (-1, 0, 1)]
+    g = random_tree(30, seed=2)
+    cases += [(g, bfs_layering(g, [7]), k) for k in (0, 1)]
+    for n, k, seed in ((40, 3, 3), (80, 4, 2)):
+        g, rd = chordal_fixture(n, k, seed)
+        layering = rich_shadow_layering(g, rd).layering
+        cases += [(g, layering, j) for j in range(rd.richness + 1)]
+    g, rd = _twin_trees()
+    cases.append((g, bfs_layering(g, [0, 8]), 1))
+    # vertex 2 is a suffix component of layers 1 on that meets no layer 1
+    # vertex: its shadow is empty, which fails only a negative k
+    g = Graph.from_edges(3, [(0, 1)])
+    cases += [(g, Layering.from_sets([{0}, {1}, {2}]), k) for k in (-1, 0)]
+    return cases
+
+
+def test_verify_shadow_complete_matches_rescan_on_hand_cases():
+    verdicts = set()
+    for g, layering, k in _shadow_check_cases():
+        rep = verify_shadow_complete(g, layering, k)
+        assert rep == shadow_complete_by_rescan(g, layering, k)
+        verdicts.add(rep.ok)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def layering_cases(draw):
+    """(G, layering, k), k from -1 to 3: a rich case or a random graph on
+    at most 12 vertices, with its shadow layering (connected rich cases
+    with a bag), a BFS layering from one vertex per component, the same
+    with each component's layers moved down by up to three, or its
+    vertices dealt into five layers, which is often no layering at all."""
+    if draw(st.booleans()):
+        g, rd = draw(rich_cases())
+    else:
+        n = draw(st.integers(1, 12))
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g, rd = Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept]), None
+    how = draw(st.integers(0, 3))
+    comps = g.components()
+    if how == 0 and rd is not None and len(comps) == 1 and rd.decomposition.bags:
+        layering = rich_shadow_layering(g, rd).layering
+    elif how < 3:
+        depth = bfs_layering(g, [draw(st.sampled_from(sorted(c))) for c in comps]).layer_of
+        layers: list[set[int]] = [set() for _ in range(g.n + 3)]
+        for c in comps:
+            shift = draw(st.integers(0, 3)) if how == 2 else 0
+            for v in c:
+                layers[depth[v] + shift].add(v)
+        layering = Layering.from_sets(layers)
+    else:
+        deal = draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))
+        layering = Layering.from_sets([v for v in g.vertices() if deal[v] == i] for i in range(5))
+    return g, layering, draw(st.integers(-1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layering_cases())
+def test_verify_shadow_complete_matches_rescan(case):
+    g, layering, k = case
+    assert verify_shadow_complete(g, layering, k) == shadow_complete_by_rescan(g, layering, k)
+
+
+def test_verify_shadow_complete_long_path():
+    # the rescan is quadratic in the number of layers; 20,000 layers
+    # would take it minutes
+    g = path_graph(20000)
+    layering = Layering.from_sets([{i} for i in range(20000)])
+    assert verify_shadow_complete(g, layering, 1).ok
+    rep = verify_shadow_complete(g, layering, 0)
+    assert rep.violations == tuple(
+        f"shadow of a layer-{i} component has 1 > 0 vertices" for i in range(1, 20000)
+    )
 
 
 def test_rich_shadow_layering_rejects_bad_input():
@@ -539,43 +629,6 @@ def test_rich_text_mutations_raise_or_validate_like_explicit_bags(case, data):
         assert validate_rich(g, back, k) == validate_rich(g, explicit, k)
 
 
-def _contract_redundant_restart(td: TreeDecomposition) -> TreeDecomposition:
-    """Oracle for ``_contract_redundant``: rescan every bag from the least
-    after each contraction."""
-    bags = list(td.bags)
-    adj = {i: set() for i in range(len(bags))}
-    for x, y in td.tree_edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    alive = set(range(len(bags)))
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(alive):
-            for y in sorted(adj[x]):
-                if bags[x] <= bags[y]:
-                    # merge x into y
-                    for z in adj[x]:
-                        if z != y:
-                            adj[z].discard(x)
-                            adj[z].add(y)
-                            adj[y].add(z)
-                    adj[y].discard(x)
-                    alive.discard(x)
-                    adj[x] = set()
-                    changed = True
-                    break
-            if changed:
-                break
-    order = sorted(alive)
-    remap = {old: i for i, old in enumerate(order)}
-    edges = set()
-    for x in order:
-        for y in adj[x]:
-            edges.add((min(remap[x], remap[y]), max(remap[x], remap[y])))
-    return TreeDecomposition(tuple(bags[x] for x in order), frozenset(edges))
-
-
 @st.composite
 def nested_bag_trees(draw):
     """Random trees on up to 40 bags; each bag is a subset or a superset
@@ -604,6 +657,99 @@ def nested_bag_trees(draw):
 @given(nested_bag_trees())
 def test_contract_redundant_matches_restart_scan(td):
     assert _contract_redundant(td) == _contract_redundant_restart(td)
+
+
+def _nested_edge(td) -> bool:
+    bags = td.bags
+    return any(bags[x] <= bags[y] or bags[y] <= bags[x] for x, y in td.tree_edges)
+
+
+def test_contract_redundant_returns_unnested_input():
+    # a tree's edge bags, and a chordal clique tree once contracted
+    g = random_tree(20, seed=4)
+    chordal = chordal_fixture(300, 4, 11)[1].decomposition
+    assert _nested_edge(chordal)
+    for td in (edge_bag_rd(g).decomposition, _contract_redundant(chordal)):
+        assert not _nested_edge(td)
+        assert _contract_redundant(td) is td
+        assert _contract_redundant_restart(td) == td
+
+
+@st.composite
+def loose_decompositions(draw):
+    """(G, rd, k): a random graph on at most 8 vertices and up to 6 random
+    bags of ids below 10, joined by a random tree or by random bag pairs,
+    so intersections are often non-cliques, larger than k or hold ids
+    outside G; k is None or 0 to 3."""
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
+    b = draw(st.integers(1, 6))
+    bags = tuple(frozenset(draw(st.sets(st.integers(0, 9), max_size=6))) for _ in range(b))
+    if draw(st.booleans()):
+        tree = [(draw(st.integers(0, x - 1)), x) for x in range(1, b)]
+    else:
+        tree = draw(st.lists(st.sampled_from(list(combinations(range(b), 2)) or [(0, 0)]),
+                             max_size=b))
+        tree = [(x, y) for x, y in tree if x != y]
+    k = draw(st.none() | st.integers(0, 3))
+    return g, RichDecomposition(TreeDecomposition(bags, tree)), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(loose_decompositions())
+def test_validate_rich_matches_pairwise_oracle(case):
+    g, rd, k = case
+    assert validate_rich(g, rd, k) == validate_rich_pairwise(g, rd, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rich_cases())
+def test_validate_rich_matches_pairwise_oracle_on_rich_inputs(case):
+    g, rd = case
+    for k in (None, 0, rd.richness):
+        assert validate_rich(g, rd, k) == validate_rich_pairwise(g, rd, k)
+
+
+def test_bag_completion_changes_distances():
+    # C4 with one bag: completion joins 0 and 2, so the layers are
+    # {0}, {1, 2, 3}, not the {0}, {1, 3}, {2} of G alone
+    g = cycle_graph(4)
+    rd = RichDecomposition(TreeDecomposition.single_bag(range(4)))
+    assert bfs_layering(g, [0]).layers == (frozenset({0}), frozenset({1, 3}), frozenset({2}))
+    sl = rich_shadow_layering(g, rd)
+    assert sl.layering.layers == (frozenset({0}), frozenset({1, 2, 3}))
+    assert sl.layering == shadow_layering_by_rescan(g, RichDecomposition(rd.decomposition)).layering
+    # a path 0..5 with chord (1, 4): bag {1, 2, 3, 4} puts 2, 3 and 4 at
+    # distance 2 and 5 at 3, where G alone has {2, 4} and {3, 5}
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+    td = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 4}), frozenset({1, 2, 3, 4}), frozenset({4, 5})),
+        ((0, 1), (1, 2), (2, 3)),
+    )
+    rd = RichDecomposition(td)
+    assert validate_rich(g, rd).ok
+    sl = rich_shadow_layering(g, rd)
+    assert [sorted(layer) for layer in sl.layering.layers] == [[0], [1], [2, 3, 4], [5]]
+    assert sl.layering == shadow_layering_by_rescan(g, RichDecomposition(td)).layering
+
+
+def test_plan_builds_no_bag_completed_graph(monkeypatch):
+    g, rd = chordal_fixture(300, 4, 11)
+    calls = []
+
+    def counting(name, real):
+        return lambda *a, **kw: calls.append(name) or real(*a, **kw)
+
+    monkeypatch.setattr(graphs, "bfs_layering", counting("bfs_layering", graphs.bfs_layering))
+    monkeypatch.setattr(shadow, "bfs_layering", graphs.bfs_layering, raising=False)
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counting("from_edges", Graph.from_edges)))
+    rd = RichDecomposition(rd.decomposition)
+    plan = _plan(g, rd)
+    assert _compose_nodes(plan) > 1
+    assert rich_shadow_layering(g, rd).layering == plan.layering
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
