@@ -166,10 +166,10 @@ def rich_shadow_layering(g: Graph, rd: RichDecomposition) -> ShadowLayering:
     Layer i holds the vertices at distance i from vertex 0 in the
     bag-completed graph (G plus a clique on every bag, once the tree
     edges joining nested bags are contracted), found by a BFS over the
-    bags without building that graph.  Each bag then spans
-    two consecutive layers, layer indices are non-decreasing down the
-    tree (property checked), and the bags whose fresh part lies in layer
-    i, restricted to that layer, give a (k-1)-rich decomposition of the
+    bags without building that graph.  Each bag then spans two
+    consecutive layers, layer indices are non-decreasing down the tree
+    (property checked), and the bags whose fresh part lies in layer i,
+    restricted to that layer, give a (k-1)-rich decomposition of the
     layer.
 
     The layering is built once per (G, rd) and held by ``rd``; for a
