@@ -12,8 +12,12 @@ decomposition and its dual tree follow that order.  The Euler genus of
 the embedding follows from Euler's formula.  Only orientable rotation
 systems are supported.
 
-``triangulate`` rebuilds its result from face walks and hands the walks
-over as the result's faces instead of walking them again.
+``triangulate`` makes its result's faces in that order as it fans: the
+chords' darts are numbered after every old dart, so each new triangle's
+least dart is an old dart, which lies in that triangle alone, and each
+triangle, started there, is stored in a slot indexed by that dart.  The
+rotation is rebuilt from those walks, which are handed over as the
+result's faces instead of being rotated, sorted or walked again.
 ``tree_cotree`` runs its primal and dual BFS searches on the same lists.
 
 An ``EmbeddedGraph`` checks itself when built: loops in bulk over
@@ -215,21 +219,48 @@ def _rotation_from_faces(
     face_walks: Sequence[Sequence[int]],
 ) -> EmbeddedGraph:
     """Rebuild the rotation system from a complete set of face walks, in
-    which each dart's head is the next dart's tail, and hand the walks
-    over as the result's ``faces``.
+    which each dart's head is the next dart's tail, given in any order
+    and each from any dart.
+
+    The walks are put in the order ``faces`` has (each started at its
+    least dart, sorted by those darts) and handed to
+    ``_rotation_from_canonical_faces``, which checks them and rebuilds.
+    ``triangulate`` makes its walks in that order as it fans, so it calls
+    the rebuild directly: its chords' darts are numbered after every old
+    dart, so each new triangle's least dart is an old one, which lies in
+    that triangle alone and indexes the triangle's slot.
+    """
+    faces = sorted(
+        walk[i:] + walk[:i]
+        for walk in map(tuple, face_walks)
+        for i in [walk.index(min(walk)) if walk else 0]
+    )
+    return _rotation_from_canonical_faces(n, edge_list, faces)
+
+
+def _rotation_from_canonical_faces(
+    n: int,
+    edge_list: list[tuple[int, int]],
+    faces: Sequence[tuple[int, ...]],
+) -> EmbeddedGraph:
+    """Rebuild the rotation system from a complete set of face walks in
+    the order of ``EmbeddedGraph.faces`` (each walk starting at its least
+    dart, the walks sorted by those darts), and hand the walks over as
+    the result's ``faces``.
 
     ``phi`` maps each dart to the next one on its walk and the rotation is
     sigma = phi o alpha, where alpha is ``d -> d ^ 1``.  The faces of a
     rotation are the orbits of sigma o alpha = phi o alpha o alpha = phi,
-    so they are exactly the given walks: each walk, started at its least
-    dart, in the order of those darts, is what ``faces`` would walk.  The
-    result's Euler genus therefore counts its true faces, and a caller
-    comparing it with another genus compares true genera.
+    so they are exactly the given walks, and in that order they are what
+    ``faces`` would walk.  The result's Euler genus therefore counts its
+    true faces, and a caller comparing it with another genus compares true
+    genera.  Every dart must lie on one walk and the rotation must be
+    connected at every vertex; the order is the caller's to keep.
     """
     m2 = 2 * len(edge_list)
     phi = [-1] * m2
     try:
-        for walk in face_walks:
+        for walk in faces:
             prev = walk[-1]
             for d in walk:
                 phi[prev] = d
@@ -238,7 +269,7 @@ def _rotation_from_faces(
         phi = [-1]
     # phi's values are the listed darts, so when 2m are listed a negative
     # value is a negative dart or a slot no walk wrote
-    if sum(map(len, face_walks)) != m2 or min(phi, default=0) < 0:
+    if sum(map(len, faces)) != m2 or min(phi, default=0) < 0:
         raise EmbeddingError("face walks do not cover every dart exactly once")
     sigma = [0] * m2
     sigma[::2] = phi[1::2]
@@ -263,11 +294,6 @@ def _rotation_from_faces(
         v = next(v for v in range(n) if len(rotation[v]) != deg[v])
         raise EmbeddingError(f"face walks induce a disconnected rotation at vertex {v}")
     eg = EmbeddedGraph(n, tuple(edge_list), tuple(rotation))
-    faces = []
-    for walk in map(tuple, face_walks):
-        i = walk.index(min(walk))
-        faces.append(walk[i:] + walk[:i])
-    faces.sort()  # the least darts differ, so this sorts by them
     eg.__dict__["sigma"] = sigma
     eg.__dict__["faces"] = tuple(faces)
     return eg
@@ -326,11 +352,17 @@ def triangulate(eg: EmbeddedGraph) -> EmbeddedGraph:
     whose faces are all triangles once bigons are dropped is returned as
     it is.
 
-    The result is rebuilt from its face walks by ``_rotation_from_faces``,
-    which hands the walks over as its faces rather than walking them
-    again; they are its faces by construction, so the genus self-check
-    below compares true genera.  A fan that changes the genus raises
-    ``EmbedderSelfCheckError``.
+    The fan makes the result's faces in their final order, each walk
+    starting at its least dart and the walks sorted by those darts, as
+    ``EmbeddedGraph.faces`` lists them.  The chords' darts are numbered
+    after every old dart, so each new triangle's least dart is an old
+    dart, and every old dart lies in one triangle alone: the triangle is
+    stored, started at that dart, in a slot indexed by it, and the slots
+    in dart order are the faces.  ``_rotation_from_canonical_faces``
+    rebuilds the rotation from them and hands them over as the result's
+    faces rather than walking them again; they are its faces by
+    construction, so the genus self-check below compares true genera.  A
+    fan that changes the genus raises ``EmbedderSelfCheckError``.
     """
     if eg.n < 3:
         raise EmbeddingError("triangulation needs at least 3 vertices")
@@ -339,40 +371,70 @@ def triangulate(eg: EmbeddedGraph) -> EmbeddedGraph:
         return eg
     tail = eg.tail
     edge_list = list(eg.edge_list)
-    new_walks: list[tuple[int, ...]] = []
+    slot: list[tuple[int, ...]] = [()] * len(tail)  # new face by least dart
     for walk in eg.faces:
         k = len(walk)
         if k == 3:
-            new_walks.append(walk)
+            slot[walk[0]] = walk
             continue
-        if k < 3:
+        # chord j = 2..k-2 joins the apex to corner j of the walk w started
+        # at the apex; the dart leaving the apex on chord j is c + 2(j - 2)
+        c = 2 * len(edge_list)
+        if k == 4:
+            # The quadrangle's chords join corners 0 and 2 or 1 and 3, and
+            # a corner's chord is a loop iff the opposite corner is the same
+            # vertex.  Its neighbours differ from it (no loops), so the
+            # corners that make no loop have distinct vertices, and the
+            # least of them is the apex.
+            d0, d1, d2, d3 = walk
+            t0, t1, t2, t3 = tail[d0], tail[d1], tail[d2], tail[d3]
+            low02 = t0 if t0 < t2 else t2
+            low13 = t1 if t1 < t3 else t3
+            if t0 != t2 and (t1 == t3 or low02 < low13):
+                w = walk if t0 < t2 else (d2, d3, d0, d1)
+            elif t1 != t3:
+                w = (d1, d2, d3, d0) if t1 < t3 else (d3, d0, d1, d2)
+            else:
+                raise EmbeddingError("no loop-free fan corner on face walk")
+            edge_list.append((tail[w[0]], tail[w[2]]))
+        elif k < 3:
             raise EmbeddingError(
                 f"face of length {k} cannot be triangulated without new vertices"
             )
-        # The apex is the first corner in (vertex, position) order whose
-        # chords make no loop.  Corner r's chords make one iff verts[r]
-        # recurs at offsets 2..k-2; its neighbours on the walk differ from
-        # it (no loops), so iff it occurs more than once.  So the least
-        # vertex is tried first, then the least vertex that occurs once.
-        verts = list(map(tail.__getitem__, walk))
-        apex = min(verts)
-        if verts.count(apex) > 1:
-            counts = Counter(verts)
-            apex = min((v for v, c in counts.items() if c == 1), default=None)
-            if apex is None:
-                raise EmbeddingError("no loop-free fan corner on face walk")
-        r = verts.index(apex)
-        w = walk[r:] + walk[:r]
-        # chord j = 2..k-2 joins the apex to corner j of w; the dart
-        # leaving the apex on chord j is c + 2(j - 2)
-        c = 2 * len(edge_list)
-        edge_list += [(apex, v) for v in (verts[r:] + verts[:r])[2:-1]]
-        new_walks.append((w[0], w[1], c + 1))
-        for j in range(2, k - 2):
-            new_walks.append((c, w[j], c + 3))
-            c += 2
-        new_walks.append((c, w[k - 2], w[k - 1]))
-    out = _rotation_from_faces(eg.n, edge_list, new_walks)
+        else:
+            # The apex is the first corner in (vertex, position) order whose
+            # chords make no loop.  Corner r's chords make one iff verts[r]
+            # recurs at offsets 2..k-2; its neighbours on the walk differ
+            # from it (no loops), so iff it occurs more than once.  So the
+            # least vertex is tried first, then the least vertex that
+            # occurs once.
+            verts = list(map(tail.__getitem__, walk))
+            apex = min(verts)
+            if verts.count(apex) > 1:
+                counts = Counter(verts)
+                apex = min((v for v, c in counts.items() if c == 1), default=None)
+                if apex is None:
+                    raise EmbeddingError("no loop-free fan corner on face walk")
+            r = verts.index(apex)
+            w = walk[r:] + walk[:r]
+            edge_list += [(apex, v) for v in (verts[r:] + verts[:r])[2:-1]]
+            # triangle (x, w[j], x + 3), x chord j's apex dart, holds one
+            # old dart, w[j]
+            for j, x in zip(range(2, k - 2), range(c, 2 * len(edge_list), 2)):
+                slot[w[j]] = (w[j], x + 3, x)
+        # the first triangle (w[0], w[1], c + 1) and the last (x, w[k-2],
+        # w[k-1]), x the last chord's apex dart, each hold two old darts
+        a, b = w[0], w[1]
+        if a < b:
+            slot[a] = (a, b, c + 1)
+        else:
+            slot[b] = (b, c + 1, a)
+        a, b, x = w[-2], w[-1], 2 * len(edge_list) - 2
+        if a < b:
+            slot[a] = (a, b, x)
+        else:
+            slot[b] = (b, x, a)
+    out = _rotation_from_canonical_faces(eg.n, edge_list, tuple(filter(None, slot)))
     if out.euler_genus != eg.euler_genus:
         raise EmbedderSelfCheckError("triangulation changed the genus")
     return out
@@ -914,10 +976,10 @@ def parse_rotation_system(text: str) -> EmbeddedGraph:
         rotation.append(tuple(darts))
     try:
         eg = EmbeddedGraph(n, tuple(edge_list), tuple(rotation))
-        genus = None if declared_g is None else eg.euler_genus
+        genus = eg.euler_genus
     except EmbeddingError as exc:
         raise GraphInputError(f"not a rotation system: {exc}") from exc
-    if genus != declared_g:
+    if declared_g is not None and genus != declared_g:
         raise GraphInputError(
             f"declared genus {declared_g} != embedding genus {genus}"
         )

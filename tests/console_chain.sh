@@ -51,6 +51,18 @@ layersep gen toroidal_grid 30 --rotation --out torus30_rot.txt
 layersep gen toroidal_grid 30 --out torus30.txt
 layersep decompose --embedded torus30_rot.txt --out torus30_dec.txt --manifest torus30_decompose.json
 layersep verify decomposition torus30_dec.txt torus30.txt --manifest torus30_verify_dec.json
+# the same rotation text edited by hand, its genus dropped from the header
+# and its edge lines shuffled, decomposes byte-identically
+read -r n m _ < torus30_rot.txt
+echo "$n $m" > torus30_edited_rot.txt
+sed -n "2,$((m + 1))p" torus30_rot.txt | shuf --random-source=<(yes) >> torus30_edited_rot.txt
+tail -n +$((m + 2)) torus30_rot.txt >> torus30_edited_rot.txt
+if cmp -s torus30_rot.txt torus30_edited_rot.txt; then echo "rotation text not edited"; exit 1; fi
+layersep decompose --embedded torus30_edited_rot.txt --out torus30_edited_dec.txt
+cmp torus30_dec.txt torus30_edited_dec.txt
+# two isolated vertices are no embedding: invalid input (exit 2)
+printf '2 0\n\n\n' > isolated_rot.txt
+if layersep decompose --embedded isolated_rot.txt --out isolated_dec.txt; then echo "disconnected rotation system accepted"; exit 1; else test $? -eq 2; fi
 # the torus's apex set Q is nonempty, so the recursion labels depth 0
 layersep tracks --embedded torus30_rot.txt --out torus30_tl.txt --manifest torus30_tracks.json
 layersep verify tracks torus30_tl.txt torus30.txt --manifest torus30_verify_tracks.json

@@ -325,7 +325,9 @@ def test_triangulation_self_check_exit_code(tmp_path, monkeypatch, capsys):
     planar_k4 = embedding.embed_planar(complete_graph(4))
     # the torus's faces are quadrangles, so triangulate fans them and
     # checks the genus of what it rebuilt
-    monkeypatch.setattr(embedding, "_rotation_from_faces", lambda n, edges, walks: planar_k4)
+    monkeypatch.setattr(
+        embedding, "_rotation_from_canonical_faces", lambda n, edges, faces: planar_k4
+    )
     capsys.readouterr()
     assert run(["decompose", "--embedded", rot]) == cli.EXIT_CONSTRUCTION == 3
     assert "triangulation changed the genus" in capsys.readouterr().err

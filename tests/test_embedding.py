@@ -25,7 +25,7 @@ from layersep.generators import (
 )
 from layersep.graphs import Graph, GraphInputError
 from layersep.layouts import format_track_layout, pipeline, track_layout_from_compute
-from tests.conftest import root_path
+from tests.conftest import changed_text, read_or_reject, root_path
 
 
 def _nx_embed_planar(g: Graph) -> EmbeddedGraph:
@@ -335,6 +335,42 @@ def test_rotation_roundtrip_one_vertex():
     text = format_rotation_system(eg)
     assert text == "1 0 0\n\n"
     assert parse_rotation_system(text) == eg
+
+
+@pytest.mark.parametrize("text", ["2 0\n\n\n", "0 0\n\n", "2 0 0\n\n\n"])
+def test_parse_rotation_rejects_a_disconnected_or_empty_embedding(text):
+    # with or without a genus in the header: the writer cannot write these
+    with pytest.raises(
+        GraphInputError, match="^not a rotation system: embedded graph must be connected$"
+    ):
+        parse_rotation_system(text)
+
+
+_ROTATION_TOKENS = ("0", "1", "2", "3", "5", "8", "-1", "00", "+1", "1.5", "x", "")
+
+
+def _reads_back_equal(eg: EmbeddedGraph) -> bool:
+    return parse_rotation_system(format_rotation_system(eg)) == eg
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.builds(toroidal_grid, st.integers(3, 5), st.integers(3, 5)),
+        st.builds(random_planar_triangulation, st.integers(3, 30), st.integers(0, 10**6)),
+        st.just(EmbeddedGraph(1, (), ((),))),
+    ),
+    st.data(),
+)
+def test_rotation_text_changes_raise_or_round_trip(eg, data):
+    """A rotation text reads back to its embedding, and every
+    single-token or single-line change of it raises ``GraphInputError``
+    or reads to an embedding whose own text reads back equal; no other
+    exception escapes."""
+    text = format_rotation_system(eg)
+    assert parse_rotation_system(text) == eg
+    changed = changed_text(data, text, _ROTATION_TOKENS)
+    assert read_or_reject(parse_rotation_system, _reads_back_equal, changed) in (None, True)
 
 
 def test_parse_rotation_rejects_repeated_dart():

@@ -29,7 +29,7 @@ from layersep.embedding import (
     tree_cotree,
     triangulate,
 )
-from layersep.generators import random_planar_triangulation, toroidal_grid
+from layersep.generators import grid_graph, random_planar_triangulation, toroidal_grid
 from layersep.graphs import Graph, GraphInputError
 from tests.conftest import embedded_graphs
 from tests.test_embedding import (
@@ -406,6 +406,32 @@ def test_rotation_from_faces_hands_over_its_own_faces(eg):
     _assert_core_matches_oracle(out)
 
 
+@settings(max_examples=100, deadline=None)
+@given(embedded_graphs, st.sampled_from(("cover", "drop", "repeat", "range", "negative")), st.data())
+def test_rotation_from_faces_checks_its_walks(eg, kind, data):
+    """Walks cut from any order of the darts rebuild as the oracle does,
+    or raise its message for a rotation that falls apart at a vertex;
+    walks that miss, repeat or invent a dart are refused."""
+    darts = data.draw(st.permutations(range(2 * eg.m)))
+    if kind == "drop":
+        darts = darts[1:]
+    elif kind == "repeat":
+        darts[0] = darts[1]
+    elif kind == "range":
+        darts[0] = 2 * eg.m + data.draw(st.integers(0, 3))
+    elif kind == "negative":
+        darts[0] = -data.draw(st.integers(1, 3))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(darts) - 1))))
+    walks = [darts[i:j] for i, j in zip([0] + cuts, cuts + [len(darts)])]
+    got = _outcome(lambda: _embedding(_rotation_from_faces(eg.n, list(eg.edge_list), walks)))
+    if kind == "cover":
+        assert got == _outcome(
+            lambda: _embedding(_dict_rotation_from_faces(eg.n, list(eg.edge_list), walks))
+        )
+    else:
+        assert got == (EmbeddingError, "face walks do not cover every dart exactly once")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(embedded_graphs, triangulated_tori), st.data())
 def test_tree_cotree_matches_dict_oracle(eg, data):
@@ -511,6 +537,67 @@ def test_bigon_bounded_by_one_edge_raises_like_the_oracle(copies):
     expected = (EmbeddingError, "degenerate face bounded by a single edge")
     assert _outcome(lambda: triangulate(eg)) == expected
     assert _outcome(lambda: _dict_triangulate(DictEmbedding(5, edges, rotation))) == expected
+
+
+def _fans_like_the_oracle(eg):
+    """``triangulate`` returns the dict-based triangulation's edge list,
+    rotation and faces, or raises its error, and the faces it hands over
+    are those walked again from its own rotation."""
+    tri = _outcome(lambda: triangulate(eg))
+    ref = _outcome(lambda: _dict_triangulate(DictEmbedding(eg.n, eg.edge_list, eg.rotation)))
+    if isinstance(ref, tuple):
+        assert tri == ref
+        return
+    assert _embedding(tri) == _embedding(ref)
+    fresh = EmbeddedGraph(tri.n, tri.edge_list, tri.rotation)
+    assert fresh.sigma == tri.sigma and fresh.faces == tri.faces
+
+
+def _relabelled_square(p):
+    """The 4-cycle p0 p1 p2 p3, edge i = (p_i, p_i+1): two quadrangles,
+    the first walked from dart 0 through the corners p0, p1, p2, p3."""
+    edges = tuple((p[i], p[(i + 1) % 4]) for i in range(4))
+    rotation = [()] * 4
+    for i in range(4):
+        rotation[p[i]] = (2 * i, 2 * ((i - 1) % 4) + 1)
+    return EmbeddedGraph(4, edges, tuple(rotation))
+
+
+@pytest.mark.parametrize("p", [(0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0)])
+def test_quadrangle_with_four_distinct_corners_fans_like_the_oracle(p):
+    # vertex 0, the apex, at each corner of the first face's walk
+    eg = _relabelled_square(p)
+    assert [[eg.tail[d] for d in walk] for walk in eg.faces][0] == list(p)
+    _fans_like_the_oracle(eg)
+
+
+@pytest.mark.parametrize("edges, corners", [
+    ([(0, 1), (1, 2)], [0, 1, 2, 1]),  # corners 1 and 3 repeat: chord from corner 0
+    ([(0, 1), (0, 2)], [0, 1, 0, 2]),  # corners 0 and 2 repeat: chord from corner 1
+])
+def test_quadrangle_with_a_repeated_corner_fans_like_the_oracle(edges, corners):
+    eg = embed_planar(Graph.from_edges(3, edges))
+    assert [[eg.tail[d] for d in walk] for walk in eg.faces] == [corners]
+    _fans_like_the_oracle(eg)
+
+
+def test_quadrangle_with_both_corners_repeated_raises_like_the_oracle():
+    # four parallel edges 01 and a path 0 2 1; the first face walks
+    # 0 1 0 1 and no bigon bounds the parallel edges
+    eg = EmbeddedGraph(
+        3, ((0, 1),) * 4 + ((0, 2), (1, 2)), ((0, 2, 4, 8, 6), (1, 3, 5, 7, 10), (9, 11))
+    )
+    assert [[eg.tail[d] for d in walk] for walk in eg.faces][0] == [0, 1, 0, 1]
+    assert _outcome(lambda: triangulate(eg)) == (
+        EmbeddingError, "no loop-free fan corner on face walk"
+    )
+    _fans_like_the_oracle(eg)
+
+
+def test_faces_of_length_three_four_and_eight_fan_like_the_oracle():
+    eg = embed_planar(Graph.from_edges(9, list(grid_graph(3, 3).edges) + [(0, 4)]))
+    assert sorted(map(len, eg.faces)) == [3, 3, 4, 4, 4, 8]
+    _fans_like_the_oracle(eg)
 
 
 def _stepwise_lr_rotation(g: Graph) -> Optional[list[list[int]]]:
