@@ -82,7 +82,6 @@ from .layouts import (
 from .nonrep import (
     default_max_path,
     format_colouring,
-    layer_pattern_colouring,
     nonrep_bound,
     nonrep_from_compute,
     parse_colouring,
@@ -179,11 +178,16 @@ def _check_decomposition(args, manifest: RunManifest, g, ld):
 
 def _check_nonrep(args, manifest: RunManifest, g, colouring):
     """The square search runs only on a proper colouring, so it never sees
-    an uncoloured vertex."""
+    an uncoloured vertex.  A path of fewer than 2 vertices holds no
+    square, so a max_path below 2 would check nothing: it is refused."""
+    max_path = args.verify_max_path
+    if max_path is None:
+        max_path = default_max_path(g.n)
+    elif max_path < 2:
+        raise GraphInputError(f"--verify-max-path must be at least 2, got {max_path}")
     proper = verify_proper(g, colouring)
     if not proper.ok:
         return [("proper", proper)]
-    max_path = args.verify_max_path or default_max_path(g.n)
     manifest.parameters["max_path"] = max_path
     hit = verify_nonrepetitive(g, colouring, max_path)
     square = Report.of(() if hit is None else (f"repetitive path: {hit}",))
@@ -274,10 +278,7 @@ def cmd_queues(args) -> int:
 def cmd_nonrep(args) -> int:
     manifest = RunManifest("nonrep", parameters={"root": args.root})
     g, res, labels = _labelled(args, manifest)
-    lp = layer_pattern_colouring(len(res.ld.layering))
-    manifest.parameters["layer_pattern_search_nodes"] = lp.search_nodes
-    manifest.parameters["layer_pattern_fell_back"] = lp.fell_back
-    colouring = nonrep_from_compute(g, res.ld.layering, labels, lp)
+    colouring = nonrep_from_compute(g, res.ld.layering, labels)
     manifest.bounds["palette"] = colouring.palette_size
     return _finish(args, manifest, format_colouring(colouring),
                    _check_nonrep(args, manifest, g, colouring), verdict_on_stdout=True)

@@ -3,13 +3,25 @@
 A colouring is nonrepetitive if no path reads the same colour sequence
 twice in a row.  The pipeline colours each vertex by (layer-pattern
 symbol, depth, label): the depth/label pair comes from the separation
-recursion, and the layer-pattern symbol is a 4-symbol colouring of the
-layer indices under which any repetitively coloured lazy walk must visit
-identical index sequences.  That word comes from a budgeted depth-first
-search; its per-prefix check, ``_matching_walk``, grows the two halves of
-a lazy walk in lockstep as colour-equal index pairs, over walks of length
-<= 10 through the newest position.  ``verify_layer_pattern`` runs the
-same pair search over the whole word, up to any even length.
+recursion, and the layer-pattern symbol colours layer i by the letter
+W[i] of one fixed 4-symbol word W, under which any repetitively
+coloured lazy walk over the layer indices must visit identical index
+sequences (the lazy-walk lemma of Kündgen and Pelsmajer, Discrete
+Math. 2008).
+
+W is the fixed point of the 6-uniform morphism 0 -> 123103,
+1 -> 120130, 2 -> 210230, 3 -> 213203 grown from 1, read from index 41:
+the first index at which the fixed point reads 012013012, the word that
+layerings of at most 9 layers have always been coloured with, so their
+colourings stay as they were.  ``layer_pattern_colouring(t)`` is W[:t].  A
+prefix of a good word is good, because a lazy walk inside the prefix is
+a lazy walk in the whole word, so one certificate of W[:t] covers every
+shorter layer count.  ``verify_layer_pattern`` checks a word for walks
+of every length at once, by the components of its colour-equal index
+pairs; a word passes iff it has no xx, no xyx and no square.  The tests
+certify W[:2000] with it, and every length through Crochemore's
+criterion: the morphism maps every square-free word of length 3 to a
+word that passes.
 
 ``verify_nonrepetitive`` is the authority for every produced colouring,
 and it too grows the two halves of a candidate square in lockstep as
@@ -19,14 +31,15 @@ that vertex that bounds how far the first half may stray.  It builds
 flat tables once per call (colours by vertex, (degree, id) ranks, each
 anchor's end list), finds the squares of half-length <= 2 by lookups
 over those end lists with no ball, and runs the longer search on level
-and mark lists that every anchor reuses.  Exhaustive enumerations in the
-tests are the oracles of both verifiers.
+and mark lists that every anchor reuses.  Its oracle in the tests is an
+exhaustive depth-first search; that of ``verify_layer_pattern`` is the
+bounded lockstep search over lazy walks that it replaced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -56,168 +69,87 @@ class Colouring:
 @dataclass(frozen=True)
 class LayerPatternColouring:
     """Symbol per layer index such that repetitively coloured lazy walks
-    have matching index halves.
-
-    ``search_nodes`` and ``fell_back`` describe how
-    ``layer_pattern_colouring`` found the word; equality and hashing
-    read ``seq`` only.
-    """
+    have matching index halves."""
 
     seq: tuple[int, ...]
-    search_nodes: int = field(default=0, compare=False)
-    fell_back: bool = field(default=False, compare=False)
 
     @property
     def symbol_count(self) -> int:
         return len(set(self.seq))
 
 
-def _thue_morse(n: int) -> int:
-    return bin(n).count("1") & 1
-
-
-def _ternary_squarefree(n: int) -> int:
-    """Square-free word over {0,1,2} from Thue-Morse first differences."""
-    return _thue_morse(n + 1) - _thue_morse(n) + 1
-
-
-def _suffix_squarefree(seq: Sequence[int]) -> bool:
-    n = len(seq)
-    return all(
-        seq[n - 2 * q : n - q] != seq[n - q :] for q in range(1, n // 2 + 1)
-    )
-
-
-_SEARCH_WALK_CAP = 10
-
-
-def _matching_walk(
-    seq: Sequence[int], half: int, lo: int = 0, through_last: bool = False
-) -> Optional[tuple[int, ...]]:
-    """Shortest lazy walk of even length <= 2 half over positions lo..end
-    (through the last position when asked) whose colour halves match on
-    different index halves, or None.
-
-    The two halves of a walk are grown in lockstep as index pairs
-    (a_i, b_i) with seq[a_i] == seq[b_i], each index moving by -1, 0 or
-    +1 per step.  A state is (a_i, b_i, b_0, halves differ, last
-    position visited).  A state closes a counterexample of length
-    2i + 2 when a_i is within one of b_0 (the junction of the two
-    halves), the halves differ and the last position was visited.  One
-    pass of half - 1 steps thus covers every even length up to 2 half
-    over at most 4 W^3 states for W positions, where enumerating the
-    walks themselves costs up to W 3^(2 half - 1) tuples.  A state is
-    dropped once a_i can no longer get back within one of b_0, or the
-    walk can no longer reach the last position, in the steps left.
-    Each layer maps a state to one predecessor, so the counterexample
-    is read back from the layers.
-    """
-    p = len(seq) - 1
-    step = {
-        x: [y for y in (x - 1, x, x + 1) if lo <= y <= p] for x in range(lo, p + 1)
-    }
-    layer: dict[tuple, Optional[tuple]] = {
-        (a, b, b, a != b, not through_last or p in (a, b)): None
-        for a in step
-        for b in step
-        if seq[a] == seq[b]
-    }
-    layers = [layer]
-    for i in range(half):
-        for state in layer:
-            a, _, b0, differ, seen = state
-            if differ and seen and abs(a - b0) <= 1:
-                first: list[int] = []
-                second: list[int] = []
-                for back in reversed(layers):
-                    first.append(state[0])
-                    second.append(state[1])
-                    state = back[state]
-                return (*reversed(first), *reversed(second))
-        left = half - 1 - i  # steps still allowed to each half
-        if not left:
-            break
-        layer = {
-            (a2, b2, b0, differ or a2 != b2, seen or p in (a2, b2)): state
-            for state in layer
-            for a, b, b0, differ, seen in (state,)
-            for a2 in step[a]
-            if abs(a2 - b0) <= left
-            for b2 in step[b]
-            if seq[a2] == seq[b2] and (seen or p - max(a2, b2) < left)
-        }
-        layers.append(layer)
-    return None
-
-
-def _last_position_walks_ok(seq: Sequence[int]) -> bool:
-    """True when no lazy walk of even length <= the cap, inside the last
-    cap positions, visits the last position and reads the same colours
-    on two different index halves (see ``_matching_walk``)."""
-    lo = max(0, len(seq) - _SEARCH_WALK_CAP)
-    return _matching_walk(seq, _SEARCH_WALK_CAP // 2, lo, through_last=True) is None
-
-
-def _search_four_symbol(t: int, node_budget: int) -> tuple[Optional[list[int]], int]:
-    """Deterministic depth-first search for a 4-symbol word of length t
-    that is square-free (kills all straight-walk counterexamples of any
-    length) and passes the windowed lazy-walk check on every prefix.
-    Returns the word (None when the budget runs out) and the number of
-    nodes visited."""
-    stack: list[list[int]] = [[0]]
-    nodes = 0
-    while stack and nodes < node_budget:
-        seq = stack.pop()
-        nodes += 1
-        if not _suffix_squarefree(seq) or not _last_position_walks_ok(seq):
-            continue
-        if len(seq) == t:
-            return seq, nodes
-        for s in range(3, -1, -1):
-            stack.append(seq + [s])
-    return None, nodes
+# the images of 0, 1, 2 and 3 under the morphism whose fixed point is W
+_MORPHISM = ((1, 2, 3, 1, 0, 3), (1, 2, 0, 1, 3, 0), (2, 1, 0, 2, 3, 0), (2, 1, 3, 2, 0, 3))
+_WORD_START = 41
 
 
 @lru_cache(maxsize=None)
 def layer_pattern_colouring(t: int) -> LayerPatternColouring:
-    """Layer colouring with the matching-walk property, 4 symbols when
-    the search succeeds.
+    """The first t letters of the layer word W (see the module notes).
 
-    Two constraints guide the search: the word must be square-free (a
-    square of period q yields a straight length-2q walk whose colour
-    halves match on distinct indices), and every prefix must pass the
-    windowed lazy-walk check of ``_last_position_walks_ok`` (walks of
-    length <= 10 through the new last position).  The search visits
-    about 2.4 t nodes (91 at t = 40) and each check is one small
-    lockstep pass rather than an enumeration of walks.  If the
-    budgeted search fails, fall back to the 6-symbol word (parity,
-    ternary square-free at index i//2), which passes the same battery;
-    palette bounds scale accordingly.  The result records the nodes
-    searched and whether it fell back.  verify_layer_pattern remains the
-    final authority.
+    The fixed point is grown from 1 by applying the morphism until it
+    reaches index 41 + t; 1 maps to a word starting with 1, so each
+    image extends the last.  Reading from index 41 keeps the prefix
+    012013012 that layerings of at most 9 layers have always had.
+    Every W[:t] is a prefix of W[:u] for u > t, and a lazy walk in
+    W[:t] is a lazy walk in W[:u], so ``verify_layer_pattern`` passing
+    on W[:2000] (a test) certifies every t <= 2000 for walks of every
+    length; the morphism's square-freeness (another test) covers every t.
     """
     if t < 1:
         raise GraphInputError("need at least one layer")
-    found, nodes = _search_four_symbol(t, node_budget=400 * t)
-    if found is not None:
-        return LayerPatternColouring(tuple(found), search_nodes=nodes)
-    return LayerPatternColouring(
-        tuple(3 * (i % 2) + _ternary_squarefree(i // 2) for i in range(t)),
-        search_nodes=nodes,
-        fell_back=True,
-    )
+    word = [1]
+    while len(word) < _WORD_START + t:
+        word = [s for x in word for s in _MORPHISM[x]]
+    return LayerPatternColouring(tuple(word[_WORD_START : _WORD_START + t]))
 
 
-def verify_layer_pattern(
-    lp: LayerPatternColouring, max_walk: int
-) -> Optional[tuple[int, ...]]:
-    """Lazy-walk check over the whole word: returns a shortest walk of
-    even length <= max_walk whose colour halves match but index halves
-    differ, or None.  The two halves grow in lockstep as colour-equal
-    index pairs (``_matching_walk``) instead of being enumerated."""
-    if max_walk % 2:
-        raise GraphInputError("max_walk must be even")
-    return _matching_walk(lp.seq, max_walk // 2)
+def verify_layer_pattern(lp: LayerPatternColouring) -> Optional[tuple[int, ...]]:
+    """Lazy-walk check for walks of every length: returns a lazy walk
+    whose colour halves match on different index halves, or None.
+
+    A walk x_1..x_k y_1..y_k with matching colour halves is a king-move
+    path of cells (x_i, y_i) with seq[x_i] = seq[y_i], from (x_1, y_1)
+    to (x_k, y_k), whose junction needs |x_k - y_1| <= 1; its index
+    halves differ iff the path visits a cell off the diagonal.  King
+    moves are symmetric, so such a path exists between two cells iff
+    they lie in one component, and the word is bad iff some component
+    with an off-diagonal cell holds cells (a, b) and (c, d) with
+    |c - b| <= 1.
+
+    The diagonal cells form one component.  It holds an off-diagonal
+    cell iff seq[i] = seq[i + 1] (the walk i, i+1) or seq[i] = seq[i + 2]
+    (the walk i, i+1, i+2, i+1).  Otherwise no symbol repeats within
+    distance 2, so a cell (a, b) has no king neighbour in its own row
+    and at most one in each adjacent row, at b + 1 or b - 1; and the
+    column cannot turn back, since b_(a-1) = b_(a+1) would give
+    seq[a - 1] = seq[a + 1].  So every other component is a straight
+    run of cells (a + r, b +- r), and it is bad iff its rows and its
+    columns, two intervals, come within 1 of each other.  That is
+    symmetric, so a run below the diagonal is bad iff its mirror image
+    above it is.  A run above the diagonal and against it has its least
+    column at least 3 past its last row, and is harmless.  A run
+    (a + r, a + p + r) along it is bad iff it has at least p cells, that
+    is iff seq[a:a + p] = seq[a + p:a + 2 p], and the square itself is
+    the walk.  So the word is bad iff it has xx, xyx or a square, and
+    the check scans each period for p matching positions in a row:
+    about t^2 / 2 comparisons.
+    """
+    seq = lp.seq
+    t = len(seq)
+    for i in range(t - 1):
+        if seq[i] == seq[i + 1]:
+            return (i, i + 1)
+        if i + 2 < t and seq[i] == seq[i + 2]:
+            return (i, i + 1, i + 2, i + 1)
+    # periods 1 and 2 are xx and xyx, excluded above
+    for p in range(3, t // 2 + 1):
+        run = 0
+        for j, (x, y) in enumerate(zip(seq, seq[p:])):
+            run = run + 1 if x == y else 0
+            if run == p:
+                return tuple(range(j + 1 - p, j + 1 + p))
+    return None
 
 
 def nonrep_from_compute(

@@ -68,6 +68,12 @@ layersep tracks --embedded torus30_rot.txt --out torus30_tl.txt --manifest torus
 layersep verify tracks torus30_tl.txt torus30.txt --manifest torus30_verify_tracks.json
 layersep queues --embedded torus30_rot.txt --out torus30_ql.txt --manifest torus30_queues.json
 layersep verify queues torus30_ql.txt torus30.txt --manifest torus30_verify_queues.json
+# 20 layers: the colouring reads the layer word past its first 9 letters
+layersep nonrep --embedded torus30_rot.txt --out torus30_c.txt --manifest torus30_nonrep.json --verify-max-path 10
+layersep verify nonrep torus30_c.txt torus30.txt --manifest torus30_verify_nonrep.json --verify-max-path 10
+grep -q '"palette": 83' torus30_nonrep.json
+# a max_path below 2 would check nothing: invalid input (exit 2)
+if layersep verify nonrep torus30_c.txt torus30.txt --verify-max-path 1; then echo "max_path 1 accepted"; exit 1; else test $? -eq 2; fi
 # a decomposition text written before parent fields still verifies
 layersep verify decomposition "$fixtures/planar30.dec" "$fixtures/planar30.txt" --manifest old_verify_dec.json
 # an explicit decomposition (not from the genus construction) verifies

@@ -14,6 +14,10 @@ the plain checks they replaced: a contraction that rescans every bag
 after each merge, the richness check pair by pair, a BFS of the
 bag-completed graph and a shadow check that searches the components of
 every suffix again.  None of them calls the code it is an oracle for.
+
+The bounded lazy-walk search that once checked the layer word, growing
+the two halves of a walk in lockstep up to a given length, is the
+oracle of the every-length component check that replaced it.
 """
 
 from __future__ import annotations
@@ -388,3 +392,53 @@ def plan_by_rescan(g: Graph, rd: RichDecomposition) -> _Piece:
     return _Piece(g, k, sl.layering, tuple(
         on(layer, sub) for layer, sub in zip(sl.layering.layers, sl.per_layer)
     ))
+
+
+def _matching_walk(seq: Sequence[int], half: int) -> tuple[int, ...] | None:
+    """Shortest lazy walk of even length <= 2 half over the positions of
+    seq whose colour halves match on different index halves, or None.
+
+    The two halves of a walk are grown in lockstep as index pairs
+    (a_i, b_i) with seq[a_i] == seq[b_i], each index moving by -1, 0 or
+    +1 per step.  A state is (a_i, b_i, b_0, halves differ).  A state
+    closes a counterexample of length 2i + 2 when a_i is within one of
+    b_0 (the junction of the two halves) and the halves differ.  One
+    pass of half - 1 steps thus covers every even length up to 2 half
+    over at most 2 W^3 states for W positions.  A state is dropped once
+    a_i can no longer get back within one of b_0 in the steps left.
+    Each layer maps a state to one predecessor, so the counterexample
+    is read back from the layers.  A half of at least len(seq)^2 is
+    exhaustive: a shortest counterexample is a step from the diagonal
+    (half 1 or 2) or a path of distinct off-diagonal cells.
+    """
+    p = len(seq) - 1
+    step = {x: [y for y in (x - 1, x, x + 1) if 0 <= y <= p] for x in range(p + 1)}
+    layer: dict[tuple, tuple | None] = {
+        (a, b, b, a != b): None for a in step for b in step if seq[a] == seq[b]
+    }
+    layers = [layer]
+    for i in range(half):
+        for state in layer:
+            a, _, b0, differ = state
+            if differ and abs(a - b0) <= 1:
+                first: list[int] = []
+                second: list[int] = []
+                for back in reversed(layers):
+                    first.append(state[0])
+                    second.append(state[1])
+                    state = back[state]
+                return (*reversed(first), *reversed(second))
+        left = half - 1 - i  # steps still allowed to each half
+        if not left:
+            break
+        layer = {
+            (a2, b2, b0, differ or a2 != b2): state
+            for state in layer
+            for a, b, b0, differ in (state,)
+            for a2 in step[a]
+            if abs(a2 - b0) <= left
+            for b2 in step[b]
+            if seq[a2] == seq[b2]
+        }
+        layers.append(layer)
+    return None

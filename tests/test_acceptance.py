@@ -269,11 +269,11 @@ def _track_bound(layering, parts, k, out):
 
 
 def _colour_bound(layering, parts, k, out):
-    # per-level factor is the symbol count; 4c when the 4-symbol search
-    # succeeds, scaled accordingly otherwise
+    # per-level factor is the symbol count of the layer word's prefix,
+    # which has at most 4 symbols
     cmax = max((c.palette_size for c in parts), default=1)
     symbols = layer_pattern_colouring(len(layering)).symbol_count
-    return out.palette_size, max(symbols, 4) * cmax
+    return out.palette_size, min(symbols, 4) * cmax
 
 
 def test_criterion_9_recursive_drivers():

@@ -147,9 +147,7 @@ def test_queues_and_nonrep(tmp_path):
     assert run(["nonrep", graph, "--out", col, "--verify-max-path", 10,
                 "--manifest", man]) == 0
     params = json.loads(man.read_text())["parameters"]
-    assert params["layer_pattern_fell_back"] is False
-    assert params["layer_pattern_search_nodes"] > 0
-    assert params["max_path"] == 10
+    assert params == {"root": "0", "max_path": 10}
     vman = tmp_path / "v.json"
     assert run(["verify", "nonrep", col, graph, "--verify-max-path", 10,
                 "--manifest", vman]) == 0
@@ -158,6 +156,31 @@ def test_queues_and_nonrep(tmp_path):
     assert run(["verify", "nonrep", col, graph, "--manifest", vman]) == 0
     assert json.loads(vman.read_text())["parameters"]["max_path"] == 20
     parse_colouring(col.read_text())
+
+
+def test_verify_max_path_below_two_is_invalid_input(tmp_path, capsys):
+    # a path of fewer than 2 vertices holds no square, so such a bound
+    # would check nothing; 0 is no request for the default either
+    graph = tmp_path / "p4.txt"
+    graph.write_text("4 3\n0 1\n1 2\n2 3\n")
+    col = tmp_path / "c.txt"
+    col.write_text(format_colouring(Colouring({0: 0, 1: 1, 2: 0, 3: 1})))
+    for bad in (-4, 0, 1):
+        out = tmp_path / f"built{bad}.txt"
+        capsys.readouterr()
+        assert run(["verify", "nonrep", col, graph, "--verify-max-path", bad,
+                    "--manifest", os.devnull]) == cli.EXIT_INPUT == 2
+        assert run(["nonrep", graph, "--out", out, "--verify-max-path", bad,
+                    "--manifest", os.devnull]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("--verify-max-path must be at least 2") == 2
+    # the square 0 1 0 1 is found from max_path 4 on
+    assert run(["verify", "nonrep", col, graph, "--verify-max-path", 2,
+                "--manifest", os.devnull]) == 0
+    assert run(["verify", "nonrep", col, graph, "--verify-max-path", 4,
+                "--manifest", os.devnull]) == 1
 
 
 def test_draw3d_with_exports(tmp_path):
@@ -489,7 +512,7 @@ CLI_OUTPUTS = {
     "verify shadow t.lay t.txt --k 3 --manifest t.verify-shadow.json": "exit 1 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "verify shadow t.lay t.txt --k 1 --manifest t.verify-shadow-1.json": "exit 1 stdout e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "p.col": "a4cd98617cc13e05f512d078326a15f7609aebb1d7dc80cab4c4ffe0a5f4fa49",
-    "p.col.json": "e70191c1bf0e53422a0810e282467e94ff2dd0c59cf83eac082ffebde077b125",
+    "p.col.json": "6a02290416f1031e3e46f8c282591e1d42574f42e9e612c2959eeb6c16b66f35",
     "p.d": "38fd96b100ef2b4a022a402b78b2ba6386486471152d5f6135184d6925397a9d",
     "p.d.json": "a6ab18f54b3740aa0d8857523fd6db0cccdae158306b16769c8a022aa4ac1c7e",
     "p.dec": "b99cf8a2ef60f995247fbddd6dd0ce6eef105469175c03120846c6f56772279b",
@@ -513,7 +536,7 @@ CLI_OUTPUTS = {
     "p.verify-shadow.json": "08b7a56c5373ae1df98c2ac69714dfc7feb10d6a4c9728e0baa11703363ba73f",
     "p.verify-tracks.json": "7aa526051392ac1fbac5ce4b0ead6eec605174153373ec8e938cfc1555849510",
     "t.col": "18a1969a68b3c1c5f81851a5dfd921274be72670dd2c6a97c4c6e265e4ef5f92",
-    "t.col.json": "8ffc66ee14cc1ea2ea8349554147b834b20f8c65a0b1ec3ad842d9e7bc7b958b",
+    "t.col.json": "280a3cef9313b3d39f52c3f309037d4ec52d88178852a0b3bc811f46cf59bf9b",
     "t.d": "4655f1125a0ab4f24024cb9c10bdfe6e81372f40b68722160d115fe3fdcc7be4",
     "t.d.json": "702257ec46841a813f30b8c561f44da060b1a6ede9496430137fc60864440b77",
     "t.dec": "76d9a17ebf7e73ca7c545504c644834c4215412206dfeb8f8c5e2b49343ecf90",

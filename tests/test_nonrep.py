@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersep.decomposition import TreeDecomposition
 from layersep.embedding import embed_planar
 from layersep.generators import (
     cycle_graph,
@@ -17,12 +19,9 @@ from layersep.generators import (
 from layersep.graphs import Graph, GraphInputError, Report, bfs_layering
 from layersep.layouts import pipeline
 from layersep.nonrep import (
-    _SEARCH_WALK_CAP,
+    _MORPHISM,
     Colouring,
     LayerPatternColouring,
-    _last_position_walks_ok,
-    _suffix_squarefree,
-    _ternary_squarefree,
     default_max_path,
     format_colouring,
     layer_pattern_colouring,
@@ -33,7 +32,7 @@ from layersep.nonrep import (
     verify_nonrepetitive,
     verify_proper,
 )
-from layersep.shadow import recursive_nonrep_driver
+from layersep.shadow import RichDecomposition, recursive_nonrep_driver, rich_shadow_layering
 from tests.conftest import (
     changed_text,
     chordal_fixture,
@@ -42,34 +41,13 @@ from tests.conftest import (
     small_graphs,
     torus_pipeline,
 )
+from tests.oracles import _matching_walk
 
 
-def _enumerated_walks_ok(seq):
-    """Brute-force oracle for ``_last_position_walks_ok``: enumerate every
-    lazy walk of even length <= the cap inside the last cap positions
-    that visits the last position."""
-    p = len(seq) - 1
-    lo = max(0, p - _SEARCH_WALK_CAP + 1)
-    t = len(seq)
-    for length in range(2, _SEARCH_WALK_CAP + 1, 2):
-        k = length // 2
-        stack = [(s, (s,), s == p) for s in range(lo, t)]
-        while stack:
-            cur, walk, saw = stack.pop()
-            if len(walk) == length:
-                if not saw:
-                    continue
-                c = [seq[i] for i in walk]
-                if c[:k] == c[k:] and walk[:k] != walk[k:]:
-                    return False
-                continue
-            if not saw and abs(cur - p) > length - len(walk):
-                continue
-            for d in (-1, 0, 1):
-                nxt = cur + d
-                if lo <= nxt < t:
-                    stack.append((nxt, walk + (nxt,), saw or nxt == p))
-    return True
+def _ternary_squarefree(n):
+    """Letter n of a square-free word over {0, 1, 2}: the first
+    differences of the Thue-Morse word, plus 1."""
+    return bin(n + 1).count("1") % 2 - bin(n).count("1") % 2 + 1
 
 
 def _enumerated_matching_walk(seq, max_walk):
@@ -144,63 +122,58 @@ def _dfs_squares(g, c, max_path):
     return None
 
 
-def _oracle_search(t_max):
-    """{t: (word, nodes)} for every length t the oracle-driven search
-    reaches within the budget of t_max.
-
-    One depth-first pass with the enumerating predicate serves every t:
-    until the first valid word of length t is popped, the search for t
-    and the search for t_max pop the same nodes, because an invalid node
-    is never extended and the search for t stops at that word.  So the
-    search for t returns that word when its node count is within 400 t.
-    """
-    first = {}
-    stack = [[0]]
-    nodes = 0
-    while stack and nodes < 400 * t_max and len(first) < t_max:
-        seq = stack.pop()
-        nodes += 1
-        if not _suffix_squarefree(seq) or not _enumerated_walks_ok(seq):
-            continue
-        first.setdefault(len(seq), (tuple(seq), nodes))
-        for s in range(3, -1, -1):
-            stack.append(seq + [s])
-    return first
-
-
 words = st.integers(2, 4).flatmap(
     lambda s: st.lists(st.integers(0, s - 1), min_size=1, max_size=14)
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(words)
-def test_lockstep_walk_check_matches_enumeration(seq):
-    assert _last_position_walks_ok(seq) == _enumerated_walks_ok(seq)
+@st.composite
+def spread_words(draw):
+    """Words of up to 14 letters over 3 to 5 symbols in which no symbol
+    repeats within distance 2, so that only a square of period >= 3 can
+    make them bad."""
+    s = draw(st.integers(3, 5))
+    seq = [0, 1][: draw(st.integers(1, 2))]
+    for _ in range(draw(st.integers(0, 12))):
+        seq.append(draw(st.sampled_from([c for c in range(s) if c not in seq[-2:]])))
+    return seq
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 13), st.integers(0, 3), st.integers(0, 3))
-def test_lockstep_walk_check_matches_enumeration_near_valid(n, last, other):
-    # prefixes of a searched word pass; changing a symbol may break them
-    valid = list(layer_pattern_colouring(14).seq[: n + 1])
-    assert _last_position_walks_ok(valid)
-    for seq in (valid[:-1] + [last], valid[:other] + [last] + valid[other + 1 :]):
-        assert _last_position_walks_ok(seq) == _enumerated_walks_ok(seq)
+def _near_valid(t, pos, sym):
+    """The layer word of length t with one symbol changed."""
+    seq = list(layer_pattern_colouring(t).seq)
+    seq[pos % t] = sym
+    return seq
 
 
 def _assert_matching_walk(seq, max_walk):
-    walk = verify_layer_pattern(LayerPatternColouring(tuple(seq)), max_walk)
+    """The bounded oracle finds what the enumeration finds, a shortest
+    walk; the every-length check finds a walk whenever either does."""
+    walk = _matching_walk(seq, max_walk // 2)
     oracle = _enumerated_matching_walk(seq, max_walk)
     assert (walk is None) == (oracle is None)
     if walk is not None:
-        # a genuine counterexample, and a shortest one like the oracle's
-        k = len(walk) // 2
         assert len(walk) == len(oracle) <= max_walk
-        assert all(0 <= i < len(seq) for i in walk)
-        assert all(abs(walk[i + 1] - walk[i]) <= 1 for i in range(len(walk) - 1))
-        assert [seq[i] for i in walk[:k]] == [seq[i] for i in walk[k:]]
-        assert walk[:k] != walk[k:]
+        _assert_genuine_walk(seq, walk)
+        assert verify_layer_pattern(LayerPatternColouring(tuple(seq))) is not None
+
+
+def _assert_genuine_walk(seq, walk):
+    """A lazy walk over seq whose colour halves match on different index
+    halves."""
+    k = len(walk) // 2
+    assert len(walk) == 2 * k > 0
+    assert all(0 <= i < len(seq) for i in walk)
+    assert all(abs(walk[i + 1] - walk[i]) <= 1 for i in range(len(walk) - 1))
+    assert [seq[i] for i in walk[:k]] == [seq[i] for i in walk[k:]]
+    assert walk[:k] != walk[k:]
+
+
+def _assert_matches_exhaustive_oracle(seq):
+    walk = verify_layer_pattern(LayerPatternColouring(tuple(seq)))
+    assert (walk is None) == (_matching_walk(seq, len(seq) ** 2) is None)
+    if walk is not None:
+        _assert_genuine_walk(seq, walk)
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,61 +185,91 @@ def test_layer_pattern_verifier_matches_enumeration(seq, half):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 14), st.integers(0, 13), st.integers(0, 3), st.integers(1, 5))
 def test_layer_pattern_verifier_matches_enumeration_near_valid(t, pos, sym, half):
-    # a searched word passes; changing one symbol may break it
-    seq = list(layer_pattern_colouring(t).seq)
-    seq[pos % t] = sym
-    _assert_matching_walk(seq, 2 * half)
+    _assert_matching_walk(_near_valid(t, pos, sym), 2 * half)
 
 
-def test_layer_pattern_words_match_oracle_search():
-    oracle = _oracle_search(120)
-    for t in range(1, 121):
-        lp = layer_pattern_colouring(t)
-        word, nodes = oracle.get(t, (None, math.inf))
-        if nodes <= 400 * t:
-            assert (lp.seq, lp.search_nodes, lp.fell_back) == (word, nodes, False)
-        else:
-            assert lp.fell_back
-            assert lp.seq == tuple(
-                3 * (i % 2) + _ternary_squarefree(i // 2) for i in range(t)
-            )
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(words, spread_words()))
+def test_layer_pattern_verifier_matches_exhaustive_oracle(seq):
+    _assert_matches_exhaustive_oracle(seq)
 
 
-def test_layer_pattern_reports_search():
-    lp = layer_pattern_colouring(40)
-    assert not lp.fell_back
-    assert lp.search_nodes == 91
-    assert lp.symbol_count == 4
-    # the search statistics do not take part in equality or hashing
-    plain = LayerPatternColouring(lp.seq)
-    assert plain == lp and hash(plain) == hash(lp)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 13), st.integers(0, 3))
+def test_layer_pattern_verifier_matches_exhaustive_oracle_near_valid(t, pos, sym):
+    # the layer word passes; changing one symbol may break it
+    _assert_matches_exhaustive_oracle(_near_valid(t, pos, sym))
+
+
+def test_layer_word_is_certified_to_2000():
+    assert verify_layer_pattern(layer_pattern_colouring(2000)) is None
+
+
+def test_layer_morphism_meets_crochemores_criterion():
+    # a uniform morphism that maps every square-free word of length 3 to
+    # a square-free word is square-free (Crochemore, Theoret. Comput.
+    # Sci. 1982), so W has no square at any length; and each window of 3
+    # letters of W lies in the image of 2 letters, so W has no xx or xyx
+    for w in itertools.product(range(4), repeat=3):
+        if w[0] != w[1] != w[2]:
+            image = tuple(s for x in w for s in _MORPHISM[x])
+            assert verify_layer_pattern(LayerPatternColouring(image)) is None
+
+
+def test_layer_words_are_prefixes_of_one_word():
+    # uncached, so the cache does not keep 2000 words
+    word = layer_pattern_colouring(2000).seq
+    for t in range(1, 2001):
+        assert layer_pattern_colouring.__wrapped__(t).seq == word[:t]
+
+
+def test_layer_word_of_20000_letters_takes_under_a_second():
+    start = time.perf_counter()
+    lp = layer_pattern_colouring.__wrapped__(20_000)
+    assert time.perf_counter() - start < 1
+    assert len(lp.seq) == 20_000 and lp.symbol_count == 4
+
+
+def test_layer_word_keeps_its_first_nine_letters():
+    # every layering of at most 9 layers keeps its colours
+    assert layer_pattern_colouring(9).seq == (0, 1, 2, 0, 1, 3, 0, 1, 2)
+    assert layer_pattern_colouring(9).symbol_count == 4
 
 
 def test_layer_pattern_small_verified():
     for t in (1, 2, 5, 12, 30):
         lp = layer_pattern_colouring(t)
         assert len(lp.seq) == t
-        assert lp.symbol_count <= 6
-        assert verify_layer_pattern(lp, max_walk=min(2 * t, 12)) is None
+        assert lp.symbol_count <= 4
+        assert verify_layer_pattern(lp) is None
 
 
 def test_layer_pattern_rejects_periodic():
     # period-6 repetition admits a matching lazy walk
     bad = LayerPatternColouring(tuple([0, 1, 2, 0, 1, 3] * 4))
-    assert verify_layer_pattern(bad, max_walk=12) is not None
+    assert verify_layer_pattern(bad) is not None
 
 
 def test_layer_pattern_rejects_square_word():
     bad = LayerPatternColouring((0, 1, 0, 1))
-    walk = verify_layer_pattern(bad, max_walk=4)
+    walk = verify_layer_pattern(bad)
     assert walk is not None
     # the counterexample is a genuine lazy walk with matching halves
-    assert all(abs(walk[i + 1] - walk[i]) <= 1 for i in range(len(walk) - 1))
+    _assert_genuine_walk(bad.seq, walk)
 
 
-def test_verify_layer_pattern_rejects_odd_walk():
-    with pytest.raises(GraphInputError):
-        verify_layer_pattern(LayerPatternColouring((0,)), max_walk=3)
+def test_nonrep_driver_colours_2000_layers():
+    # a path's edge bags are 1-rich and its shadow layering has one
+    # vertex per layer, so each layer is coloured by its layer symbol
+    g = path_graph(2000)
+    bags = tuple(frozenset((v, v + 1)) for v in range(g.n - 1))
+    edges = tuple((i, i + 1) for i in range(len(bags) - 1))
+    rd = RichDecomposition(TreeDecomposition(bags, edges))
+    assert len(rich_shadow_layering(g, rd).layering) == 2000
+    c = recursive_nonrep_driver(g, rd)
+    assert verify_proper(g, c).ok
+    assert c.palette_size == 4
+    assert verify_nonrepetitive(g, c, max_path=40) is None
 
 
 def test_nonrep_planar_exhaustive_small():
@@ -276,7 +279,7 @@ def test_nonrep_planar_exhaustive_small():
         c = nonrep_from_compute(g, layering, labels)
         assert verify_proper(g, c).ok
         assert verify_nonrepetitive(g, c, max_path=g.n) is None
-        assert c.palette_size <= nonrep_bound(g.n, labels.ell1, labels.ell2, 6)
+        assert c.palette_size <= nonrep_bound(g.n, labels.ell1, labels.ell2)
 
 
 def test_nonrep_sparse_exhaustive_n40():
